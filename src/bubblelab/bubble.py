@@ -148,15 +148,6 @@ class Bubble:
         return self.C * self.delta ** self.q * self.w_rx(r, xn) ** (-self.q)
 
 
-def eval_U(b, x, derivs=2):
-    """Value and optional analytic derivatives of U: (U, grad, hess)."""
-    x = np.asarray(x, dtype=float)
-    val = b.U(x)
-    grad = b.grad_U(x) if derivs >= 1 else None
-    hess = b.hess_U(x) if derivs >= 2 else None
-    return val, grad, hess
-
-
 def residual_model(b, x, boundary_tol=0.0):
     """Relative residuals of the model problem at x.
 

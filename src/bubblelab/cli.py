@@ -12,9 +12,11 @@ failure.  Reports are byte-deterministic: identical configuration means
 identical bytes (fixed seeds, sorted keys, shortest round-trip floats,
 no timestamps or timings in any emitted file).
 
-Configuration is one flat JSON document; file paths inside it resolve
-relative to the config file's directory.  `--schema` prints the
-configuration keys and output formats of a subcommand and exits.
+Configuration is one JSON object, checked against one key table that
+also supplies the defaults; unknown keys, also inside `grid`, are
+refused.  File paths inside it resolve relative to the config file's
+directory.  `--schema` prints that table for a subcommand, with its
+output formats, and exits.
 Tolerance semantics: computations always run at fixed internal
 precision; the optional `rel_tol` key only loosens pass thresholds
 (each identity row uses max(stated bound, rel_tol)), so raising it can
@@ -35,9 +37,9 @@ from .bubble import (Bubble, alpha_n, bubble_energy,
                      residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
-from .model import (OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
-                    CurvatureFrame, HessianData, ProblemPoint,
-                    validate_frame, validate_point)
+from .model import (MAX_DIMENSION, OVERRIDE_MIN_DIMENSION,
+                    SUPPORTED_MIN_DIMENSION, CurvatureFrame, HessianData,
+                    ProblemPoint, validate_frame, validate_point)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -46,74 +48,173 @@ EXIT_CONFIG = 2
 # quadrature precision is fixed; config rel_tol only loosens pass bounds
 _QUAD_TOL = 1e-12
 
-_CORE_KEYS = {
-    "n": 8,
-    "K": -56.0,
-    "H": 2.0,
-    "gamma": 1.0,
-    "seed": 1871,
-    "rel_tol": None,
-    "override_dimension_gate": False,
-    "out": None,
+# The one config schema: key -> (kind, default, doc).  It drives the
+# defaults, the kind checks and --schema.  Point bounds live in
+# model.validate_point and grid bounds in GridSpec, whose field defaults
+# are the grid defaults; the kinds "count" and "positive" carry the
+# bounds of the keys only the CLI reads.  A null value stands for the
+# default, and is accepted only where the default is null.
+_KEYS = {
+    "n": ("integer", 8, f"dimension, {SUPPORTED_MIN_DIMENSION} <= n <= "
+          f"{MAX_DIMENSION} (from {OVERRIDE_MIN_DIMENSION} with "
+          "--override-dimension-gate)"),
+    "K": ("number", -56.0, "prescribed scalar curvature, < 0"),
+    "H": ("number", 2.0, "prescribed boundary mean curvature; "
+          "D = sqrt(n(n-1)) H / sqrt(|K|) must exceed 1"),
+    "gamma": ("number", 1.0, "perturbation weight gamma(p), > 0"),
+    "seed": ("count", 1871, "seed of every random draw"),
+    "rel_tol": ("positive", None, "pass-threshold floor; loosens identity "
+                "bounds, never tightens"),
+    "override_dimension_gate": ("boolean", False,
+                                "same effect as the CLI flag"),
+    "out": ("string", None, "output directory, relative to the config "
+            "file (the --out flag takes precedence)"),
+    "frame": (("zero", "random"), "zero",
+              "curvature frame, unless frame_file is given"),
+    "frame_file": ("string", None, "path to a curvature-frame JSON, "
+                   "relative to the config file"),
+    "grid": ({
+        "nr": ("integer", corrector.GridSpec.nr, "radial cells, >= 16"),
+        "nxn": ("integer", corrector.GridSpec.nxn, "normal cells, >= 16; "
+                f"nr * nxn <= {corrector.MAX_GRID_CELLS}"),
+        "r_max": ("number", corrector.GridSpec.r_max,
+                  "truncation radius, > 1"),
+        "stretch": ("number", corrector.GridSpec.stretch,
+                    "algebraic grid stretch, in (0, 1e100]"),
+    }, {}, "modal solver grid"),
+    "case": (("constants", "non-constants"), "constants", "reduced-energy "
+             "regime"),
+    "samples": ("array", None, "list of {label, coords, gamma} (constants) "
+                "or {label, coords, H[, gamma]} (non-constants)"),
+    "hessH": ("matrix", "identity", "(n-1)x(n-1) Hessian of H "
+              "(non-constants case)"),
+    "hessK": ("matrix", "identity", "n x n Hessian of K "
+              "(non-constants case)"),
 }
-_GRID_KEYS = {"nr": 400, "nxn": 400, "r_max": 40.0, "stretch": 10.0}
+_POINT_KEYS = ("n", "K", "H", "gamma", "seed", "rel_tol",
+               "override_dimension_gate", "out")
+_ACCEPTS = {
+    "verify-integrals": _POINT_KEYS,
+    "verify-bubble": _POINT_KEYS,
+    "verify-hyperbolic": _POINT_KEYS,
+    "corrector": _POINT_KEYS + ("frame", "frame_file", "grid"),
+    "locate": _POINT_KEYS + ("frame", "frame_file", "grid", "case",
+                             "samples", "hessH", "hessK"),
+}
 
-_COMMAND_KEYS = {
-    "verify-integrals": set(_CORE_KEYS),
-    "verify-bubble": set(_CORE_KEYS),
-    "verify-hyperbolic": set(_CORE_KEYS),
-    "corrector": set(_CORE_KEYS) | {"frame", "frame_file", "grid"},
-    "locate": set(_CORE_KEYS) | {"case", "samples", "frame", "frame_file",
-                                 "grid", "hessH", "hessK"},
+
+def _is_int(v):
+    # JSON integers beyond 2^53 are not exact in most readers
+    return type(v) is int and abs(v) <= 2 ** 53
+
+
+def _is_number(v):
+    return _is_int(v) or (type(v) is float and math.isfinite(v))
+
+
+# kind -> (description, predicate); a tuple kind lists the allowed strings
+_KINDS = {
+    "integer": ("an integer", _is_int),
+    "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "number": ("a finite number", _is_number),
+    "positive": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "boolean": ("true or false", lambda v: type(v) is bool),
+    "string": ("a string", lambda v: type(v) is str),
+    "array": ("an array", lambda v: type(v) is list),
+    "matrix": ("'identity' or an array",
+               lambda v: v == "identity" or type(v) is list),
+}
+
+
+def _kind(kind):
+    if isinstance(kind, tuple):
+        return ("one of " + ", ".join(map(repr, kind)), lambda v: v in kind)
+    return _KINDS[kind]
+
+
+def _checked(kind, name, value):
+    """``value`` if it has the JSON kind, as a float for a number kind."""
+    what, ok = _kind(kind)
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return float(value) if kind in ("number", "positive") else value
+
+
+def _walk(table, raw, where):
+    """Check a config object against a table; fill in the defaults.
+
+    Unknown keys and values of the wrong JSON kind raise ConfigError;
+    a nested table (the grid) is walked the same way.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    cfg = {}
+    for key, (kind, default, _) in table.items():
+        value = raw.get(key, default)
+        if isinstance(kind, dict):
+            cfg[key] = _walk(kind, value, key)
+        elif value is None and default is None:
+            cfg[key] = None
+        else:
+            cfg[key] = _checked(kind, key if where == "config"
+                                else f"{where}.{key}", value)
+    return cfg
+
+
+def _schema_doc(table, keys):
+    doc = {}
+    for key in keys:
+        kind, default, text = table[key]
+        if isinstance(kind, dict):
+            doc[key] = _schema_doc(kind, kind)
+        else:
+            doc[key] = (f"{_kind(kind)[0]}: {text} "
+                        f"(default {json.dumps(default)})")
+    return doc
+
+
+_VERIFY_OUTPUTS = {"verify_report.json":
+                   "command, parameters, identities[{name, passed, "
+                   "value, bound, detail}], count, all_passed"}
+_OUTPUTS = {
+    "verify-integrals": _VERIFY_OUTPUTS,
+    "verify-bubble": _VERIFY_OUTPUTS,
+    "verify-hyperbolic": _VERIFY_OUTPUTS,
+    "corrector": {
+        "corrector.json": "problem, grid, modes[{degree, label, weight, "
+                          "e_csv, psi_csv, info}]",
+        "mode<k>_<label>_e.csv / _psi.csv":
+            "(nr+1) x (nxn+1) grids, rows = radial index, comma-separated",
+        "diagnostics.json": "command, parameters, checks[...], diagnostics, "
+                            "all_passed",
+    },
+    "locate": {
+        "blowup.json": "p_star, coords, d_star, rate, case_tag, "
+                       "coefficients{E, A, B, S?}, gamma, J_values, "
+                       "hypothesis_flags, depth_convention",
+        "samples.csv": "columns: sample, E, A, B, d0, G "
+                       "(d0/G empty when B <= 0 at that sample)",
+    },
 }
 
 
 def _schema(command):
-    core = {
-        "n": "integer dimension, >= 8 (>= 5 with --override-dimension-gate)",
-        "K": "prescribed scalar curvature, < 0",
-        "H": "prescribed boundary mean curvature, > 0; D = sqrt(n(n-1)) H / sqrt(|K|) must exceed 1",
-        "gamma": "perturbation weight gamma(p) > 0 (default 1.0)",
-        "seed": "integer seed for every random draw (default 1871)",
-        "rel_tol": "optional pass-threshold floor; loosens identity bounds, never tightens",
-        "override_dimension_gate": "boolean, same effect as the CLI flag",
-        "out": "output directory (the --out flag takes precedence)",
-    }
-    grid = {"nr": "radial cells >= 16 (default 400)",
-            "nxn": "normal cells >= 16 (default 400)",
-            "r_max": "truncation radius (default 40.0)",
-            "stretch": "algebraic grid stretch (default 10.0)"}
-    doc = {"command": command, "config": dict(core),
-           "outputs": {"verify_report.json":
-                       "command, parameters, identities[{name, passed, "
-                       "value, bound, detail}], count, all_passed"}}
-    if command == "corrector":
-        doc["config"]["frame"] = "'zero' | 'random' | omit and give frame_file"
-        doc["config"]["frame_file"] = "path to a curvature-frame JSON, relative to the config file"
-        doc["config"]["grid"] = grid
-        doc["outputs"] = {
-            "corrector.json": "problem, grid, modes[{degree, label, weight, e_csv, psi_csv, info}]",
-            "mode<k>_<label>_e.csv / _psi.csv":
-                "(nr+1) x (nxn+1) grids, rows = radial index, comma-separated",
-            "diagnostics.json": "command, parameters, checks[...], diagnostics, all_passed",
-        }
-    elif command == "locate":
-        doc["config"]["case"] = "'constants' | 'non-constants'"
-        doc["config"]["samples"] = ("list of {label, coords, gamma} (constants) "
-                                    "or {label, coords, H[, gamma]} (non-constants)")
-        doc["config"]["frame"] = "'zero' | 'random' (constants case)"
-        doc["config"]["frame_file"] = "path to a curvature-frame JSON (constants case)"
-        doc["config"]["grid"] = grid
-        doc["config"]["hessH"] = "'identity' or an (n-1)x(n-1) matrix (non-constants case)"
-        doc["config"]["hessK"] = "'identity' or an n x n matrix (non-constants case)"
-        doc["outputs"] = {
-            "blowup.json": "p_star, coords, d_star, rate, case_tag, "
-                           "coefficients{E, A, B, S?}, gamma, J_values, "
-                           "hypothesis_flags, depth_convention",
-            "samples.csv": "columns: sample, E, A, B, d0, G "
-                           "(d0/G empty when B <= 0 at that sample)",
-        }
-    return doc
+    return {"command": command,
+            "config": _schema_doc(_KEYS, _ACCEPTS[command]),
+            "outputs": _OUTPUTS[command]}
+
+
+def _point(n, K, H, gamma, override, where=""):
+    """A ProblemPoint that passes validate_point, or one ConfigError line."""
+    pt = ProblemPoint(n=n, K=K, H=H, gamma=gamma)
+    rep = validate_point(pt, override_dimension_gate=override)
+    if not rep.passed:
+        raise ConfigError(where + "; ".join(c.detail
+                                            for c in rep.failures()))
+    return pt
 
 
 def _load_config(args, command):
@@ -127,68 +228,27 @@ def _load_config(args, command):
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a flat JSON object")
-    allowed = _COMMAND_KEYS[command]
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: "
-                          f"{', '.join(unknown)}")
-
-    cfg = dict(_CORE_KEYS)
-    cfg.update({k: raw[k] for k in raw if k in _CORE_KEYS})
-    for key in ("frame", "frame_file", "case", "samples", "hessH", "hessK"):
-        if key in raw:
-            cfg[key] = raw[key]
-    grid = dict(_GRID_KEYS)
-    grid.update(raw.get("grid", {}) or {})
-    cfg["grid"] = grid
-
+    cfg = _walk({k: _KEYS[k] for k in _ACCEPTS[command]}, raw, "config")
     if args.override_dimension_gate:
         cfg["override_dimension_gate"] = True
-    n = cfg["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"n must be an integer, got {n!r}")
-    floor = OVERRIDE_MIN_DIMENSION if cfg["override_dimension_gate"] \
-        else SUPPORTED_MIN_DIMENSION
-    if n < floor:
-        if cfg["override_dimension_gate"]:
-            raise ConfigError(
-                f"dimension gate violated: n = {n} < {OVERRIDE_MIN_DIMENSION} "
-                "(hard floor even with --override-dimension-gate)")
-        raise ConfigError(
-            f"dimension gate violated: n = {n} < {SUPPORTED_MIN_DIMENSION}; "
-            "pass --override-dimension-gate to explore 5 <= n < 8")
-    if cfg["rel_tol"] is not None and not cfg["rel_tol"] > 0.0:
-        raise ConfigError(f"rel_tol must be positive, got {cfg['rel_tol']}")
-    if cfg["gamma"] <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {cfg['gamma']}")
-    for key in ("nr", "nxn"):
-        if grid[key] < 16:
-            raise ConfigError(f"grid.{key} must be >= 16, got {grid[key]}")
-    if grid["r_max"] <= 1.0 or grid["stretch"] <= 0.0:
-        raise ConfigError("grid needs r_max > 1 and stretch > 0")
+    cfg["_pt"] = _point(cfg["n"], cfg["K"], cfg["H"], cfg["gamma"],
+                        cfg["override_dimension_gate"])
+    if "grid" in cfg:
+        try:
+            cfg["grid"] = corrector.GridSpec(**cfg["grid"])
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    try:
-        pt = ProblemPoint(n=n, K=float(cfg["K"]), H=float(cfg["H"]),
-                          gamma=float(cfg["gamma"]))
-        if pt.D <= 1.0:
-            raise ConfigError(
-                f"no bubble family at this point: D = {pt.D:.6g} <= 1")
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg["_pt"] = pt
-
-    out = args.out or cfg.get("out")
+    out = args.out or cfg["out"]
     if out is None:
         out = "out"
     elif args.out is None and args.config is not None:
         out = os.path.join(base_dir, out)
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") \
             from exc
     if not os.access(out, os.W_OK):
@@ -206,7 +266,7 @@ def _parameters(cfg, with_grid=False):
            "rel_tol": cfg["rel_tol"],
            "override_dimension_gate": cfg["override_dimension_gate"]}
     if with_grid:
-        doc["grid"] = {k: cfg["grid"][k] for k in _GRID_KEYS}
+        doc["grid"] = cfg["grid"].to_json_dict()
     return doc
 
 
@@ -435,46 +495,37 @@ def cmd_verify_hyperbolic(cfg):
 # corrector and locator
 
 def _build_frame(cfg):
-    choice = cfg.get("frame")
-    path = cfg.get("frame_file")
+    """The config's curvature frame, checked against the gauge and n."""
+    n = cfg["_pt"].n
+    path = cfg["frame_file"]
     if path is not None:
         full = os.path.join(cfg["_base_dir"], path)
         if not os.path.exists(full):
             raise ConfigError(f"frame file not found: {full}")
-        with open(full) as fh:
-            doc = json.load(fh)
         try:
-            return CurvatureFrame.from_json_dict(doc)
-        except (DomainError, KeyError, ValueError) as exc:
+            with open(full) as fh:
+                frame = CurvatureFrame.from_json_dict(json.load(fh))
+        except (OSError, DomainError, KeyError, TypeError,
+                ValueError) as exc:
             raise ConfigError(f"invalid frame file {full}: {exc}") from exc
-    if choice in (None, "zero"):
-        return CurvatureFrame.zero(cfg["_pt"].n)
-    if choice == "random":
-        return geom.random_frame(cfg["_pt"].n,
-                                 np.random.default_rng(cfg["seed"]))
-    raise ConfigError(f"frame must be 'zero', 'random' or a frame_file, "
-                      f"got {choice!r}")
-
-
-def _grid_spec(cfg):
-    g = cfg["grid"]
-    try:
-        return corrector.GridSpec(nr=int(g["nr"]), nxn=int(g["nxn"]),
-                                  r_max=float(g["r_max"]),
-                                  stretch=float(g["stretch"]))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        if frame.n != n:
+            raise ConfigError(f"frame file {full} has n = {frame.n}, "
+                              f"the config has n = {n}")
+    elif cfg["frame"] == "random":
+        frame = geom.random_frame(n, np.random.default_rng(cfg["seed"]))
+    else:
+        frame = CurvatureFrame.zero(n)
+    bad = [c.name for c in validate_frame(frame).failures()]
+    if bad:
+        raise ConfigError(f"curvature frame fails validation: "
+                          f"{', '.join(bad)}")
+    return frame
 
 
 def cmd_corrector(cfg):
     pt = cfg["_pt"]
     frame = _build_frame(cfg)
-    frep = validate_frame(frame)
-    if not all(c.passed for c in frep.checks):
-        bad = [c.name for c in frep.checks if not c.passed]
-        raise ConfigError(f"curvature frame fails validation: "
-                          f"{', '.join(bad)}")
-    gs = _grid_spec(cfg)
+    gs = cfg["grid"]
     out = cfg["_out"]
     doc = {"command": "corrector", "parameters": _parameters(cfg,
                                                              with_grid=True)}
@@ -506,77 +557,63 @@ def cmd_corrector(cfg):
 
 
 def _parse_samples(cfg, need_h):
-    raw = cfg.get("samples")
-    if not raw or not isinstance(raw, list):
+    """(label, coords, ProblemPoint) per sample; each point is validated."""
+    pt = cfg["_pt"]
+    if not cfg["samples"]:
         raise ConfigError("locate needs a non-empty 'samples' list")
     out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "label" not in entry:
+    for i, entry in enumerate(cfg["samples"]):
+        if type(entry) is not dict or "label" not in entry:
             raise ConfigError(f"sample {i} must be an object with a label")
-        coords = tuple(float(c) for c in entry.get("coords", (float(i),)))
-        gamma = float(entry.get("gamma", cfg["gamma"]))
-        if gamma <= 0.0:
-            raise ConfigError(f"sample {entry['label']!r}: gamma must be "
-                              f"positive, got {gamma}")
-        if need_h:
-            if "H" not in entry:
-                raise ConfigError(f"sample {entry['label']!r} needs H in the "
-                                  "non-constants case")
-            h_val = float(entry["H"])
-        else:
-            h_val = cfg["_pt"].H
-        out.append((str(entry["label"]), coords, h_val, gamma))
+        where = f"sample {entry['label']!r}: "
+        coords = entry.get("coords", [i])
+        if type(coords) is not list or not all(map(_is_number, coords)):
+            raise ConfigError(f"{where}coords must be an array of finite "
+                              f"numbers, got {coords!r}")
+        gamma = _checked("number", f"{where}gamma",
+                         entry.get("gamma", pt.gamma))
+        if need_h != ("H" in entry):
+            raise ConfigError(f"{where}a sample gives H exactly in the "
+                              "non-constants case")
+        h_val = _checked("number", f"{where}H", entry["H"]) if need_h \
+            else pt.H
+        out.append((str(entry["label"]), tuple(map(float, coords)),
+                    _point(pt.n, pt.K, h_val, gamma,
+                           cfg["override_dimension_gate"], where)))
     return out
 
 
 def _parse_hessian(value, size, name):
-    if value in (None, "identity"):
+    if value == "identity":
         return np.eye(size)
-    arr = np.array(value, dtype=float)
-    if arr.shape != (size, size):
-        raise ConfigError(f"{name} must be {size}x{size}, got {arr.shape}")
-    return arr
+    if len(value) != size or not all(
+            type(row) is list and len(row) == size
+            and all(map(_is_number, row)) for row in value):
+        raise ConfigError(f"{name} must be 'identity' or a {size}x{size} "
+                          f"array of finite numbers")
+    return np.array(value, dtype=float)
 
 
 def cmd_locate(cfg):
     pt = cfg["_pt"]
     n = pt.n
-    case = cfg.get("case", "constants")
-    if case not in ("constants", "non-constants"):
-        raise ConfigError(f"case must be 'constants' or 'non-constants', "
-                          f"got {case!r}")
-    if case == "constants":
+    if cfg["case"] == "constants":
         parsed = _parse_samples(cfg, need_h=False)
         frame = _build_frame(cfg)
-        frep = validate_frame(frame)
-        if not all(c.passed for c in frep.checks):
-            bad = [c.name for c in frep.checks if not c.passed]
-            raise ConfigError(f"curvature frame fails validation: "
-                              f"{', '.join(bad)}")
-        gs = _grid_spec(cfg)
         # one geometry, many gammas: the corrector solve is shared
-        sol = corrector.solve_corrector(frame, pt, gs)
-        samples = [reduced.BoundarySample(
-                       label=lab, coords=coords,
-                       pt=ProblemPoint(n=n, K=pt.K, H=h, gamma=g),
-                       frame=frame, sol=sol)
-                   for lab, coords, h, g in parsed]
+        sol = corrector.solve_corrector(frame, pt, cfg["grid"])
+        samples = [reduced.BoundarySample(label=lab, coords=coords,
+                                          pt=sample_pt, frame=frame, sol=sol)
+                   for lab, coords, sample_pt in parsed]
         report = reduced.optimize_constants(samples)
     else:
-        try:
-            hess = HessianData(
-                hessH=_parse_hessian(cfg.get("hessH"), n - 1, "hessH"),
-                hessK=_parse_hessian(cfg.get("hessK"), n, "hessK"))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        samples = []
-        for lab, coords, h, g in _parse_samples(cfg, need_h=True):
-            try:
-                sample_pt = ProblemPoint(n=n, K=pt.K, H=h, gamma=g)
-            except DomainError as exc:
-                raise ConfigError(f"sample {lab!r}: {exc}") from exc
-            samples.append(reduced.BoundarySample(label=lab, coords=coords,
-                                                  pt=sample_pt, hess=hess))
+        hess = HessianData(
+            hessH=_parse_hessian(cfg["hessH"], n - 1, "hessH"),
+            hessK=_parse_hessian(cfg["hessK"], n, "hessK"))
+        samples = [reduced.BoundarySample(label=lab, coords=coords,
+                                          pt=sample_pt, hess=hess)
+                   for lab, coords, sample_pt in _parse_samples(cfg,
+                                                                need_h=True)]
         report = reduced.optimize_nonconstant(samples)
     report.save(cfg["_out"])
     print(f"blow-up point {report.p_star} at depth d = {report.d_star:.8g}, "

@@ -82,12 +82,15 @@ class HyperbolicPicture:
 def hyperbolic_picture(D):
     """Closed forms R = D - sqrt(D^2-1), mu0 = 2R/(1+R^2), mu1 = (1+R^2)/(2R)."""
     D = float(D)
-    if D <= 1.0:
-        raise DomainError(f"hyperbolic picture needs D > 1, got {D}")
-    R = D - math.sqrt(D * D - 1.0)
+    if not 1.0 < D < math.inf:
+        raise DomainError(f"hyperbolic picture needs a finite D > 1, got {D}")
+    # D - sqrt(D^2-1) written without its cancellation at large D; the
+    # split root keeps D^2 from overflowing
+    R = 1.0 / (D + math.sqrt(D - 1.0) * math.sqrt(D + 1.0))
     mu0 = 2.0 * R / (1.0 + R * R)
-    mu1 = (1.0 + R * R) / (2.0 * R)
-    assert abs(mu1 - D) <= 1e-12 * D, "mu1 must reproduce D"
+    mu1 = (1.0 + R * R) / (2.0 * R) if R > 0.0 else math.inf
+    if not abs(mu1 - D) <= 1e-12 * D:
+        raise DomainError(f"mu1 = {mu1!r} does not reproduce D = {D!r}")
     return HyperbolicPicture(D=D, R=R, mu0=mu0, mu1=mu1)
 
 
@@ -329,12 +332,18 @@ def decompose_forcing(frame, b, threshold=1e-13, check_points=100, seed=1871):
 # the 2-D modal solver
 
 
+# a random-frame corrector solve peaks at 488 MB on 400^2 cells and
+# 1.96 GB on 800^2
+MAX_GRID_CELLS = 800 ** 2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Tensor grid on [0, r_max]^2 with algebraic stretching.
 
     Both coordinates use the map r(s) = r_max s / (1 + stretch (1-s)),
     which crowds nodes near the origin where the forcing concentrates.
+    Its field defaults are the grid defaults of the CLI.
     """
 
     nr: int = 400
@@ -345,10 +354,15 @@ class GridSpec:
     def __post_init__(self):
         if self.nr < 16 or self.nxn < 16:
             raise DomainError("grid needs at least 16 cells per direction")
+        if self.nr * self.nxn > MAX_GRID_CELLS:
+            raise DomainError(f"grid needs nr * nxn <= {MAX_GRID_CELLS}, "
+                              f"got {self.nr} * {self.nxn}")
         if not self.r_max > 1.0:
             raise DomainError(f"r_max must exceed 1, got {self.r_max}")
-        if not self.stretch > 0.0:
-            raise DomainError(f"stretch must be positive, got {self.stretch}")
+        # d2coord raises 1 + stretch to the third power
+        if not 0.0 < self.stretch <= 1e100:
+            raise DomainError(f"stretch must lie in (0, 1e100], "
+                              f"got {self.stretch}")
 
     def to_json_dict(self):
         return {"nr": self.nr, "nxn": self.nxn, "r_max": self.r_max,
@@ -990,10 +1004,13 @@ def corrector_diagnostics(sol, frame, pt, tol_ortho=1e-10, tol_identity=1e-3,
             combined = np.maximum(combined, np.abs(mode.psi))
         inner = (rho > 5.0) & (rho < 0.55 * sol.gs.r_max)
         outer = (rho > 0.75 * sol.gs.r_max) & (combined > 0)
-        cfit = float(np.max(combined[inner] * (1 + rho[inner]) ** (n - 4)))
-        cout = float(np.max(combined[outer] * (1 + rho[outer]) ** (n - 4))) \
-            if np.any(outer) else 0.0
-        bound_ok = cout <= decay_slack * cfit
+        # rho >= D, so a large D or a small r_max can leave inner empty
+        fitted = bool(np.any(inner))
+        cfit = float(np.max(combined[inner] * (1 + rho[inner]) ** (n - 4),
+                            initial=0.0))
+        cout = float(np.max(combined[outer] * (1 + rho[outer]) ** (n - 4),
+                            initial=0.0))
+        bound_ok = fitted and cout <= decay_slack * cfit
         diag["decay_envelope_inner"] = cfit
         diag["decay_envelope_outer"] = cout
         window = (8.0, 0.6 * sol.gs.r_max)
@@ -1010,7 +1027,8 @@ def corrector_diagnostics(sol, frame, pt, tol_ortho=1e-10, tol_identity=1e-3,
                             cout / cfit if cfit > 0 else 0.0, decay_slack,
                             detail=f"fitted exponent {slope:.3f} on window "
                                    f"{window} (informational; the bound "
-                                   f"check is the invariant)"))
+                                   f"check is the invariant)" if fitted
+                            else "window holds no node"))
     else:
         diag["decay_exponent"] = 0.0
         checks.append(Check("decay envelope (1+|x|)^{4-n}", True, 0.0,

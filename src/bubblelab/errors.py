@@ -17,10 +17,6 @@ class DomainError(BubbleLabError):
     """Parameters outside the convergence/validity region of a formula."""
 
 
-class ChartError(BubbleLabError):
-    """Evaluation point outside the chart radius of the metric expansion."""
-
-
 class InvalidFrame(BubbleLabError):
     """Curvature data violates the gauge trace conditions beyond tolerance."""
 

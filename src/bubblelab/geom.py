@@ -32,7 +32,6 @@ measured statement about a quadrature, never an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +39,7 @@ from scipy.special import roots_jacobi
 
 from . import quad
 from .bubble import Bubble, c_n
-from .errors import ChartError, DomainError, InvalidFrame
+from .errors import DomainError, InvalidFrame
 from .model import Check, CurvatureFrame, ValidationReport
 
 __all__ = [
@@ -51,9 +50,6 @@ __all__ = [
     "weyl_norm",
     "random_frame",
     "sphere_rule",
-    "sphere_integral",
-    "MetricExpansion",
-    "metric_expansion",
     "forcing_Ep",
     "forcing_profiles",
     "paired_halfspace",
@@ -178,109 +174,6 @@ def sphere_rule(m, degree):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def sphere_integral(fn, m, degree):
-    """Integrate ``fn`` (vectorized over a (q, m) node array) over S^{m-1}."""
-    nodes, weights = sphere_rule(m, degree)
-    return float(weights @ np.asarray(fn(nodes), dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# metric expansion
-
-
-def _zeros_or(value, shape, name):
-    if value is None:
-        return np.zeros(shape)
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-@dataclass
-class MetricExpansion:
-    """Inverse-metric Taylor data at the point.
-
-    Beyond the frame itself, all higher-derivative tensors are optional
-    and default to zero.  Derivative slots come last: ``riem_d[...,m]``
-    is the derivative along y_m, ``nb_dd[...,k,l]`` along y_k, y_l, and
-    the ``_dn`` suffix marks normal derivatives.
-    """
-
-    frame: CurvatureFrame
-    riem_d: np.ndarray | None = None      # (m,m,m,m,m)
-    riem_dd: np.ndarray | None = None     # (m,m,m,m,m,m)
-    nb_d: np.ndarray | None = None        # (m,m,m)
-    nb_dd: np.ndarray | None = None       # (m,m,m,m)
-    nb_dn: np.ndarray | None = None       # (m,m)
-    nb_dnk: np.ndarray | None = None      # (m,m,m)
-    nb_dnn: np.ndarray | None = None      # (m,m)
-    chart_radius: float = 1.0
-
-    def __post_init__(self):
-        m = self.frame.m
-        self.riem_d = _zeros_or(self.riem_d, (m,) * 5, "riem_d")
-        self.riem_dd = _zeros_or(self.riem_dd, (m,) * 6, "riem_dd")
-        self.nb_d = _zeros_or(self.nb_d, (m,) * 3, "nb_d")
-        self.nb_dd = _zeros_or(self.nb_dd, (m,) * 4, "nb_dd")
-        self.nb_dn = _zeros_or(self.nb_dn, (m, m), "nb_dn")
-        self.nb_dnk = _zeros_or(self.nb_dnk, (m,) * 3, "nb_dnk")
-        self.nb_dnn = _zeros_or(self.nb_dnn, (m, m), "nb_dnn")
-
-    def det(self, y, order=4):
-        """Determinant of the expansion: exactly 1 up to the truncation order.
-
-        The gauge kills every determinant term below degree n, and the
-        expansion is truncated at degree 4 < n, so within the chart the
-        reported determinant is identically 1.
-        """
-        y = np.asarray(y, dtype=float)
-        if float(np.linalg.norm(y)) > self.chart_radius:
-            raise ChartError(f"|y|={np.linalg.norm(y):.3g} exceeds chart radius "
-                             f"{self.chart_radius}")
-        del order
-        return 1.0
-
-
-def metric_expansion(me, y, order=2):
-    """Inverse metric g^{ab}(y) through the requested order (2, 3 or 4).
-
-    Returns the full n x n matrix; the normal row/column is exactly
-    (0, ..., 0, 1) in these coordinates.
-    """
-    if order not in (2, 3, 4):
-        raise DomainError(f"order must be 2, 3 or 4, got {order}")
-    y = np.asarray(y, dtype=float)
-    m = me.frame.m
-    if y.shape != (m + 1,):
-        raise DomainError(f"y must have shape ({m + 1},), got {y.shape}")
-    if float(np.linalg.norm(y)) > me.chart_radius:
-        raise ChartError(f"|y|={np.linalg.norm(y):.3g} exceeds chart radius "
-                         f"{me.chart_radius}")
-    yt, yn = y[:m], y[m]
-    R = me.frame.riem_boundary
-    Q = me.frame.normal_block
-
-    g = np.eye(m) + np.einsum("ikjl,k,l->ij", R, yt, yt) / 3.0 + Q * yn ** 2
-    if order >= 3:
-        g = g + np.einsum("ikjlm,k,l,m->ij", me.riem_d, yt, yt, yt) / 6.0 \
-            + np.einsum("ijk,k->ij", me.nb_d, yt) * yn ** 2 \
-            + me.nb_dn * yn ** 3 / 3.0
-    if order >= 4:
-        quart = me.riem_dd / 20.0
-        g = g + np.einsum("ikjlmp,k,l,m,p->ij", quart, yt, yt, yt, yt) \
-            + np.einsum("iksl,jmsp,k,l,m,p->ij", R, R, yt, yt, yt, yt) / 15.0
-        sym = np.einsum("iksl,sj->ijkl", R, Q)
-        sym = 0.5 * (sym + sym.transpose(1, 0, 2, 3))
-        g = g + np.einsum("ijkl,k,l->ij", 0.5 * me.nb_dd + sym / 3.0, yt, yt) \
-            * yn ** 2 \
-            + np.einsum("ijk,k->ij", me.nb_dnk, yt) * yn ** 3 / 3.0 \
-            + (me.nb_dnn + 8.0 * Q @ Q) * yn ** 4 / 12.0
-    out = np.eye(m + 1)
-    out[:m, :m] = g
-    return out
 
 
 # ---------------------------------------------------------------------------

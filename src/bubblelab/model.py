@@ -21,6 +21,15 @@ SUPPORTED_MIN_DIMENSION = 8
 # identity verification still makes sense below the blow-up threshold;
 # the explicit override lowers the gate to this hard floor
 OVERRIDE_MIN_DIMENSION = 5
+# the degree-6 sphere rule behind verify-bubble has 7 * 4^(n-3) nodes:
+# its peak memory grows about 4x per dimension (253 MB at n = 10,
+# 3.7 GB at n = 12)
+MAX_DIMENSION = 12
+# the formulas raise |K| and D to powers up to about 2n; the bubble
+# amplitude overflows at |K| = 1e300 and underflows at 1e-100, and the
+# moments overflow at D = 1e200.  These bounds keep a wide margin.
+MAX_CURVATURE_SCALE = 1e30          # 1 / scale <= |K| <= scale
+MAX_SCALING_QUANTITY = 1e12
 
 
 def scaling_quantity(n, K, H):
@@ -198,27 +207,41 @@ class ValidationReport:
 
 
 def validate_point(pt, override_dimension_gate=False):
-    """Check every ProblemPoint invariant; all failures become report rows."""
-    checks = []
-    outside = False
-    n_floor = OVERRIDE_MIN_DIMENSION if override_dimension_gate else SUPPORTED_MIN_DIMENSION
-    dim_ok = pt.n >= n_floor
-    if override_dimension_gate and OVERRIDE_MIN_DIMENSION <= pt.n < SUPPORTED_MIN_DIMENSION:
-        outside = True
-    checks.append(Check(
-        name="n >= 8" if not override_dimension_gate else "n >= 5 (gate overridden)",
-        passed=dim_ok, value=float(pt.n), bound=float(n_floor),
-        detail="" if dim_ok else f"dimension gate: need n >= {n_floor}, got n={pt.n}"))
-    checks.append(Check(name="K < 0", passed=pt.K < 0.0, value=pt.K, bound=0.0))
+    """Check every ProblemPoint invariant; all failures become report rows.
+
+    This is the one dimension gate.  Each failing row says why in its
+    detail.
+    """
+    floor = OVERRIDE_MIN_DIMENSION if override_dimension_gate else SUPPORTED_MIN_DIMENSION
+    hint = (" (hard floor even with --override-dimension-gate)"
+            if override_dimension_gate else
+            "; pass --override-dimension-gate to explore 5 <= n < 8")
     try:
         D = pt.D
-        d_ok = D > 1.0
-        detail = "" if d_ok else f"no bubble family: D = {D:.6g} <= 1"
-    except DomainError as exc:
-        D, d_ok, detail = math.nan, False, str(exc)
-    checks.append(Check(name="D > 1", passed=d_ok, value=D, bound=1.0, detail=detail))
-    checks.append(Check(name="gamma > 0", passed=pt.gamma > 0.0,
-                        value=pt.gamma, bound=0.0))
+    except DomainError:
+        D = math.nan
+    scale = MAX_CURVATURE_SCALE
+    rows = [
+        ("n >= 8" if not override_dimension_gate else "n >= 5 (gate overridden)",
+         pt.n >= floor, pt.n, floor,
+         f"dimension gate: need n >= {floor}, got n={pt.n}{hint}"),
+        (f"n <= {MAX_DIMENSION}", pt.n <= MAX_DIMENSION, pt.n, MAX_DIMENSION,
+         f"dimension gate: need n <= {MAX_DIMENSION}, got n={pt.n}"),
+        ("K < 0", pt.K < 0.0, pt.K, 0.0, f"need K < 0, got K = {pt.K:.6g}"),
+        (f"{1.0 / scale:g} <= |K| <= {scale:g}", 1.0 / scale <= abs(pt.K) <= scale,
+         abs(pt.K), scale, f"need {1.0 / scale:g} <= |K| <= {scale:g}, got K = {pt.K:.6g}"),
+        ("D > 1", D > 1.0, D, 1.0,
+         f"no bubble family at this point: D = {D:.6g}, need D > 1"),
+        (f"D <= {MAX_SCALING_QUANTITY:g}", not D > MAX_SCALING_QUANTITY, D,
+         MAX_SCALING_QUANTITY, f"need D <= {MAX_SCALING_QUANTITY:g}, got D = {D:.6g}"),
+        ("gamma > 0", pt.gamma > 0.0, pt.gamma, 0.0,
+         f"need gamma > 0, got gamma = {pt.gamma:.6g}"),
+    ]
+    checks = [Check(name=name, passed=bool(ok), value=float(value),
+                    bound=float(bound), detail="" if ok else detail)
+              for name, ok, value, bound, detail in rows]
+    outside = override_dimension_gate and \
+        OVERRIDE_MIN_DIMENSION <= pt.n < SUPPORTED_MIN_DIMENSION
     return ValidationReport(checks=checks, outside_supported_regime=outside)
 
 

@@ -1,9 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bubblelab import cli, geom
+from bubblelab import cli, corrector, geom
 
 
 def _write(tmp_path, name, doc):
@@ -66,26 +74,196 @@ def test_loosening_tolerance_cannot_fail(tmp_path):
                 "--out", str(tmp_path)) == 0
 
 
+_SAMPLE = {"label": "p", "coords": [0.0]}
+# id -> (command, config, frame.json text, text the one stderr line holds);
+# a config of None names a missing file, a string is written verbatim
+_REJECTED = {
+    "not-json": ("verify-bubble", "not json", None, "valid JSON"),
+    "missing": ("verify-bubble", None, None, "not found"),
+    "unknown-key": ("verify-bubble", {"bogus_key": 1}, None, "bogus_key"),
+    "rel_tol<0": ("verify-integrals", {"rel_tol": -1.0}, None, "rel_tol"),
+    "rel_tol-kind": ("verify-integrals", {"rel_tol": "a"}, None, "rel_tol"),
+    "D<=1": ("verify-bubble", {"H": 0.2}, None, "D"),
+    "K-nan": ("verify-hyperbolic", {"K": float("nan")}, None, "K"),
+    "H-inf": ("verify-hyperbolic", {"H": float("inf")}, None, "H"),
+    "K-kind": ("verify-hyperbolic", {"K": "abc"}, None, "K"),
+    "K>0": ("verify-hyperbolic", {"K": 56.0}, None, "K < 0"),
+    "gamma-kind": ("verify-hyperbolic", {"gamma": "x"}, None, "gamma"),
+    "gate-kind": ("verify-hyperbolic", {"override_dimension_gate": "no"},
+                  None, "override_dimension_gate"),
+    "out-kind": ("verify-hyperbolic", {"out": 5}, None, "out"),
+    "seed<0": ("verify-hyperbolic", {"seed": -1}, None, "seed"),
+    "n=13": ("verify-bubble", {"n": 13}, None, "dimension gate"),
+    "n=400": ("verify-integrals", {"n": 400}, None, "dimension gate"),
+    "n-huge": ("verify-integrals", {"n": 10 ** 30}, None, "n"),
+    "grid-nr<16": ("corrector", {"grid": {"nr": 4}}, None, "16"),
+    "grid-kind": ("corrector", {"grid": {"nr": "abc"}}, None, "grid.nr"),
+    "grid-array": ("corrector", {"grid": [1, 2]}, None, "grid"),
+    "grid-typo": ("corrector", {"grid": {"nrr": 32}}, None, "nrr"),
+    "grid-fraction": ("corrector", {"grid": {"nr": 16.7}}, None, "grid.nr"),
+    "grid-1e9": ("corrector", {"grid": {"nr": 1e9}}, None, "grid.nr"),
+    "grid-cap": ("corrector", {"grid": {"nr": 1000000, "nxn": 1000000}},
+                 None, "nr * nxn"),
+    "frame-kind": ("corrector", {"frame": "flat"}, None, "frame"),
+    "frame-file-json": ("corrector", {"frame_file": "frame.json"},
+                        "{not json", "invalid frame file"),
+    "frame-file-n": ("corrector", {"frame_file": "frame.json"},
+                     json.dumps(geom.random_frame(
+                         9, np.random.default_rng(1)).to_json_dict()),
+                     "n = 9"),
+    "coords-kind": ("locate", {"samples": [dict(_SAMPLE, coords=["x"])]},
+                    None, "coords"),
+    "coords-scalar": ("locate", {"samples": [dict(_SAMPLE, coords=3)]},
+                      None, "coords"),
+    "sample-H-kind": ("locate", {"case": "non-constants",
+                                 "samples": [dict(_SAMPLE, H="x")]},
+                      None, "H"),
+    "sample-D<=1": ("locate", {"case": "non-constants",
+                               "samples": [dict(_SAMPLE, H=0.2)]}, None, "D"),
+    "hessH-kind": ("locate", {"case": "non-constants", "hessH": "foo",
+                              "samples": [dict(_SAMPLE, H=2.0)]},
+                   None, "hessH"),
+}
+
+
 def test_config_rejections(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert _run("verify-bubble", "--config", str(bad)) == 2
+    """Each bad config exits 2 with one 'config error' line, no traceback."""
+    for name, (command, config, frame, needle) in _REJECTED.items():
+        case = tmp_path / name
+        case.mkdir()
+        if frame is not None:
+            (case / "frame.json").write_text(frame)
+        if config is not None:
+            (case / "c.json").write_text(
+                config if isinstance(config, str) else json.dumps(config))
+        code = _run(command, "--config", str(case / "c.json"),
+                    "--out", str(case / "out"))
+        err = capsys.readouterr().err
+        assert code == 2, (name, err)
+        assert err.startswith("config error: ") and err.count("\n") == 1, \
+            (name, err)
+        assert needle in err and "Traceback" not in err, (name, err)
 
-    assert _run("verify-bubble", "--config", str(tmp_path / "nope.json")) == 2
 
-    cfg = _write(tmp_path, "u.json", {"bogus_key": 1})
-    assert _run("verify-bubble", "--config", cfg) == 2
-    assert "bogus_key" in capsys.readouterr().err
+def test_schema_keys_and_defaults_are_the_runtime_ones(tmp_path, capsys):
+    """Every key --schema prints, at its printed default, is accepted and
+    is what the run uses when the key is left out."""
+    args = argparse.Namespace(out=str(tmp_path / "out"),
+                              override_dimension_gate=False)
+    for command in ("verify-integrals", "verify-bubble", "verify-hyperbolic",
+                    "corrector", "locate"):
+        assert _run(command, "--schema") == 0
+        config = json.loads(capsys.readouterr().out)["config"]
 
-    cfg = _write(tmp_path, "t.json", {"rel_tol": -1.0})
-    assert _run("verify-integrals", "--config", cfg) == 2
+        def defaults(entries):
+            return {k: defaults(v) if isinstance(v, dict) else
+                    json.loads(re.fullmatch(r".*\(default (.*)\)", v)[1])
+                    for k, v in entries.items()}
 
-    cfg = _write(tmp_path, "g.json", {"grid": {"nr": 4}})
-    assert _run("corrector", "--config", cfg) == 2
+        printed = defaults(config)
+        args.config = _write(tmp_path, f"{command}.json", printed)
+        spelled = cli._load_config(args, command)
+        args.config = _write(tmp_path, "empty.json", {})
+        implicit = cli._load_config(args, command)
+        assert spelled == implicit
+        assert set(printed) | {"_pt", "_out", "_base_dir"} == set(implicit)
+        if "grid" in printed:
+            assert implicit["grid"] == corrector.GridSpec()
+            assert printed["grid"] == implicit["grid"].to_json_dict()
 
-    cfg = _write(tmp_path, "d.json", {"H": 0.2})
-    assert _run("verify-bubble", "--config", cfg) == 2
-    assert "D" in capsys.readouterr().err
+
+# Values of every JSON kind, including the ones no key accepts.  Junk
+# integers skip (15, 40000], so a junk grid side is refused: it is below
+# 16, or with the other side in [16, 24] it exceeds the 800^2 cap.  An
+# accepted grid thus has at most 24^2 cells.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2 ** 80, 15), st.integers(40_001, 2 ** 80),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["", "x", "nrr"]), st.integers(),
+                    min_size=1, max_size=2))
+_SIDE = st.integers(16, 24)
+_SAMPLE_ENTRY = st.fixed_dictionaries(
+    {"label": st.sampled_from(["p0", "p1", 3])},
+    optional={"coords": st.lists(st.floats(-2.0, 2.0), max_size=2),
+              "gamma": st.floats(0.0, 3.0),
+              "H": st.floats(0.5, 5.0)})
+# In-kind values, some of them outside the bounds.
+_VALUES = {
+    "n": st.integers(7, 13),
+    "K": st.floats(-120.0, 0.0),
+    "H": st.floats(0.5, 6.0),
+    "gamma": st.floats(0.0, 3.0),
+    "seed": st.integers(-5, 2 ** 64),
+    "rel_tol": st.one_of(st.none(), st.floats(0.0, 1.0)),
+    "override_dimension_gate": st.booleans(),
+    # --out always wins, so no generated path is ever written to
+    "out": st.sampled_from(["o", "sub/o"]),
+    "frame": st.sampled_from(["random", "zero"]),
+    "frame_file": st.sampled_from(
+        ["frame.json", "frame9.json", "broken.json", "missing.json"]),
+    "grid": st.fixed_dictionaries(
+        {"nr": _SIDE, "nxn": _SIDE},
+        optional={"r_max": st.floats(1.0, 60.0),
+                  "stretch": st.floats(0.0, 20.0)}),
+    "case": st.sampled_from(["constants", "non-constants"]),
+    "samples": st.lists(_SAMPLE_ENTRY, min_size=1, max_size=3),
+    "hessH": st.sampled_from(["identity", [[1.0]]]),
+    "hessK": st.sampled_from(["identity", [[1.0]]]),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A command and a config of its keys.  At most one value, at the top,
+    in the grid or in a sample, is junk or an unknown key, so most
+    configs reach the computation.  The grid is always given: the
+    default one is 400^2.  So is the frame: the zero one ends most runs
+    early."""
+    command, required = draw(st.sampled_from([
+        ("verify-hyperbolic", []), ("corrector", ["grid", "frame"]),
+        ("locate", ["grid", "frame", "samples"])]))
+    keys = sorted(cli._schema(command)["config"])
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
+    config = {k: draw(_VALUES[k]) for k in required + chosen}
+    junk = draw(_JUNK)
+    where = draw(st.sampled_from(["nowhere", "top", "grid", "samples"]))
+    if where == "top":
+        config[draw(st.sampled_from(keys + ["bogus"]))] = junk
+    elif where in config and type(config[where]) is dict:
+        config[where][draw(st.sampled_from(
+            ["nr", "nxn", "r_max", "stretch", "nrr"]))] = junk
+    elif where in config and type(config[where][0]) is dict:
+        config[where][0][draw(st.sampled_from(
+            ["label", "coords", "gamma", "H", "x"]))] = junk
+    return command, config
+
+
+_FILES = {
+    "frame.json": json.dumps(
+        geom.random_frame(8, np.random.default_rng(4)).to_json_dict()),
+    "frame9.json": json.dumps(
+        geom.random_frame(9, np.random.default_rng(4)).to_json_dict()),
+    "broken.json": '{"n": 8, "riem_boundary": [1, 2',
+}
+
+
+@given(_configs())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_any_config_exits_with_a_contract_code(case):
+    """Whatever the config holds, main returns 0, 1 or 2 and raises none."""
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _FILES.items():
+            (Path(tmp) / name).write_text(text)
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

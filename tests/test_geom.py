@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, jacobi, jacobi_alt_n
-from bubblelab.errors import ChartError, InvalidFrame
+from bubblelab.errors import InvalidFrame
 from bubblelab.model import CurvatureFrame
 
 
@@ -63,14 +63,6 @@ def test_sphere_rule_exactness():
         mono = np.prod(nodes ** np.array(powers), axis=1)
         assert w @ mono == pytest.approx(quad.sphere_monomial(powers, m),
                                          abs=1e-12)
-
-
-def test_metric_expansion_det_and_chart(frame8):
-    me = geom.MetricExpansion(frame=frame8, chart_radius=0.5)
-    assert me.det(np.zeros(7)) == 1.0
-    assert me.det(0.1 * np.ones(7)) == 1.0
-    with pytest.raises(ChartError):
-        me.det(np.ones(7))
 
 
 def test_forcing_is_linear_in_the_frame(pt8, frame8, rng):
