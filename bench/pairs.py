@@ -1,0 +1,131 @@
+"""Alternating before/after runs of perfbench, written as one BENCH_*.json.
+
+Usage, from the root of a checkout:
+
+    python3 bench/pairs.py --before DIR --after DIR --out BENCH_topic.json \
+        --pairs degree0:500-509 frame:510-512 verify:520-522 \
+        --traced degree0:530 frame:531 --seconds 40
+
+``--before`` and ``--after`` are two checkouts (each with its own
+perfbench/ and src/).  For every seed of ``--pairs`` the workload runs
+once in each checkout, untraced, one run at a time; the side that runs
+first alternates from pair to pair, so slow drift of the machine falls
+on both sides alike.  Every seed of ``--traced`` gets one ``--trace 1``
+run per side.  The output holds every run's metrics, and per workload
+and end-to-end metric the two medians, the before side's quartiles and
+how many pairs the after side won.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+
+def run(root, workload, seed, seconds, trace):
+    """One perfbench run in ``root``; its final JSON line plus the wall."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    start = time.monotonic()
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    out = proc.stdout.strip().splitlines()
+    result = json.loads(out[-1]) if proc.returncode == 0 and out else \
+        {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    result["run_s"] = time.monotonic() - start
+    return result
+
+
+def seeds(spec):
+    """'degree0:500-509' -> ('degree0', [500, ..., 509])."""
+    workload, _, span = spec.partition(":")
+    lo, _, hi = span.partition("-")
+    return workload, list(range(int(lo), int(hi or lo) + 1))
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(pairs, better):
+    """Medians, before-side quartiles and after-side wins per metric."""
+    out = {}
+    for name, direction in better.items():
+        rows = [(p["before"]["metrics"][name]["value"],
+                 p["after"]["metrics"][name]["value"]) for p in pairs
+                if name in p["before"].get("metrics", {})
+                and name in p["after"].get("metrics", {})]
+        if not rows:
+            continue
+        before = [b for b, _ in rows]
+        after = [a for _, a in rows]
+        wins = sum((a < b) if direction == "lower" else (a > b)
+                   for b, a in rows)
+        out[name] = {"before_median": statistics.median(before),
+                     "after_median": statistics.median(after),
+                     "before_quartiles": quartiles(before),
+                     "after_wins": wins, "pairs": len(rows)}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--before", required=True)
+    ap.add_argument("--after", required=True)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--pairs", nargs="+", default=[])
+    ap.add_argument("--traced", nargs="*", default=[])
+    ap.add_argument("--seconds", type=float, default=40.0)
+    args = ap.parse_args(argv)
+    sides = {"before": os.path.abspath(args.before),
+             "after": os.path.abspath(args.after)}
+    with open(os.path.join(sides["before"], "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    import numpy
+    import scipy
+    report = {
+        "command": " ".join(["bench/pairs.py", "--pairs", *args.pairs,
+                             "--traced", *args.traced,
+                             "--seconds", f"{args.seconds:g}"]),
+        "sides": {side: os.path.basename(root)
+                  for side, root in sides.items()},
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__,
+                    "platform": platform.platform()},
+        "seconds": args.seconds, "workloads": {}, "traced": {},
+    }
+    for spec in args.pairs:
+        workload, seed_list = seeds(spec)
+        pairs = []
+        for k, seed in enumerate(seed_list):
+            order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(sides[side], workload, seed, args.seconds, 0)
+            print(json.dumps({"workload": workload, **pair}), flush=True)
+            pairs.append(pair)
+        report["workloads"][workload] = {
+            "pairs": pairs, "summary": summarize(pairs, better)}
+    for spec in args.traced:
+        workload, seed_list = seeds(spec)
+        for seed in seed_list:
+            runs = {side: run(root, workload, seed, args.seconds, 1)
+                    for side, root in sides.items()}
+            print(json.dumps({"workload": workload, "seed": seed, **runs}),
+                  flush=True)
+            report["traced"][f"{workload}:{seed}"] = runs
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

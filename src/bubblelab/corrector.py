@@ -20,7 +20,11 @@ discrete system's smallest singular value sits far below the
 regularity threshold.  The solve therefore borders the matrix with the
 discretized profile (one extra unknown = the solvability multiplier,
 one extra equation = discrete orthogonality to the profile) and
-post-projects the result.
+post-projects the result.  Every modal solve factors only the sparse
+operator: the bordered system is solved by block elimination on that
+LU with one step of iterative refinement, and the conditioning gate
+measures the bordered matrix through the same LU against the exact
+1-norm of the equilibrated operator.
 
 The hyperbolic-ball functions verify the eigenvalue picture behind the
 solvability argument: the Cayley-transformed problem lives on a ball
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,15 +442,123 @@ def _forcing_grid(forcing, r, xn):
     return arr
 
 
-def _smallest_singular(matrix, lu, iters=12, seed=5):
-    """Estimate (sigma_min, right singular vector) via inverse power
-    iteration on M^T M."""
+def _assemble(pt, degree, gs):
+    """The second-order modal operator on the stretched grid.
+
+    Returns ``(A, interior)``: the CSR matrix over the (nr+1)(nxn+1)
+    nodes in row-major order, and the boolean node mask of the rows that
+    carry the differential equation.  The other rows hold the boundary
+    conditions, whose right-hand side is zero: r = 0 is Dirichlet for
+    degree >= 1 and a one-sided Neumann row for degree 0, the truncation
+    edges are Dirichlet, and x_n = 0 carries the Robin row
+    d(psi)/dx_n + (n/2) H U^{2/(n-2)} psi = 0.
+    """
+    n = pt.n
+    cn = c_n(n)
+    b = Bubble(pt)
+    gg = grid_geometry(gs, n)
+    s, t = gg["s"], gg["t"]
+    r, rs, rss, ts, tss = (gg[k] for k in ("r", "rs", "rss", "ts", "tss"))
+    ds = s[1] - s[0]
+    dt = t[1] - t[0]
+    nr, nxn = gs.nr, gs.nxn
+    M2 = nxn + 1
+    lam = degree * (degree + n - 3.0)
+
+    # 1-D coefficients as scalar expressions: numpy's array power rounds
+    # differently from its scalar power on some nodes
+    a1 = np.array([1.0 / rs[i] ** 2 for i in range(1, nr)])[:, None]
+    b1 = np.array([-rss[i] / rs[i] ** 3 + (n - 2.0) / (r[i] * rs[i])
+                   for i in range(1, nr)])[:, None]
+    ang = np.array([lam / r[i] ** 2 for i in range(1, nr)])[:, None]
+    a2 = np.array([1.0 / ts[j] ** 2 for j in range(1, nxn)])[None, :]
+    b2 = np.array([-tss[j] / ts[j] ** 3 for j in range(1, nxn)])[None, :]
+    vpot = cn * n * (n + 2.0) * b.w_rx(r[:, None], gg["xn"][None, :]) ** (-2.0)
+
+    rows, cols, vals = [], [], []
+
+    def add(row, col, val):
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(np.broadcast_to(val, row.shape).ravel())
+
+    node = np.arange((nr + 1) * M2).reshape(nr + 1, M2)
+    k = node[1:nr, 1:nxn]
+    add(k, k + M2, -cn * (a1 / ds ** 2 + b1 / (2 * ds)))
+    add(k, k - M2, -cn * (a1 / ds ** 2 - b1 / (2 * ds)))
+    add(k, k + 1, -cn * (a2 / dt ** 2 + b2 / (2 * dt)))
+    add(k, k - 1, -cn * (a2 / dt ** 2 - b2 / (2 * dt)))
+    add(k, k, -cn * (-2.0 * a1 / ds ** 2 - 2.0 * a2 / dt ** 2 - ang)
+        + vpot[1:nr, 1:nxn])
+    # r = 0: Dirichlet for degree >= 1, one-sided Neumann for degree 0
+    if degree >= 1:
+        add(node[0], node[0], 1.0)
+    else:
+        add(node[0], node[0], -3.0)
+        add(node[0], node[1], 4.0)
+        add(node[0], node[2], -1.0)
+    # truncation boundaries: Dirichlet
+    add(node[nr], node[nr], 1.0)
+    add(node[1:nr, nxn], node[1:nr, nxn], 1.0)
+    # x_n = 0: Robin
+    ts0 = float(gs.dcoord(0.0))
+    robin = 0.5 * n * pt.H * b.U_rx(r, 0.0) ** (2.0 / (n - 2.0))
+    edge = node[1:nr, 0]
+    add(edge, edge, -3.0 / (2.0 * dt * ts0) + robin[1:nr])
+    add(edge, edge + 1, 4.0 / (2.0 * dt * ts0))
+    add(edge, edge + 2, -1.0 / (2.0 * dt * ts0))
+
+    A = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(node.size, node.size))
+    interior = np.zeros(node.shape, dtype=bool)
+    interior[1:nr, 1:nxn] = True
+    return A, interior
+
+
+class _BorderedLU:
+    """The bordered matrix M = diag(d, 1) [[A, c], [r^T, 0]] through one LU of A.
+
+    Block elimination (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991):
+    with z = A^{-1} c, the system [[A, c], [r^T, 0]] [x; mu] = [f; g]
+    gives mu = (r.A^{-1} f - g) / r.z and x = A^{-1} f - mu z; its
+    transpose is solved the same way with c, r swapped and q = A^{-T} r
+    in place of z.  ``d`` is the row equilibration of the conditioning
+    gate; ``shape`` and ``solve(v, trans)`` follow SuperLU's interface,
+    so the gate uses this object as a factorization of M.
+    """
+
+    def __init__(self, lu, c, r, d):
+        self.lu, self.c, self.r, self.d = lu, c, r, d
+        self.shape = (c.size + 1, c.size + 1)
+        self.z = lu.solve(c)
+        self.q = lu.solve(r, trans="T")
+
+    def border_solve(self, f, g, trans="N"):
+        """(x, mu) with [[A, c], [r^T, 0]] [x; mu] = [f; g] (or transposed)."""
+        row, solved_col = (self.r, self.z) if trans == "N" \
+            else (self.c, self.q)
+        y = self.lu.solve(f, trans=trans)
+        mu = (row @ y - g) / (row @ solved_col)
+        return y - mu * solved_col, mu
+
+    def solve(self, v, trans="N"):
+        if trans == "N":
+            x, mu = self.border_solve(v[:-1] / self.d, v[-1])
+            return np.append(x, mu)
+        x, mu = self.border_solve(v[:-1], v[-1], trans="T")
+        return np.append(x / self.d, mu)
+
+
+def _smallest_singular(op, iters=12, seed=5):
+    """Estimate (sigma_min, right singular vector) of a factorized matrix
+    via inverse power iteration on M^T M."""
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=matrix.shape[0])
+    v = rng.normal(size=op.shape[0])
     v /= np.linalg.norm(v)
     nrm = 0.0
     for _ in range(iters):
-        y = lu.solve(lu.solve(v, trans="T"))
+        y = op.solve(op.solve(v, trans="T"))
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0, v
@@ -468,12 +579,15 @@ def _conditioning_check(system, base_norm, kernel, degree, deflated):
     """sigma_min gate for a modal solve.
 
     ``system`` is the row-equilibrated (possibly bordered) matrix used
-    purely for measurement, ``base_norm`` a 1-norm estimate of the
-    equilibrated operator block, and ``kernel`` the unit-normalized
-    discrete kernel direction padded to system size (None when the mode
-    has no kernel profile).  Returns an info dict with the measurement;
-    raises SingularSystem below ``_SIGMA_RAISE * base_norm``, a level
-    only a broken assembly reaches.
+    purely for measurement: either a factorization of it (an object with
+    ``shape`` and ``solve(v, trans)``, such as the solver's _BorderedLU
+    or a SuperLU) or a sparse matrix, which is factorized here.
+    ``base_norm`` is the exact 1-norm of the equilibrated operator
+    block, and ``kernel`` the unit-normalized discrete kernel direction
+    padded to system size (None when the mode has no kernel profile).
+    Returns an info dict with the measurement; raises SingularSystem
+    below ``_SIGMA_RAISE * base_norm``, a level only a broken assembly
+    reaches.
 
     The bordered degree-0 system always owns one Euclidean near-null
     direction hugging the kernel profile, even though deflation works.
@@ -490,16 +604,18 @@ def _conditioning_check(system, base_norm, kernel, degree, deflated):
     raised; the solve's actual accuracy is certified by residual_norm,
     not by sigma_min.
     """
-    try:
-        lu = spla.splu(system.tocsc())
-    except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
-        raise SingularSystem(
-            f"modal operator (degree {degree}, deflated={deflated}) "
-            f"factorization failed during conditioning check: {exc}") from exc
-    sigma, vec = _smallest_singular(system, lu)
+    if sp.issparse(system):
+        try:
+            system = spla.splu(system.tocsc())
+        except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
+            raise SingularSystem(
+                f"modal operator (degree {degree}, deflated={deflated}) "
+                f"factorization failed during conditioning check: "
+                f"{exc}") from exc
+    sigma, vec = _smallest_singular(system)
     threshold = _SIGMA_RAISE * base_norm
     out = {"sigma_min": float(sigma), "sigma_threshold": float(threshold),
-           "base_norm_est": float(base_norm)}
+           "base_norm": float(base_norm)}
     if kernel is not None:
         out["kernel_overlap"] = float(abs(np.dot(vec, kernel)))
     if sigma < threshold:
@@ -528,20 +644,26 @@ def _conditioning_check(system, base_norm, kernel, degree, deflated):
     return out
 
 
-def solve_mode(pt, degree, forcing, gs, deflate=None, check_singular=None):
+def solve_mode(pt, degree, forcing, gs):
     """Solve one modal boundary-value problem on the stretched grid.
 
-    ``forcing`` is either a callable e(r, x_n) or a node array.  For
-    degree 0 the system is bordered with the discretized kernel profile
-    (``deflate`` defaults to True there) and the solution is returned
-    together with an info dict carrying the solvability multiplier, the
-    smallest-singular-value measurement and timings.
+    ``forcing`` is either a callable e(r, x_n) or a node array.  Every
+    solve factors the sparse operator A of _assemble once, and every
+    later step reuses that LU.  Returns (psi, info).
 
-    Conditioning gate (``check_singular``, default on for degree 0):
-    sigma_min is estimated on a row-equilibrated copy of the system —
-    raw assembly rows span ~9 orders between near-field and far-field,
-    which buries the measurement — and compared against 1e-12 times the
-    equilibrated operator block's norm, a level only a broken assembly
+    Degree 0 is bordered with the discretized kernel profile: one extra
+    unknown, the solvability multiplier, and one extra equation,
+    discrete orthogonality to the profile.  The bordered system is
+    solved by block elimination on the LU of A followed by one step of
+    iterative refinement against the explicit bordered residual; info
+    carries the multiplier.
+
+    Degree 0 also runs the conditioning gate.  sigma_min is measured on
+    the row-equilibrated bordered matrix — raw assembly rows span ~9
+    orders between near-field and far-field, which buries the
+    measurement — whose inverse and inverse transpose go through the
+    same LU of A.  It is compared against 1e-12 times the exact 1-norm
+    of the equilibrated operator block, a level only a broken assembly
     reaches (zeroed border, wrong kernel profile).  The healthy
     bordered system legitimately owns one kernel-shaped Euclidean
     near-null direction orders of magnitude above that gate; it is
@@ -550,168 +672,50 @@ def solve_mode(pt, degree, forcing, gs, deflate=None, check_singular=None):
     """
     if degree < 0:
         raise DomainError(f"angular degree must be >= 0, got {degree}")
-    if deflate is None:
-        deflate = degree == 0
-    if check_singular is None:
-        check_singular = degree == 0
-    n = pt.n
-    cn = c_n(n)
-    b = Bubble(pt)
-    gg = grid_geometry(gs, n)
-    s, t = gg["s"], gg["t"]
-    r, xn, rs, rss, ts, tss = (gg[k] for k in ("r", "xn", "rs", "rss",
-                                               "ts", "tss"))
-    ds = s[1] - s[0]
-    dt = t[1] - t[0]
-    M1, M2 = gs.nr + 1, gs.nxn + 1
-    ntot = M1 * M2
-
-    def idx(i, j):
-        return i * M2 + j
-
-    lam = degree * (degree + n - 3.0)
-    evals = _forcing_grid(forcing, r, xn)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(ntot)
-
-    def add(i, j, i2, j2, v):
-        rows.append(idx(i, j))
-        cols.append(idx(i2, j2))
-        vals.append(v)
-
-    wgrid = b.w_rx(r[:, None], xn[None, :])
-    vpot = cn * n * (n + 2.0) * wgrid ** (-2.0)
-    for i in range(1, gs.nr):
-        a1 = 1.0 / rs[i] ** 2
-        b1 = -rss[i] / rs[i] ** 3 + (n - 2.0) / (r[i] * rs[i])
-        for j in range(1, gs.nxn):
-            a2 = 1.0 / ts[j] ** 2
-            b2 = -tss[j] / ts[j] ** 3
-            add(i, j, i + 1, j, -cn * (a1 / ds ** 2 + b1 / (2 * ds)))
-            add(i, j, i - 1, j, -cn * (a1 / ds ** 2 - b1 / (2 * ds)))
-            add(i, j, i, j + 1, -cn * (a2 / dt ** 2 + b2 / (2 * dt)))
-            add(i, j, i, j - 1, -cn * (a2 / dt ** 2 - b2 / (2 * dt)))
-            add(i, j, i, j,
-                -cn * (-2.0 * a1 / ds ** 2 - 2.0 * a2 / dt ** 2
-                       - lam / r[i] ** 2) + vpot[i, j])
-            rhs[idx(i, j)] = evals[i, j]
-
-    # r = 0: Dirichlet for degree >= 1, one-sided Neumann for degree 0
-    for j in range(M2):
-        if degree >= 1:
-            add(0, j, 0, j, 1.0)
-        else:
-            add(0, j, 0, j, -3.0)
-            add(0, j, 1, j, 4.0)
-            add(0, j, 2, j, -1.0)
-    # truncation boundaries: Dirichlet
-    for j in range(M2):
-        add(gs.nr, j, gs.nr, j, 1.0)
-    for i in range(1, gs.nr):
-        add(i, gs.nxn, i, gs.nxn, 1.0)
-    # x_n = 0: Robin  d(psi)/dx_n + (n/2) H U^{2/(n-2)} psi = 0
-    ts0 = float(gs.dcoord(0.0))
-    robin = 0.5 * n * pt.H * b.U_rx(r, 0.0) ** (2.0 / (n - 2.0))
-    for i in range(1, gs.nr):
-        add(i, 0, i, 0, -3.0 / (2.0 * dt * ts0) + robin[i])
-        add(i, 0, i, 1, 4.0 / (2.0 * dt * ts0))
-        add(i, 0, i, 2, -1.0 / (2.0 * dt * ts0))
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(ntot, ntot))
-
-    info = {"degree": degree, "deflated": bool(deflate), "multiplier": 0.0}
-    t0 = time.time()
-    col_scale = 1.0
-    col = row = None
-    if deflate:
-        jn = _jn_profile(b, r, xn)
-        col = jn.reshape(-1).copy()
-        # the kernel profile augments interior equations only
-        mask = np.zeros((M1, M2), dtype=bool)
-        mask[1:gs.nr, 1:gs.nxn] = True
-        col[~mask.reshape(-1)] = 0.0
-        row = (gg["W"] * jn).reshape(-1)
-        # scale the border to the operator's magnitude so the LU pivots
-        # treat it like any other equation
-        anorm = float(spla.onenormest(A))
-        col_scale = anorm / float(np.linalg.norm(col))
-        row_scale = anorm / float(np.linalg.norm(row))
-        system = sp.bmat([[A, col_scale * col[:, None]],
-                          [row_scale * row[None, :], None]], format="csc")
-        full_rhs = np.concatenate([rhs, [0.0]])
-    else:
-        system = A.tocsc()
-        full_rhs = rhs
+    A, interior = _assemble(pt, degree, gs)
+    gg = grid_geometry(gs, pt.n)
+    r, xn = gg["r"], gg["xn"]
+    rhs = np.where(interior, _forcing_grid(forcing, r, xn), 0.0).ravel()
     try:
-        lu = spla.splu(system)
-        sol = lu.solve(full_rhs)
+        lu = spla.splu(A.tocsc())
     except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
         raise NonConvergence(f"sparse solve failed: {exc}") from exc
-    info["solve_seconds"] = time.time() - t0
 
-    if check_singular:
-        row_sq = np.asarray(A.multiply(A).sum(axis=1)).ravel()
-        if deflate:
-            row_sq = row_sq + col ** 2
-        dinv = sp.diags(1.0 / np.sqrt(row_sq))
-        a_eq = dinv @ A
-        base_norm = float(spla.onenormest(a_eq.tocsc()))
-        if degree == 0:
-            jn_hat = _jn_profile(b, r, xn).reshape(-1)
-            jn_hat = jn_hat / np.linalg.norm(jn_hat)
-        if deflate:
-            check_sys = sp.bmat(
-                [[a_eq, (dinv @ col)[:, None]],
-                 [(row / np.linalg.norm(row))[None, :], None]], format="csc")
-            kernel = np.concatenate([jn_hat, [0.0]]) if degree == 0 else None
-        else:
-            check_sys = a_eq.tocsc()
-            kernel = jn_hat if degree == 0 else None
-        info.update(_conditioning_check(check_sys, base_norm, kernel,
-                                        degree, bool(deflate)))
+    info = {"degree": degree, "deflated": degree == 0, "multiplier": 0.0}
+    if degree > 0:
+        sol = lu.solve(rhs)
+    else:
+        jn = _jn_profile(Bubble(pt), r, xn).ravel()
+        # the kernel profile augments interior equations only
+        col = np.where(interior.ravel(), jn, 0.0)
+        row = gg["W"].ravel() * jn
+        # the gate's row equilibration of the bordered matrix
+        row_sq = np.asarray(A.multiply(A).sum(axis=1)).ravel() + col ** 2
+        d = 1.0 / np.sqrt(row_sq)
+        bordered = _BorderedLU(lu, col, row / np.linalg.norm(row), d)
+        sol, mu = bordered.border_solve(rhs, 0.0)
+        # block elimination is unstable when A is nearly singular, as it
+        # is here along the kernel; one refinement step restores it
+        dsol, dmu = bordered.border_solve(rhs - A @ sol - mu * col,
+                                          -(bordered.r @ sol))
+        sol = sol + dsol
+        info["multiplier"] = float(mu + dmu)
+        base_norm = float(abs(sp.diags(d) @ A).sum(axis=0).max())
+        kernel = np.append(jn / np.linalg.norm(jn), 0.0)
+        info.update(_conditioning_check(bordered, base_norm, kernel, 0, True))
     if not np.all(np.isfinite(sol)):
         raise NonConvergence("sparse solve returned non-finite values")
-
-    if deflate:
-        psi = sol[:-1].reshape(M1, M2)
-        info["multiplier"] = float(sol[-1]) * col_scale
-    else:
-        psi = sol.reshape(M1, M2)
-    return psi, info
+    return sol.reshape(interior.shape), info
 
 
 def apply_operator(pt, degree, psi, gs):
-    """Apply the modal operator with 2nd-order stencils on interior nodes.
+    """Apply the operator A of solve_mode on interior nodes.
 
     Returns an array matching ``psi`` that is zero on the boundary ring;
     used by the discrete quadratic form.
     """
-    n = pt.n
-    cn = c_n(n)
-    b = Bubble(pt)
-    gg = grid_geometry(gs, n)
-    s, t = gg["s"], gg["t"]
-    r, xn, rs, rss, ts, tss = (gg[k] for k in ("r", "xn", "rs", "rss",
-                                               "ts", "tss"))
-    ds, dt = s[1] - s[0], t[1] - t[0]
-    lam = degree * (degree + n - 3.0)
-    out = np.zeros_like(psi)
-    ps = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2 * ds)
-    pss = (psi[2:, 1:-1] - 2 * psi[1:-1, 1:-1] + psi[:-2, 1:-1]) / ds ** 2
-    pt_ = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2 * dt)
-    ptt = (psi[1:-1, 2:] - 2 * psi[1:-1, 1:-1] + psi[1:-1, :-2]) / dt ** 2
-    R = r[1:-1, None]
-    RS = rs[1:-1, None]
-    RSS = rss[1:-1, None]
-    TS = ts[None, 1:-1]
-    TSS = tss[None, 1:-1]
-    XN = xn[None, 1:-1]
-    lap = pss / RS ** 2 - ps * RSS / RS ** 3 + (n - 2.0) / R * (ps / RS) \
-        - lam / R ** 2 * psi[1:-1, 1:-1] + ptt / TS ** 2 - pt_ * TSS / TS ** 3
-    vpot = cn * n * (n + 2.0) * b.w_rx(R, XN) ** (-2.0)
-    out[1:-1, 1:-1] = -cn * lap + vpot * psi[1:-1, 1:-1]
-    return out
+    A, interior = _assemble(pt, degree, gs)
+    return np.where(interior, (A @ psi.ravel()).reshape(psi.shape), 0.0)
 
 
 def residual_norm(pt, degree, psi, forcing, gs):
@@ -872,11 +876,8 @@ class CorrectorSolution:
             header["modes"].append({
                 "degree": mode.degree, "label": mode.label, "weight": weight,
                 "e_csv": f"{stem}_e.csv", "psi_csv": f"{stem}_psi.csv",
-                # timings vary run to run; identical inputs must emit
-                # byte-identical files
                 "info": {k2: v for k2, v in mode.info.items()
-                         if isinstance(v, (int, float, bool, str))
-                         and not k2.endswith("_seconds")},
+                         if isinstance(v, (int, float, bool, str))},
             })
         with open(out / "corrector.json", "w") as fh:
             json.dump(header, fh, indent=2, sort_keys=True, default=float)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bubblelab import corrector, geom
-from bubblelab.bubble import Bubble
+from bubblelab.bubble import Bubble, c_n
 from bubblelab.errors import DomainError, SingularSystem
 from bubblelab.model import CurvatureFrame
 
@@ -92,6 +93,137 @@ def test_solve_mode_degree0_deflated(pt8):
     # (measured 1.2e-2 at 200^2); the refinement factor carries the real check
     assert results[200] < 2e-2
     assert results[100] / results[200] >= 3.0
+
+
+def _loop_assembly(pt, degree, gs):
+    """The modal operator assembled node by node, as a reference."""
+    n = pt.n
+    cn = c_n(n)
+    b = Bubble(pt)
+    gg = corrector.grid_geometry(gs, n)
+    s, t = gg["s"], gg["t"]
+    r, xn, rs, rss, ts, tss = (gg[k] for k in ("r", "xn", "rs", "rss",
+                                               "ts", "tss"))
+    ds, dt = s[1] - s[0], t[1] - t[0]
+    M2 = gs.nxn + 1
+    lam = degree * (degree + n - 3.0)
+    rows, cols, vals = [], [], []
+
+    def add(i, j, i2, j2, v):
+        rows.append(i * M2 + j)
+        cols.append(i2 * M2 + j2)
+        vals.append(v)
+
+    vpot = cn * n * (n + 2.0) * b.w_rx(r[:, None], xn[None, :]) ** (-2.0)
+    for i in range(1, gs.nr):
+        a1 = 1.0 / rs[i] ** 2
+        b1 = -rss[i] / rs[i] ** 3 + (n - 2.0) / (r[i] * rs[i])
+        for j in range(1, gs.nxn):
+            a2 = 1.0 / ts[j] ** 2
+            b2 = -tss[j] / ts[j] ** 3
+            add(i, j, i + 1, j, -cn * (a1 / ds ** 2 + b1 / (2 * ds)))
+            add(i, j, i - 1, j, -cn * (a1 / ds ** 2 - b1 / (2 * ds)))
+            add(i, j, i, j + 1, -cn * (a2 / dt ** 2 + b2 / (2 * dt)))
+            add(i, j, i, j - 1, -cn * (a2 / dt ** 2 - b2 / (2 * dt)))
+            add(i, j, i, j,
+                -cn * (-2.0 * a1 / ds ** 2 - 2.0 * a2 / dt ** 2
+                       - lam / r[i] ** 2) + vpot[i, j])
+    for j in range(M2):
+        if degree >= 1:
+            add(0, j, 0, j, 1.0)
+        else:
+            add(0, j, 0, j, -3.0)
+            add(0, j, 1, j, 4.0)
+            add(0, j, 2, j, -1.0)
+        add(gs.nr, j, gs.nr, j, 1.0)
+    ts0 = float(gs.dcoord(0.0))
+    robin = 0.5 * n * pt.H * b.U_rx(r, 0.0) ** (2.0 / (n - 2.0))
+    for i in range(1, gs.nr):
+        add(i, gs.nxn, i, gs.nxn, 1.0)
+        add(i, 0, i, 0, -3.0 / (2.0 * dt * ts0) + robin[i])
+        add(i, 0, i, 1, 4.0 / (2.0 * dt * ts0))
+        add(i, 0, i, 2, -1.0 / (2.0 * dt * ts0))
+    size = (gs.nr + 1) * M2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_assembly_is_bitwise_the_node_loop(pt8, degree):
+    for gs in (corrector.GridSpec(nr=24, nxn=20),
+               corrector.GridSpec(nr=40, nxn=56, r_max=30.0, stretch=8.0)):
+        A, interior = corrector._assemble(pt8, degree, gs)
+        ref = _loop_assembly(pt8, degree, gs)
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
+        assert interior.sum() == (gs.nr - 1) * (gs.nxn - 1)
+
+
+def _compatible_degree0_forcing(b, gs):
+    gg = corrector.grid_geometry(gs, b.n)
+    jn = corrector._jn_profile(b, gg["r"], gg["xn"])
+    e = _synthetic_forcing(gg, 0)
+    return e - (np.sum(gg["W"] * jn * e) / np.sum(gg["W"] * jn * jn)) * jn
+
+
+def test_solve_mode_degree0_is_reproducible(pt8):
+    # nothing in the solve draws random numbers: repeats are bit-identical
+    gs = corrector.GridSpec(nr=100, nxn=100)
+    e = _compatible_degree0_forcing(Bubble(pt8), gs)
+    psi1, info1 = corrector.solve_mode(pt8, 0, e, gs)
+    psi2, info2 = corrector.solve_mode(pt8, 0, e, gs)
+    assert np.array_equal(psi1, psi2)
+    assert info1 == info2
+
+
+def test_block_elimination_matches_explicit_bordered_system(pt8):
+    # oracle: the bordered system assembled and factorized explicitly
+    b = Bubble(pt8)
+    gs = corrector.GridSpec(nr=48, nxn=48)
+    gg = corrector.grid_geometry(gs, 8)
+    e = _compatible_degree0_forcing(b, gs)
+    psi, info = corrector.solve_mode(pt8, 0, e, gs)
+
+    A, interior = corrector._assemble(pt8, 0, gs)
+    jn = corrector._jn_profile(b, gg["r"], gg["xn"]).ravel()
+    col = np.where(interior.ravel(), jn, 0.0)
+    row = gg["W"].ravel() * jn
+    anorm = abs(A).sum(axis=0).max()
+    col_scale = anorm / np.linalg.norm(col)
+    row_scale = anorm / np.linalg.norm(row)
+    bordered = sp.bmat([[A, col_scale * col[:, None]],
+                        [row_scale * row[None, :], None]], format="csc")
+    rhs = np.concatenate([np.where(interior, e, 0.0).ravel(), [0.0]])
+    sol = spla.spsolve(bordered, rhs)
+    psi_ref = sol[:-1].reshape(psi.shape)
+    assert np.max(np.abs(psi - psi_ref)) <= 1e-9 * np.max(np.abs(psi_ref))
+    assert info["multiplier"] == pytest.approx(sol[-1] * col_scale, rel=1e-9)
+
+    d = 1.0 / np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()
+                      + col ** 2)
+    a_eq = sp.diags(d) @ A
+    check_sys = sp.bmat([[a_eq, (d * col)[:, None]],
+                         [(row / np.linalg.norm(row))[None, :], None]],
+                        format="csc")
+    kernel = np.append(jn / np.linalg.norm(jn), 0.0)
+    ref = corrector._conditioning_check(check_sys, info["base_norm"], kernel,
+                                        0, True)
+    assert info["sigma_min"] == pytest.approx(ref["sigma_min"], rel=1e-6)
+    assert info["kernel_overlap"] == pytest.approx(ref["kernel_overlap"],
+                                                   rel=1e-6)
+    assert info["base_norm"] == pytest.approx(abs(a_eq).sum(axis=0).max(),
+                                              rel=1e-15)
+
+
+def test_apply_operator_inverts_the_solve(pt8):
+    # the quadratic form's operator is the one solve_mode inverts
+    gs = corrector.GridSpec(nr=40, nxn=32)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 8), 2)
+    psi, _ = corrector.solve_mode(pt8, 2, e, gs)
+    out = corrector.apply_operator(pt8, 2, psi, gs)
+    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
+    assert np.all(out[:, 0] == 0.0) and np.all(out[:, -1] == 0.0)
+    assert np.max(np.abs(out - e)[1:-1, 1:-1]) <= 1e-12 * np.max(np.abs(e))
 
 
 def _orthogonal_test_matrix(size, smallest):
