@@ -435,16 +435,21 @@ def cmd_verify_bubble(cfg):
                      abs(ratio - expected) / expected, _bound(cfg, 1e-10)))
 
     frame = geom.random_frame(n, rng)
-    suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8))
+    tbl = quad.MomentTable(n, pt.D)
+    suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8),
+                                    table=tbl)
     rows.extend(_report_rows(suite))
 
-    ep_norm = geom.forcing_norm(frame, b)
+    ep_norm = geom.forcing_norm(frame, b, tbl)
     worst = 0.0
     for s in range(1, n + 1):
-        val, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
+        val, scale = geom.integral_Ep_jacobi(frame, b, s, tbl, ep_norm=ep_norm)
         worst = max(worst, abs(val) / scale)
     rows.append(_row(f"forcing orthogonal to the kernel ({n} fields)",
                      worst, _bound(cfg, 1e-8)))
+    rows.append(_row("separable pairings: moments vs nested quadrature "
+                     "(5 radial records)", geom.route_gap(frame, b, tbl),
+                     _bound(cfg, 1e-8)))
     return _write_report(cfg, "verify-bubble", rows)
 
 

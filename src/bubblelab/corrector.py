@@ -251,7 +251,6 @@ def decompose_forcing(frame, b, threshold=1e-13, check_points=100, seed=1871):
     b._require_normalized("decompose_forcing")
     n = b.n
     m = n - 1
-    cn = c_n(n)
     ric = geom.ricci(frame.riem_boundary)
     Q = np.asarray(frame.normal_block, dtype=float)
     mean_ric = float(np.trace(ric)) / m
@@ -261,29 +260,22 @@ def decompose_forcing(frame, b, threshold=1e-13, check_points=100, seed=1871):
     scale = max(float(np.max(np.abs(frame.riem_boundary), initial=0.0)),
                 float(np.max(np.abs(Q), initial=0.0)))
 
-    C = b.C
-
-    def rad_a(r, xn):
-        return -(n - 2.0) * C * b.w_rx(r, xn) ** (-0.5 * n)
-
-    def rad_b(r, xn):
-        return n * (n - 2.0) * C * b.w_rx(r, xn) ** (-0.5 * (n + 2.0))
+    # the records' angular factors are <Ric theta, theta>/3, tr Q and
+    # <Q theta, theta>; the split below takes their traces apart
+    e_ric, e_trace, e_normal = (geom.radial_profile(t.radial, b)
+                                for t in geom.forcing_terms(frame, b))
 
     modes = []
     if abs(mean_ric) + abs(trQ) > threshold * max(scale, 1e-300):
         def e0(r, xn, mr=mean_ric, tq=trQ):
-            return cn * (rad_a(r, xn) * (mr / 3.0 * r * r + tq * xn * xn)
-                         + rad_b(r, xn) * xn * xn * r * r * tq / m)
+            return mr / 3.0 * e_ric(r, xn) + tq * e_trace(r, xn) \
+                + tq / m * e_normal(r, xn)
 
         modes.append(ForcingMode(0, 1.0, e0, "trace"))
     if float(np.max(np.abs(ric0), initial=0.0)) > threshold * max(scale, 1e-300):
-        modes.append(ForcingMode(
-            2, ric0 / 3.0, lambda r, xn: cn * rad_a(r, xn) * r * r,
-            "boundary-ricci"))
+        modes.append(ForcingMode(2, ric0 / 3.0, e_ric, "boundary-ricci"))
     if float(np.max(np.abs(Q0), initial=0.0)) > threshold * max(scale, 1e-300):
-        modes.append(ForcingMode(
-            2, Q0.copy(), lambda r, xn: cn * rad_b(r, xn) * xn * xn * r * r,
-            "normal-block"))
+        modes.append(ForcingMode(2, Q0.copy(), e_normal, "normal-block"))
 
     if scale == 0.0:
         return modes            # empty

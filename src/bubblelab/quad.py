@@ -188,10 +188,15 @@ class MomentTable:
 
     # -- separable reductions ---------------------------------------------
     def halfspace_moment(self, a, b, m):
-        """int_{R^n_+} x_n^a |xt|^b (|xt|^2+(x_n+D)^2-1)^-m dx, a,b even >= 0."""
+        """int_{R^n_+} x_n^a |xt|^b (|xt|^2+(x_n+D)^2-1)^-m dx, a even, b >= 0.
+
+        The reduction holds for odd b as well: the slice substitution
+        r = rho sqrt(t^2-1) never uses the parity of the r power.
+        """
         a, b = int(a), int(b)
-        if a < 0 or b < 0 or a % 2 or b % 2:
-            raise DomainError(f"halfspace_moment needs even a,b >= 0, got ({a},{b})")
+        if a < 0 or b < 0 or a % 2:
+            raise DomainError(
+                f"halfspace_moment needs even a >= 0 and b >= 0, got ({a},{b})")
         n = self.n
         if 2.0 * m <= n + a + b:
             raise DomainError(
@@ -200,8 +205,7 @@ class MomentTable:
 
         def compute():
             mu = m - 0.5 * (n - 1 + b)
-            return self.omega * self.I(m, n - 2 + b) * phi_power(a, mu, self.D,
-                                                                 self.rel_tol)
+            return self.omega * self.I(m, n - 2 + b) * self.phi_power(a, mu)
 
         return self._memo(("hs", a, b, float(m)), compute)
 

@@ -61,6 +61,22 @@ def test_dimension_gate_override(tmp_path):
     assert doc["count"] < 38
 
 
+def test_verify_bubble_reports_the_divergent_quartic_moment(tmp_path,
+                                                            capsys):
+    # the quartic check's radial moment (a=0, b=6, m=n) needs 2n > n + 6
+    cfg = _write(tmp_path, "c.json", {"n": 6})
+    assert _run("verify-bubble", "--config", cfg, "--out", str(tmp_path),
+                "--override-dimension-gate") == 1
+    out = capsys.readouterr()
+    assert "stalled" not in out.out + out.err
+    doc = json.loads((tmp_path / "verify_report.json").read_text())
+    failed = [r for r in doc["identities"] if not r["passed"]]
+    assert [r["name"] for r in failed] == ["quartic curvature term vanishes"]
+    assert "diverges" in failed[0]["detail"]
+    assert any(r["name"].startswith("separable pairings")
+               for r in doc["identities"])
+
+
 def test_hard_floor_survives_override(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"n": 4})
     assert _run("verify-integrals", "--config", cfg, "--out", str(tmp_path),

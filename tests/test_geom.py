@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, jacobi, jacobi_alt_n
-from bubblelab.errors import InvalidFrame
-from bubblelab.model import CurvatureFrame
+from bubblelab.errors import DomainError, InvalidFrame
+from bubblelab.model import CurvatureFrame, ProblemPoint
 
 
 @given(seed=st.integers(0, 5000))
@@ -110,3 +110,75 @@ def test_radial_kernel_element_alt_form(pt8, rng):
         x[-1] = abs(x[-1])
         assert jacobi_alt_n(b, x) == pytest.approx(jacobi(b, 8, x),
                                                    rel=1e-12)
+
+
+def _traceful_frame(n, rng):
+    """A frame outside the gauge: Ricci, tr Q and the j_n pairing nonzero."""
+    m = n - 1
+    Q = rng.normal(size=(m, m))
+    return CurvatureFrame(
+        riem_boundary=geom.project_riemann(rng.normal(size=(m,) * 4)),
+        normal_block=Q + Q.T)
+
+
+def _at(terms, b, x):
+    """Sum of the records' angular times radial factors at the point x."""
+    r = float(np.linalg.norm(x[:-1]))
+    theta = (x[:-1] / r)[None, :]
+    return sum(float(t.angular(theta)[0])
+               * float(geom.radial_profile(t.radial, b)(r, x[-1]))
+               for t in terms)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_records_match_the_pointwise_forms(n, rng):
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0))
+    frames = (geom.random_frame(n, rng), _traceful_frame(n, rng))
+    for _ in range(10):
+        x = rng.normal(size=n)
+        x[-1] = abs(x[-1])
+        for frame in frames:
+            assert _at(geom.forcing_terms(frame, b), b, x) == pytest.approx(
+                geom.forcing_Ep(frame, b, x), rel=1e-12, abs=1e-300)
+        for s in range(1, n + 1):
+            assert _at(geom.jacobi_terms(b, s), b, x) == pytest.approx(
+                jacobi(b, s, x), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_moment_route_matches_nested_quadrature(n):
+    """The moment route against nested quadrature of the same records."""
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0))
+    table = quad.MomentTable(n, b.pt.D)
+    frame = geom.random_frame(n, np.random.default_rng(40 + n))
+    ep = geom.forcing_terms(frame, b)
+    ep_norm = geom.forcing_norm(frame, b, table)
+    assert ep_norm ** 2 == pytest.approx(geom.paired_halfspace(ep, ep, b),
+                                         rel=1e-8)
+    for s in (1, n):
+        js = geom.jacobi_terms(b, s)
+        js_norm = geom.jacobi_norm(b, s, table)
+        assert js_norm ** 2 == pytest.approx(geom.paired_halfspace(js, js, b),
+                                             rel=1e-8)
+        value, scale = geom.integral_Ep_jacobi(frame, b, s, table,
+                                               ep_norm=ep_norm,
+                                               js_norm=js_norm)
+        # in the gauge both routes measure a roundoff-sized pairing
+        assert abs(value - geom.paired_halfspace(ep, js, b)) <= 1e-8 * scale
+
+
+def test_moment_route_matches_nested_quadrature_off_the_gauge(pt8):
+    # outside the gauge E_p pairs with j_n well above roundoff, so the
+    # two routes are compared on a value that carries digits
+    b = Bubble(pt8)
+    frame = _traceful_frame(8, np.random.default_rng(5))
+    value, scale = geom.integral_Ep_jacobi(frame, b, 8)
+    assert abs(value) > 1e-2 * scale
+    nested = geom.paired_halfspace(geom.forcing_terms(frame, b),
+                                   geom.jacobi_terms(b, 8), b)
+    assert value == pytest.approx(nested, rel=1e-8)
+
+
+def test_moment_table_must_match_the_bubble(pt8, pt10, frame8):
+    with pytest.raises(DomainError):
+        geom.forcing_norm(frame8, Bubble(pt8), quad.MomentTable(8, pt10.D))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab import quad
+from bubblelab import geom, quad
+from bubblelab.bubble import Bubble
 from bubblelab.errors import DomainError
+from bubblelab.model import CurvatureFrame
 
 
 def test_beta_moment_spot_values():
@@ -102,6 +104,48 @@ def test_halfspace_moment_vs_brute():
                         * (np.sum(x[:-1] ** 2) + (x[-1] + 2.0) ** 2 - 1.0)
                         ** -n), n, rel_tol=1e-9)
     assert closed == pytest.approx(brute, rel=1e-8)
+
+
+@pytest.mark.parametrize("a,b,m", [(0, 1, 5), (2, 3, 7), (4, 1, 9)])
+def test_halfspace_moment_odd_b_vs_brute(a, b, m):
+    # the kernel pairings j_s x E_p carry odd powers of r
+    n, d = 8, 2.0
+    closed = quad.MomentTable(n, d).halfspace_moment(a, b, m)
+    brute = quad.brute_halfspace(
+        lambda x: float(x[-1] ** a * np.sum(x[:-1] ** 2) ** (0.5 * b)
+                        * (np.sum(x[:-1] ** 2) + (x[-1] + d) ** 2 - 1.0)
+                        ** -m), n, rel_tol=1e-9)
+    assert closed == pytest.approx(brute, rel=1e-8)
+
+
+def test_orthogonality_sweep_quadrature_budget(pt8, monkeypatch):
+    """forcing_norm and the n kernel pairings share one table's tails.
+
+    The count must not depend on the frame's roundoff trace(Q): one
+    frame has tr Q exactly 0, the other 2^-52.
+    """
+    calls = []
+    integrate = quad.integrate_halfline
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "integrate_halfline", counted)
+    b = Bubble(pt8)
+    riem = geom.random_frame(8, np.random.default_rng(3)).riem_boundary
+    counts = []
+    for eps in (0.0, 2.0 ** -52):
+        q = np.diag([1.0, -1.0, eps, 0.0, 0.0, 0.0, 0.0])
+        frame = CurvatureFrame(riem_boundary=riem, normal_block=q)
+        assert np.trace(frame.normal_block) == eps
+        calls.clear()
+        table = quad.MomentTable(8, pt8.D)
+        ep_norm = geom.forcing_norm(frame, b, table)
+        for s in range(1, 9):
+            geom.integral_Ep_jacobi(frame, b, s, table, ep_norm=ep_norm)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 40
 
 
 def test_boundary_moment_vs_radial_quadrature():
