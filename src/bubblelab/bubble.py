@@ -277,7 +277,7 @@ def residual_linearized(b, i, x, boundary_tol=0.0):
 # Bubble energy
 
 
-def bubble_energy(pt, rel_tol=1e-10):
+def bubble_energy(pt, table=None):
     """Closed-form energy of the (normalized) bubble over ``pt``.
 
     E = a_n / |K|^{(n-2)/2} * ( -(n-1) phi_{(n+1)/2}(D) + D (D^2-1)^{-(n-1)/2} ),
@@ -287,7 +287,7 @@ def bubble_energy(pt, rel_tol=1e-10):
     D = pt.D
     if D <= 1.0:
         raise DomainError(f"bubble energy needs D > 1, got D = {D:.6g}")
-    tbl = quad.MomentTable(n, D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, D, table)
     a = alpha_n(n) ** crit_boundary(n) * tbl.omega * tbl.I(n - 1, n) \
         * (n - 3.0) / ((n - 1.0) * math.sqrt(n * (n - 1.0)))
     bracket = -(n - 1.0) * tbl.phi(0.5 * (n + 1.0)) \

@@ -32,14 +32,14 @@ import sys
 import numpy as np
 
 from . import corrector, geom, quad, reduced
-from .bubble import (Bubble, alpha_n, bubble_energy,
-                     bubble_energy_quadrature, residual_linearized,
-                     residual_model)
+from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
+                     residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
 from .model import (MAX_DIMENSION, OVERRIDE_MIN_DIMENSION,
                     SUPPORTED_MIN_DIMENSION, CurvatureFrame, HessianData,
-                    ProblemPoint, validate_frame, validate_point)
+                    ProblemPoint, validate_frame, validate_hessians,
+                    validate_point)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -289,6 +289,16 @@ def _bound(cfg, stated):
     return stated if rt is None else max(stated, rt)
 
 
+def _print_rows(rows):
+    """One console line per row; a failed row also prints its detail."""
+    for r in rows:
+        line = (f"[{'pass' if r['passed'] else 'FAIL'}] {r['name']}: "
+                f"{r['value']:.3e} (bound {r['bound']:.3e})")
+        if not r["passed"] and r["detail"]:
+            line += f": {r['detail']}"
+        print(line)
+
+
 def _write_report(cfg, command, rows, extra=None):
     doc = {"command": command, "parameters": _parameters(cfg),
            "identities": rows, "count": len(rows),
@@ -299,9 +309,7 @@ def _write_report(cfg, command, rows, extra=None):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    for r in rows:
-        print(f"[{'pass' if r['passed'] else 'FAIL'}] {r['name']}: "
-              f"{r['value']:.3e} (bound {r['bound']:.3e})")
+    _print_rows(rows)
     print(f"{'all passed' if doc['all_passed'] else 'FAILURES'} — "
           f"{len(rows)} identities -> {path}")
     return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC
@@ -367,18 +375,18 @@ def cmd_verify_integrals(cfg):
                          _bound(cfg, 1e-8)))
 
     if n >= 7:
-        s1 = reduced.compute_S(pt, rel_tol=_QUAD_TOL)
-        s2 = reduced.compute_S_alt(pt, rel_tol=_QUAD_TOL)
+        s1 = reduced.compute_S(pt, tbl)
+        s2 = reduced.compute_S_alt(pt, tbl)
         rows.append(_row("sign quantity: two expressions agree",
                          abs(s1 - s2) / abs(s1), _bound(cfg, 1e-8)))
         rows.append(_row("sign quantity positive", s1, 0.0,
                          detail="value must exceed the bound",
                          passed=s1 > 0.0))
-        amp2 = alpha_n(n) ** 2 / abs(pt.K) ** (0.5 * (n - 2.0))
-        scale = 0.5 * amp2 * tbl.halfspace_moment(2, 0, n - 2)
+        scale = 0.5 * reduced._amplitude_sq(pt) \
+            * tbl.halfspace_moment(2, 0, n - 2)
         rows.append(_row("vanishing second bracket of the depth-4 term",
-                         abs(reduced.compute_I2(pt, rel_tol=_QUAD_TOL))
-                         / scale, _bound(cfg, 1e-8)))
+                         abs(reduced.compute_I2(pt, tbl)) / scale,
+                         _bound(cfg, 1e-8)))
     return _write_report(cfg, "verify-integrals", rows)
 
 
@@ -413,7 +421,10 @@ def cmd_verify_bubble(cfg):
     rows.append(_row(f"linearized problem residuals ({n} kernel fields "
                      "x 100 points)", worst, _bound(cfg, 1e-8)))
 
-    closed = bubble_energy(pt, rel_tol=_QUAD_TOL)
+    # the energy rows run at the fixed quadrature precision; the
+    # curvature rows below keep the table default
+    energy_tbl = quad.MomentTable(n, pt.D, rel_tol=_QUAD_TOL)
+    closed = bubble_energy(pt, energy_tbl)
     direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
     rows.append(_row("bubble energy: closed form vs quadrature",
                      abs(closed - direct) / abs(closed), _bound(cfg, 1e-6)))
@@ -429,7 +440,7 @@ def cmd_verify_bubble(cfg):
                      passed=slope < 0.0))
 
     pt4 = ProblemPoint(n=n, K=4.0 * pt.K, H=2.0 * pt.H)
-    ratio = bubble_energy(pt4, rel_tol=_QUAD_TOL) / closed
+    ratio = bubble_energy(pt4, energy_tbl) / closed
     expected = 4.0 ** (-0.5 * (n - 2.0))
     rows.append(_row("bubble energy |K|-scaling at fixed D",
                      abs(ratio - expected) / expected, _bound(cfg, 1e-10)))
@@ -500,7 +511,12 @@ def cmd_verify_hyperbolic(cfg):
 # corrector and locator
 
 def _build_frame(cfg):
-    """The config's curvature frame, checked against the gauge and n."""
+    """The config's curvature frame, checked against the gauge and n.
+
+    A valid frame file is projected onto the gauge (R to its Weyl part,
+    Q to its trace-free part): validate_frame admits residues far above
+    the cutoff below which decompose_forcing drops a degree-0 mode.
+    """
     n = cfg["_pt"].n
     path = cfg["frame_file"]
     if path is not None:
@@ -524,6 +540,12 @@ def _build_frame(cfg):
     if bad:
         raise ConfigError(f"curvature frame fails validation: "
                           f"{', '.join(bad)}")
+    if path is not None:
+        m = frame.m
+        Q = frame.normal_block
+        frame = CurvatureFrame(
+            riem_boundary=geom.weyl_part(frame.riem_boundary),
+            normal_block=Q - np.trace(Q) / m * np.eye(m))
     return frame
 
 
@@ -554,9 +576,7 @@ def cmd_corrector(cfg):
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    for r in rows:
-        print(f"[{'pass' if r['passed'] else 'FAIL'}] {r['name']}: "
-              f"{r['value']:.3e}")
+    _print_rows(rows)
     print(f"{len(sol.modes)} modes -> {out}")
     return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC
 
@@ -615,6 +635,11 @@ def cmd_locate(cfg):
         hess = HessianData(
             hessH=_parse_hessian(cfg["hessH"], n - 1, "hessH"),
             hessK=_parse_hessian(cfg["hessK"], n, "hessK"))
+        bad = [c.name for c in validate_hessians(
+            hess, require_definite=False).failures()]
+        if bad:
+            raise ConfigError(f"curvature Hessians fail validation: "
+                              f"{', '.join(bad)}")
         samples = [reduced.BoundarySample(label=lab, coords=coords,
                                           pt=sample_pt, hess=hess)
                    for lab, coords, sample_pt in _parse_samples(cfg,

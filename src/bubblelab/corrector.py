@@ -236,6 +236,16 @@ class ForcingMode:
         return np.einsum("ij,qi,qj->q", W, nodes, nodes)
 
 
+def _angular_at(mode, theta):
+    """P_d at one direction, a (1, n-1) array; None stands for the axis
+    x' = 0, where degree 0 gives 1 and every higher degree 0."""
+    if mode.degree == 0:
+        return 1.0
+    if theta is None:
+        return 0.0
+    return float(mode.angular(theta)[0])
+
+
 def decompose_forcing(frame, b, threshold=1e-13, check_points=100, seed=1871):
     """Split the forcing into angular modes with radial profiles.
 
@@ -310,9 +320,7 @@ def decompose_forcing(frame, b, threshold=1e-13, check_points=100, seed=1871):
         theta = (x[:-1] / r)[None, :] if r > 0 else None
         rec = 0.0
         for mode in modes:
-            p = 1.0 if theta is None and mode.degree == 0 else \
-                (0.0 if theta is None else float(mode.angular(theta)[0]))
-            rec += p * float(mode.profile(r, xn))
+            rec += _angular_at(mode, theta) * float(mode.profile(r, xn))
         ep = geom.forcing_Ep(frame, b, x)
         worst = max(worst, abs(rec - ep))
         biggest = max(biggest, abs(ep))
@@ -567,19 +575,17 @@ _SIGMA_RAISE = 1e-12
 _SIGMA_NOTE = 1e-8
 
 
-def _conditioning_check(system, base_norm, kernel, degree, deflated):
-    """sigma_min gate for a modal solve.
+def _conditioning_check(system, base_norm, kernel):
+    """sigma_min gate of the bordered degree-0 solve.
 
-    ``system`` is the row-equilibrated (possibly bordered) matrix used
-    purely for measurement: either a factorization of it (an object with
-    ``shape`` and ``solve(v, trans)``, such as the solver's _BorderedLU
-    or a SuperLU) or a sparse matrix, which is factorized here.
+    ``system`` is a factorization of the row-equilibrated bordered
+    matrix, used purely for measurement: an object with ``shape`` and
+    ``solve(v, trans)``, such as the solver's _BorderedLU or a SuperLU.
     ``base_norm`` is the exact 1-norm of the equilibrated operator
     block, and ``kernel`` the unit-normalized discrete kernel direction
-    padded to system size (None when the mode has no kernel profile).
-    Returns an info dict with the measurement; raises SingularSystem
-    below ``_SIGMA_RAISE * base_norm``, a level only a broken assembly
-    reaches.
+    padded to system size.  Returns an info dict with the measurement;
+    raises SingularSystem below ``_SIGMA_RAISE * base_norm``, a level
+    only a broken assembly reaches.
 
     The bordered degree-0 system always owns one Euclidean near-null
     direction hugging the kernel profile, even though deflation works.
@@ -596,41 +602,28 @@ def _conditioning_check(system, base_norm, kernel, degree, deflated):
     raised; the solve's actual accuracy is certified by residual_norm,
     not by sigma_min.
     """
-    if sp.issparse(system):
-        try:
-            system = spla.splu(system.tocsc())
-        except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
-            raise SingularSystem(
-                f"modal operator (degree {degree}, deflated={deflated}) "
-                f"factorization failed during conditioning check: "
-                f"{exc}") from exc
     sigma, vec = _smallest_singular(system)
     threshold = _SIGMA_RAISE * base_norm
+    overlap = float(abs(np.dot(vec, kernel)))
     out = {"sigma_min": float(sigma), "sigma_threshold": float(threshold),
-           "base_norm": float(base_norm)}
-    if kernel is not None:
-        out["kernel_overlap"] = float(abs(np.dot(vec, kernel)))
+           "base_norm": float(base_norm), "kernel_overlap": overlap}
     if sigma < threshold:
-        where = (f"modal operator (degree {degree}, deflated={deflated}) "
-                 f"sigma_min {sigma:.3e} below {_SIGMA_RAISE:g} * ||A|| = "
-                 f"{threshold:.3e}")
-        if kernel is None:
-            raise SingularSystem(where)
-        if out["kernel_overlap"] >= 0.5:
+        where = (f"bordered degree-0 operator sigma_min {sigma:.3e} below "
+                 f"{_SIGMA_RAISE:g} * ||A|| = {threshold:.3e}")
+        if overlap >= 0.5:
             raise SingularSystem(
-                f"{where}: kernel overlap {out['kernel_overlap']:.2f}, "
+                f"{where}: kernel overlap {overlap:.2f}, "
                 "deflation failed to control the kernel direction")
         raise SingularSystem(
             f"{where}: smallest direction is not kernel-aligned "
-            f"(overlap {out['kernel_overlap']:.2e})")
+            f"(overlap {overlap:.2e})")
     if sigma < _SIGMA_NOTE * base_norm:
-        shaped = kernel is not None and out["kernel_overlap"] >= 0.5
         out["near_singular"] = {
             "sigma": float(sigma),
-            "kernel_overlap": out.get("kernel_overlap"),
+            "kernel_overlap": overlap,
             "note": ("kernel-shaped Euclidean near-null direction of the "
                      "bordered system (stretched-grid metric distortion, "
-                     "not kernel leakage)" if shaped else
+                     "not kernel leakage)" if overlap >= 0.5 else
                      "near-singular direction without kernel attribution"),
         }
     return out
@@ -694,7 +687,7 @@ def solve_mode(pt, degree, forcing, gs):
         info["multiplier"] = float(mu + dmu)
         base_norm = float(abs(sp.diags(d) @ A).sum(axis=0).max())
         kernel = np.append(jn / np.linalg.norm(jn), 0.0)
-        info.update(_conditioning_check(bordered, base_norm, kernel, 0, True))
+        info.update(_conditioning_check(bordered, base_norm, kernel))
     if not np.all(np.isfinite(sol)):
         raise NonConvergence("sparse solve returned non-finite values")
     return sol.reshape(interior.shape), info
@@ -729,29 +722,26 @@ def residual_norm(pt, degree, psi, forcing, gs):
     lam = degree * (degree + n - 3.0)
     evals = _forcing_grid(forcing, r, xn)
 
-    def d1(f, axis, h):
-        sl = [slice(2, -2)] * 2
-
+    # k -> f shifted by k nodes along ``axis``, on the window [2, N-2]^2
+    def shifted(f, axis):
         def sh(k):
             ss = [slice(2, -2)] * 2
             ss[axis] = slice(2 + k, f.shape[axis] - 2 + k or None)
             return f[tuple(ss)]
 
+        return sh
+
+    def d1(f, axis, h):
+        sh = shifted(f, axis)
         out = np.zeros_like(f)
-        out[tuple(sl)] = (-sh(2) + 8 * sh(1) - 8 * sh(-1) + sh(-2)) / (12 * h)
+        out[2:-2, 2:-2] = (-sh(2) + 8 * sh(1) - 8 * sh(-1) + sh(-2)) / (12 * h)
         return out
 
     def d2(f, axis, h):
-        sl = [slice(2, -2)] * 2
-
-        def sh(k):
-            ss = [slice(2, -2)] * 2
-            ss[axis] = slice(2 + k, f.shape[axis] - 2 + k or None)
-            return f[tuple(ss)]
-
+        sh = shifted(f, axis)
         out = np.zeros_like(f)
-        out[tuple(sl)] = (-sh(2) + 16 * sh(1) - 30 * sh(0) + 16 * sh(-1)
-                          - sh(-2)) / (12 * h * h)
+        out[2:-2, 2:-2] = (-sh(2) + 16 * sh(1) - 30 * sh(0) + 16 * sh(-1)
+                           - sh(-2)) / (12 * h * h)
         return out
 
     ps, pss = d1(psi, 0, ds), d2(psi, 0, ds)
@@ -838,13 +828,7 @@ class CorrectorSolution:
                    + patch[1, 0] * fs * (1 - ft)
                    + patch[0, 1] * (1 - fs) * ft
                    + patch[1, 1] * fs * ft)
-            if mode.degree == 0:
-                p = 1.0
-            elif theta is None:
-                p = 0.0
-            else:
-                p = float(mode.angular(theta)[0])
-            total += p * val
+            total += _angular_at(mode, theta) * val
         return total
 
     # -- serialization: JSON header + one CSV per stored profile --------
@@ -920,6 +904,21 @@ def solve_corrector(frame, pt, gs=None):
     return CorrectorSolution(pt=pt, gs=gs, modes=solved)
 
 
+def _pairing(G, W, xs, ys):
+    """sum_ab G_ab * sum(W x_a y_b) for two mode sums on the shared grid.
+
+    ``G`` is the angular Gram matrix of the modes, and ``xs``, ``ys``
+    hold one grid array per mode; zero Gram entries are skipped.
+    """
+    total = 0.0
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            g = float(G[a, b])
+            if g != 0.0:
+                total += g * float(np.sum(W * x * y))
+    return total
+
+
 def forcing_pairing(sol):
     """int E_p V_p over the half-space through the modal Gram matrix.
 
@@ -927,16 +926,9 @@ def forcing_pairing(sol):
     collapses to sum_ab G_ab * sum(W e_a psi_b); the degree-5 sphere
     rule behind angular_gram is exact for the degree <= 4 products.
     """
-    if not sol.modes:
-        return 0.0
-    W = sol.grid["W"]
-    G = sol.angular_gram()
-    total = 0.0
-    for a, ma in enumerate(sol.modes):
-        for bb, mb in enumerate(sol.modes):
-            if G[a, bb] != 0.0:
-                total += G[a, bb] * float(np.sum(W * ma.e * mb.psi))
-    return total
+    return _pairing(sol.angular_gram(), sol.grid["W"],
+                    [mode.e for mode in sol.modes],
+                    [mode.psi for mode in sol.modes])
 
 
 def corrector_diagnostics(sol, frame, pt, tol_ortho=1e-10, tol_identity=1e-3,
@@ -955,13 +947,9 @@ def corrector_diagnostics(sol, frame, pt, tol_ortho=1e-10, tol_identity=1e-3,
     checks = []
     diag = {}
 
-    vnorm = 0.0
-    if sol.modes:
-        for a, ma in enumerate(sol.modes):
-            for bb, mb in enumerate(sol.modes):
-                gab = float(wq @ (ma.angular(nodes) * mb.angular(nodes)))
-                vnorm += gab * float(np.sum(W * ma.psi * mb.psi))
-    vnorm = math.sqrt(max(vnorm, 0.0))
+    G = sol.angular_gram()
+    psis = [mode.psi for mode in sol.modes]
+    vnorm = math.sqrt(max(_pairing(G, W, psis, psis), 0.0))
     diag["corrector_norm"] = vnorm
 
     # (i) orthogonality to the kernel
@@ -1053,19 +1041,12 @@ def corrector_diagnostics(sol, frame, pt, tol_ortho=1e-10, tol_identity=1e-3,
                         defect3 <= tol_identity, defect3, tol_identity))
 
     # (iv) quadratic form = forcing pairing, and its sign
-    pairing = 0.0
-    qform = 0.0
-    enorm = 0.0
-    for a, ma in enumerate(sol.modes):
-        la = apply_operator(pt, ma.degree, ma.psi, sol.gs)
-        for bb, mb in enumerate(sol.modes):
-            gab = float(wq @ (ma.angular(nodes) * mb.angular(nodes)))
-            if gab == 0.0:
-                continue
-            pairing += gab * float(np.sum(W * ma.e * mb.psi))
-            qform += gab * float(np.sum(W * la * mb.psi))
-            enorm += gab * float(np.sum(W * ma.e * mb.e))
-    enorm = math.sqrt(max(enorm, 0.0))
+    es = [mode.e for mode in sol.modes]
+    ops = [apply_operator(pt, mode.degree, mode.psi, sol.gs)
+           for mode in sol.modes]
+    pairing = _pairing(G, W, es, psis)
+    qform = _pairing(G, W, ops, psis)
+    enorm = math.sqrt(max(_pairing(G, W, es, es), 0.0))
     diag["forcing_pairing"] = pairing
     diag["quadratic_form"] = qform
     scale4 = max(enorm * vnorm, 1e-300)

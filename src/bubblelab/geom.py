@@ -153,9 +153,7 @@ def random_frame(n, rng, scale=1.0, normal_scale=1.0):
     qnorm = math.sqrt(float(np.sum(Q * Q)))
     if qnorm > 0.0:
         Q = Q * (normal_scale / qnorm)
-    return CurvatureFrame(riem_boundary=W, normal_block=Q,
-                          normal_block_div=float(rng.normal()),
-                          weyl_norm_sq=float(np.sum(W * W)))
+    return CurvatureFrame(riem_boundary=W, normal_block=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +332,18 @@ def paired_halfspace(terms_a, terms_b, b, rel_tol=1e-9):
     return total
 
 
-def _table(b, table):
-    """``table`` checked against the bubble, or a fresh one at its (n, D)."""
-    if table is None:
-        return quad.MomentTable(b.n, b.pt.D)
-    if (table.n, table.D) != (b.n, b.pt.D):
-        raise DomainError(f"moment table at (n, D) = ({table.n}, {table.D}) "
-                          f"does not match the bubble's ({b.n}, {b.pt.D})")
-    return table
-
-
 def forcing_norm(frame, b, table=None):
     """L^2 norm of the forcing over the half-space."""
     ep = forcing_terms(frame, b)
-    return math.sqrt(max(paired_moments(ep, ep, _table(b, table)), 0.0))
+    table = quad.moment_table(b.n, b.pt.D, table)
+    return math.sqrt(max(paired_moments(ep, ep, table), 0.0))
 
 
 def jacobi_norm(b, s, table=None):
     """L^2 norm of the kernel element j_s (same value for all s < n)."""
     js = jacobi_terms(b, s)
-    return math.sqrt(max(paired_moments(js, js, _table(b, table)), 0.0))
+    table = quad.moment_table(b.n, b.pt.D, table)
+    return math.sqrt(max(paired_moments(js, js, table), 0.0))
 
 
 def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None, js_norm=None):
@@ -364,7 +354,7 @@ def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None, js_norm=None):
     sweeping many kernel elements against one frame; one ``table`` per
     (n, D) shares the tail quadratures across the sweep.
     """
-    table = _table(b, table)
+    table = quad.moment_table(b.n, b.pt.D, table)
     value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s), table)
     if ep_norm is None:
         ep_norm = forcing_norm(frame, b, table)
@@ -381,7 +371,7 @@ def route_gap(frame, b, table=None):
     the check covers each monomial list whatever the frame's angular
     weights are.
     """
-    table = _table(b, table)
+    table = quad.moment_table(b.n, b.pt.D, table)
     records = forcing_terms(frame, b) + jacobi_terms(b, 1) \
         + jacobi_terms(b, b.n)
     worst = 0.0
@@ -412,7 +402,7 @@ def cancellation_suite(frame, pt, tol=1e-8, table=None):
     that check then fails with the divergence as its detail.
     """
     b = Bubble(pt)
-    table = _table(b, table)
+    table = quad.moment_table(b.n, b.pt.D, table)
     n = b.n
     m = n - 1
     q = 0.5 * (n - 2.0)

@@ -109,15 +109,13 @@ class CurvatureFrame:
     riem_boundary holds the boundary Riemann tensor R[i,k,j,l] with all
     indices tangential (1..n-1); the pair slots are (i,k) and (j,l) and
     the Ricci contraction is over slots (0, 2).  normal_block is the
-    symmetric matrix R_{ninj}.  nnins_sq is always recomputed from
-    normal_block; weyl_norm_sq may be supplied or left None and filled
+    symmetric matrix R_{ninj}.  A frame holds only these two inputs:
+    nnins_sq is always recomputed from normal_block, and |Weyl|^2 comes
     from geom.weyl_norm.
     """
 
     riem_boundary: np.ndarray
     normal_block: np.ndarray
-    normal_block_div: float = 0.0
-    weyl_norm_sq: float | None = None
     nnins_sq: float = field(init=False)
 
     def __post_init__(self):
@@ -141,12 +139,10 @@ class CurvatureFrame:
         return self.m + 1
 
     @classmethod
-    def zero(cls, n, normal_block_div=0.0):
+    def zero(cls, n):
         m = n - 1
         return cls(riem_boundary=np.zeros((m, m, m, m)),
-                   normal_block=np.zeros((m, m)),
-                   normal_block_div=normal_block_div,
-                   weyl_norm_sq=0.0)
+                   normal_block=np.zeros((m, m)))
 
     def to_json_dict(self):
         return {
@@ -154,19 +150,16 @@ class CurvatureFrame:
             "riem_boundary": [float(v) for v in self.riem_boundary.ravel(order="C")],
             "riem_boundary_dims": list(self.riem_boundary.shape),
             "normal_block": [[float(v) for v in row] for row in self.normal_block],
-            "normal_block_div": self.normal_block_div,
-            "weyl_norm_sq": self.weyl_norm_sq,
         }
 
     @classmethod
     def from_json_dict(cls, doc):
+        """The frame of a JSON document; other keys are ignored ("n", and
+        the "weyl_norm_sq" and "normal_block_div" of older files)."""
         dims = tuple(int(d) for d in doc["riem_boundary_dims"])
         riem = np.array(doc["riem_boundary"], dtype=float).reshape(dims, order="C")
-        wns = doc.get("weyl_norm_sq")
         return cls(riem_boundary=riem,
-                   normal_block=np.array(doc["normal_block"], dtype=float),
-                   normal_block_div=float(doc.get("normal_block_div", 0.0)),
-                   weyl_norm_sq=None if wns is None else float(wns))
+                   normal_block=np.array(doc["normal_block"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +271,6 @@ def validate_frame(fr, tol=1e-10):
     nnins = float(np.sum(Q * Q))
     checks.append(Check("nnins_sq consistent", abs(fr.nnins_sq - nnins) <= bound,
                         abs(fr.nnins_sq - nnins), bound))
-    if fr.weyl_norm_sq is not None:
-        checks.append(Check("weyl_norm_sq >= 0", fr.weyl_norm_sq >= 0.0,
-                            fr.weyl_norm_sq, 0.0))
     return ValidationReport(checks=checks)
 
 

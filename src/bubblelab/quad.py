@@ -43,6 +43,7 @@ __all__ = [
     "sphere_area",
     "sphere_monomial",
     "MomentTable",
+    "moment_table",
     "brute_halfspace",
 ]
 
@@ -262,16 +263,30 @@ class MomentTable:
         return max_bit, max_quad
 
 
+def moment_table(n, D, table=None):
+    """``table`` checked against (n, D), or a fresh one at (n, D).
+
+    Quantities evaluated at one point share one table, so each moment
+    is computed once per point.
+    """
+    if table is None:
+        return MomentTable(n, D)
+    if (table.n, table.D) != (n, D):
+        raise DomainError(f"moment table at (n, D) = ({table.n}, {table.D}) "
+                          f"does not match the point's ({n}, {D})")
+    return table
+
+
 _PROBES = ((0.7, 0.3), (1.3, 1.7), (0.2, 2.6))
 
 
-def brute_halfspace(f, n, truncation=math.inf, rel_tol=1e-8):
+def brute_halfspace(f, n, rel_tol=1e-8):
     """2-D oracle for half-space integrals of functions of (|xt|, x_n).
 
     ``f`` takes a point of R^n (length-n array) with x_n = x[-1] >= 0.
     The engine evaluates f only along the slice xt = +/- r e_1 and
-    integrates omega * g(r, x_n) r^{n-2} over r, x_n in [0, truncation]^2
-    (infinite truncation uses the compactified map).  Averaging the two
+    integrates omega * g(r, x_n) r^{n-2} over r, x_n in [0, inf)^2 by
+    nested compactified quadrature.  Averaging the two
     antipodal slices projects out any odd-in-xt part; integrands that are
     detectably not functions of (|xt|, x_n) trigger a warning and have
     their symmetric part integrated.
@@ -304,20 +319,9 @@ def brute_halfspace(f, n, truncation=math.inf, rel_tol=1e-8):
     def g(r, xn):
         return 0.5 * (at(r, xn, e1) + at(r, xn, e1m)) * r ** power
 
-    inner_tol = 0.1 * rel_tol
+    def inner(xn):
+        return integrate_halfline(lambda r: g(r, xn), a=0.0,
+                                  rel_tol=0.1 * rel_tol, abs_tol=1e-280)
 
-    if math.isinf(truncation):
-        def inner(xn):
-            return integrate_halfline(lambda r: g(r, xn), a=0.0,
-                                      rel_tol=inner_tol, abs_tol=1e-280)
-
-        val = integrate_halfline(inner, a=0.0, rel_tol=rel_tol, abs_tol=1e-280)
-    else:
-        def inner(xn):
-            v, err = integrate.quad(lambda r: g(r, xn), 0.0, truncation,
-                                    epsabs=1e-280, epsrel=inner_tol, limit=200)
-            return v
-
-        val, err = integrate.quad(inner, 0.0, truncation,
-                                  epsabs=1e-280, epsrel=rel_tol, limit=200)
+    val = integrate_halfline(inner, a=0.0, rel_tol=rel_tol, abs_tol=1e-280)
     return sphere_area(n - 1) * val

@@ -11,23 +11,25 @@ This module computes A and the two flavors of B from closed moments
 (coeff_A, coeff_B_nonconstant) or from a solved corrector plus curvature
 invariants (coeff_B_constant), carries the sign quantity S with its two
 equivalent expressions, and maximizes the increment over a finite sample
-of boundary points.  Sampling the boundary is the caller's business: the
-locator consumes a list of BoundarySample records and returns the
-maximizer, its depth, and the rate delta ~ eps^rate.
+of boundary points.  The coefficients of one point share one
+``quad.MomentTable``, passed as ``table``.  Sampling the boundary is the
+caller's business: the locator consumes a list of BoundarySample
+records and returns the maximizer, its depth, and the rate
+delta ~ eps^rate.
 """
 
 import csv
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corrector, quad
+from . import corrector, geom, quad
 from .bubble import alpha_n, bubble_energy, c_n, crit_boundary, crit_interior
 from .errors import DomainError, HypothesisFailure
+from .model import validate_hessians
 
 
 def _amplitude_sq(pt):
@@ -35,15 +37,15 @@ def _amplitude_sq(pt):
     return alpha_n(pt.n) ** 2 / abs(pt.K) ** (0.5 * (pt.n - 2.0))
 
 
-def coeff_A(pt, rel_tol=1e-10):
+def coeff_A(pt, table=None):
     """Coefficient of the eps*delta term: (n-1) int U^2(xt, 0) dxt."""
     n = pt.n
-    tbl = quad.MomentTable(n, pt.D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, pt.D, table)
     return float((n - 1.0) * _amplitude_sq(pt)
                  * tbl.boundary_moment(0, n - 2))
 
 
-def coeff_B_nonconstant(pt, hess, rel_tol=1e-10):
+def coeff_B_nonconstant(pt, hess, table=None):
     """Coefficient of the delta^2 term from the curvature Hessians.
 
     The quadratic forms <D^2 H xt, xt> and <D^2 K x, x> integrate
@@ -57,7 +59,7 @@ def coeff_B_nonconstant(pt, hess, rel_tol=1e-10):
     n = pt.n
     if hess.n != n:
         raise DomainError(f"hessians are for n={hess.n}, point has n={n}")
-    tbl = quad.MomentTable(n, pt.D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, pt.D, table)
     amp = alpha_n(n) / abs(pt.K) ** (0.25 * (n - 2.0))
     tr_h = float(np.trace(hess.hessH))
     tr_k = float(np.trace(hess.hessK[:-1, :-1]))
@@ -70,18 +72,18 @@ def coeff_B_nonconstant(pt, hess, rel_tol=1e-10):
                  + amp ** crit_interior(n) * term_k / (2.0 * crit_interior(n)))
 
 
-def compute_S(pt, rel_tol=1e-10):
+def compute_S(pt, table=None):
     """The positive quantity S multiplying R^2_{nins} in the delta^4 term."""
     n = pt.n
     D = pt.D
-    tbl = quad.MomentTable(n, D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, D, table)
     bracket = tbl.phi_hat(0.5 * (n - 3.0)) \
         + (n - 3.0) * D * tbl.phi_power(3, 0.5 * (n - 1.0))
     return _amplitude_sq(pt) * tbl.omega * ((n - 2.0) / (n + 1.0)) \
         * tbl.I(n, n + 2) * bracket
 
 
-def compute_S_alt(pt, rel_tol=1e-10):
+def compute_S_alt(pt, table=None):
     """Equivalent expression for S through the tail-moment identity.
 
     The bracket (n-3) phi~_{(n-1)/2} - 4 phi^_{(n-3)/2} equals -S over
@@ -89,14 +91,14 @@ def compute_S_alt(pt, rel_tol=1e-10):
     checks the verify command reports.
     """
     n = pt.n
-    tbl = quad.MomentTable(n, pt.D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, pt.D, table)
     bracket = (n - 3.0) * tbl.phi_tilde(0.5 * (n - 1.0)) \
         - 4.0 * tbl.phi_hat(0.5 * (n - 3.0))
     return -_amplitude_sq(pt) * tbl.omega * ((n - 2.0) / (n + 1.0)) \
         * tbl.I(n, n + 2) * bracket
 
 
-def compute_I2(pt, rel_tol=1e-10):
+def compute_I2(pt, table=None):
     """The second delta^4 bracket; vanishes identically.
 
     Returns the signed value of
@@ -108,21 +110,23 @@ def compute_I2(pt, rel_tol=1e-10):
     verify command checks it against zero.
     """
     n = pt.n
-    tbl = quad.MomentTable(n, pt.D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, pt.D, table)
     first = c_n(n) * _amplitude_sq(pt) * (n - 2.0) ** 2 \
         / (2.0 * (n * n - 1.0)) * tbl.halfspace_moment(2, 4, n)
     second = 0.5 * _amplitude_sq(pt) * tbl.halfspace_moment(2, 0, n - 2)
     return first - second
 
 
-def coeff_B_constant(pt, frame, sol, rel_tol=1e-10):
+def coeff_B_constant(pt, frame, sol, table=None):
     """Coefficient of the delta^4 term when both curvatures are constant.
 
     B = 1/2 int E_p V_p + |Weyl|^2/(24(n-1)) int |xt|^2 U^2
         + R^2_{nins} S.
 
     The first term uses the corrector equation to trade the quadratic
-    form of V_p for the forcing pairing, evaluated on the solved modes.
+    form of V_p for the forcing pairing, evaluated on the solved modes;
+    |Weyl|^2 comes from the frame's tensor through geom.weyl_norm, which
+    checks the gauge.
     """
     n = pt.n
     # gamma scales the perturbation, not the geometry, so solutions are
@@ -130,11 +134,11 @@ def coeff_B_constant(pt, frame, sol, rel_tol=1e-10):
     if (sol.pt.n, sol.pt.K, sol.pt.H) != (pt.n, pt.K, pt.H):
         raise DomainError("corrector solution was computed for a different "
                           f"problem point: {sol.pt} vs {pt}")
-    tbl = quad.MomentTable(n, pt.D, rel_tol=rel_tol)
+    tbl = quad.moment_table(n, pt.D, table)
     pair = 0.5 * corrector.forcing_pairing(sol)
-    weyl_term = frame.weyl_norm_sq / (24.0 * (n - 1.0)) \
+    weyl_term = geom.weyl_norm(frame) / (24.0 * (n - 1.0)) \
         * _amplitude_sq(pt) * tbl.halfspace_moment(0, 2, n - 2)
-    s_term = frame.nnins_sq * compute_S(pt, rel_tol=rel_tol) \
+    s_term = frame.nnins_sq * compute_S(pt, tbl) \
         if frame.nnins_sq > 0.0 else 0.0
     return float(pair + weyl_term + s_term)
 
@@ -292,12 +296,12 @@ def _admissible(samples):
     return kept
 
 
-def optimize_constants(samples, rel_tol=1e-10):
+def optimize_constants(samples):
     """Maximize A gamma d - B d^4 over boundary samples, rate 1/3.
 
-    Every admissible sample gets its coefficient row; samples with
-    B <= 0 are flagged and skipped for the maximization.
-    HypothesisFailure when no sample has B > 0.
+    Every admissible sample gets its coefficient row, from one moment
+    table per sample; samples with B <= 0 are flagged and skipped for
+    the maximization.  HypothesisFailure when no sample has B > 0.
     """
     kept = _admissible(list(samples))
     all_d = all(s.pt.D > 1.0 for s in samples)
@@ -306,9 +310,10 @@ def optimize_constants(samples, rel_tol=1e-10):
     for s in kept:
         if s.frame is None or s.sol is None:
             raise DomainError(f"sample {s.label!r} lacks frame/corrector data")
-        e_val = bubble_energy(s.pt, rel_tol=rel_tol)
-        a_val = coeff_A(s.pt, rel_tol=rel_tol)
-        b_val = coeff_B_constant(s.pt, s.frame, s.sol, rel_tol=rel_tol)
+        tbl = quad.MomentTable(s.pt.n, s.pt.D)
+        e_val = bubble_energy(s.pt, tbl)
+        a_val = coeff_A(s.pt, tbl)
+        b_val = coeff_B_constant(s.pt, s.frame, s.sol, tbl)
         row = {"sample": s.label, "E": e_val, "A": a_val, "B": b_val,
                "d0": None, "G": None}
         if b_val > 0.0:
@@ -316,16 +321,15 @@ def optimize_constants(samples, rel_tol=1e-10):
             row["d0"] = d0
             row["G"] = increment_constants(d0, a_val, s.pt.gamma, b_val)
             if best is None or row["G"] > best[1]["G"]:
-                best = (s, row)
+                best = (s, row, tbl)
         rows.append(row)
     if best is None:
         raise HypothesisFailure(
             "B(p) <= 0 at every sample: the delta^4 coefficient never "
             "produces a maximum at positive depth")
-    s, row = best
+    s, row, tbl = best
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
-                                 case_tag="constants",
-                                 S=compute_S(s.pt, rel_tol=rel_tol))
+                                 case_tag="constants", S=compute_S(s.pt, tbl))
     flags = {"B_positive": bool(row["B"] > 0.0),
              "D_above_one_along_sample": bool(all_d)}
     j_values = {"E": row["E"],
@@ -339,14 +343,15 @@ def optimize_constants(samples, rel_tol=1e-10):
                         hypothesis_flags=flags, table=rows)
 
 
-def optimize_nonconstant(samples, rel_tol=1e-10, tie_rel_tol=1e-9):
+def optimize_nonconstant(samples, tie_rel_tol=1e-9):
     """Maximize over samples in the non-constant case, rate 1.
 
     The bubble energy E(p) dominates at order eps^0, so the selection
     maximizes E first; samples whose E ties the maximum within
     ``tie_rel_tol`` (relative) are ranked by the eps^2-order increment
     G = A^2/(4B).  HypothesisFailure when the curvature Hessians at the
-    selected point are not positive definite.
+    selected point fail validate_hessians (symmetry and positive
+    definiteness).
     """
     kept = _admissible(list(samples))
     all_d = all(s.pt.D > 1.0 for s in samples)
@@ -355,9 +360,10 @@ def optimize_nonconstant(samples, rel_tol=1e-10, tie_rel_tol=1e-9):
     for s in kept:
         if s.hess is None:
             raise DomainError(f"sample {s.label!r} lacks Hessian data")
-        e_val = bubble_energy(s.pt, rel_tol=rel_tol)
-        a_val = coeff_A(s.pt, rel_tol=rel_tol)
-        b_val = coeff_B_nonconstant(s.pt, s.hess, rel_tol=rel_tol)
+        tbl = quad.MomentTable(s.pt.n, s.pt.D)
+        e_val = bubble_energy(s.pt, tbl)
+        a_val = coeff_A(s.pt, tbl)
+        b_val = coeff_B_nonconstant(s.pt, s.hess, tbl)
         row = {"sample": s.label, "E": e_val, "A": a_val, "B": b_val,
                "d0": None, "G": None}
         if b_val > 0.0:
@@ -373,18 +379,15 @@ def optimize_nonconstant(samples, rel_tol=1e-10, tie_rel_tol=1e-9):
     band = [pair for pair in entries
             if pair[1]["E"] >= e_max - tie_rel_tol * abs(e_max)]
     s, row = max(band, key=lambda pair: pair[1]["G"])
-    eig_h = np.linalg.eigvalsh(s.hess.hessH)
-    eig_k = np.linalg.eigvalsh(s.hess.hessK)
-    pd = bool(eig_h[0] > 0.0 and eig_k[0] > 0.0)
-    if not pd:
+    bad = validate_hessians(s.hess).failures()
+    if bad:
         raise HypothesisFailure(
-            f"curvature Hessians at the selected point {s.label!r} are not "
-            f"positive definite (min eigenvalues {eig_h[0]:.3e}, "
-            f"{eig_k[0]:.3e})")
+            f"curvature Hessians at the selected point {s.label!r} fail: "
+            + ", ".join(f"{c.name} ({c.value:.3e})" for c in bad))
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
                                  case_tag="non-constants")
     flags = {"B_positive": bool(row["B"] > 0.0),
-             "hessians_positive_definite": pd,
+             "hessians_positive_definite": True,
              "D_above_one_along_sample": bool(all_d)}
     j_values = {"E": row["E"],
                 "A_d": row["A"] * row["d0"],

@@ -69,6 +69,9 @@ def test_verify_bubble_reports_the_divergent_quartic_moment(tmp_path,
                 "--override-dimension-gate") == 1
     out = capsys.readouterr()
     assert "stalled" not in out.out + out.err
+    # the console line of a failed row carries its reason
+    assert re.search(r"^\[FAIL\] quartic curvature term vanishes: .*diverges",
+                     out.out, re.MULTILINE)
     doc = json.loads((tmp_path / "verify_report.json").read_text())
     failed = [r for r in doc["identities"] if not r["passed"]]
     assert [r["name"] for r in failed] == ["quartic curvature term vanishes"]
@@ -346,6 +349,55 @@ def test_corrector_rejects_invalid_frame_file(tmp_path, capsys):
     assert _run("corrector", "--config", cfg, "--out",
                 str(tmp_path / "out")) == 2
     assert "fails validation" in capsys.readouterr().err
+
+
+def test_corrector_projects_a_frame_file_onto_the_gauge(tmp_path):
+    # a trace residue inside validate_frame's tolerance but above
+    # decompose_forcing's cutoff must not become a degree-0 mode
+    doc = geom.random_frame(8, np.random.default_rng(13)).to_json_dict()
+    doc["normal_block"][0][0] += 5e-11
+    (tmp_path / "frame.json").write_text(json.dumps(doc))
+    cfg = _write(tmp_path, "c.json",
+                 {"frame_file": "frame.json", "grid": {"nr": 100, "nxn": 100}})
+    out = tmp_path / "out"
+    assert _run("corrector", "--config", cfg, "--out", str(out)) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["modes"] == [{"degree": 2, "label": "normal-block"}]
+
+
+def _locate_b(tmp_path, name, frame_doc):
+    """B of a one-sample constants run on the frame file ``frame_doc``."""
+    (tmp_path / f"{name}_frame.json").write_text(json.dumps(frame_doc))
+    cfg = _write(tmp_path, f"{name}.json", {
+        "case": "constants", "frame_file": f"{name}_frame.json",
+        "grid": {"nr": 48, "nxn": 48},
+        "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0}]})
+    out = tmp_path / name
+    assert _run("locate", "--config", cfg, "--out", str(out)) == 0
+    return json.loads((out / "blowup.json").read_text())["coefficients"]["B"]
+
+
+@pytest.mark.parametrize("stored", [None, 123.0])
+def test_locate_ignores_stored_frame_scalars(tmp_path, stored):
+    # a frame holds only its tensors: the weyl_norm_sq and
+    # normal_block_div of an older file, null or wrong, never reach B
+    doc = geom.random_frame(8, np.random.default_rng(4)).to_json_dict()
+    clean = _locate_b(tmp_path, "clean", doc)
+    doc.update(weyl_norm_sq=stored, normal_block_div=0.5)
+    assert _locate_b(tmp_path, "stored", doc) == clean
+
+
+def test_locate_rejects_an_asymmetric_hessian(tmp_path, capsys):
+    # symmetrized, this Hessian is the identity; one triangle alone has
+    # the eigenvalue -4
+    hess = np.eye(7)
+    hess[0, 1], hess[1, 0] = 5.0, -5.0
+    cfg = _write(tmp_path, "c.json", {
+        "case": "non-constants", "hessH": hess.tolist(),
+        "samples": [{"label": "p", "coords": [0.0], "H": 2.0}]})
+    assert _run("locate", "--config", cfg, "--out",
+                str(tmp_path / "out")) == 2
+    assert "hessH symmetric" in capsys.readouterr().err
 
 
 def test_locate_constants(tmp_path):

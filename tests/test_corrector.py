@@ -206,8 +206,8 @@ def test_block_elimination_matches_explicit_bordered_system(pt8):
                          [(row / np.linalg.norm(row))[None, :], None]],
                         format="csc")
     kernel = np.append(jn / np.linalg.norm(jn), 0.0)
-    ref = corrector._conditioning_check(check_sys, info["base_norm"], kernel,
-                                        0, True)
+    ref = corrector._conditioning_check(spla.splu(check_sys),
+                                        info["base_norm"], kernel)
     assert info["sigma_min"] == pytest.approx(ref["sigma_min"], rel=1e-6)
     assert info["kernel_overlap"] == pytest.approx(ref["kernel_overlap"],
                                                    rel=1e-6)
@@ -240,7 +240,7 @@ def test_conditioning_check_raises_on_kernel_leakage():
     # to prevent, so the message must say whose direction it is
     M, q2 = _orthogonal_test_matrix(60, 1e-14)
     with pytest.raises(SingularSystem, match="deflation failed"):
-        corrector._conditioning_check(M, 1.0, q2[:, -1], 0, True)
+        corrector._conditioning_check(spla.splu(M), 1.0, q2[:, -1])
 
 
 def test_conditioning_check_raises_on_foreign_direction():
@@ -248,29 +248,23 @@ def test_conditioning_check_raises_on_foreign_direction():
     # garbage-out; it raises too, with the attribution negated
     M, q2 = _orthogonal_test_matrix(60, 1e-14)
     with pytest.raises(SingularSystem, match="not kernel-aligned"):
-        corrector._conditioning_check(M, 1.0, q2[:, 0], 0, True)
+        corrector._conditioning_check(spla.splu(M), 1.0, q2[:, 0])
 
 
 def test_conditioning_check_records_band_direction():
     # between the raise gate (1e-12 ||A||) and the note band (1e-8 ||A||):
     # observed, reported, never fatal
     M, q2 = _orthogonal_test_matrix(60, 1e-9)
-    info = corrector._conditioning_check(M, 1.0, q2[:, 0], 0, True)
+    info = corrector._conditioning_check(spla.splu(M), 1.0, q2[:, 0])
     assert info["sigma_min"] >= info["sigma_threshold"]
     assert info["kernel_overlap"] < 0.5
     assert "near_singular" in info
     assert "without kernel attribution" in info["near_singular"]["note"]
 
 
-def test_conditioning_check_raises_without_attribution():
-    M, _ = _orthogonal_test_matrix(60, 1e-14)
-    with pytest.raises(SingularSystem):
-        corrector._conditioning_check(M, 1.0, None, 2, False)
-
-
 def test_conditioning_check_healthy_matrix():
     M, q2 = _orthogonal_test_matrix(60, 1.0)
-    info = corrector._conditioning_check(M, 1.0, q2[:, -1], 0, True)
+    info = corrector._conditioning_check(spla.splu(M), 1.0, q2[:, -1])
     assert info["sigma_min"] >= info["sigma_threshold"]
     assert "near_singular" not in info
 
@@ -299,6 +293,51 @@ def test_decompose_forcing_reconstructs(pt8, frame8, rng):
                     for fm in modes)
         assert recon == pytest.approx(geom.forcing_Ep(frame8, b, x),
                                       rel=1e-10, abs=1e-13)
+
+
+def _off_gauge_frame(n, rng):
+    """Ricci and tr Q nonzero: a degree-0 mode beside two degree-2 modes."""
+    m = n - 1
+    Q = rng.normal(size=(m, m))
+    return CurvatureFrame(
+        riem_boundary=geom.project_riemann(rng.normal(size=(m,) * 4)),
+        normal_block=Q + Q.T)
+
+
+@pytest.fixture(scope="module")
+def sol_three_modes(pt8):
+    frame = _off_gauge_frame(8, np.random.default_rng(5))
+    return corrector.solve_corrector(frame, pt8,
+                                     corrector.GridSpec(nr=48, nxn=48))
+
+
+def test_pairing_of_three_modes_matches_nodewise_integration(sol_three_modes):
+    # independent route: both mode sums evaluated on each sphere node,
+    # then integrated over the grid node by node
+    sol = sol_three_modes
+    assert [m.label for m in sol.modes] == ["trace", "boundary-ricci",
+                                            "normal-block"]
+    # the two degree-2 modes overlap, so the pairing's cross terms run
+    assert sol.angular_gram()[1, 2] != 0.0
+    nodes, weights = geom.sphere_rule(7, 5)
+    W = sol.grid["W"]
+    total = 0.0
+    for node, wq in zip(nodes, weights):
+        p = [float(m.angular(node[None, :])[0]) for m in sol.modes]
+        e = sum(pa * m.e for pa, m in zip(p, sol.modes))
+        v = sum(pa * m.psi for pa, m in zip(p, sol.modes))
+        total += wq * float(np.sum(W * e * v))
+    assert corrector.forcing_pairing(sol) == pytest.approx(total, rel=1e-12)
+
+
+def test_evaluate_on_the_axis_is_the_degree0_mode(sol_three_modes):
+    sol = sol_three_modes
+    (mode0,) = [m for m in sol.modes if m.degree == 0]
+    for j in (3, 10, 30):
+        x = np.zeros(8)
+        x[-1] = sol.grid["xn"][j]
+        assert mode0.psi[0, j] != 0.0
+        assert sol.evaluate(x) == pytest.approx(mode0.psi[0, j], rel=1e-9)
 
 
 def test_solve_corrector_zero_frame(pt8):

@@ -41,8 +41,12 @@ def test_weyl_part_is_ricci_free(rng):
 
 
 def test_weyl_norm_matches_stored_value(frame8):
-    assert geom.weyl_norm(frame8) == pytest.approx(frame8.weyl_norm_sq,
+    # the frame stores only its tensor: random_frame scales it to unit
+    # norm, and the gauge shortcut must agree with the full Weyl part
+    W = geom.weyl_part(frame8.riem_boundary)
+    assert geom.weyl_norm(frame8) == pytest.approx(float(np.sum(W * W)),
                                                    rel=1e-12)
+    assert geom.weyl_norm(frame8) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weyl_norm_rejects_traceful_frame(frame8):
