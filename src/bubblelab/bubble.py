@@ -306,10 +306,9 @@ def bubble_energy_quadrature(pt, rel_tol=1e-8):
     ts = crit_interior(n)
     tsh = crit_boundary(n)
 
-    grad2 = quad.brute_halfspace(lambda x: float(np.sum(b.grad_U(x) ** 2)),
-                                 n, rel_tol=rel_tol)
-    upow = quad.brute_halfspace(lambda x: float(b.U(x) ** ts), n,
-                                rel_tol=rel_tol)
+    grad2 = quad.brute_halfspace(
+        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=rel_tol)
+    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=rel_tol)
 
     def trace(r):
         x = np.zeros(n)

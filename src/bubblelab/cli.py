@@ -366,9 +366,10 @@ def cmd_verify_integrals(cfg):
     for a, b, m in _separable_triples(n):
         closed = tbl.halfspace_moment(a, b, m)
         brute = quad.brute_halfspace(
-            lambda x, _a=a, _b=b, _m=m: float(
-                x[-1] ** _a * np.sum(x[:-1] ** 2) ** (0.5 * _b)
-                * (np.sum(x[:-1] ** 2) + (x[-1] + pt.D) ** 2 - 1.0) ** -_m),
+            lambda X, _a=a, _b=b, _m=m: X[..., -1] ** _a
+            * np.sum(X[..., :-1] ** 2, axis=-1) ** (0.5 * _b)
+            * (np.sum(X[..., :-1] ** 2, axis=-1) + (X[..., -1] + pt.D) ** 2
+               - 1.0) ** -_m,
             n, rel_tol=1e-9)
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
                          abs(closed - brute) / abs(closed),
@@ -421,10 +422,9 @@ def cmd_verify_bubble(cfg):
     rows.append(_row(f"linearized problem residuals ({n} kernel fields "
                      "x 100 points)", worst, _bound(cfg, 1e-8)))
 
-    # the energy rows run at the fixed quadrature precision; the
-    # curvature rows below keep the table default
-    energy_tbl = quad.MomentTable(n, pt.D, rel_tol=_QUAD_TOL)
-    closed = bubble_energy(pt, energy_tbl)
+    # one table at the fixed quadrature precision serves every row below
+    tbl = quad.MomentTable(n, pt.D, rel_tol=_QUAD_TOL)
+    closed = bubble_energy(pt, tbl)
     direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
     rows.append(_row("bubble energy: closed form vs quadrature",
                      abs(closed - direct) / abs(closed), _bound(cfg, 1e-6)))
@@ -440,13 +440,12 @@ def cmd_verify_bubble(cfg):
                      passed=slope < 0.0))
 
     pt4 = ProblemPoint(n=n, K=4.0 * pt.K, H=2.0 * pt.H)
-    ratio = bubble_energy(pt4, energy_tbl) / closed
+    ratio = bubble_energy(pt4, tbl) / closed
     expected = 4.0 ** (-0.5 * (n - 2.0))
     rows.append(_row("bubble energy |K|-scaling at fixed D",
                      abs(ratio - expected) / expected, _bound(cfg, 1e-10)))
 
     frame = geom.random_frame(n, rng)
-    tbl = quad.MomentTable(n, pt.D)
     suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8),
                                     table=tbl)
     rows.extend(_report_rows(suite))
@@ -458,9 +457,9 @@ def cmd_verify_bubble(cfg):
         worst = max(worst, abs(val) / scale)
     rows.append(_row(f"forcing orthogonal to the kernel ({n} fields)",
                      worst, _bound(cfg, 1e-8)))
-    rows.append(_row("separable pairings: moments vs nested quadrature "
-                     "(5 radial records)", geom.route_gap(frame, b, tbl),
-                     _bound(cfg, 1e-8)))
+    rows.append(_row("separable pairings: moments vs double-exponential "
+                     "quadrature (5 radial records)",
+                     geom.route_gap(frame, b, tbl), _bound(cfg, 1e-8)))
     return _write_report(cfg, "verify-bubble", rows)
 
 

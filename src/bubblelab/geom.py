@@ -33,7 +33,7 @@ pairing.  A pairing multiplies monomials, so its radial factor is a
 `quad.MomentTable` half-space moment: a closed-form Beta moment times
 one tail quadrature (`paired_moments`).  `paired_halfspace` is the
 independent route that integrates the records' pointwise profiles by
-nested quadrature; `route_gap` compares the two.
+double-exponential quadrature; `route_gap` compares the two.
 
 Angular integrals of tensor contractions use a product Gauss rule on
 the sphere (`sphere_rule`) that is exact for polynomial integrands up
@@ -303,11 +303,13 @@ def paired_moments(terms_a, terms_b, table):
 
 
 def paired_halfspace(terms_a, terms_b, b, rel_tol=1e-9):
-    """The same integral as `paired_moments`, by nested quadrature.
+    """The same integral as `paired_moments`, by double-exponential quadrature.
 
-    The independent route: radial factors are the records' pointwise
-    profiles, integrated by nested compactified adaptive quadrature
-    that never sees the monomial exponents.
+    The independent route: each product of the records' pointwise
+    profiles, times r^{n-2}, goes to `quad._de_quadrant`, the tensor
+    exp-sinh rule on [0, inf)^2.  It never sees the monomial exponents,
+    and shares neither the Beta closed forms nor QUADPACK with the
+    moment route.
     """
     n = b.n
     nodes, weights = sphere_rule(n - 1, _PAIR_DEGREE)
@@ -320,14 +322,9 @@ def paired_halfspace(terms_a, terms_b, b, rel_tol=1e-9):
             if ang == 0.0:
                 continue
             fb = radial_profile(tb.radial, b)
-
-            def inner(xn, fa=fa, fb=fb):
-                return quad.integrate_halfline(
-                    lambda r: fa(r, xn) * fb(r, xn) * r ** (n - 2),
-                    a=0.0, rel_tol=0.1 * rel_tol, abs_tol=1e-280)
-
-            radial = quad.integrate_halfline(inner, a=0.0, rel_tol=rel_tol,
-                                             abs_tol=1e-280)
+            radial = quad._de_quadrant(
+                lambda r, xn, fa=fa, fb=fb: fa(r, xn) * fb(r, xn)
+                * r ** (n - 2), rel_tol)
             total += ang * radial
     return total
 
@@ -364,7 +361,7 @@ def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None, js_norm=None):
 
 
 def route_gap(frame, b, table=None):
-    """Worst relative gap between the moment route and nested quadrature.
+    """Worst relative gap between the moment route and `paired_halfspace`.
 
     Every radial record (the three forcing terms, j_1 and j_n) is paired
     with itself under a unit angular factor once through each route, so
@@ -378,8 +375,8 @@ def route_gap(frame, b, table=None):
     for rec in records:
         unit = [rec._replace(angular=_ones)]
         moments = paired_moments(unit, unit, table)
-        nested = paired_halfspace(unit, unit, b)
-        worst = max(worst, abs(nested - moments) / abs(moments))
+        direct = paired_halfspace(unit, unit, b)
+        worst = max(worst, abs(direct - moments) / abs(moments))
     return worst
 
 

@@ -80,9 +80,10 @@ def test_criterion_04_separable_reduction():
     for a, b, m in quoted + extras:
         closed = tbl.halfspace_moment(a, b, m)
         brute = quad.brute_halfspace(
-            lambda x, _a=a, _b=b, _m=m: float(
-                x[-1] ** _a * np.sum(x[:-1] ** 2) ** (0.5 * _b)
-                * (np.sum(x[:-1] ** 2) + (x[-1] + d) ** 2 - 1.0) ** -_m),
+            lambda X, _a=a, _b=b, _m=m: X[..., -1] ** _a
+            * np.sum(X[..., :-1] ** 2, axis=-1) ** (0.5 * _b)
+            * (np.sum(X[..., :-1] ** 2, axis=-1) + (X[..., -1] + d) ** 2
+               - 1.0) ** -_m,
             n, rel_tol=1e-9)
         worst = max(worst, abs(closed - brute) / abs(closed))
     elapsed = time.perf_counter() - start

@@ -151,7 +151,7 @@ def test_records_match_the_pointwise_forms(n, rng):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_moment_route_matches_nested_quadrature(n):
-    """The moment route against nested quadrature of the same records."""
+    """The moment route against `paired_halfspace` on the same records."""
     b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0))
     table = quad.MomentTable(n, b.pt.D)
     frame = geom.random_frame(n, np.random.default_rng(40 + n))
@@ -178,9 +178,9 @@ def test_moment_route_matches_nested_quadrature_off_the_gauge(pt8):
     frame = _traceful_frame(8, np.random.default_rng(5))
     value, scale = geom.integral_Ep_jacobi(frame, b, 8)
     assert abs(value) > 1e-2 * scale
-    nested = geom.paired_halfspace(geom.forcing_terms(frame, b),
+    direct = geom.paired_halfspace(geom.forcing_terms(frame, b),
                                    geom.jacobi_terms(b, 8), b)
-    assert value == pytest.approx(nested, rel=1e-8)
+    assert value == pytest.approx(direct, rel=1e-8)
 
 
 def test_moment_table_must_match_the_bubble(pt8, pt10, frame8):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import geom, quad
-from bubblelab.bubble import Bubble
-from bubblelab.errors import DomainError
+from bubblelab.bubble import Bubble, bubble_energy, crit_interior
+from bubblelab.cli import _separable_triples
+from bubblelab.errors import DomainError, NonConvergence
 from bubblelab.model import CurvatureFrame
 
 
@@ -89,6 +91,16 @@ def test_sphere_monomial():
     assert total == pytest.approx(quad.sphere_area(m), rel=1e-13)
 
 
+def moment_integrand(a, b, m, d):
+    """x_n^a |xt|^b (|xt|^2 + (x_n+d)^2 - 1)^-m as a batch point integrand."""
+    def f(X):
+        rt2 = np.sum(X[..., :-1] ** 2, axis=-1)
+        return X[..., -1] ** a * rt2 ** (0.5 * b) \
+            * (rt2 + (X[..., -1] + d) ** 2 - 1.0) ** -m
+
+    return f
+
+
 def test_halfspace_moment_convergence_precondition():
     tbl = quad.MomentTable(8, 2.0)
     with pytest.raises(DomainError):
@@ -99,10 +111,8 @@ def test_halfspace_moment_vs_brute():
     n = 8
     tbl = quad.MomentTable(n, 2.0)
     closed = tbl.halfspace_moment(2, 0, n)
-    brute = quad.brute_halfspace(
-        lambda x: float(x[-1] ** 2
-                        * (np.sum(x[:-1] ** 2) + (x[-1] + 2.0) ** 2 - 1.0)
-                        ** -n), n, rel_tol=1e-9)
+    brute = quad.brute_halfspace(moment_integrand(2, 0, n, 2.0), n,
+                                 rel_tol=1e-9)
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
@@ -111,10 +121,8 @@ def test_halfspace_moment_odd_b_vs_brute(a, b, m):
     # the kernel pairings j_s x E_p carry odd powers of r
     n, d = 8, 2.0
     closed = quad.MomentTable(n, d).halfspace_moment(a, b, m)
-    brute = quad.brute_halfspace(
-        lambda x: float(x[-1] ** a * np.sum(x[:-1] ** 2) ** (0.5 * b)
-                        * (np.sum(x[:-1] ** 2) + (x[-1] + d) ** 2 - 1.0)
-                        ** -m), n, rel_tol=1e-9)
+    brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
+                                 rel_tol=1e-9)
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
@@ -172,10 +180,10 @@ def test_moment_table_cache_is_consistent():
 
 
 def test_brute_halfspace_warns_on_angular_dependence():
-    # a non-axisymmetric integrand is replaced by its angular mean
+    # an even but non-axisymmetric integrand: only its e_1 slice is seen
     with pytest.warns(RuntimeWarning):
         quad.brute_halfspace(
-            lambda x: float(x[0] ** 2 * math.exp(-np.sum(x ** 2))),
+            lambda X: X[..., 0] ** 2 * np.exp(-np.sum(X ** 2, axis=-1)),
             5, rel_tol=1e-6)
 
 
@@ -183,3 +191,80 @@ def test_integrate_halfline_shifted_origin():
     val = quad.integrate_halfline(lambda t: math.exp(-(t - 2.0)), a=2.0,
                                   rel_tol=1e-12)
     assert val == pytest.approx(1.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("d", [1.01, 30.0, 1e3])
+def test_brute_halfspace_sweeps_the_moments(n, d):
+    # far from the default D = 2 on both sides, at the rows' 1e-8 bound
+    table = quad.MomentTable(n, d, rel_tol=1e-12)
+    for a, b, m in _separable_triples(n)[:3]:
+        brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
+                                     rel_tol=1e-9)
+        assert brute == pytest.approx(table.halfspace_moment(a, b, m),
+                                      rel=1e-8)
+
+
+def test_brute_halfspace_averages_out_odd_parts():
+    # (1 + x_1) g: the antipodal slices cancel x_1 g exactly, no warning
+    n = 8
+
+    def g(X):
+        return np.exp(-np.sum(X ** 2, axis=-1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = quad.brute_halfspace(lambda X: (1.0 + X[..., 0]) * g(X), n,
+                                   rel_tol=1e-9)
+    assert val == pytest.approx(0.5 * math.pi ** (0.5 * n), rel=1e-9)
+    assert val == pytest.approx(quad.brute_halfspace(g, n, rel_tol=1e-9),
+                                rel=1e-12)
+
+
+def test_brute_halfspace_refuses_a_log_divergent_moment():
+    # a = b = 0, 2m = n: the integrand decays like |x|^-n
+    with pytest.raises(NonConvergence, match="stalled at level|truncated"):
+        quad.brute_halfspace(moment_integrand(0, 0, 4, 2.0), 8, rel_tol=1e-9)
+
+
+def test_brute_halfspace_refuses_nan():
+    def holey(X):
+        out = np.exp(-np.sum(X ** 2, axis=-1))
+        return np.where(X[..., -1] > 1.0, np.nan, out)
+
+    with pytest.raises(NonConvergence, match="integrand is nan"):
+        quad.brute_halfspace(holey, 8, rel_tol=1e-9)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the two routes share an engine")
+
+
+def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
+    n, d = 8, pt8.D
+    b = Bubble(pt8)
+    records = geom.forcing_terms(frame8, b) + geom.jacobi_terms(b, n)
+    with monkeypatch.context() as mp:
+        # the oracles: no QUADPACK, no Beta closed form, no table
+        for name in ("integrate_halfline", "I", "phi_power", "MomentTable"):
+            mp.setattr(quad, name, _refuse)
+        mp.setattr(quad.integrate, "quad", _refuse)
+        for a, bb, m in _separable_triples(n)[:3]:
+            quad.brute_halfspace(moment_integrand(a, bb, m, d), n,
+                                 rel_tol=1e-9)
+        quad.brute_halfspace(lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n,
+                             rel_tol=1e-9)
+        quad.brute_halfspace(lambda X: b.U(X) ** crit_interior(n), n,
+                             rel_tol=1e-9)
+        geom.paired_halfspace(records, records, b)
+    with monkeypatch.context() as mp:
+        # the closed forms: no double-exponential engine, no oracle
+        mp.setattr(quad, "_de_quadrant", _refuse)
+        mp.setattr(quad, "brute_halfspace", _refuse)
+        mp.setattr(geom, "paired_halfspace", _refuse)
+        table = quad.MomentTable(n, d, rel_tol=1e-12)
+        for a, bb, m in _separable_triples(n):
+            table.halfspace_moment(a, bb, m)
+        assert table.verify_cache()[0] == 0.0
+        bubble_energy(pt8, table)
+        geom.forcing_norm(frame8, b, table)
