@@ -557,7 +557,7 @@ def cmd_corrector(cfg):
                                                              with_grid=True)}
     try:
         sol = corrector.solve_corrector(frame, pt, gs)
-        rep = corrector.corrector_diagnostics(sol, frame, pt)
+        rep = corrector.corrector_diagnostics(sol)
     except (SingularSystem, NonConvergence) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         with open(os.path.join(out, "diagnostics.json"), "w") as fh:

@@ -155,7 +155,7 @@ class MomentTable:
 
     The cache maps a descriptor tuple to a float.  Every entry is
     reproducible: calling :meth:`verify_cache` recomputes each one
-    through the same code path and checks bit-for-bit agreement, and
+    through a fresh table and checks bit-for-bit agreement, and
     checks the Beta entries against fresh adaptive quadrature within
     ``rel_tol``.
     """
@@ -236,37 +236,27 @@ class MomentTable:
     def verify_cache(self):
         """Recompute every cached entry; return the max discrepancies.
 
-        Returns (max_bit_diff, max_rel_quad_err): the first must be 0.0
-        (derivations are deterministic), the second compares closed-form
-        Beta entries to fresh adaptive quadrature.
+        Each key is recomputed through the public method of a fresh
+        table at the same (n, D, rel_tol).  Returns (max_bit_diff,
+        max_rel_quad_err): the first must be 0.0 (derivations are
+        deterministic), the second compares closed-form Beta entries to
+        fresh adaptive quadrature.
         """
+        fresh = MomentTable(self.n, self.D, self.rel_tol)
+        recompute = {"I": fresh.I, "phi": fresh.phi_power,
+                     "hs": fresh.halfspace_moment, "bd": fresh.boundary_moment}
         max_bit = 0.0
         max_quad = 0.0
-        for key, stored in list(self.cache.items()):
-            kind = key[0]
+        for key, stored in self.cache.items():
+            kind, *args = key
+            value = recompute[kind](*args)
             if kind == "I":
-                _, m, alpha = key
-                fresh = I(m, alpha)
+                m, alpha = args
                 by_quad = integrate_halfline(
                     lambda rho: rho ** alpha * (1.0 + rho * rho) ** (-m),
                     a=0.0, rel_tol=self.rel_tol)
-                max_quad = max(max_quad, abs(by_quad - fresh) / abs(fresh))
-            elif kind == "phi":
-                _, k, m = key
-                fresh = phi_power(k, m, self.D, self.rel_tol)
-            elif kind == "hs":
-                _, a, b, m = key
-                mu = m - 0.5 * (self.n - 1 + b)
-                fresh = self.omega * self.I(m, self.n - 2 + b) * phi_power(
-                    a, mu, self.D, self.rel_tol)
-            elif kind == "bd":
-                _, b, m = key
-                expo = 0.5 * (self.n - 1 + b) - m
-                fresh = self.omega * (self.D ** 2 - 1.0) ** expo * self.I(
-                    m, self.n - 2 + b)
-            else:  # pragma: no cover - defensive
-                raise DomainError(f"unknown cache key {key!r}")
-            max_bit = max(max_bit, abs(fresh - stored))
+                max_quad = max(max_quad, abs(by_quad - value) / abs(value))
+            max_bit = max(max_bit, abs(value - stored))
         return max_bit, max_quad
 
 

@@ -192,7 +192,7 @@ def test_criterion_10_corrector(pt8, frame8):
             worst = max(worst, res / fnorm)
         res_rel[cells] = worst
         if cells == 400:
-            rep = corrector.corrector_diagnostics(sol, frame8, pt8)
+            rep = corrector.corrector_diagnostics(sol)
             checks = {c.name: c for c in rep.checks}
     elapsed = time.perf_counter() - start
 

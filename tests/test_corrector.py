@@ -215,15 +215,19 @@ def test_block_elimination_matches_explicit_bordered_system(pt8):
                                               rel=1e-15)
 
 
-def test_apply_operator_inverts_the_solve(pt8):
-    # the quadratic form's operator is the one solve_mode inverts
+def test_assembled_operator_inverts_the_solve(pt8):
+    # the quadratic form reads e for A psi on the equation rows; this is
+    # the equation solve_mode imposes there
     gs = corrector.GridSpec(nr=40, nxn=32)
     e = _synthetic_forcing(corrector.grid_geometry(gs, 8), 2)
     psi, _ = corrector.solve_mode(pt8, 2, e, gs)
-    out = corrector.apply_operator(pt8, 2, psi, gs)
-    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
-    assert np.all(out[:, 0] == 0.0) and np.all(out[:, -1] == 0.0)
-    assert np.max(np.abs(out - e)[1:-1, 1:-1]) <= 1e-12 * np.max(np.abs(e))
+    A, interior = corrector._assemble(pt8, 2, gs)
+    # the diagnostics take the equation rows to be the grid's interior
+    expected = np.zeros_like(interior)
+    expected[1:-1, 1:-1] = True
+    assert np.array_equal(interior, expected)
+    out = (A @ psi.ravel()).reshape(psi.shape)
+    assert np.max(np.abs(out - e)[interior]) <= 1e-12 * np.max(np.abs(e))
 
 
 def _orthogonal_test_matrix(size, smallest):
@@ -330,6 +334,48 @@ def test_pairing_of_three_modes_matches_nodewise_integration(sol_three_modes):
     assert corrector.forcing_pairing(sol) == pytest.approx(total, rel=1e-12)
 
 
+def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
+        pt8, sol_three_modes):
+    # oracle: the form paired from A psi, with A rebuilt by _assemble
+    sol = sol_three_modes
+    rep = corrector.corrector_diagnostics(sol)
+    checks = {c.name: c for c in rep.checks}
+    G, W = sol.angular_gram(), sol.grid["W"]
+    psis = [m.psi for m in sol.modes]
+    ops = []
+    for m in sol.modes:
+        A, interior = corrector._assemble(pt8, m.degree, sol.gs)
+        ops.append(np.where(interior, (A @ m.psi.ravel()).reshape(
+            m.psi.shape), 0.0))
+    qform = corrector._pairing(G, W, ops, psis)
+    pairing = corrector.forcing_pairing(sol)
+    agree = abs(pairing - qform) / max(abs(pairing), abs(qform))
+    assert sol.diagnostics["quadratic_form"] == pytest.approx(qform,
+                                                              rel=1e-12)
+    row = checks["pairing vs discrete quadratic form"]
+    assert row.value == pytest.approx(agree, rel=1e-12)
+    assert row.detail == ""     # this forcing has a share on the boundary rows
+    # the border row alone keeps the degree-0 mode orthogonal to j_n
+    assert checks["kernel orthogonality"].passed
+    assert all("projection_coefficient" not in m.info for m in sol.modes)
+
+
+def test_diagnostics_assemble_once_per_mode(pt8, frame8, monkeypatch):
+    calls = []
+    assemble = corrector._assemble
+
+    def counted(*args):
+        calls.append(args[1])
+        return assemble(*args)
+
+    monkeypatch.setattr(corrector, "_assemble", counted)
+    sol = corrector.solve_corrector(frame8, pt8,
+                                    corrector.GridSpec(nr=48, nxn=48))
+    corrector.corrector_diagnostics(sol)
+    assert sol.modes
+    assert calls == [m.degree for m in sol.modes]
+
+
 def test_evaluate_on_the_axis_is_the_degree0_mode(sol_three_modes):
     sol = sol_three_modes
     (mode0,) = [m for m in sol.modes if m.degree == 0]
@@ -347,25 +393,36 @@ def test_solve_corrector_zero_frame(pt8):
     assert sol.evaluate(np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0])) == 0.0
 
 
-def test_corrector_diagnostics_pass(pt8, frame8, sol8):
-    rep = corrector.corrector_diagnostics(sol8, frame8, pt8)
+def test_corrector_diagnostics_pass(sol8):
+    rep = corrector.corrector_diagnostics(sol8)
     assert rep.passed, [(c.name, c.value) for c in rep.failures()]
-    names = {c.name for c in rep.checks}
-    assert "kernel orthogonality" in names
-    assert "quadratic form nonnegative" in names
+    checks = {c.name: c for c in rep.checks}
+    assert "kernel orthogonality" in checks
+    assert "quadratic form nonnegative" in checks
     assert sol8.diagnostics["decay_exponent"] < -3.0
+    # an in-gauge frame has one degree-2 mode: no angular average, and a
+    # forcing that vanishes wherever psi does not on the boundary rows
+    assert [m.label for m in sol8.modes] == ["normal-block"]
+    assert checks["interior/boundary mass identity"].detail == \
+        "vacuous: no mode has an angular average"
+    assert checks["pairing vs discrete quadratic form"].detail == \
+        "vacuous: the forcing vanishes on the boundary rows"
+    # the independent route: the fourth-order residual of the solve
+    residual = checks["fourth-order residual / forcing (normal-block)"]
+    assert residual.bound == 1e-2
+    assert 1e-5 < residual.value < residual.bound
 
 
-def test_forcing_pairing_matches_diagnostics(pt8, frame8, sol8):
-    corrector.corrector_diagnostics(sol8, frame8, pt8)
+def test_forcing_pairing_matches_diagnostics(sol8):
+    corrector.corrector_diagnostics(sol8)
     direct = corrector.forcing_pairing(sol8)
     assert direct == pytest.approx(sol8.diagnostics["forcing_pairing"],
                                    rel=1e-12)
     assert direct == pytest.approx(0.33190, rel=2e-3)  # grid-converged value
 
 
-def test_solution_save_load_round_trip(tmp_path, pt8, frame8, sol8):
-    corrector.corrector_diagnostics(sol8, frame8, pt8)
+def test_solution_save_load_round_trip(tmp_path, sol8):
+    corrector.corrector_diagnostics(sol8)
     sol8.save(tmp_path)
     back = corrector.CorrectorSolution.load(tmp_path)
     assert back.pt == sol8.pt
