@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblelab import corrector, geom
 from bubblelab.bubble import Bubble, c_n
-from bubblelab.errors import DomainError, SingularSystem
-from bubblelab.model import CurvatureFrame
+from bubblelab.errors import DomainError, NonConvergence, SingularSystem
+from bubblelab.model import CurvatureFrame, ProblemPoint
 
 
 def test_hyperbolic_picture_closed_forms():
@@ -228,6 +230,130 @@ def test_assembled_operator_inverts_the_solve(pt8):
     assert np.array_equal(interior, expected)
     out = (A @ psi.ravel()).reshape(psi.shape)
     assert np.max(np.abs(out - e)[interior]) <= 1e-12 * np.max(np.abs(e))
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (24, 20), (40, 56),
+                                        (401, 401)])
+def test_dissection_is_a_permutation_of_the_nodes(rows, cols):
+    p = corrector._dissection(rows, cols)
+    assert np.array_equal(np.sort(p), np.arange(rows * cols))
+    # the first cut is the middle line of the longer side, ordered last
+    node = np.arange(rows * cols).reshape(rows, cols)
+    last = node[rows // 2] if rows >= cols else node[:, cols // 2]
+    assert np.array_equal(p[-last.size:], last)
+
+
+def _colamd_oracle(pt, degree, e, gs):
+    """(psi, multiplier) from SuperLU's default COLAMD order with partial
+    pivoting; degree 0 factors the explicitly bordered matrix."""
+    A, interior = corrector._assemble(pt, degree, gs)
+    rhs = np.where(interior, e, 0.0).ravel()
+    if degree > 0:
+        return spla.splu(A.tocsc()).solve(rhs).reshape(e.shape), 0.0
+    gg = corrector.grid_geometry(gs, pt.n)
+    jn = corrector._jn_profile(Bubble(pt), gg["r"], gg["xn"]).ravel()
+    col = np.where(interior.ravel(), jn, 0.0)
+    row = gg["W"].ravel() * jn
+    anorm = abs(A).sum(axis=0).max()
+    col_scale = anorm / np.linalg.norm(col)
+    bordered = sp.bmat([[A, col_scale * col[:, None]],
+                        [(anorm / np.linalg.norm(row) * row)[None, :], None]],
+                       format="csc")
+    sol = spla.splu(bordered).solve(np.append(rhs, 0.0))
+    return sol[:-1].reshape(e.shape), sol[-1] * col_scale
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+@pytest.mark.parametrize("cells", [(24, 20), (40, 56)])
+def test_dissection_solve_matches_pivoted_colamd(pt8, degree, cells):
+    gs = corrector.GridSpec(nr=cells[0], nxn=cells[1])
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 8), degree)
+    psi, info = corrector.solve_mode(pt8, degree, e, gs)
+    ref, multiplier = _colamd_oracle(pt8, degree, e, gs)
+    assert np.max(np.abs(psi - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert info["multiplier"] == pytest.approx(multiplier, rel=1e-10)
+
+
+def _normwise_backward_error(A, x, b):
+    """||b - A x|| / (||A|| ||x|| + ||b||) in the max norm."""
+    A = sp.csr_matrix(A)
+    return np.max(np.abs(b - A @ x)) / (
+        abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+@given(n=st.integers(8, 12), log_excess=st.floats(-6.0, 12.0),
+       degree=st.sampled_from([0, 2, 4]), nr=st.integers(16, 48),
+       nxn=st.integers(16, 48))
+@settings(max_examples=40, deadline=None)
+def test_dissection_solve_is_backward_stable(n, log_excess, degree, nr, nxn):
+    # D = 1 + 10^log_excess sweeps 1 + 1e-6 .. 1e12.  The sigma_min gate
+    # refuses degree 0 once the kernel profile leaves the grid (D >= 30
+    # at n = 10); it measures the bordered matrix, not the LU, so it is
+    # switched off here to reach those solves.
+    D = 1.0 + 10.0 ** log_excess
+    pt = ProblemPoint(n=n, K=-n * (n - 1.0), H=D)
+    gs = corrector.GridSpec(nr=nr, nxn=nxn)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, n), degree)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corrector, "_conditioning_check", lambda *args: {})
+        psi, info = corrector.solve_mode(pt, degree, e, gs)
+    # A psi = the right-hand side the mode solved, and for degree 0 the
+    # border row: W-weighted orthogonality to the kernel profile
+    A, interior = corrector._assemble(pt, degree, gs)
+    solved = e
+    if degree == 0:
+        gg = corrector.grid_geometry(gs, n)
+        jn = corrector._jn_profile(Bubble(pt), gg["r"], gg["xn"])
+        solved = e - info["multiplier"] * jn
+        row = (gg["W"] * jn).ravel()[None, :]
+        assert _normwise_backward_error(row, psi.ravel(), [0.0]) <= 1e-14
+    solved = np.where(interior, solved, 0.0).ravel()
+    assert _normwise_backward_error(A, psi.ravel(), solved) <= 1e-14
+
+
+class _NoisyLU:
+    """A factorization whose solves carry a relative error ``eps``."""
+
+    def __init__(self, lu, eps):
+        self.lu, self.eps = lu, eps
+        self.rng = np.random.default_rng(7)
+
+    def solve(self, v, trans="N"):
+        y = self.lu.solve(v, trans=trans)
+        return y * (1.0 + self.eps * self.rng.standard_normal(y.shape))
+
+
+# degree 0 refines once, which absorbs a 1e-8 error; 1e-4 survives it
+@pytest.mark.parametrize("degree, eps", [(2, 1e-8), (0, 1e-4)])
+def test_backward_error_gate_refuses_a_perturbed_factor(pt8, monkeypatch,
+                                                        degree, eps):
+    splu = corrector.spla.splu
+    monkeypatch.setattr(corrector.spla, "splu",
+                        lambda *a, **k: _NoisyLU(splu(*a, **k), eps))
+    gs = corrector.GridSpec(nr=24, nxn=20)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 8), degree)
+    with pytest.raises(NonConvergence,
+                       match=rf"degree-{degree} solve has backward error "
+                             r"\S+ above 1e-12"):
+        corrector.solve_mode(pt8, degree, e, gs)
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_solve_mode_factors_once_in_dissection_order(pt8, monkeypatch,
+                                                     degree):
+    # perfbench's layer map wraps corrector.spla.splu by this name
+    calls = []
+    splu = corrector.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(corrector.spla, "splu", counted)
+    gs = corrector.GridSpec(nr=24, nxn=20)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 8), degree)
+    corrector.solve_mode(pt8, degree, e, gs)
+    assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}]
 
 
 def _orthogonal_test_matrix(size, smallest):
