@@ -1,13 +1,16 @@
-"""The bubble family, its Jacobi fields, and the closed-form energy.
+"""The normalized bubble, its Jacobi fields, and the closed-form energy.
 
 The model solution on the half-space is
 
-    U(x) = C * w(x)^{-(n-2)/2},   w(x) = |x - x0|^2 - delta^2,
+    U(x) = C * w(x)^{-(n-2)/2},   w(x) = |x - x0|^2 - 1,
 
-with C = alpha_n / |K|^{(n-2)/4} and x0 = (center, -D*delta); D > 1 keeps
-w strictly positive up to the boundary.  Everything here is a rational
-function of x, so all derivatives are analytic — finite differences
-appear only in tests.  Residuals of the model problem
+with C = alpha_n / |K|^{(n-2)/4} and x0 = (0, -D); D > 1 keeps w
+strictly positive up to the boundary.  This is the member of the bubble
+family at unit scale and centred at the origin: the depth enters the
+reduced energy analytically, and the Jacobi fields stand for the
+family's tangent directions.  Everything here is a rational function of
+x, so all derivatives are analytic — finite differences appear only in
+tests.  Residuals of the model problem
 
     -c_n Lap U = K U^{(n+2)/(n-2)}        in the half-space,
     (2/(n-2)) dU/dnu = H U^{n/(n-2)}      on x_n = 0,  nu = -e_n,
@@ -49,25 +52,14 @@ def crit_boundary(n):
 
 @dataclass(frozen=True)
 class Bubble:
-    """One member of the bubble family over a ProblemPoint."""
+    """The normalized bubble over a ProblemPoint."""
 
     pt: ProblemPoint
-    delta: float = 1.0
-    center: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
         if self.pt.D <= 1.0:
             raise DomainError(
                 f"bubble family needs D > 1, got D = {self.pt.D:.6g}")
-        m = self.pt.n - 1
-        center = np.zeros(m) if self.center is None else np.array(self.center,
-                                                                  dtype=float)
-        if center.shape != (m,):
-            raise DomainError(f"center must have shape ({m},), got {center.shape}")
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
 
     # -- basic scalars -----------------------------------------------------
     @property
@@ -87,43 +79,31 @@ class Bubble:
 
     @property
     def x0(self):
-        """Center of the defining sphere: (center, -D*delta)."""
-        out = np.empty(self.n)
-        out[:-1] = self.center
-        out[-1] = -self.pt.D * self.delta
+        """Center of the defining sphere: (0, -D)."""
+        out = np.zeros(self.n)
+        out[-1] = -self.pt.D
         return out
-
-    @property
-    def normalized(self):
-        return self.delta == 1.0 and not np.any(self.center)
-
-    def _require_normalized(self, what):
-        if not self.normalized:
-            raise DomainError(f"{what} is defined for the normalized bubble "
-                              "(delta=1, center=0) only")
 
     # -- pointwise evaluation (x has shape (n,) or (..., n)) ----------------
     def w(self, x):
         d = np.asarray(x, dtype=float) - self.x0
-        return np.sum(d * d, axis=-1) - self.delta ** 2
+        return np.sum(d * d, axis=-1) - 1.0
 
     def U(self, x):
-        return self.C * self.delta ** self.q * self.w(x) ** (-self.q)
+        return self.C * self.w(x) ** (-self.q)
 
     def grad_U(self, x):
         d = np.asarray(x, dtype=float) - self.x0
-        wv = np.sum(d * d, axis=-1) - self.delta ** 2
-        coef = -2.0 * self.q * self.C * self.delta ** self.q \
-            * wv ** (-self.q - 1.0)
+        wv = np.sum(d * d, axis=-1) - 1.0
+        coef = -2.0 * self.q * self.C * wv ** (-self.q - 1.0)
         return coef[..., None] * d if np.ndim(coef) else coef * d
 
     def hess_U(self, x):
         d = np.asarray(x, dtype=float) - self.x0
-        wv = np.sum(d * d, axis=-1) - self.delta ** 2
+        wv = np.sum(d * d, axis=-1) - 1.0
         q = self.q
-        amp = self.C * self.delta ** q
-        a = -2.0 * q * amp * wv ** (-q - 1.0)
-        bcoef = 4.0 * q * (q + 1.0) * amp * wv ** (-q - 2.0)
+        a = -2.0 * q * self.C * wv ** (-q - 1.0)
+        bcoef = 4.0 * q * (q + 1.0) * self.C * wv ** (-q - 2.0)
         eye = np.eye(self.n)
         if np.ndim(wv):
             return a[..., None, None] * eye \
@@ -133,27 +113,24 @@ class Bubble:
     def laplacian_U(self, x):
         wv = self.w(x)
         n, q = self.n, self.q
-        return n * (n - 2.0) * self.C * self.delta ** (q + 2.0) * wv ** (-q - 2.0)
+        return n * (n - 2.0) * self.C * wv ** (-q - 2.0)
 
     # -- radial-slice helpers used by the corrector grids --------------------
     def w_rx(self, r, xn):
-        """w along the slice x = (r e_1, x_n); needs center = 0."""
-        if np.any(self.center):
-            raise DomainError("radial slice helpers need center = 0")
+        """w along the slice x = (r e_1, x_n)."""
         r = np.asarray(r, dtype=float)
         xn = np.asarray(xn, dtype=float)
-        return r * r + (xn + self.pt.D * self.delta) ** 2 - self.delta ** 2
+        return r * r + (xn + self.pt.D) ** 2 - 1.0
 
     def U_rx(self, r, xn):
-        return self.C * self.delta ** self.q * self.w_rx(r, xn) ** (-self.q)
+        return self.C * self.w_rx(r, xn) ** (-self.q)
 
 
-def residual_model(b, x, boundary_tol=0.0):
+def residual_model(b, x):
     """Relative residuals of the model problem at x.
 
     Returns (interior, boundary): each residual is divided by the larger
-    of its two constituent terms.  boundary is None unless x_n lies
-    within ``boundary_tol`` of 0.
+    of its two constituent terms.  boundary is None unless x_n = 0.
     """
     x = np.asarray(x, dtype=float)
     if x[-1] < 0.0:
@@ -164,18 +141,16 @@ def residual_model(b, x, boundary_tol=0.0):
     t2 = K * b.U(x) ** (crit_interior(n) - 1.0)
     interior = abs(t1 - t2) / max(abs(t1), abs(t2))
     boundary = None
-    if x[-1] <= boundary_tol:
-        xb = x.copy()
-        xb[-1] = 0.0
-        dn = b.grad_U(xb)[-1]
+    if x[-1] == 0.0:
+        dn = b.grad_U(x)[-1]
         s1 = (2.0 / (n - 2.0)) * (-dn)          # outward normal is -e_n
-        s2 = b.pt.H * b.U(xb) ** (crit_boundary(n) - 1.0)
+        s2 = b.pt.H * b.U(x) ** (crit_boundary(n) - 1.0)
         boundary = abs(s1 - s2) / max(abs(s1), abs(s2))
     return interior, boundary
 
 
 # ---------------------------------------------------------------------------
-# Jacobi fields of the linearized problem (normalized bubble only)
+# Jacobi fields of the linearized problem
 
 
 def jacobi(b, i, x):
@@ -184,7 +159,6 @@ def jacobi(b, i, x):
     j_i = (2-n) C x_i w^{-n/2}            for i < n,
     j_n = C (n-2)/2 (|x|^2 + 1 - D^2) w^{-n/2}.
     """
-    b._require_normalized("jacobi")
     x = np.asarray(x, dtype=float)
     n = b.n
     if not 1 <= i <= n:
@@ -200,14 +174,12 @@ def jacobi(b, i, x):
 def jacobi_alt_n(b, x):
     """Equivalent form of the radial kernel element:
     (2-n)/2 U - sum_a x_a dU/dx_a."""
-    b._require_normalized("jacobi_alt_n")
     x = np.asarray(x, dtype=float)
     n = b.n
     return 0.5 * (2.0 - n) * b.U(x) - np.sum(x * b.grad_U(x), axis=-1)
 
 
 def jacobi_grad(b, i, x):
-    b._require_normalized("jacobi_grad")
     x = np.asarray(x, dtype=float)
     n = b.n
     s = 0.5 * n
@@ -225,7 +197,6 @@ def jacobi_grad(b, i, x):
 
 def jacobi_laplacian(b, i, x):
     """Analytic Laplacian of j_i, assembled from Lap(w^-s) and the product rule."""
-    b._require_normalized("jacobi_laplacian")
     x = np.asarray(x, dtype=float)
     n = b.n
     s = 0.5 * n
@@ -244,7 +215,7 @@ def jacobi_laplacian(b, i, x):
                 + phi * lap_ws)
 
 
-def residual_linearized(b, i, x, boundary_tol=0.0):
+def residual_linearized(b, i, x):
     """Relative residuals of the linearized problem for kernel element j_i.
 
     Interior: -c_n Lap j + (2*-1)|K| U^{4/(n-2)} j; boundary (x_n = 0):
@@ -262,13 +233,11 @@ def residual_linearized(b, i, x, boundary_tol=0.0):
     t2 = pot * jv
     interior = abs(t1 + t2) / max(abs(t1), abs(t2), 1.0e-300)
     boundary = None
-    if x[-1] <= boundary_tol:
-        xb = x.copy()
-        xb[-1] = 0.0
-        dn = jacobi_grad(b, i, xb)[-1]
+    if x[-1] == 0.0:
+        dn = jacobi_grad(b, i, x)[-1]
         s1 = (2.0 / (n - 2.0)) * (-dn)
-        s2 = (n / (n - 2.0)) * b.pt.H * b.U(xb) ** (2.0 / (n - 2.0)) \
-            * jacobi(b, i, xb)
+        s2 = (n / (n - 2.0)) * b.pt.H * b.U(x) ** (2.0 / (n - 2.0)) \
+            * jacobi(b, i, x)
         boundary = abs(s1 - s2) / max(abs(s1), abs(s2), 1.0e-300)
     return interior, boundary
 
@@ -278,7 +247,7 @@ def residual_linearized(b, i, x, boundary_tol=0.0):
 
 
 def bubble_energy(pt, table=None):
-    """Closed-form energy of the (normalized) bubble over ``pt``.
+    """Closed-form energy of the bubble over ``pt``.
 
     E = a_n / |K|^{(n-2)/2} * ( -(n-1) phi_{(n+1)/2}(D) + D (D^2-1)^{-(n-1)/2} ),
     a_n = alpha_n^{2#} * omega * I(n-1, n) * (n-3) / ((n-1) sqrt(n(n-1))).

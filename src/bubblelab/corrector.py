@@ -178,12 +178,12 @@ def steklov_residual(hp, which, x, operator="standard", form="plain"):
     return float(interior), float(boundary)
 
 
-def steklov_variants(hp, n, num_points=25, tol=1e-10, seed=0):
+def steklov_variants(hp, n, tol=1e-10, seed=0):
     """Measure every operator/eigenfunction combination; report, don't guess.
 
     Returns (report, annihilating) where annihilating lists the
     (operator, candidate) pairs whose interior and boundary residuals
-    both stay below tol on a random sample of the ball.
+    both stay below tol at 25 random points of the ball.
     """
     rng = np.random.default_rng(seed)
     candidates = [("phi0", 0, "plain"),
@@ -192,7 +192,7 @@ def steklov_variants(hp, n, num_points=25, tol=1e-10, seed=0):
     rows = []
     annihilating = []
     pts = []
-    for _ in range(num_points):
+    for _ in range(25):
         v = rng.normal(size=n)
         v *= rng.uniform(0.05, 0.95) * hp.R / np.linalg.norm(v)
         pts.append(v)
@@ -265,7 +265,6 @@ def decompose_forcing(frame, b):
     reconstruction must match the naive contraction at 100 random
     points; a failure raises DecompositionError.
     """
-    b._require_normalized("decompose_forcing")
     n = b.n
     m = n - 1
     ric = geom.ricci(frame.riem_boundary)
@@ -632,14 +631,14 @@ class _BorderedLU:
         return np.append(x / self.d, mu)
 
 
-def _smallest_singular(op, iters=12, seed=5):
+def _smallest_singular(op):
     """Estimate (sigma_min, right singular vector) of a factorized matrix
-    via inverse power iteration on M^T M."""
-    rng = np.random.default_rng(seed)
+    via 12 steps of inverse power iteration on M^T M."""
+    rng = np.random.default_rng(5)
     v = rng.normal(size=op.shape[0])
     v /= np.linalg.norm(v)
     nrm = 0.0
-    for _ in range(iters):
+    for _ in range(12):
         y = op.solve(op.solve(v, trans="T"))
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
@@ -984,9 +983,8 @@ class CorrectorSolution:
                    diagnostics=header.get("diagnostics", {}))
 
 
-def solve_corrector(frame, pt, gs=None):
-    """Decompose the forcing and solve each mode on one grid."""
-    gs = gs or GridSpec()
+def solve_corrector(frame, pt, gs):
+    """Decompose the forcing and solve each mode on the grid ``gs``."""
     gg = grid_geometry(gs, pt.n)
     r, xn = gg["r"], gg["xn"]
     solved = []
@@ -1116,21 +1114,20 @@ def corrector_diagnostics(sol):
     ub = b.U_rx(r, 0.0) ** (crit_boundary(n) - 1.0)
     wr_line = r ** (n - 2) * gg["rs"] * _trap_weights(sol.gs.nr,
                                                       gg["s"][1] - gg["s"][0])
-    lhs = rhs = bound = 0.0
+    lhs = rhs = 0.0
+    averaged = False
     for mode in sol.modes:
-        ang = float(wq @ mode.angular(nodes))
-        ang_abs = float(wq @ np.abs(mode.angular(nodes)))
+        P = mode.angular(nodes)
+        ang = float(wq @ P)
         lhs += ang * abs(pt.K) * float(np.sum(W * uq * mode.psi))
         rhs += ang * (n - 1.0) * pt.H * float(np.sum(wr_line * ub
                                                      * mode.psi[:, 0]))
-        bound += ang_abs * abs(pt.K) * float(np.sum(W * uq
-                                                    * np.abs(mode.psi)))
-    # when every angular average vanishes (pure degree-2 forcing) both
-    # sides are roundoff relative to the absolute bound; the identity is
-    # then vacuous and reported as a zero defect
+        averaged |= abs(ang) > 1e-12 * float(wq @ np.abs(P))
+    # when every mode's angular average is roundoff (pure degree-2
+    # forcing) both sides are roundoff too; the identity is then vacuous
+    # and reported as a zero defect
     denom = max(abs(lhs), abs(rhs))
-    averaged = denom > 1e-12 * max(bound, 1e-300)
-    defect3 = abs(lhs - rhs) / denom if averaged else 0.0
+    defect3 = abs(lhs - rhs) / denom if averaged and denom > 0.0 else 0.0
     diag["identity_lhs"] = lhs
     diag["identity_rhs"] = rhs
     checks.append(Check("interior/boundary mass identity", defect3 <= 1e-3,

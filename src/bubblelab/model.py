@@ -174,15 +174,10 @@ class Check:
     bound: float
     detail: str = ""
 
-    def to_json_dict(self):
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "bound": self.bound, "detail": self.detail}
-
 
 @dataclass
 class ValidationReport:
     checks: list
-    outside_supported_regime: bool = False
 
     @property
     def passed(self):
@@ -190,13 +185,6 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "outside_supported_regime": self.outside_supported_regime,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 def validate_point(pt, override_dimension_gate=False):
@@ -233,22 +221,20 @@ def validate_point(pt, override_dimension_gate=False):
     checks = [Check(name=name, passed=bool(ok), value=float(value),
                     bound=float(bound), detail="" if ok else detail)
               for name, ok, value, bound, detail in rows]
-    outside = override_dimension_gate and \
-        OVERRIDE_MIN_DIMENSION <= pt.n < SUPPORTED_MIN_DIMENSION
-    return ValidationReport(checks=checks, outside_supported_regime=outside)
+    return ValidationReport(checks=checks)
 
 
-def validate_frame(fr, tol=1e-10):
+def validate_frame(fr):
     """Check the algebraic symmetries and gauge trace conditions of a frame.
 
     Violations are measured in max norm and compared against
-    tol * max(1, |R|_max) per symmetry class.
+    1e-10 * max(1, |R|_max, |Q|_max).
     """
     R = fr.riem_boundary
     Q = fr.normal_block
     scale = max(1.0, float(np.max(np.abs(R))) if R.size else 0.0,
                 float(np.max(np.abs(Q))) if Q.size else 0.0)
-    bound = tol * scale
+    bound = 1e-10 * scale
 
     def mx(arr):
         return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -274,14 +260,14 @@ def validate_frame(fr, tol=1e-10):
     return ValidationReport(checks=checks)
 
 
-def validate_hessians(hd, require_definite=True, tol=1e-10):
-    """Symmetry (always) and positive definiteness (when asserted)."""
+def validate_hessians(hd, require_definite=True):
+    """Symmetry to 1e-10 of the largest entry (always) and positive
+    definiteness (when asserted)."""
     checks = []
     for name, arr in (("hessH", hd.hessH), ("hessK", hd.hessK)):
-        scale = max(1.0, float(np.max(np.abs(arr))))
+        bound = 1e-10 * max(1.0, float(np.max(np.abs(arr))))
         viol = float(np.max(np.abs(arr - arr.T)))
-        checks.append(Check(f"{name} symmetric", viol <= tol * scale, viol,
-                            tol * scale))
+        checks.append(Check(f"{name} symmetric", viol <= bound, viol, bound))
         if require_definite:
             lam = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
             checks.append(Check(f"{name} positive definite", lam > 0.0, lam, 0.0))

@@ -343,12 +343,12 @@ def optimize_constants(samples):
                         hypothesis_flags=flags, table=rows)
 
 
-def optimize_nonconstant(samples, tie_rel_tol=1e-9):
+def optimize_nonconstant(samples):
     """Maximize over samples in the non-constant case, rate 1.
 
     The bubble energy E(p) dominates at order eps^0, so the selection
-    maximizes E first; samples whose E ties the maximum within
-    ``tie_rel_tol`` (relative) are ranked by the eps^2-order increment
+    maximizes E first; samples whose E ties the maximum within 1e-9
+    (relative) are ranked by the eps^2-order increment
     G = A^2/(4B).  HypothesisFailure when the curvature Hessians at the
     selected point fail validate_hessians (symmetry and positive
     definiteness).
@@ -377,7 +377,7 @@ def optimize_nonconstant(samples, tie_rel_tol=1e-9):
             "B(p) <= 0 at every sample: no positive-depth maximum exists")
     e_max = max(row["E"] for _, row in entries)
     band = [pair for pair in entries
-            if pair[1]["E"] >= e_max - tie_rel_tol * abs(e_max)]
+            if pair[1]["E"] >= e_max - 1e-9 * abs(e_max)]
     s, row = max(band, key=lambda pair: pair[1]["G"])
     bad = validate_hessians(s.hess).failures()
     if bad:

@@ -23,8 +23,6 @@ def test_constants(pt8):
 def test_bubble_needs_supercritical_mean_curvature():
     with pytest.raises(DomainError):
         Bubble(ProblemPoint(n=8, K=-56.0, H=0.2))
-    with pytest.raises(DomainError):
-        Bubble(ProblemPoint(n=8, K=-56.0, H=2.0), delta=-1.0)
 
 
 def test_residuals_at_fixed_points(pt8):
@@ -117,11 +115,3 @@ def test_radial_slice_matches_full_evaluation(pt8, rng):
         x[-1] = abs(x[-1])
         r = float(np.linalg.norm(x[:-1]))
         assert b.U_rx(r, x[-1]) == pytest.approx(b.U(x), rel=1e-14)
-
-
-def test_translated_dilated_bubble_still_solves(pt8):
-    b = Bubble(pt8, delta=0.7, center=np.array([1.0, 0, 0, 0, 0, 0, 0]))
-    x = np.array([0.3, -0.2, 0, 0, 0, 0, 0, 0.0])
-    interior, boundary = residual_model(b, x)
-    assert abs(interior) < 1e-12
-    assert abs(boundary) < 1e-12

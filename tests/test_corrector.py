@@ -481,9 +481,27 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
     row = checks["pairing vs discrete quadratic form"]
     assert row.value == pytest.approx(agree, rel=1e-12)
     assert row.detail == ""     # this forcing has a share on the boundary rows
+    # the trace mode has an angular average, so the mass identity is measured
+    mass = checks["interior/boundary mass identity"]
+    assert mass.detail == ""
+    assert mass.value > 0.0
     # the border row alone keeps the degree-0 mode orthogonal to j_n
     assert checks["kernel orthogonality"].passed
     assert all("projection_coefficient" not in m.info for m in sol.modes)
+
+
+def test_mass_identity_is_vacuous_for_a_deep_degree2_frame():
+    # D = 1000: both sides are roundoff, of scales five decades apart;
+    # the modes' angular averages alone show the row is vacuous
+    pt = ProblemPoint(n=8, K=-56.0, H=1000.0)
+    frame = geom.random_frame(8, np.random.default_rng(1871))
+    sol = corrector.solve_corrector(frame, pt,
+                                    corrector.GridSpec(nr=100, nxn=100))
+    rep = corrector.corrector_diagnostics(sol)
+    row = {c.name: c for c in rep.checks}["interior/boundary mass identity"]
+    assert row.passed
+    assert row.value == 0.0
+    assert row.detail == "vacuous: no mode has an angular average"
 
 
 def test_diagnostics_assemble_once_per_mode(pt8, frame8, monkeypatch):

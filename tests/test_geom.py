@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, jacobi, jacobi_alt_n
 from bubblelab.errors import DomainError, InvalidFrame
-from bubblelab.model import CurvatureFrame, ProblemPoint
+from bubblelab.model import CurvatureFrame, ProblemPoint, validate_frame
 
 
 @given(seed=st.integers(0, 5000))
@@ -54,6 +54,16 @@ def test_weyl_norm_rejects_traceful_frame(frame8):
     q[0, 0] += 1.0
     bad = CurvatureFrame(riem_boundary=frame8.riem_boundary, normal_block=q)
     with pytest.raises(InvalidFrame):
+        geom.weyl_norm(bad)
+
+
+def test_weyl_norm_refuses_what_validate_frame_refuses(frame8):
+    # a tr Q residue of 1e-9 lies above the frame tolerance 1e-10
+    q = frame8.normal_block + 1e-9 / 7 * np.eye(7)
+    bad = CurvatureFrame(riem_boundary=frame8.riem_boundary, normal_block=q)
+    assert [c.name for c in validate_frame(bad).failures()] == [
+        "normal block trace vanishes"]
+    with pytest.raises(InvalidFrame, match="normal block trace vanishes"):
         geom.weyl_norm(bad)
 
 

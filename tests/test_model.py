@@ -27,7 +27,6 @@ def test_dimension_gate():
 
     rep = validate_point(low, override_dimension_gate=True)
     assert rep.passed
-    assert rep.outside_supported_regime
 
     rep = validate_point(ProblemPoint(n=4, K=-12.0, H=1.5),
                          override_dimension_gate=True)
