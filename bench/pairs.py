@@ -12,8 +12,8 @@ once in each checkout, untraced, one run at a time; the side that runs
 first alternates from pair to pair, so slow drift of the machine falls
 on both sides alike.  Every seed of ``--traced`` gets one ``--trace 1``
 run per side.  The output holds every run's metrics, and per workload
-and end-to-end metric the two medians, the before side's quartiles and
-how many pairs the after side won.
+and end-to-end metric each side's median and quartiles and how many
+pairs the after side won.
 """
 import argparse
 import json
@@ -54,7 +54,10 @@ def quartiles(values):
 
 
 def summarize(pairs, better):
-    """Medians, before-side quartiles and after-side wins per metric."""
+    """Each side's median and quartiles, and after-side wins, per metric.
+
+    A tie counts as a win for neither side.
+    """
     out = {}
     for name, direction in better.items():
         rows = [(p["before"]["metrics"][name]["value"],
@@ -70,6 +73,7 @@ def summarize(pairs, better):
         out[name] = {"before_median": statistics.median(before),
                      "after_median": statistics.median(after),
                      "before_quartiles": quartiles(before),
+                     "after_quartiles": quartiles(after),
                      "after_wins": wins, "pairs": len(rows)}
     return out
 

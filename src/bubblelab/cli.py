@@ -13,10 +13,10 @@ identical bytes (fixed seeds, sorted keys, shortest round-trip floats,
 no timestamps or timings in any emitted file).
 
 Configuration is one JSON object, checked against one key table that
-also supplies the defaults; unknown keys, also inside `grid`, are
-refused.  File paths inside it resolve relative to the config file's
-directory.  `--schema` prints that table for a subcommand, with its
-output formats, and exits.
+also supplies the defaults; unknown keys, also inside `grid` and
+inside a `locate` sample, are refused.  File paths inside it resolve
+relative to the config file's directory.  `--schema` prints that table
+for a subcommand, with its output formats, and exits.
 Tolerance semantics: computations always run at fixed internal
 precision; the optional `rel_tol` key only loosens pass thresholds
 (each identity row uses max(stated bound, rel_tol)), so raising it can
@@ -590,6 +590,9 @@ def _parse_samples(cfg, need_h):
         if type(entry) is not dict or "label" not in entry:
             raise ConfigError(f"sample {i} must be an object with a label")
         where = f"sample {entry['label']!r}: "
+        unknown = sorted(set(entry) - {"label", "coords", "gamma", "H"})
+        if unknown:
+            raise ConfigError(f"{where}unknown keys: {', '.join(unknown)}")
         coords = entry.get("coords", [i])
         if type(coords) is not list or not all(map(_is_number, coords)):
             raise ConfigError(f"{where}coords must be an array of finite "

@@ -243,16 +243,6 @@ class ForcingMode:
         return np.einsum("ij,qi,qj->q", W, nodes, nodes)
 
 
-def _angular_at(mode, theta):
-    """P_d at one direction, a (1, n-1) array; None stands for the axis
-    x' = 0, where degree 0 gives 1 and every higher degree 0."""
-    if mode.degree == 0:
-        return 1.0
-    if theta is None:
-        return 0.0
-    return float(mode.angular(theta)[0])
-
-
 def decompose_forcing(frame, b):
     """Split the forcing into angular modes with radial profiles.
 
@@ -324,10 +314,10 @@ def decompose_forcing(frame, b):
         x[-1] = abs(x[-1])
         r = float(np.linalg.norm(x[:-1]))
         xn = float(x[-1])
-        theta = (x[:-1] / r)[None, :] if r > 0 else None
+        theta = (x[:-1] / r)[None, :]
         rec = 0.0
         for mode in modes:
-            rec += _angular_at(mode, theta) * float(mode.profile(r, xn))
+            rec += float(mode.angular(theta)[0]) * float(mode.profile(r, xn))
         ep = geom.forcing_Ep(frame, b, x)
         worst = max(worst, abs(rec - ep))
         biggest = max(biggest, abs(ep))
@@ -378,11 +368,6 @@ class GridSpec:
         return {"nr": self.nr, "nxn": self.nxn, "r_max": self.r_max,
                 "stretch": self.stretch}
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(nr=int(d["nr"]), nxn=int(d["nxn"]),
-                   r_max=float(d["r_max"]), stretch=float(d["stretch"]))
-
     # the stretching map and its derivatives, on [0, 1]
     def coord(self, s):
         return self.r_max * s / (1.0 + self.stretch * (1.0 - s))
@@ -394,9 +379,6 @@ class GridSpec:
     def d2coord(self, s):
         return 2.0 * self.r_max * self.stretch * (1.0 + self.stretch) \
             / (1.0 + self.stretch * (1.0 - s)) ** 3
-
-    def inverse(self, r):
-        return r * (1.0 + self.stretch) / (self.r_max + self.stretch * r)
 
 
 def _axes(gs):
@@ -882,7 +864,7 @@ class SolvedMode:
 
 @dataclass
 class CorrectorSolution:
-    """Angular modes of the corrector on a common grid, with evaluation."""
+    """Angular modes of the corrector on a common grid."""
 
     pt: object
     gs: GridSpec
@@ -906,30 +888,6 @@ class CorrectorSolution:
             for bb, vb in enumerate(vals):
                 G[a, bb] = float(w @ (va * vb))
         return G
-
-    def evaluate(self, x):
-        """V_p at a half-space point (0 outside the truncated grid)."""
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x[:-1]))
-        xn = float(x[-1])
-        if xn < 0:
-            raise DomainError(f"evaluation needs x_n >= 0, got {xn}")
-        if r >= self.gs.r_max or xn >= self.gs.r_max:
-            return 0.0
-        s = self.gs.inverse(r) * self.gs.nr
-        t = self.gs.inverse(xn) * self.gs.nxn
-        i, j = min(int(s), self.gs.nr - 1), min(int(t), self.gs.nxn - 1)
-        fs, ft = s - i, t - j
-        theta = (x[:-1] / r)[None, :] if r > 0 else None
-        total = 0.0
-        for mode in self.modes:
-            patch = mode.psi[i:i + 2, j:j + 2]
-            val = (patch[0, 0] * (1 - fs) * (1 - ft)
-                   + patch[1, 0] * fs * (1 - ft)
-                   + patch[0, 1] * (1 - fs) * ft
-                   + patch[1, 1] * fs * ft)
-            total += _angular_at(mode, theta) * val
-        return total
 
     # -- serialization: JSON header + one CSV per stored profile --------
     def save(self, directory):
@@ -958,29 +916,6 @@ class CorrectorSolution:
         with open(out / "corrector.json", "w") as fh:
             json.dump(header, fh, indent=2, sort_keys=True, default=float)
         return out / "corrector.json"
-
-    @classmethod
-    def load(cls, directory):
-        from pathlib import Path
-
-        from .model import ProblemPoint
-
-        out = Path(directory)
-        with open(out / "corrector.json") as fh:
-            header = json.load(fh)
-        pt = ProblemPoint.from_json_dict(header["problem"])
-        gs = GridSpec.from_json_dict(header["grid"])
-        modes = []
-        for md in header["modes"]:
-            weight = md["weight"] if isinstance(md["weight"], float) \
-                else np.array(md["weight"], dtype=float)
-            e = np.loadtxt(out / md["e_csv"], delimiter=",", ndmin=2)
-            psi = np.loadtxt(out / md["psi_csv"], delimiter=",", ndmin=2)
-            modes.append(SolvedMode(degree=int(md["degree"]), weight=weight,
-                                    label=md["label"], e=e, psi=psi,
-                                    info=dict(md.get("info", {}))))
-        return cls(pt=pt, gs=gs, modes=modes,
-                   diagnostics=header.get("diagnostics", {}))
 
 
 def solve_corrector(frame, pt, gs):

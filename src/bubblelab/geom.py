@@ -343,11 +343,11 @@ def jacobi_norm(b, s, table=None):
     return math.sqrt(max(paired_moments(js, js, table), 0.0))
 
 
-def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None, js_norm=None):
+def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None):
     """(value, scale) of int E_p j_s over the half-space.
 
     scale = ||E_p||_L2 * ||j_s||_L2; the orthogonality statement is
-    |value| <= tol * scale.  Precomputed norms may be passed in when
+    |value| <= tol * scale.  A precomputed ||E_p|| may be passed in when
     sweeping many kernel elements against one frame; one ``table`` per
     (n, D) shares the tail quadratures across the sweep.
     """
@@ -355,9 +355,7 @@ def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None, js_norm=None):
     value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s), table)
     if ep_norm is None:
         ep_norm = forcing_norm(frame, b, table)
-    if js_norm is None:
-        js_norm = jacobi_norm(b, s, table)
-    return value, ep_norm * js_norm
+    return value, ep_norm * jacobi_norm(b, s, table)
 
 
 def route_gap(frame, b, table=None):

@@ -68,11 +68,6 @@ class ProblemPoint:
     def to_json_dict(self):
         return {"n": self.n, "K": self.K, "H": self.H, "gamma": self.gamma}
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(n=int(doc["n"]), K=float(doc["K"]), H=float(doc["H"]),
-                   gamma=float(doc.get("gamma", 1.0)))
-
 
 @dataclass(frozen=True)
 class HessianData:

@@ -134,6 +134,8 @@ _REJECTED = {
                     None, "coords"),
     "coords-scalar": ("locate", {"samples": [dict(_SAMPLE, coords=3)]},
                       None, "coords"),
+    "sample-typo": ("locate", {"samples": [dict(_SAMPLE, gama=1.5)]},
+                    None, "unknown keys: gama"),
     "sample-H-kind": ("locate", {"case": "non-constants",
                                  "samples": [dict(_SAMPLE, H="x")]},
                       None, "H"),

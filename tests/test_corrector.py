@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -40,11 +41,8 @@ def test_grid_spec_validation_and_round_trip():
     with pytest.raises(DomainError):
         corrector.GridSpec(nr=100, nxn=100, r_max=-1.0)
     gs = corrector.GridSpec(nr=64, nxn=48, r_max=30.0, stretch=8.0)
-    back = corrector.GridSpec.from_json_dict(gs.to_json_dict())
-    assert back == gs
-    # coord/inverse are mutually inverse on the interior
-    for s in (0.1, 0.5, 0.93):
-        assert gs.inverse(gs.coord(s)) == pytest.approx(s, rel=1e-12)
+    assert gs.to_json_dict() == {"nr": 64, "nxn": 48, "r_max": 30.0,
+                                 "stretch": 8.0}
 
 
 def _synthetic_forcing(gg, radial_power):
@@ -520,21 +518,10 @@ def test_diagnostics_assemble_once_per_mode(pt8, frame8, monkeypatch):
     assert calls == [m.degree for m in sol.modes]
 
 
-def test_evaluate_on_the_axis_is_the_degree0_mode(sol_three_modes):
-    sol = sol_three_modes
-    (mode0,) = [m for m in sol.modes if m.degree == 0]
-    for j in (3, 10, 30):
-        x = np.zeros(8)
-        x[-1] = sol.grid["xn"][j]
-        assert mode0.psi[0, j] != 0.0
-        assert sol.evaluate(x) == pytest.approx(mode0.psi[0, j], rel=1e-9)
-
-
 def test_solve_corrector_zero_frame(pt8):
     sol = corrector.solve_corrector(CurvatureFrame.zero(8), pt8,
                                     corrector.GridSpec(nr=32, nxn=32))
     assert sol.modes == []
-    assert sol.evaluate(np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0])) == 0.0
 
 
 def test_corrector_diagnostics_pass(sol8):
@@ -568,18 +555,19 @@ def test_forcing_pairing_matches_diagnostics(sol8):
 def test_solution_save_load_round_trip(tmp_path, sol8):
     corrector.corrector_diagnostics(sol8)
     sol8.save(tmp_path)
-    back = corrector.CorrectorSolution.load(tmp_path)
-    assert back.pt == sol8.pt
-    assert back.gs == sol8.gs
-    assert len(back.modes) == len(sol8.modes)
-    for a, b in zip(back.modes, sol8.modes):
-        assert a.degree == b.degree and a.label == b.label
-        np.testing.assert_allclose(a.psi, b.psi, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(a.e, b.e, rtol=0, atol=1e-15)
-    # timing keys must never be persisted: identical configs must
-    # produce byte-identical files
-    for mode in back.modes:
-        assert not any(k.endswith("_seconds") for k in mode.info)
+    with open(tmp_path / "corrector.json") as fh:
+        header = json.load(fh)
+    assert header["problem"] == sol8.pt.to_json_dict()
+    assert header["grid"] == sol8.gs.to_json_dict()
+    assert len(header["modes"]) == len(sol8.modes)
+    for md, mode in zip(header["modes"], sol8.modes):
+        assert md["degree"] == mode.degree and md["label"] == mode.label
+        for key, arr in (("psi_csv", mode.psi), ("e_csv", mode.e)):
+            back = np.loadtxt(tmp_path / md[key], delimiter=",", ndmin=2)
+            np.testing.assert_allclose(back, arr, rtol=0, atol=1e-15)
+        # timing keys must never be persisted: identical configs must
+        # produce byte-identical files
+        assert not any(k.endswith("_seconds") for k in md["info"])
 
 
 def test_corrector_is_linear_in_the_frame(pt8, frame8):
@@ -588,17 +576,9 @@ def test_corrector_is_linear_in_the_frame(pt8, frame8):
                              normal_block=2.0 * frame8.normal_block)
     one = corrector.solve_corrector(frame8, pt8, gs)
     two = corrector.solve_corrector(doubled, pt8, gs)
-    for x in (np.array([1.0, 0.5, 0, 0, 0, 0, 0, 0.5]),
-              np.array([0, 2.0, -1.0, 0, 0, 0, 0, 0.0]),
-              np.array([0.2, 0, 0, 0, 0, 0, 0, 3.0])):
-        v1 = one.evaluate(x)
-        v2 = two.evaluate(x)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-12, abs=1e-15)
-
-
-def test_evaluate_domain_checks(sol8):
-    with pytest.raises(DomainError):
-        sol8.evaluate(np.array([0, 0, 0, 0, 0, 0, 0, -1.0]))
-    far = np.zeros(8)
-    far[0] = 1e9
-    assert sol8.evaluate(far) == 0.0
+    assert [m.label for m in two.modes] == [m.label for m in one.modes]
+    # each mode's V_p at every node: its angular weight times its profile
+    for m1, m2 in zip(one.modes, two.modes):
+        v1 = np.multiply.outer(m1.weight, m1.psi)
+        v2 = np.multiply.outer(m2.weight, m2.psi)
+        np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12, atol=0)

@@ -175,8 +175,7 @@ def test_moment_route_matches_nested_quadrature(n):
         assert js_norm ** 2 == pytest.approx(geom.paired_halfspace(js, js, b),
                                              rel=1e-8)
         value, scale = geom.integral_Ep_jacobi(frame, b, s, table,
-                                               ep_norm=ep_norm,
-                                               js_norm=js_norm)
+                                               ep_norm=ep_norm)
         # in the gauge both routes measure a roundoff-sized pairing
         assert abs(value - geom.paired_halfspace(ep, js, b)) <= 1e-8 * scale
 
