@@ -260,7 +260,7 @@ def bubble_energy(pt, table=None):
     a = alpha_n(n) ** crit_boundary(n) * tbl.omega * tbl.I(n - 1, n) \
         * (n - 3.0) / ((n - 1.0) * math.sqrt(n * (n - 1.0)))
     bracket = -(n - 1.0) * tbl.phi(0.5 * (n + 1.0)) \
-        + D * (D * D - 1.0) ** (-0.5 * (n - 1.0))
+        + D * ((D - 1.0) * (D + 1.0)) ** (-0.5 * (n - 1.0))
     return a / abs(pt.K) ** (0.5 * (n - 2.0)) * bracket
 
 

@@ -14,9 +14,10 @@ no timestamps or timings in any emitted file).
 
 Configuration is one JSON object, checked against one key table that
 also supplies the defaults; unknown keys, also inside `grid` and
-inside a `locate` sample, are refused.  File paths inside it resolve
-relative to the config file's directory.  `--schema` prints that table
-for a subcommand, with its output formats, and exits.
+inside a `locate` sample, are refused, and so is a key that the chosen
+`locate` case never reads, unless it holds its default.  File paths
+inside it resolve relative to the config file's directory.  `--schema`
+prints that table for a subcommand, with its output formats, and exits.
 Tolerance semantics: computations always run at fixed internal
 precision; the optional `rel_tol` key only loosens pass thresholds
 (each identity row uses max(stated bound, rel_tol)), so raising it can
@@ -70,9 +71,11 @@ _KEYS = {
     "out": ("string", None, "output directory, relative to the config "
             "file (the --out flag takes precedence)"),
     "frame": (("zero", "random"), "zero",
-              "curvature frame, unless frame_file is given"),
+              "curvature frame, unless frame_file is given "
+              "(not the non-constants case)"),
     "frame_file": ("string", None, "path to a curvature-frame JSON, "
-                   "relative to the config file"),
+                   "relative to the config file (not the non-constants "
+                   "case)"),
     "grid": ({
         "nr": ("integer", corrector.GridSpec.nr, "radial cells, >= 16"),
         "nxn": ("integer", corrector.GridSpec.nxn, "normal cells, >= 16; "
@@ -81,7 +84,7 @@ _KEYS = {
                   "truncation radius, > 1"),
         "stretch": ("number", corrector.GridSpec.stretch,
                     "algebraic grid stretch, in (0, 1e100]"),
-    }, {}, "modal solver grid"),
+    }, {}, "modal solver grid (not the non-constants case)"),
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
     "samples": ("array", None, "list of {label, coords, gamma} (constants) "
@@ -91,6 +94,9 @@ _KEYS = {
     "hessK": ("matrix", "identity", "n x n Hessian of K "
               "(non-constants case)"),
 }
+# the keys a locate case never reads; they must keep their defaults
+_CASE_FOREIGN = {"constants": ("hessH", "hessK"),
+                 "non-constants": ("frame", "frame_file", "grid")}
 _POINT_KEYS = ("n", "K", "H", "gamma", "seed", "rel_tol",
                "override_dimension_gate", "out")
 _ACCEPTS = {
@@ -231,6 +237,13 @@ def _load_config(args, command):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _walk({k: _KEYS[k] for k in _ACCEPTS[command]}, raw, "config")
+    if command == "locate":
+        foreign = _CASE_FOREIGN[cfg["case"]]
+        default = _walk({k: _KEYS[k] for k in foreign}, {}, "config")
+        given = [k for k in foreign if cfg[k] != default[k]]
+        if given:
+            raise ConfigError(f"case {cfg['case']!r} does not read "
+                              f"{', '.join(given)}")
     if args.override_dimension_gate:
         cfg["override_dimension_gate"] = True
     cfg["_pt"] = _point(cfg["n"], cfg["K"], cfg["H"], cfg["gamma"],
@@ -351,18 +364,30 @@ def cmd_verify_integrals(cfg):
         rows.append(_row(f"beta-moment ratio identity n={k}",
                          abs(lhs - rhs) / lhs, _bound(cfg, 1e-10)))
 
-    for k in range(8, 13):
-        for dd in (1.5, 2.0, 3.0):
-            lhs = quad.phi_tilde(0.5 * (k - 1.0), dd, rel_tol=_QUAD_TOL)
-            rhs = 3.0 / (k - 3.0) * quad.phi_hat(0.5 * (k - 3.0), dd,
-                                                 rel_tol=_QUAD_TOL) \
-                - dd * quad.phi_power(3, 0.5 * (k - 1.0), dd,
-                                      rel_tol=_QUAD_TOL)
-            rows.append(_row(
-                f"tail-moment integration by parts n={k} D={dd}",
-                abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
+    # the three tails of each integration-by-parts identity, by closed
+    # form and by quadrature; the identity rows then read the closed form
+    ibp = [(k, dd) for k in range(8, 13) for dd in (1.5, 2.0, 3.0)]
+    worst = 0.0
+    for k, dd in ibp:
+        for p, m in ((4, 0.5 * (k - 1.0)), (2, 0.5 * (k - 3.0)),
+                     (3, 0.5 * (k - 1.0))):
+            closed = quad.phi_power(p, m, dd)
+            direct = quad.integrate_halfline(
+                lambda t, _p=p, _m=m, _d=dd: (t - _d) ** _p
+                * (t * t - 1.0) ** (-_m), a=dd, rel_tol=_QUAD_TOL)
+            worst = max(worst, abs(closed - direct) / abs(direct))
+    rows.append(_row(f"tail moments against quadrature ({3 * len(ibp)} "
+                     "triples)", worst, _bound(cfg, 1e-10)))
 
-    tbl = quad.MomentTable(n, pt.D, rel_tol=_QUAD_TOL)
+    for k, dd in ibp:
+        lhs = quad.phi_tilde(0.5 * (k - 1.0), dd)
+        rhs = 3.0 / (k - 3.0) * quad.phi_hat(0.5 * (k - 3.0), dd) \
+            - dd * quad.phi_power(3, 0.5 * (k - 1.0), dd)
+        rows.append(_row(
+            f"tail-moment integration by parts n={k} D={dd}",
+            abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
+
+    tbl = quad.MomentTable(n, pt.D)
     for a, b, m in _separable_triples(n):
         closed = tbl.halfspace_moment(a, b, m)
         brute = quad.brute_halfspace(
@@ -422,8 +447,8 @@ def cmd_verify_bubble(cfg):
     rows.append(_row(f"linearized problem residuals ({n} kernel fields "
                      "x 100 points)", worst, _bound(cfg, 1e-8)))
 
-    # one table at the fixed quadrature precision serves every row below
-    tbl = quad.MomentTable(n, pt.D, rel_tol=_QUAD_TOL)
+    # one table serves every row below
+    tbl = quad.MomentTable(n, pt.D)
     closed = bubble_energy(pt, tbl)
     direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
     rows.append(_row("bubble energy: closed form vs quadrature",
@@ -662,8 +687,9 @@ _DISPATCH = {
 }
 
 _HELP = {
-    "verify-integrals": "moment identities: beta suite, ratio, integration "
-                        "by parts, separable reduction, sign quantity",
+    "verify-integrals": "moment identities: beta and tail suites, ratio, "
+                        "integration by parts, separable reduction, sign "
+                        "quantity",
     "verify-bubble": "bubble residuals, energy, cancellation suite, forcing "
                      "orthogonality",
     "verify-hyperbolic": "ball radius, Steklov eigenvalues, operator "

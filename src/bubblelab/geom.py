@@ -31,7 +31,7 @@ normal-block) and `jacobi_terms` the kernel elements j_s.  The same
 records drive the corrector's modal profiles and every half-space
 pairing.  A pairing multiplies monomials, so its radial factor is a
 `quad.MomentTable` half-space moment: a closed-form Beta moment times
-one tail quadrature (`paired_moments`).  `paired_halfspace` is the
+a closed-form tail (`paired_moments`).  `paired_halfspace` is the
 independent route that integrates the records' pointwise profiles by
 double-exponential quadrature; `route_gap` compares the two.
 
@@ -285,8 +285,8 @@ def paired_moments(terms_a, terms_b, table):
 
     Angular factors are integrated by the sphere-exact product rule and
     always kept as measured values; each radial product is a half-space
-    moment of ``table`` (a closed-form Beta moment times one tail
-    quadrature), divided by the sphere area the angular rule carries.
+    moment of ``table`` (a closed-form Beta moment times a closed-form
+    tail), divided by the sphere area the angular rule carries.
     """
     nodes, weights = sphere_rule(table.n - 1, _PAIR_DEGREE)
     total = 0.0
@@ -349,7 +349,7 @@ def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None):
     scale = ||E_p||_L2 * ||j_s||_L2; the orthogonality statement is
     |value| <= tol * scale.  A precomputed ||E_p|| may be passed in when
     sweeping many kernel elements against one frame; one ``table`` per
-    (n, D) shares the tail quadratures across the sweep.
+    (n, D) shares the moments across the sweep.
     """
     table = quad.moment_table(b.n, b.pt.D, table)
     value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s), table)

@@ -3,7 +3,7 @@
 All integrals in the construction reduce to one of three shapes:
 
 * Beta moments  I(m, a) = int_0^inf rho^a (1+rho^2)^-m drho,
-* tail integrals  int_D^inf (t-D)^k (t^2-1)^-m dt  for k = 0..4,
+* tail integrals  int_D^inf (t-D)^k (t^2-1)^-m dt  for integer k >= 0,
 * half-space moments  int_{R^n_+} x_n^a |xt|^b (|xt|^2+(x_n+D)^2-1)^-m dx,
 
 where xt denotes the tangential part of x.  The half-space moment
@@ -14,9 +14,17 @@ integral,
 
     int = omega * I(m, n-2+b) * int_D^inf (t-D)^a (t^2-1)^{(n-1+b)/2-m} dt.
 
-`MomentTable` computes that form: I through log-Gamma, the tail by
-`integrate_halfline`, which maps [a, inf) to [0, 1] by t = a + s/(1-s)
-and hands it to QUADPACK at relative targets near 1e-14.
+`MomentTable` computes that form in closed forms only: I through
+log-Gamma, and the tail through Euler's integral (DLMF 15.6.1).  With
+t = D + s, a = D - 1 and b = D + 1 the tail is
+
+    b^-m a^(k+1-m) B(k+1, 2m-k-1) 2F1(m, k+1; 2m; 2/b),
+
+so its singular scale a^(k+1-m) is explicit and 2F1 is evaluated at
+z = 2/b < 1.  `integrate_halfline`, which maps [a, inf) to [0, 1] by
+t = a + s/(1-s) and hands it to QUADPACK, is the route that checks
+both closed forms (`verify_cache` for I, the verify-integrals rows for
+I and the tail); the table never calls it.
 
 The oracles take a different method.  `_de_quadrant` is a tensor
 exp-sinh rule on [0, inf)^2 (Takahasi and Mori, "Double exponential
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, hyp2f1
 
 from .errors import DomainError, NonConvergence
 
@@ -101,27 +109,42 @@ def I(m, alpha):
     return 0.5 * math.exp(betaln(h, m - h))
 
 
-def phi_power(k, m, D, rel_tol=1e-10):
-    """Tail integral int_D^inf (t-D)^k (t^2-1)^-m dt for integer k >= 0."""
+def phi_power(k, m, D):
+    """Tail integral int_D^inf (t-D)^k (t^2-1)^-m dt for integer k >= 0.
+
+    Euler's integral (DLMF 15.6.1) with a = D - 1, b = D + 1:
+    B(k+1, 2m-k-1) b^-m a^(k+1-m) 2F1(m, k+1; 2m; 2/b).  scipy reports
+    a failure as nan or inf, so a value that is not finite, or beyond
+    the float range, raises NonConvergence.
+    """
     if D <= 1.0:
         raise DomainError(f"tail integrals need D > 1, got D={D}")
-    if k - 2.0 * m < -1.0:
-        return integrate_halfline(lambda t: (t - D) ** k * (t * t - 1.0) ** (-m),
-                                  a=D, rel_tol=rel_tol)
-    raise DomainError(
-        f"tail integral diverges: need k - 2m < -1, got k={k}, m={m}")
+    if k - 2.0 * m >= -1.0:
+        raise DomainError(
+            f"tail integral diverges: need k - 2m < -1, got k={k}, m={m}")
+    a, b = D - 1.0, D + 1.0
+    try:
+        value = math.exp(betaln(k + 1.0, 2.0 * m - k - 1.0)
+                         - m * math.log(b) + (k + 1.0 - m) * math.log(a)) \
+            * hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / b)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonConvergence(
+            f"tail closed form is {value} at k={k}, m={m}, D={D}")
+    return value
 
 
-def phi(m, D, rel_tol=1e-10):
-    return phi_power(0, m, D, rel_tol)
+def phi(m, D):
+    return phi_power(0, m, D)
 
 
-def phi_hat(m, D, rel_tol=1e-10):
-    return phi_power(2, m, D, rel_tol)
+def phi_hat(m, D):
+    return phi_power(2, m, D)
 
 
-def phi_tilde(m, D, rel_tol=1e-10):
-    return phi_power(4, m, D, rel_tol)
+def phi_tilde(m, D):
+    return phi_power(4, m, D)
 
 
 def sphere_area(m):
@@ -150,18 +173,16 @@ def sphere_monomial(powers, m):
 
 @dataclass
 class MomentTable:
-    """Cached moments at fixed (n, D).
+    """Cached moments at fixed (n, D), all of them closed forms.
 
     The cache maps a descriptor tuple to a float.  Every entry is
     reproducible: calling :meth:`verify_cache` recomputes each one
     through a fresh table and checks bit-for-bit agreement, and
-    checks the Beta entries against fresh adaptive quadrature within
-    ``rel_tol``.
+    checks the Beta entries against fresh adaptive quadrature.
     """
 
     n: int
     D: float
-    rel_tol: float = 1e-10
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -182,7 +203,7 @@ class MomentTable:
 
     def phi_power(self, k, m):
         return self._memo(("phi", int(k), float(m)),
-                          lambda: phi_power(k, m, self.D, self.rel_tol))
+                          lambda: phi_power(k, m, self.D))
 
     def phi(self, m):
         return self.phi_power(0, m)
@@ -228,7 +249,8 @@ class MomentTable:
 
         def compute():
             expo = 0.5 * (n - 1 + b) - m
-            return self.omega * (self.D ** 2 - 1.0) ** expo * self.I(m, n - 2 + b)
+            return self.omega * ((self.D - 1.0) * (self.D + 1.0)) ** expo \
+                * self.I(m, n - 2 + b)
 
         return self._memo(("bd", b, float(m)), compute)
 
@@ -236,12 +258,12 @@ class MomentTable:
         """Recompute every cached entry; return the max discrepancies.
 
         Each key is recomputed through the public method of a fresh
-        table at the same (n, D, rel_tol).  Returns (max_bit_diff,
+        table at the same (n, D).  Returns (max_bit_diff,
         max_rel_quad_err): the first must be 0.0 (derivations are
         deterministic), the second compares closed-form Beta entries to
-        fresh adaptive quadrature.
+        fresh adaptive quadrature at relative target 1e-12.
         """
-        fresh = MomentTable(self.n, self.D, self.rel_tol)
+        fresh = MomentTable(self.n, self.D)
         recompute = {"I": fresh.I, "phi": fresh.phi_power,
                      "hs": fresh.halfspace_moment, "bd": fresh.boundary_moment}
         max_bit = 0.0
@@ -253,7 +275,7 @@ class MomentTable:
                 m, alpha = args
                 by_quad = integrate_halfline(
                     lambda rho: rho ** alpha * (1.0 + rho * rho) ** (-m),
-                    a=0.0, rel_tol=self.rel_tol)
+                    a=0.0, rel_tol=1e-12)
                 max_quad = max(max_quad, abs(by_quad - value) / abs(value))
             max_bit = max(max_bit, abs(value - stored))
         return max_bit, max_quad

@@ -70,7 +70,7 @@ def test_criterion_03_integration_by_parts():
 def test_criterion_04_separable_reduction():
     start = time.perf_counter()
     n, d = 8, 2.0
-    tbl = quad.MomentTable(n, d, rel_tol=1e-12)
+    tbl = quad.MomentTable(n, d)
     quoted = [(4, 2, n), (2, 4, n), (0, 2, n - 2)]
     extras = [(0, 0, n - 2), (2, 0, n - 2), (0, 2, n), (2, 2, n),
               (4, 0, n), (0, 4, n), (2, 0, n), (0, 0, n), (4, 4, n + 1),

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -144,6 +145,13 @@ _REJECTED = {
     "hessH-kind": ("locate", {"case": "non-constants", "hessH": "foo",
                               "samples": [dict(_SAMPLE, H=2.0)]},
                    None, "hessH"),
+    "frame-in-non-constants": ("locate", {
+        "case": "non-constants", "frame_file": "nope.json",
+        "grid": {"nr": 16}, "samples": [{"label": "a", "H": 2.0}]},
+        None, "does not read frame_file, grid"),
+    "hessH-in-constants": ("locate", {
+        "case": "constants", "hessH": [[1]], "grid": {"nr": 32, "nxn": 32},
+        "samples": [{"label": "a"}]}, None, "does not read hessH"),
 }
 
 
@@ -465,6 +473,28 @@ def test_locate_config_validation(tmp_path, capsys):
         "case": "constants", "frame": "zero",
         "samples": [{"label": "p", "coords": [0.0], "gamma": -2.0}]})
     assert _run("locate", "--config", cfg) == 2
+
+
+def _non_constants_at(K, d):
+    """A one-sample non-constants locate config at n = 8 and depth d."""
+    h = d * math.sqrt(abs(K) / 56.0)
+    return {"K": K, "H": h, "case": "non-constants",
+            "samples": [{"label": "a", "H": h}]}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("verify-integrals", {"H": 1.000001}),
+    ("locate", _non_constants_at(-56.0, 1e8)),
+    ("locate", _non_constants_at(-56.0, 1.0 + 1e-9)),
+    ("locate", _non_constants_at(-1e-30, 1e10)),
+    ("locate", _non_constants_at(-1e30, 1e12)),
+])
+def test_extreme_depths_pass(tmp_path, command, config):
+    # the tails are closed forms: near D = 1 and at D >= 1e8 no
+    # quadrature can stall
+    cfg = _write(tmp_path, "c.json", config)
+    assert _run(command, "--config", cfg, "--out",
+                str(tmp_path / "out")) == 0
 
 
 def test_out_dir_from_config_is_relative_to_config(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, bubble_energy, crit_interior
 from bubblelab.cli import _separable_triples
 from bubblelab.errors import DomainError, NonConvergence
-from bubblelab.model import CurvatureFrame
 
 
 def test_beta_moment_spot_values():
@@ -54,11 +54,35 @@ def test_phi_power_guards():
         quad.phi_power(0, 4.0, 1.0)     # needs D > 1
 
 
+def test_phi_power_refuses_a_value_beyond_the_float_range():
+    # the tail is about 1e690 here
+    with pytest.raises(NonConvergence, match="inf"):
+        quad.phi_power(0, 60.0, 1.0 + 1e-12)
+
+
 def test_phi_aliases():
     d = 2.0
     assert quad.phi(3.5, d) == quad.phi_power(0, 3.5, d)
     assert quad.phi_hat(2.5, d) == quad.phi_power(2, 2.5, d)
     assert quad.phi_tilde(3.5, d) == quad.phi_power(4, 3.5, d)
+
+
+# the (k, m) tails the CLI's tables ask for at n = 8..12
+_TAIL_KEYS = [(k, 0.5 * h) for k, lo, hi in ((0, 3, 13), (2, 5, 13),
+                                             (3, 7, 11), (4, 7, 13),
+                                             (6, 11, 15))
+              for h in range(lo, hi + 1)]
+
+
+@given(key=st.sampled_from(_TAIL_KEYS), log_d=st.floats(math.log(1.01),
+                                                         math.log(1e3)))
+@settings(max_examples=80, deadline=None)
+def test_phi_power_closed_form_matches_quadrature(key, log_d):
+    k, m = key
+    d = math.exp(log_d)
+    direct = quad.integrate_halfline(
+        lambda t: (t - d) ** k * (t * t - 1.0) ** (-m), a=d, rel_tol=1e-12)
+    assert quad.phi_power(k, m, d) == pytest.approx(direct, rel=1e-11)
 
 
 @given(n=st.integers(8, 14), d=st.sampled_from([1.3, 1.5, 2.0, 3.0, 6.0]))
@@ -126,36 +150,6 @@ def test_halfspace_moment_odd_b_vs_brute(a, b, m):
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
-def test_orthogonality_sweep_quadrature_budget(pt8, monkeypatch):
-    """forcing_norm and the n kernel pairings share one table's tails.
-
-    The count must not depend on the frame's roundoff trace(Q): one
-    frame has tr Q exactly 0, the other 2^-52.
-    """
-    calls = []
-    integrate = quad.integrate_halfline
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(quad, "integrate_halfline", counted)
-    b = Bubble(pt8)
-    riem = geom.random_frame(8, np.random.default_rng(3)).riem_boundary
-    counts = []
-    for eps in (0.0, 2.0 ** -52):
-        q = np.diag([1.0, -1.0, eps, 0.0, 0.0, 0.0, 0.0])
-        frame = CurvatureFrame(riem_boundary=riem, normal_block=q)
-        assert np.trace(frame.normal_block) == eps
-        calls.clear()
-        table = quad.MomentTable(8, pt8.D)
-        ep_norm = geom.forcing_norm(frame, b, table)
-        for s in range(1, 9):
-            geom.integral_Ep_jacobi(frame, b, s, table, ep_norm=ep_norm)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 40
-
-
 def test_boundary_moment_vs_radial_quadrature():
     n, d = 8, 2.0
     tbl = quad.MomentTable(n, d)
@@ -164,6 +158,18 @@ def test_boundary_moment_vs_radial_quadrature():
         lambda r: r ** (n - 2 + 2) * (r * r + d * d - 1.0) ** -(n - 1.0),
         rel_tol=1e-12)
     assert closed == pytest.approx(direct, rel=1e-11)
+
+
+def test_boundary_moment_near_d_one_matches_decimal():
+    # D^2 - 1 would cancel 6 of the 16 digits here
+    n, d = 8, 1.0 + 1e-6
+    tbl = quad.MomentTable(n, d)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dd = Decimal(d)
+        bracket = ((dd - 1) * (dd + 1)) ** Decimal(-2.5)
+        exact = float(Decimal(tbl.omega * tbl.I(6, n - 2)) * bracket)
+    assert tbl.boundary_moment(0, 6) == pytest.approx(exact, rel=1e-14)
 
 
 def test_moment_table_cache_is_consistent():
@@ -197,7 +203,7 @@ def test_integrate_halfline_shifted_origin():
 @pytest.mark.parametrize("d", [1.01, 30.0, 1e3])
 def test_brute_halfspace_sweeps_the_moments(n, d):
     # far from the default D = 2 on both sides, at the rows' 1e-8 bound
-    table = quad.MomentTable(n, d, rel_tol=1e-12)
+    table = quad.MomentTable(n, d)
     for a, b, m in _separable_triples(n)[:3]:
         brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
                                      rel_tol=1e-9)
@@ -258,13 +264,16 @@ def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
                              rel_tol=1e-9)
         geom.paired_halfspace(records, records, b)
     with monkeypatch.context() as mp:
-        # the closed forms: no double-exponential engine, no oracle
+        # the closed forms: no quadrature of any kind, no oracle
         mp.setattr(quad, "_de_quadrant", _refuse)
         mp.setattr(quad, "brute_halfspace", _refuse)
         mp.setattr(geom, "paired_halfspace", _refuse)
-        table = quad.MomentTable(n, d, rel_tol=1e-12)
+        mp.setattr(quad, "integrate_halfline", _refuse)
+        mp.setattr(quad.integrate, "quad", _refuse)
+        table = quad.MomentTable(n, d)
         for a, bb, m in _separable_triples(n):
             table.halfspace_moment(a, bb, m)
-        assert table.verify_cache()[0] == 0.0
         bubble_energy(pt8, table)
         geom.forcing_norm(frame8, b, table)
+    # verify_cache checks the Beta entries by quadrature
+    assert table.verify_cache()[0] == 0.0
