@@ -279,12 +279,7 @@ def bubble_energy_quadrature(pt, rel_tol=1e-8):
         lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=rel_tol)
     upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=rel_tol)
 
-    def trace(r):
-        x = np.zeros(n)
-        x[0] = r
-        return float(b.U(x) ** tsh) * r ** (n - 2)
-
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
-        trace, a=0.0, rel_tol=rel_tol)
+        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=rel_tol)
     return 0.5 * c_n(n) * grad2 + abs(pt.K) / ts * upow \
         - (n - 2.0) * pt.H * btrace

@@ -308,8 +308,8 @@ def paired_halfspace(terms_a, terms_b, b):
     The independent route: each product of the records' pointwise
     profiles, times r^{n-2}, goes to `quad._de_quadrant`, the tensor
     exp-sinh rule on [0, inf)^2, at relative tolerance 1e-9.  It never
-    sees the monomial exponents, and shares neither the Beta closed
-    forms nor QUADPACK with the moment route.
+    sees the monomial exponents and shares no closed form with the
+    moment route, which calls no quadrature.
     """
     n = b.n
     nodes, weights = sphere_rule(n - 1, _PAIR_DEGREE)

@@ -21,20 +21,19 @@ t = D + s, a = D - 1 and b = D + 1 the tail is
     b^-m a^(k+1-m) B(k+1, 2m-k-1) 2F1(m, k+1; 2m; 2/b),
 
 so its singular scale a^(k+1-m) is explicit and 2F1 is evaluated at
-z = 2/b < 1.  `integrate_halfline`, which maps [a, inf) to [0, 1] by
-t = a + s/(1-s) and hands it to QUADPACK, is the route that checks
-both closed forms (`verify_cache` for I, the verify-integrals rows for
-I and the tail); the table never calls it.
+z = 2/b < 1.  The table calls no quadrature.
 
-The oracles take a different method.  `_de_quadrant` is a tensor
-exp-sinh rule on [0, inf)^2 (Takahasi and Mori, "Double exponential
-formulas for numerical integration", Publ. RIMS 9, 1974), evaluated on
+Every quadrature in the package is one exp-sinh rule (Takahasi and
+Mori, "Double exponential formulas for numerical integration", Publ.
+RIMS 9, 1974): nodes x = exp(pi/2 sinh t) on |t| <= T, evaluated on
 node arrays in bounded blocks, with a level-halving error estimate and
-explicit truncation and non-finite checks.  `brute_halfspace` feeds it
-a point integrand along the slice xt = +/- r e_1, and
+explicit truncation and non-finite checks.  `integrate_halfline` is its
+one-variable case on [a, inf), the route that checks both closed forms
+(`verify_cache` for I, the verify-integrals rows for I and the tail).
+`_de_quadrant` is its tensor case on [0, inf)^2: `brute_halfspace`
+feeds it a point integrand along the slice xt = +/- r e_1, and
 `geom.paired_halfspace` the records' radial profiles.  Neither sees a
-factorised form, a Beta closed form or QUADPACK, and `MomentTable`
-never calls the rule.
+factorised form or a Beta closed form.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betaln, gammaln, hyp2f1
 
 from .errors import DomainError, NonConvergence
@@ -61,37 +59,6 @@ __all__ = [
     "moment_table",
     "brute_halfspace",
 ]
-
-
-def integrate_halfline(f, a=0.0, rel_tol=1e-10):
-    """Adaptive quadrature of ``f`` on [a, inf) to relative target ``rel_tol``.
-
-    The half-line is mapped to [0, 1] by t = a + s/(1-s); the Jacobian
-    1/(1-s)^2 turns an integrand decaying like t^-q into an endpoint
-    behaviour (1-s)^{q-2}, which the adaptive rule resolves at full
-    relative accuracy.  QUADPACK never samples the endpoints, so
-    integrands that are singular exactly at t = a or t = inf are fine.
-
-    Raises NonConvergence when the error estimate stalls above the
-    relative target within 200 panels.
-    """
-    if rel_tol <= 0.0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
-
-    def mapped(s):
-        u = 1.0 - s
-        if u <= 0.0:
-            return 0.0
-        return f(a + s / u) / (u * u)
-
-    out = integrate.quad(mapped, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol,
-                         limit=200, full_output=True)
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > rel_tol * abs(value):
-        raise NonConvergence(
-            f"half-line quadrature stalled at abserr={abserr:.3e} "
-            f"(value={value:.6e}): {out[3]}")
-    return value
 
 
 def I(m, alpha):
@@ -178,7 +145,7 @@ class MomentTable:
     The cache maps a descriptor tuple to a float.  Every entry is
     reproducible: calling :meth:`verify_cache` recomputes each one
     through a fresh table and checks bit-for-bit agreement, and
-    checks the Beta entries against fresh adaptive quadrature.
+    checks the Beta entries against the half-line rule.
     """
 
     n: int
@@ -261,7 +228,7 @@ class MomentTable:
         table at the same (n, D).  Returns (max_bit_diff,
         max_rel_quad_err): the first must be 0.0 (derivations are
         deterministic), the second compares closed-form Beta entries to
-        fresh adaptive quadrature at relative target 1e-12.
+        `integrate_halfline` at relative target 1e-12.
         """
         fresh = MomentTable(self.n, self.D)
         recompute = {"I": fresh.I, "phi": fresh.phi_power,
@@ -295,13 +262,15 @@ def moment_table(n, D, table=None):
     return table
 
 
-# The tensor exp-sinh rule of `_de_quadrant` (Takahasi and Mori, "Double
-# exponential formulas for numerical integration", Publ. RIMS 9, 1974):
-# x = exp(pi/2 sinh t) on |t| <= T, so the nodes run from e^-42.9 to
-# e^42.9 and algebraic tails decay double-exponentially in t.
+# The exp-sinh rule of `_de_quadrant` and `integrate_halfline` (Takahasi
+# and Mori, "Double exponential formulas for numerical integration",
+# Publ. RIMS 9, 1974): x = exp(pi/2 sinh t) on |t| <= T, so the nodes run
+# from e^-42.9 to e^42.9 and algebraic tails decay double-exponentially
+# in t.
 _DE_T = 4.0
 _DE_H0 = 0.25       # step of level 0; each level halves it
 _DE_LEVELS = 6      # levels 0..5, h = 1/4 .. 1/128
+_DE_LINE_LEVELS = 8  # levels 0..7 of the half-line rule, h = 1/4 .. 1/512
 _DE_BLOCK = 2048    # nodes per call of the integrand
 
 
@@ -375,6 +344,51 @@ def _de_quadrant(F, rel_tol):
     return value
 
 
+def integrate_halfline(f, a=0.0, rel_tol=1e-10):
+    """int_a^inf f(y) dy by the exp-sinh rule of `_de_quadrant` in one variable.
+
+    ``f`` is a batch integrand: it maps an array of y nodes to their
+    values.  With y = a + x the nodes x are those of `_de_quadrant`,
+    summed by `_tensor_sum` against a one-node column (x_n = 0, weight
+    1), so the rule never samples y = a or y = inf.  The step halves
+    from 1/4 to 1/512 until two levels agree to ``rel_tol``.  Raises
+    NonConvergence when the last level still disagrees, when the two
+    edge nodes (|t| = T) carry more than ``rel_tol`` of the sum, or when
+    f is not finite at some node.
+    """
+    if rel_tol <= 0.0:
+        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    xn, wn = np.zeros(1), np.ones(1)     # the one-node column
+
+    def F(x, _):
+        return f(a + x)
+
+    h = _DE_H0
+    x, w = _exp_sinh(h)
+    raw = _tensor_sum(F, x, w, xn, wn)
+    value = h * raw
+    for level in range(1, _DE_LINE_LEVELS):
+        h *= 0.5
+        x, w = _exp_sinh(h)
+        raw += _tensor_sum(F, x[1::2], w[1::2], xn, wn)
+        prev, value = value, h * raw
+        if abs(value - prev) <= rel_tol * abs(value):
+            break
+    else:
+        raise NonConvergence(
+            f"half-line quadrature stalled at level {level} "
+            f"(h = 1/{round(1.0 / h)}): levels differ by "
+            f"{abs(value - prev):.3e} (value={value:.6e})")
+    ends = [0, -1]
+    edge = h * _tensor_sum(lambda x, _: np.abs(f(a + x)), x[ends], w[ends],
+                           xn, wn)
+    if edge > rel_tol * abs(value):
+        raise NonConvergence(
+            f"half-line quadrature truncated at |t| = {_DE_T:g}: "
+            f"edge nodes carry {edge:.3e} of {value:.6e}")
+    return value
+
+
 _PROBES = np.array([(0.7, 0.3), (1.3, 1.7), (0.2, 2.6)])
 
 
@@ -387,8 +401,7 @@ def brute_halfspace(f, n, rel_tol=1e-8):
     slices xt = +/- r e_1, averages them, which removes any part odd in
     xt, and integrates omega * g(r, x_n) r^{n-2} over [0, inf)^2 with
     the tensor exp-sinh rule of `_de_quadrant`.  It never sees a
-    factorised form and shares neither the Beta closed forms nor
-    QUADPACK with `MomentTable`.  When the even part along e_1 differs
+    factorised form and shares no closed form with `MomentTable`.  When the even part along e_1 differs
     from the one along a diagonal at probe points, f is not a function
     of (|xt|, x_n); a warning says so and the e_1 slice is integrated.
     """

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bubblelab import quad
 from bubblelab.bubble import (Bubble, alpha_n, bubble_energy,
                               bubble_energy_quadrature, c_n, crit_boundary,
                               crit_interior, jacobi, residual_linearized,
@@ -115,3 +116,18 @@ def test_radial_slice_matches_full_evaluation(pt8, rng):
         x[-1] = abs(x[-1])
         r = float(np.linalg.norm(x[:-1]))
         assert b.U_rx(r, x[-1]) == pytest.approx(b.U(x), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("d", [1.01, 2.0, 1e4, 1e8, 1e12])
+def test_energy_trace_at_extreme_depth(n, d):
+    # the boundary trace of bubble_energy_quadrature, by the half-line
+    # rule, against C^{2#} times the closed boundary moment
+    pt = ProblemPoint(n=n, K=-float(n * (n - 1)), H=d)
+    b = Bubble(pt)
+    tsh = crit_boundary(n)
+    trace = quad.integrate_halfline(
+        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9)
+    table = quad.MomentTable(n, pt.D)
+    closed = b.C ** tsh * table.boundary_moment(0, n - 1) / table.omega
+    assert trace == pytest.approx(closed, rel=1e-12)

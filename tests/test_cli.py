@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +35,17 @@ def test_schema_exits_clean(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == cmd
         assert "config" in doc and "outputs" in doc
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # a fresh interpreter: this one may have imported it for a test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, bubblelab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_integrals_default(tmp_path, capsys):

@@ -194,7 +194,7 @@ def test_brute_halfspace_warns_on_angular_dependence():
 
 
 def test_integrate_halfline_shifted_origin():
-    val = quad.integrate_halfline(lambda t: math.exp(-(t - 2.0)), a=2.0,
+    val = quad.integrate_halfline(lambda t: np.exp(-(t - 2.0)), a=2.0,
                                   rel_tol=1e-12)
     assert val == pytest.approx(1.0, rel=1e-11)
 
@@ -251,10 +251,9 @@ def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
     b = Bubble(pt8)
     records = geom.forcing_terms(frame8, b) + geom.jacobi_terms(b, n)
     with monkeypatch.context() as mp:
-        # the oracles: no QUADPACK, no Beta closed form, no table
+        # the oracles: no half-line rule, no Beta closed form, no table
         for name in ("integrate_halfline", "I", "phi_power", "MomentTable"):
             mp.setattr(quad, name, _refuse)
-        mp.setattr(quad.integrate, "quad", _refuse)
         for a, bb, m in _separable_triples(n)[:3]:
             quad.brute_halfspace(moment_integrand(a, bb, m, d), n,
                                  rel_tol=1e-9)
@@ -266,10 +265,10 @@ def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
     with monkeypatch.context() as mp:
         # the closed forms: no quadrature of any kind, no oracle
         mp.setattr(quad, "_de_quadrant", _refuse)
+        mp.setattr(quad, "_exp_sinh", _refuse)
         mp.setattr(quad, "brute_halfspace", _refuse)
         mp.setattr(geom, "paired_halfspace", _refuse)
         mp.setattr(quad, "integrate_halfline", _refuse)
-        mp.setattr(quad.integrate, "quad", _refuse)
         table = quad.MomentTable(n, d)
         for a, bb, m in _separable_triples(n):
             table.halfspace_moment(a, bb, m)

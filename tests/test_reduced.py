@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from bubblelab import corrector, geom, quad, reduced
 from bubblelab.bubble import Bubble, bubble_energy, crit_boundary, \
@@ -66,14 +67,20 @@ def test_coeff_B_nonconstant_oracle(pt8):
     p_in = crit_interior(n)
     rad_h = quad.integrate_halfline(
         lambda r: r ** n * b.U_rx(r, 0.0) ** p_bd, rel_tol=1e-11)
-    bulk_t = quad.integrate_halfline(
-        lambda xn: quad.integrate_halfline(
-            lambda r: r ** n * b.U_rx(r, xn) ** p_in, rel_tol=1e-11),
-        rel_tol=1e-9)
-    bulk_n = quad.integrate_halfline(
-        lambda xn: xn ** 2 * quad.integrate_halfline(
-            lambda r: r ** (n - 2) * b.U_rx(r, xn) ** p_in, rel_tol=1e-11),
-        rel_tol=1e-9)
+
+    def nested(f, rel_tol):
+        # scalar adaptive quadrature: the half-line rule's nodes do not
+        # follow an inner integrand that peaks at r ~ x_n
+        return integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=rel_tol,
+                              limit=200)[0]
+
+    bulk_t = nested(
+        lambda xn: nested(
+            lambda r: r ** n * float(b.U_rx(r, xn)) ** p_in, 1e-11), 1e-9)
+    bulk_n = nested(
+        lambda xn: xn ** 2 * nested(
+            lambda r: r ** (n - 2) * float(b.U_rx(r, xn)) ** p_in, 1e-11),
+        1e-9)
     oracle = 0.25 * c_n(n) * (n - 2.0) * ang_h * rad_h \
         + (ang_k * bulk_t
            + k[-1, -1] * quad.sphere_area(n - 1) * bulk_n) / (2.0 * p_in)
