@@ -17,6 +17,11 @@ tests.  Residuals of the model problem
 
 and of its linearization vanish identically; evaluating them measures
 pure floating-point cancellation, which is the point of the test suite.
+
+Every pointwise function here takes points of shape (..., n) and
+returns one value per point (a vector for gradients, a matrix for the
+Hessian).  The residuals return (interior, boundary): one value per
+point, and one per point on x_n = 0.
 """
 from __future__ import annotations
 
@@ -84,7 +89,7 @@ class Bubble:
         out[-1] = -self.pt.D
         return out
 
-    # -- pointwise evaluation (x has shape (n,) or (..., n)) ----------------
+    # -- pointwise evaluation (x has shape (..., n)) ------------------------
     def w(self, x):
         d = np.asarray(x, dtype=float) - self.x0
         return np.sum(d * d, axis=-1) - 1.0
@@ -96,7 +101,7 @@ class Bubble:
         d = np.asarray(x, dtype=float) - self.x0
         wv = np.sum(d * d, axis=-1) - 1.0
         coef = -2.0 * self.q * self.C * wv ** (-self.q - 1.0)
-        return coef[..., None] * d if np.ndim(coef) else coef * d
+        return coef[..., None] * d
 
     def hess_U(self, x):
         d = np.asarray(x, dtype=float) - self.x0
@@ -104,11 +109,8 @@ class Bubble:
         q = self.q
         a = -2.0 * q * self.C * wv ** (-q - 1.0)
         bcoef = 4.0 * q * (q + 1.0) * self.C * wv ** (-q - 2.0)
-        eye = np.eye(self.n)
-        if np.ndim(wv):
-            return a[..., None, None] * eye \
-                + bcoef[..., None, None] * d[..., :, None] * d[..., None, :]
-        return a * eye + bcoef * np.outer(d, d)
+        return a[..., None, None] * np.eye(self.n) \
+            + bcoef[..., None, None] * (d[..., :, None] * d[..., None, :])
 
     def laplacian_U(self, x):
         wv = self.w(x)
@@ -126,27 +128,37 @@ class Bubble:
         return self.C * self.w_rx(r, xn) ** (-self.q)
 
 
-def residual_model(b, x):
-    """Relative residuals of the model problem at x.
-
-    Returns (interior, boundary): each residual is divided by the larger
-    of its two constituent terms.  boundary is None unless x_n = 0.
-    """
+def _closed_half_space(x):
+    """x as a float array of points (..., n); DomainError if any x_n < 0."""
     x = np.asarray(x, dtype=float)
-    if x[-1] < 0.0:
-        raise DomainError(f"x_n must be >= 0, got {x[-1]}")
+    if np.any(x[..., -1] < 0.0):
+        raise DomainError(f"x_n must be >= 0, got {np.min(x[..., -1])}")
+    return x
+
+
+def _relative(u, v, floor=0.0):
+    """|u - v| over the larger of |u|, |v| and ``floor``, pointwise."""
+    return abs(u - v) / np.maximum(np.maximum(abs(u), abs(v)), floor)
+
+
+def residual_model(b, x):
+    """Relative residuals of the model problem at the points x (..., n).
+
+    Returns (interior, boundary): interior holds one residual per point;
+    boundary holds one per point with x_n = 0, in order (empty if there
+    is none).  Each residual is divided by the larger of its two
+    constituent terms.
+    """
+    x = _closed_half_space(x)
     n = b.n
     K = b.pt.K
     t1 = -c_n(n) * b.laplacian_U(x)
     t2 = K * b.U(x) ** (crit_interior(n) - 1.0)
-    interior = abs(t1 - t2) / max(abs(t1), abs(t2))
-    boundary = None
-    if x[-1] == 0.0:
-        dn = b.grad_U(x)[-1]
-        s1 = (2.0 / (n - 2.0)) * (-dn)          # outward normal is -e_n
-        s2 = b.pt.H * b.U(x) ** (crit_boundary(n) - 1.0)
-        boundary = abs(s1 - s2) / max(abs(s1), abs(s2))
-    return interior, boundary
+    interior = _relative(t1, t2)
+    xb = x[x[..., -1] == 0.0]
+    s1 = (2.0 / (n - 2.0)) * (-b.grad_U(xb)[..., -1])   # outward normal -e_n
+    s2 = b.pt.H * b.U(xb) ** (crit_boundary(n) - 1.0)
+    return interior, _relative(s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +196,14 @@ def jacobi_grad(b, i, x):
     n = b.n
     s = 0.5 * n
     d = x - b.x0
-    wv = b.w(x)
+    wv = b.w(x)[..., None]
     if i < n:
         A = (2.0 - n) * b.C
-        g = -2.0 * s * x[i - 1] * wv ** (-s - 1.0) * d
-        g[i - 1] += wv ** (-s)
+        g = -2.0 * s * x[..., i - 1:i] * wv ** (-s - 1.0) * d
+        g[..., i - 1] += wv[..., 0] ** (-s)
         return A * g
     B = 0.5 * (n - 2.0) * b.C
-    phi = np.sum(x * x) + 1.0 - b.pt.D ** 2
+    phi = np.sum(x * x, axis=-1, keepdims=True) + 1.0 - b.pt.D ** 2
     return B * (2.0 * x * wv ** (-s) - 2.0 * s * phi * wv ** (-s - 1.0) * d)
 
 
@@ -205,41 +217,36 @@ def jacobi_laplacian(b, i, x):
     # Lap(w^-s) = 2s(2s+2-n) w^{-s-1} + 4s(s+1) w^{-s-2} (|x-x0|^2 = w + 1)
     lap_ws = 2.0 * s * (2.0 * s + 2.0 - n) * wv ** (-s - 1.0) \
         + 4.0 * s * (s + 1.0) * wv ** (-s - 2.0)
-    grad_ws = -2.0 * s * wv ** (-s - 1.0) * d
+    grad_ws = (-2.0 * s * wv ** (-s - 1.0))[..., None] * d
     if i < n:
         A = (2.0 - n) * b.C
-        return A * (x[i - 1] * lap_ws + 2.0 * grad_ws[i - 1])
+        return A * (x[..., i - 1] * lap_ws + 2.0 * grad_ws[..., i - 1])
     B = 0.5 * (n - 2.0) * b.C
-    phi = np.sum(x * x) + 1.0 - b.pt.D ** 2
-    return B * (2.0 * n * wv ** (-s) + 2.0 * np.dot(2.0 * x, grad_ws)
-                + phi * lap_ws)
+    phi = np.sum(x * x, axis=-1) + 1.0 - b.pt.D ** 2
+    return B * (2.0 * n * wv ** (-s)
+                + 2.0 * np.sum(2.0 * x * grad_ws, axis=-1) + phi * lap_ws)
 
 
 def residual_linearized(b, i, x):
     """Relative residuals of the linearized problem for kernel element j_i.
 
     Interior: -c_n Lap j + (2*-1)|K| U^{4/(n-2)} j; boundary (x_n = 0):
-    (2/(n-2)) dj/dnu - (n/(n-2)) H U^{2/(n-2)} j.  Each residual is
-    normalized by the larger constituent term (1 if both vanish, e.g.
-    on the nodal set of j_i).
+    (2/(n-2)) dj/dnu - (n/(n-2)) H U^{2/(n-2)} j.  Points and the
+    returned (interior, boundary) arrays are as in `residual_model`.
+    Each residual is normalized by the larger constituent term, floored
+    at 1e-300, so a point where both vanish (on the nodal set of j_i)
+    reads 0.
     """
-    x = np.asarray(x, dtype=float)
-    if x[-1] < 0.0:
-        raise DomainError(f"x_n must be >= 0, got {x[-1]}")
+    x = _closed_half_space(x)
     n = b.n
     pot = (crit_interior(n) - 1.0) * abs(b.pt.K) * b.U(x) ** (4.0 / (n - 2.0))
-    jv = jacobi(b, i, x)
     t1 = -c_n(n) * jacobi_laplacian(b, i, x)
-    t2 = pot * jv
-    interior = abs(t1 + t2) / max(abs(t1), abs(t2), 1.0e-300)
-    boundary = None
-    if x[-1] == 0.0:
-        dn = jacobi_grad(b, i, x)[-1]
-        s1 = (2.0 / (n - 2.0)) * (-dn)
-        s2 = (n / (n - 2.0)) * b.pt.H * b.U(x) ** (2.0 / (n - 2.0)) \
-            * jacobi(b, i, x)
-        boundary = abs(s1 - s2) / max(abs(s1), abs(s2), 1.0e-300)
-    return interior, boundary
+    interior = _relative(t1, -pot * jacobi(b, i, x), 1.0e-300)
+    xb = x[x[..., -1] == 0.0]
+    s1 = (2.0 / (n - 2.0)) * (-jacobi_grad(b, i, xb)[..., -1])
+    s2 = (n / (n - 2.0)) * b.pt.H * b.U(xb) ** (2.0 / (n - 2.0)) \
+        * jacobi(b, i, xb)
+    return interior, _relative(s1, s2, 1.0e-300)
 
 
 # ---------------------------------------------------------------------------

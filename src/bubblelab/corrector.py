@@ -288,39 +288,31 @@ def decompose_forcing(frame, b):
         return modes            # empty
 
     # parity: the odd angular part (degrees 1 and 3) must vanish pointwise
+    # at three draws of (r, x_n) over a subset of the sphere nodes
     nodes, _ = geom.sphere_rule(m, 3)
+    theta = nodes[:: max(1, len(nodes) // 16)]
     rng = np.random.default_rng(1871)
-    worst_odd = 0.0
-    odd_scale = 0.0
-    for _ in range(3):
-        r = float(rng.uniform(0.3, 3.0))
-        xn = float(rng.uniform(0.0, 3.0))
-        for theta in nodes[:: max(1, len(nodes) // 16)]:
-            x = np.concatenate([r * theta, [xn]])
-            xm = np.concatenate([-r * theta, [xn]])
-            ep, em = geom.forcing_Ep(frame, b, x), geom.forcing_Ep(frame, b, xm)
-            worst_odd = max(worst_odd, abs(ep - em) / 2.0)
-            odd_scale = max(odd_scale, abs(ep), abs(em))
+    r, xn = rng.uniform([0.3, 0.0], 3.0, size=(3, 2)).T[:, :, None, None]
+    xn = np.broadcast_to(xn, (3, len(theta), 1))
+    ep = geom.forcing_Ep(frame, b, np.concatenate([r * theta, xn], axis=-1))
+    em = geom.forcing_Ep(frame, b, np.concatenate([-r * theta, xn], axis=-1))
+    worst_odd = np.max(np.abs(ep - em)) / 2.0
+    odd_scale = max(np.max(np.abs(ep)), np.max(np.abs(em)))
     if worst_odd > 1e-12 * max(odd_scale, 1e-300):
         raise DecompositionError(
             f"odd angular component {worst_odd:.3e} exceeds "
             f"1e-12 * {odd_scale:.3e}")
 
-    # reconstruction against the naive contraction
-    worst = 0.0
-    biggest = 0.0
-    for _ in range(100):
-        x = rng.normal(size=n)
-        x[-1] = abs(x[-1])
-        r = float(np.linalg.norm(x[:-1]))
-        xn = float(x[-1])
-        theta = (x[:-1] / r)[None, :]
-        rec = 0.0
-        for mode in modes:
-            rec += float(mode.angular(theta)[0]) * float(mode.profile(r, xn))
-        ep = geom.forcing_Ep(frame, b, x)
-        worst = max(worst, abs(rec - ep))
-        biggest = max(biggest, abs(ep))
+    # reconstruction against the naive contraction at 100 points
+    x = rng.normal(size=(100, n))
+    x[:, -1] = np.abs(x[:, -1])
+    r = np.linalg.norm(x[:, :-1], axis=-1)
+    theta = x[:, :-1] / r[:, None]
+    rec = sum(mode.angular(theta) * mode.profile(r, x[:, -1])
+              for mode in modes)
+    ep = geom.forcing_Ep(frame, b, x)
+    worst = np.max(np.abs(rec - ep))
+    biggest = np.max(np.abs(ep))
     if worst > 1e-10 * max(biggest, 1e-300):
         raise DecompositionError(
             f"reconstruction defect {worst:.3e} exceeds "

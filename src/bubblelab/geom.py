@@ -201,14 +201,14 @@ def sphere_rule(m, degree):
 
 
 def forcing_Ep(frame, b, x):
-    """Pointwise forcing by the naive index contraction (the primary form)."""
+    """Forcing at the points x (..., n) by the naive index contraction
+    (the primary form)."""
     x = np.asarray(x, dtype=float)
-    n = b.n
-    xt, xn = x[:-1], x[-1]
-    coeff = np.einsum("ikjl,k,l->ij", frame.riem_boundary, xt, xt) / 3.0 \
-        + frame.normal_block * xn ** 2
-    hess_t = b.hess_U(x)[:-1, :-1]
-    return c_n(n) * float(np.sum(coeff * hess_t))
+    xt = x[..., :-1]
+    coeff = np.einsum("ikjl,...k,...l->...ij", frame.riem_boundary, xt, xt) \
+        / 3.0 + frame.normal_block * x[..., -1, None, None] ** 2
+    hess_t = b.hess_U(x)[..., :-1, :-1]
+    return c_n(b.n) * np.sum(coeff * hess_t, axis=(-2, -1))
 
 
 class Term(NamedTuple):
@@ -382,6 +382,11 @@ def route_gap(frame, b, table=None):
 # cancellation suite
 
 
+# nodes per block of the cancellation suite's angular sums: the degree-6
+# rule's 7 * 4^(n-3) nodes fit in one block up to n = 9
+_SUITE_BLOCK = 2 ** 15
+
+
 def cancellation_suite(frame, pt, tol=1e-8, table=None):
     """Numerically verify the vanishing/ratio identities behind the expansion.
 
@@ -409,13 +414,20 @@ def cancellation_suite(frame, pt, tol=1e-8, table=None):
         return table.halfspace_moment(xnpow, rpow, n) / table.omega
 
     nodes, weights = sphere_rule(m, 6)
-    # A[q, i, s] = R[i,k,s,l] theta_k theta_l, shared by (1) and (4)
-    A = np.einsum("iksl,qk,ql->qis", R, nodes, nodes, optimize=True)
+    # the angular sums of (1) and (4), over blocks of nodes so that
+    # A[q, i, s] = R[i,k,s,l] theta_k theta_l stays small
+    ang_R = ang_RR = 0.0
+    for lo in range(0, len(weights), _SUITE_BLOCK):
+        th = nodes[lo:lo + _SUITE_BLOCK]
+        wq = weights[lo:lo + _SUITE_BLOCK]
+        A = np.einsum("iksl,qk,ql->qis", R, th, th, optimize=True)
+        ang_R += float(wq @ np.einsum("qij,qi,qj->q", A, th, th,
+                                      optimize=True))
+        ang_RR += float(wq @ np.einsum("qis,qjs,qi,qj->q", A, A, th, th,
+                                       optimize=True))
     checks = []
 
     # (1) the delta^2 term
-    ang_R = float(weights @ np.einsum("qij,qi,qj->q", A, nodes, nodes,
-                                      optimize=True))
     ang_Q = float(weights @ np.einsum("ij,qi,qj->q", Q, nodes, nodes))
     rad4 = radial(4, 0)
     rad2 = radial(2, 2)
@@ -446,8 +458,6 @@ def cancellation_suite(frame, pt, tol=1e-8, table=None):
     except DomainError as exc:      # the moment diverges for n <= 6
         checks.append(Check(name4, False, 0.0, tol, detail=str(exc)))
         return ValidationReport(checks=checks)
-    ang_RR = float(weights @ np.einsum("qis,qjs,qi,qj->q", A, A, nodes, nodes,
-                                       optimize=True))
     val4 = grad_amp / 15.0 * ang_RR * rad6
     scale4 = grad_amp / 15.0 * float(np.sum(R * R)) * rad6 \
         * quad.sphere_area(m)

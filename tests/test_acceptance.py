@@ -102,13 +102,9 @@ def test_criterion_05_bubble_exactness():
                                                         size=(100, 1))
         pts[:, -1] = np.abs(pts[:, -1])
         pts[::2, -1] = 0.0
-        for x in pts:
-            ri, rb = residual_model(b, x)
-            worst = max(worst, abs(ri), abs(rb) if rb is not None else 0.0)
-            for i in range(1, n + 1):
-                li, lb = residual_linearized(b, i, x)
-                worst = max(worst, abs(li),
-                            abs(lb) if lb is not None else 0.0)
+        worst = max(worst, *map(np.max, residual_model(b, pts)))
+        for i in range(1, n + 1):
+            worst = max(worst, *map(np.max, residual_linearized(b, i, pts)))
     _line(5, "bubble and kernel residuals, 100 points, n in {8, 10}",
           worst, 1e-8, ok=worst <= 1e-8)
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from bubblelab import quad
 from bubblelab.bubble import (Bubble, alpha_n, bubble_energy,
                               bubble_energy_quadrature, c_n, crit_boundary,
-                              crit_interior, jacobi, residual_linearized,
+                              crit_interior, jacobi, jacobi_grad,
+                              jacobi_laplacian, residual_linearized,
                               residual_model)
 from bubblelab.errors import DomainError
 from bubblelab.model import ProblemPoint
@@ -28,15 +29,62 @@ def test_bubble_needs_supercritical_mean_curvature():
 
 def test_residuals_at_fixed_points(pt8):
     b = Bubble(pt8)
-    for x in (np.array([0.5, 0, 0, 0, 0, 0, 0, 1.0]),
-              np.array([0, 0, 0, 0, 0, 0, 0, 0.0]),
-              np.array([3.0, -2.0, 1.0, 0, 0, 0, 0, 0.0])):
-        interior, boundary = residual_model(b, x)
-        assert abs(interior) < 1e-12
-        if x[-1] == 0.0:
-            assert abs(boundary) < 1e-12
-        else:
-            assert boundary is None
+    x = np.array([[0.5, 0, 0, 0, 0, 0, 0, 1.0],
+                  [0, 0, 0, 0, 0, 0, 0, 0.0],
+                  [3.0, -2.0, 1.0, 0, 0, 0, 0, 0.0]])
+    interior, boundary = residual_model(b, x)
+    assert interior.shape == (3,) and boundary.shape == (2,)
+    assert np.all(np.abs(interior) < 1e-12)
+    assert np.all(np.abs(boundary) < 1e-12)
+
+
+def _half_on_boundary(n, rng):
+    """100 points of the closed half-space, every other one on x_n = 0."""
+    x = rng.normal(size=(100, n)) * rng.lognormal(0.0, 1.0, size=(100, 1))
+    x[:, -1] = np.abs(x[:, -1])
+    x[::2, -1] = 0.0
+    return x
+
+
+def test_pointwise_functions_take_batches(pt8, pt10, rng):
+    # one code path: a batch matches its points one by one, to rounding
+    # (numpy's array power rounds differently from its scalar power)
+    for pt in (pt8, pt10):
+        b = Bubble(pt)
+        x = _half_on_boundary(pt.n, rng)
+        fields = [b.grad_U, b.hess_U] + [
+            lambda p, f=f, i=i: f(b, i, p)
+            for f in (jacobi_grad, jacobi_laplacian)
+            for i in range(1, pt.n + 1)]
+        for f in fields:
+            batch = f(x)
+            single = np.array([f(p) for p in x])
+            assert batch.shape == single.shape
+            assert np.max(np.abs(batch - single)) \
+                <= 1e-13 * np.max(np.abs(batch))
+
+
+def test_residuals_return_one_boundary_value_per_boundary_point(pt8, rng):
+    b = Bubble(pt8)
+    x = _half_on_boundary(8, rng).reshape(10, 10, 8)
+    x[0, 1, -1] = 0.0
+    for interior, boundary in [residual_model(b, x)] + [
+            residual_linearized(b, i, x) for i in range(1, 9)]:
+        assert interior.shape == (10, 10)
+        assert boundary.shape == (51,)
+        assert np.all(np.abs(boundary) < 1e-8)
+    _, boundary = residual_model(b, x[x[..., -1] > 0.0])
+    assert boundary.shape == (0,)
+
+
+def test_residuals_reject_a_batch_with_one_lower_point(pt8, rng):
+    b = Bubble(pt8)
+    x = _half_on_boundary(8, rng)
+    x[37, -1] = -1e-3
+    with pytest.raises(DomainError):
+        residual_model(b, x)
+    with pytest.raises(DomainError):
+        residual_linearized(b, 8, x)
 
 
 def test_residual_model_rejects_lower_halfspace(pt8):
@@ -64,11 +112,9 @@ def test_jacobi_fields_solve_linearized_problem(pt8, pt10, rng):
         pts[:, -1] = np.abs(pts[:, -1])
         pts[::2, -1] = 0.0
         for i in range(1, n + 1):
-            for x in pts:
-                interior, boundary = residual_linearized(b, i, x)
-                assert abs(interior) < 1e-8
-                if boundary is not None:
-                    assert abs(boundary) < 1e-8
+            interior, boundary = residual_linearized(b, i, pts)
+            assert np.all(np.abs(interior) < 1e-8)
+            assert np.all(np.abs(boundary) < 1e-8)
 
 
 def test_jacobi_values_are_finite(pt8, rng):

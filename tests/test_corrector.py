@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from bubblelab import corrector, geom
 from bubblelab.bubble import Bubble, c_n
-from bubblelab.errors import DomainError, NonConvergence, SingularSystem
+from bubblelab.errors import (DecompositionError, DomainError,
+                              NonConvergence, SingularSystem)
 from bubblelab.model import CurvatureFrame, ProblemPoint
 
 
@@ -421,6 +422,26 @@ def test_decompose_forcing_reconstructs(pt8, frame8, rng):
                     for fm in modes)
         assert recon == pytest.approx(geom.forcing_Ep(frame8, b, x),
                                       rel=1e-10, abs=1e-13)
+
+
+def test_decompose_forcing_rejects_an_odd_component(pt8, frame8,
+                                                    monkeypatch):
+    # 1e-8 x_1 is odd in theta, against a forcing of size about 1e-2
+    naive = geom.forcing_Ep
+    monkeypatch.setattr(geom, "forcing_Ep", lambda frame, b, x:
+                        naive(frame, b, x) + 1e-8 * x[..., 0])
+    with pytest.raises(DecompositionError, match="odd angular component"):
+        corrector.decompose_forcing(frame8, Bubble(pt8))
+
+
+def test_decompose_forcing_rejects_a_term_that_is_no_mode(pt8, frame8,
+                                                         monkeypatch):
+    # 1e-8 x_n^2 is even, so it passes the parity check, but no mode holds it
+    naive = geom.forcing_Ep
+    monkeypatch.setattr(geom, "forcing_Ep", lambda frame, b, x:
+                        naive(frame, b, x) + 1e-8 * x[..., -1] ** 2)
+    with pytest.raises(DecompositionError, match="reconstruction defect"):
+        corrector.decompose_forcing(frame8, Bubble(pt8))
 
 
 def _off_gauge_frame(n, rng):

@@ -91,6 +91,22 @@ def test_forcing_is_linear_in_the_frame(pt8, frame8, rng):
         assert two == pytest.approx(2.0 * one, rel=1e-13, abs=1e-15)
 
 
+def test_forcing_takes_batches(pt8, pt10, rng):
+    for pt in (pt8, pt10):
+        b = Bubble(pt)
+        x = rng.normal(size=(100, pt.n)) \
+            * rng.lognormal(0.0, 1.0, size=(100, 1))
+        x[:, -1] = np.abs(x[:, -1])
+        x[::2, -1] = 0.0
+        for frame in (geom.random_frame(pt.n, rng),
+                      _traceful_frame(pt.n, rng)):
+            batch = geom.forcing_Ep(frame, b, x)
+            single = np.array([geom.forcing_Ep(frame, b, p) for p in x])
+            assert batch.shape == (100,)
+            assert np.max(np.abs(batch - single)) \
+                <= 1e-13 * np.max(np.abs(batch))
+
+
 def test_forcing_vanishes_for_zero_frame(pt8, rng):
     b = Bubble(pt8)
     zero = CurvatureFrame.zero(8)
