@@ -165,6 +165,12 @@ def residual_model(b, x):
 # Jacobi fields of the linearized problem
 
 
+def check_field_index(n, i):
+    """DomainError unless the kernel field index i lies in 1..n."""
+    if not 1 <= i <= n:
+        raise DomainError(f"jacobi index must be in 1..{n}, got {i}")
+
+
 def jacobi(b, i, x):
     """Kernel element j_i at x, i in 1..n (1-based, i=n is the radial one).
 
@@ -173,8 +179,7 @@ def jacobi(b, i, x):
     """
     x = np.asarray(x, dtype=float)
     n = b.n
-    if not 1 <= i <= n:
-        raise DomainError(f"jacobi index must be in 1..{n}, got {i}")
+    check_field_index(n, i)
     wv = b.w(x)
     s = 0.5 * n
     if i < n:
@@ -194,6 +199,7 @@ def jacobi_alt_n(b, x):
 def jacobi_grad(b, i, x):
     x = np.asarray(x, dtype=float)
     n = b.n
+    check_field_index(n, i)
     s = 0.5 * n
     d = x - b.x0
     wv = b.w(x)[..., None]
@@ -211,6 +217,7 @@ def jacobi_laplacian(b, i, x):
     """Analytic Laplacian of j_i, assembled from Lap(w^-s) and the product rule."""
     x = np.asarray(x, dtype=float)
     n = b.n
+    check_field_index(n, i)
     s = 0.5 * n
     d = x - b.x0
     wv = b.w(x)

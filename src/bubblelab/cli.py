@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import corrector, geom, quad, reduced
+from . import corrector, geom, hyperbolic, quad, reduced
 from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
@@ -483,25 +483,25 @@ def cmd_verify_hyperbolic(cfg):
     n = pt.n
     rows = []
 
-    hp = corrector.hyperbolic_picture(pt.D)
+    hp = hyperbolic.hyperbolic_picture(pt.D)
     rows.append(_row("ball radius inverts to mu1 = D",
                      abs(hp.mu1 - pt.D) / pt.D, _bound(cfg, 1e-14)))
     rows.append(_row("eigenvalue product mu0 mu1 = 1",
                      abs(hp.mu0 * hp.mu1 - 1.0), _bound(cfg, 1e-14)))
-    hp2 = corrector.hyperbolic_picture(2.0)
+    hp2 = hyperbolic.hyperbolic_picture(2.0)
     rows.append(_row("ball radius closed form at D=2",
                      abs(hp2.R - (2.0 - math.sqrt(3.0))), _bound(cfg, 1e-14)))
-    worst = max(abs((1.0 + (h := corrector.hyperbolic_picture(d)).R ** 2)
+    worst = max(abs((1.0 + (h := hyperbolic.hyperbolic_picture(d)).R ** 2)
                     / (2.0 * h.R) - d) / d
                 for d in (1.5, 2.0, 3.0, 10.0))
     rows.append(_row("radius round trip D in {1.5, 2, 3, 10}", worst,
                      _bound(cfg, 1e-14)))
-    hp_lim = corrector.hyperbolic_picture(1.0 + 1e-6)
+    hp_lim = hyperbolic.hyperbolic_picture(1.0 + 1e-6)
     rows.append(_row("approach to the unit ball as D -> 1+",
                      1.0 - hp_lim.R, 2e-3,
                      detail="R = 1 - sqrt(2e-6) + O(e-6) at D = 1 + 1e-6"))
 
-    vrep, annihilating = corrector.steklov_variants(
+    vrep, annihilating = hyperbolic.steklov_variants(
         hp, n, tol=_bound(cfg, 1e-10), seed=cfg["seed"])
     rows.append(_row("an annihilating operator variant exists",
                      float(len(annihilating)), 0.0,

@@ -1,4 +1,4 @@
-"""Corrector construction and the hyperbolic-ball eigenvalue picture.
+"""Corrector construction: the modal solves of the linearized equation.
 
 The corrector solves the linearized bubble equation with the curvature
 forcing on the right-hand side.  Because the forcing is an angular
@@ -33,14 +33,6 @@ nonzero diagonal.  Nothing then bounds element growth, so each solve
 measures the normwise backward error of the solution it returns and
 raises NonConvergence above 1e-12 (Li and Demmel, ACM TOMS 29, 2003,
 certify static pivoting the same way).
-
-The hyperbolic-ball functions verify the eigenvalue picture behind the
-solvability argument: the Cayley-transformed problem lives on a ball
-of radius R = D - sqrt(D^2 - 1) with Steklov eigenvalues
-mu_0 = 2R/(1+R^2) and mu_1 = (1+R^2)/(2R) = D.  Two candidate forms of
-the hyperbolic operator and of the first eigenfunctions circulate;
-`steklov_variants` measures all of them and reports which combination
-actually annihilates, instead of guessing.
 """
 from __future__ import annotations
 
@@ -57,13 +49,8 @@ from .bubble import Bubble, c_n, crit_boundary, crit_interior
 from .errors import (DecompositionError, DomainError, NonConvergence,
                      SingularSystem)
 from .model import Check, ValidationReport
-from .quad import sphere_area
 
 __all__ = [
-    "HyperbolicPicture",
-    "hyperbolic_picture",
-    "steklov_residual",
-    "steklov_variants",
     "ForcingMode",
     "decompose_forcing",
     "GridSpec",
@@ -73,149 +60,6 @@ __all__ = [
     "solve_corrector",
     "corrector_diagnostics",
 ]
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic-ball picture
-
-
-@dataclass(frozen=True)
-class HyperbolicPicture:
-    """Ball radius and Steklov eigenvalues attached to a scaling quantity D."""
-
-    D: float
-    R: float
-    mu0: float
-    mu1: float
-
-
-def hyperbolic_picture(D):
-    """Closed forms R = D - sqrt(D^2-1), mu0 = 2R/(1+R^2), mu1 = (1+R^2)/(2R)."""
-    D = float(D)
-    if not 1.0 < D < math.inf:
-        raise DomainError(f"hyperbolic picture needs a finite D > 1, got {D}")
-    # D - sqrt(D^2-1) written without its cancellation at large D; the
-    # split root keeps D^2 from overflowing
-    R = 1.0 / (D + math.sqrt(D - 1.0) * math.sqrt(D + 1.0))
-    mu0 = 2.0 * R / (1.0 + R * R)
-    mu1 = (1.0 + R * R) / (2.0 * R) if R > 0.0 else math.inf
-    if not abs(mu1 - D) <= 1e-12 * D:
-        raise DomainError(f"mu1 = {mu1!r} does not reproduce D = {D!r}")
-    return HyperbolicPicture(D=D, R=R, mu0=mu0, mu1=mu1)
-
-
-def _eigenfunction(which, form, x):
-    """Value, gradient, Laplacian and radial derivative of a candidate.
-
-    which = 0 is the ground mode (1+|x|^2)/(1-|x|^2).  which = (1, i)
-    selects the i-th first mode (i is 1-based); ``form`` picks between
-    the two circulating versions: "radial" carries the extra |x| factor
-    (|x| x_i/(1-|x|^2)), "plain" does not (x_i/(1-|x|^2)).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    r2 = float(x @ x)
-    r = math.sqrt(r2)
-    f = 1.0 / (1.0 - r2)
-    if which == 0:
-        val = (1.0 + r2) * f
-        grad = 4.0 * f * f * x
-        lap = 4.0 * n * f * f + 16.0 * r2 * f ** 3
-        dr = 4.0 * r * f * f
-        return val, grad, lap, dr
-    _, i = which
-    xi = x[i - 1]
-    ei = np.zeros(n)
-    ei[i - 1] = 1.0
-    if form == "plain":
-        val = xi * f
-        grad = f * ei + 2.0 * xi * f * f * x
-        lap = xi * f ** 3 * (2.0 * n + 4.0 + (4.0 - 2.0 * n) * r2)
-        dr = (1.0 + r2) * f * f * (xi / r if r > 0 else
-                                   (1.0 if i == 1 else 0.0))
-        return val, grad, lap, dr
-    # the radially weighted form, with the extra |x| factor
-    val = r * xi * f
-    grad = (xi / r) * x * f + r * f * ei + 2.0 * r * xi * f * f * x \
-        if r > 0 else f * ei * 0.0
-    lap = xi * ((n + 1.0) * f / r + (2.0 * n + 8.0) * r * f * f
-                + 8.0 * r ** 3 * f ** 3) if r > 0 else 0.0
-    dr = 2.0 * r * f * f * (xi / r if r > 0 else 0.0)
-    return val, grad, lap, dr
-
-
-def steklov_residual(hp, which, x, operator="standard", form="plain"):
-    """(interior, boundary) residuals of a candidate Steklov eigenpair.
-
-    Interior: Delta_H phi - n phi at x, with the operator either the
-    standard Poincare-ball form ("standard": (1-|x|^2)^2/4 Delta +
-    (n-2)(1-|x|^2)/2 x.grad) or the circulating variant whose drift
-    term carries no conformal factor ("flat-drift": same second-order
-    part, first-order coefficient (n-2)/2).  Boundary: the Steklov
-    condition ((1-|x|^2)/2) d(phi)/dr - mu phi evaluated at the radial
-    projection of x onto |x| = R, with mu = mu0 or mu1 as appropriate.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    val, grad, lap, _ = _eigenfunction(which, form, x)
-    r2 = float(x @ x)
-    first = float(x @ grad)
-    if operator == "flat-drift":
-        lh = 0.25 * (1.0 - r2) ** 2 * lap + 0.5 * (n - 2.0) * first
-    elif operator == "standard":
-        lh = 0.25 * (1.0 - r2) ** 2 * lap \
-            + 0.5 * (n - 2.0) * (1.0 - r2) * first
-    else:
-        raise DomainError(f"unknown operator variant {operator!r}")
-    interior = lh - n * val
-
-    R = hp.R
-    xb = x * (R / math.sqrt(r2)) if r2 > 0 else \
-        np.concatenate([[R], np.zeros(n - 1)])
-    valb, _, _, drb = _eigenfunction(which, form, xb)
-    mu = hp.mu0 if which == 0 else hp.mu1
-    boundary = 0.5 * (1.0 - R * R) * drb - mu * valb
-    return float(interior), float(boundary)
-
-
-def steklov_variants(hp, n, tol=1e-10, seed=0):
-    """Measure every operator/eigenfunction combination; report, don't guess.
-
-    Returns (report, annihilating) where annihilating lists the
-    (operator, candidate) pairs whose interior and boundary residuals
-    both stay below tol at 25 random points of the ball.
-    """
-    rng = np.random.default_rng(seed)
-    candidates = [("phi0", 0, "plain"),
-                  ("phi1-radial", (1, 1), "radial"),
-                  ("phi1-plain", (1, 1), "plain")]
-    rows = []
-    annihilating = []
-    pts = []
-    for _ in range(25):
-        v = rng.normal(size=n)
-        v *= rng.uniform(0.05, 0.95) * hp.R / np.linalg.norm(v)
-        pts.append(v)
-    for operator in ("flat-drift", "standard"):
-        for label, which, form in candidates:
-            worst_i = 0.0
-            worst_b = 0.0
-            for x in pts:
-                ri, rb = steklov_residual(hp, which, x, operator=operator,
-                                          form=form)
-                worst_i = max(worst_i, abs(ri))
-                worst_b = max(worst_b, abs(rb))
-            ok = worst_i <= tol and worst_b <= tol
-            if ok:
-                annihilating.append((operator, label))
-            rows.append(Check(
-                name=f"{operator} operator + {label}",
-                passed=True,    # measurement rows; classification below
-                value=max(worst_i, worst_b), bound=tol,
-                detail=f"interior {worst_i:.3e}, boundary {worst_b:.3e}, "
-                       f"annihilates: {ok}"))
-    report = ValidationReport(checks=rows)
-    return report, annihilating
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +246,6 @@ def grid_geometry(gs, n):
                  ts * _trap_weights(gs.nxn, t[1] - t[0]))
     return {"s": s, "t": t, "r": r, "xn": xn, "rs": rs,
             "rss": gs.d2coord(s), "ts": ts, "tss": gs.d2coord(t), "W": W}
-
-
-def _jn_profile(b, r, xn):
-    """Radial profile of the last kernel element on a tensor grid."""
-    n = b.n
-    D = b.pt.D
-    R2 = np.add.outer(r * r, xn * xn)
-    W = b.w_rx(r[:, None], xn[None, :])
-    return 0.5 * (n - 2.0) * b.C * (R2 + 1.0 - D * D) * W ** (-0.5 * n)
 
 
 def _forcing_grid(forcing, r, xn):
@@ -736,7 +571,10 @@ def solve_mode(pt, degree, forcing, gs):
         sol = lu.solve(rhs)
         solved = rhs
     else:
-        jn = _jn_profile(Bubble(pt), r, xn).ravel()
+        b = Bubble(pt)
+        (jn_term,) = geom.jacobi_terms(b, pt.n)
+        jn = geom.radial_profile(jn_term.radial, b)(r[:, None],
+                                                     xn[None, :]).ravel()
         # the kernel profile augments interior equations only
         col = np.where(interior.ravel(), jn, 0.0)
         row = gg["W"].ravel() * jn
@@ -961,11 +799,10 @@ def corrector_diagnostics(sol):
     """
     pt = sol.pt
     n = pt.n
-    m = n - 1
     b = Bubble(pt)
     gg = sol.grid
     r, xn, W = gg["r"], gg["xn"], gg["W"]
-    nodes, wq = geom.sphere_rule(m, 5)
+    nodes, wq = geom.sphere_rule(n - 1, 5)
     checks = []
     diag = {}
 
@@ -974,28 +811,21 @@ def corrector_diagnostics(sol):
     vnorm = math.sqrt(max(_pairing(G, W, psis, psis), 0.0))
     diag["corrector_norm"] = vnorm
 
-    # (i) orthogonality to the kernel
-    wgrid = b.w_rx(r[:, None], xn[None, :])
-    jn = _jn_profile(b, r, xn)
-    jt_rad = (2.0 - n) * b.C * r[:, None] * wgrid ** (-0.5 * n)
-    jt_norm = math.sqrt(float(np.sum(W * jt_rad * jt_rad)) / m
-                        * sphere_area(m))
-    jn_norm = math.sqrt(sphere_area(m) * float(np.sum(W * jn * jn)))
+    # (i) orthogonality to the kernel, each j_i from its separable record
     worst = 0.0
     for i in range(1, n + 1):
-        total = 0.0
-        for mode in sol.modes:
-            if i < n:
-                ang = float(wq @ (mode.angular(nodes) * nodes[:, i - 1]))
-                radial = float(np.sum(W * mode.psi * jt_rad))
-            else:
-                ang = float(wq @ mode.angular(nodes))
-                radial = float(np.sum(W * mode.psi * jn))
-            total += ang * radial
-        scale = vnorm * (jt_norm if i < n else jn_norm)
+        (term,) = geom.jacobi_terms(b, i)
+        ang_j = term.angular(nodes)
+        ji = geom.radial_profile(term.radial, b)(r[:, None], xn[None, :])
+        total = sum((float(wq @ (mode.angular(nodes) * ang_j))
+                     * float(np.sum(W * mode.psi * ji))
+                     for mode in sol.modes), 0.0)
+        scale = vnorm * math.sqrt(float(wq @ (ang_j * ang_j))
+                                  * float(np.sum(W * ji * ji)))
         defect = abs(total) / scale if scale > 0 else 0.0
         diag[f"orthogonality_j{i}"] = total
         worst = max(worst, defect)
+    jn = ji     # the loop ends on j_n, the degree-0 border
     checks.append(Check("kernel orthogonality", worst <= 1e-10, worst, 1e-10))
 
     # (ii) decay envelope and fitted exponent

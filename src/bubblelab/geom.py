@@ -50,7 +50,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import quad
-from .bubble import Bubble, c_n
+from .bubble import Bubble, c_n, check_field_index
 from .errors import DomainError, InvalidFrame
 from .model import Check, CurvatureFrame, ValidationReport, validate_frame
 
@@ -260,8 +260,7 @@ def forcing_terms(frame, b):
 def jacobi_terms(b, s):
     """The kernel element j_s (1-based, s = n radial) as one record."""
     n = b.n
-    if not 1 <= s <= n:
-        raise DomainError(f"jacobi index must be in 1..{n}, got {s}")
+    check_field_index(n, s)
     if s < n:
         return [Term(lambda nodes: nodes[:, s - 1],
                      (((2.0 - n) * b.C, 0, 1, 0.5 * n),))]

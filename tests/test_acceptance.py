@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from bubblelab import cli, corrector, geom, quad, reduced
+from bubblelab import cli, corrector, geom, hyperbolic, quad, reduced
 from bubblelab.bubble import (Bubble, bubble_energy,
                               bubble_energy_quadrature, residual_linearized,
                               residual_model)
@@ -123,14 +123,14 @@ def test_criterion_06_bubble_energy():
 def test_criterion_07_hyperbolic_picture(tmp_path):
     worst = 0.0
     for d in (1.5, 2.0, 3.0, 10.0):
-        hp = corrector.hyperbolic_picture(d)
+        hp = hyperbolic.hyperbolic_picture(d)
         worst = max(worst,
                     abs(hp.R - (d - math.sqrt(d * d - 1.0))),
                     abs(hp.mu0 - 2.0 * hp.R / (1.0 + hp.R ** 2)),
                     abs(hp.mu1 - d) / d)
     resid = 0.0
-    hp = corrector.hyperbolic_picture(2.0)
-    report, annihilating = corrector.steklov_variants(hp, 8, seed=0)
+    hp = hyperbolic.hyperbolic_picture(2.0)
+    report, annihilating = hyperbolic.steklov_variants(hp, 8, seed=0)
     assert annihilating, "no operator variant annihilates the eigenfunctions"
     measured = {c.name: c.value for c in report.checks}
     for op, lab in annihilating:

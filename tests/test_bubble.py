@@ -123,10 +123,15 @@ def test_jacobi_values_are_finite(pt8, rng):
     x[-1] = abs(x[-1])
     vals = [jacobi(b, i, x) for i in range(1, 9)]
     assert np.all(np.isfinite(vals))
-    with pytest.raises(DomainError):
-        jacobi(b, 0, x)
-    with pytest.raises(DomainError):
-        jacobi(b, 9, x)
+
+
+@pytest.mark.parametrize("f", [jacobi, jacobi_grad, jacobi_laplacian])
+def test_jacobi_functions_reject_a_field_index_outside_1_to_n(pt8, pt10, f):
+    for pt in (pt8, pt10):
+        x = np.full((3, pt.n), 0.5)
+        for i in (0, pt.n + 1):
+            with pytest.raises(DomainError, match="jacobi index"):
+                f(Bubble(pt), i, x)
 
 
 def test_energy_closed_form_vs_quadrature(pt8, pt10):

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,25 +14,11 @@ from bubblelab.errors import (DecompositionError, DomainError,
 from bubblelab.model import CurvatureFrame, ProblemPoint
 
 
-def test_hyperbolic_picture_closed_forms():
-    hp = corrector.hyperbolic_picture(2.0)
-    assert hp.R == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-15)
-    assert hp.mu0 * hp.mu1 == pytest.approx(1.0, abs=1e-15)
-    assert hp.mu1 == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        corrector.hyperbolic_picture(1.0)
-
-
-def test_steklov_annihilating_variants():
-    hp = corrector.hyperbolic_picture(2.0)
-    report, annihilating = corrector.steklov_variants(hp, 8, seed=3)
-    assert len(report.checks) == 6
-    got = set(annihilating)
-    # the standard Poincare operator kills the ground mode and the plain
-    # first mode; the flat-drift variant kills neither
-    assert ("standard", "phi0") in got
-    assert ("standard", "phi1-plain") in got
-    assert not any(op == "flat-drift" for op, _ in got)
+def _jn_grid(b, gg):
+    """The radial profile of j_n on the grid's nodes, from geom's record."""
+    (term,) = geom.jacobi_terms(b, b.n)
+    return geom.radial_profile(term.radial, b)(gg["r"][:, None],
+                                               gg["xn"][None, :])
 
 
 def test_grid_spec_validation_and_round_trip():
@@ -71,7 +56,7 @@ def test_solve_mode_degree0_deflated(pt8):
     for cells in (100, 200):
         gs = corrector.GridSpec(nr=cells, nxn=cells)
         gg = corrector.grid_geometry(gs, 8)
-        jn = corrector._jn_profile(b, gg["r"], gg["xn"])
+        jn = _jn_grid(b, gg)
         e = _synthetic_forcing(gg, 0)
         # compatible data: remove the kernel component in the discrete
         # inner product, as the continuum solvability condition demands
@@ -162,7 +147,7 @@ def test_assembly_is_bitwise_the_node_loop(pt8, degree):
 
 def _compatible_degree0_forcing(b, gs):
     gg = corrector.grid_geometry(gs, b.n)
-    jn = corrector._jn_profile(b, gg["r"], gg["xn"])
+    jn = _jn_grid(b, gg)
     e = _synthetic_forcing(gg, 0)
     return e - (np.sum(gg["W"] * jn * e) / np.sum(gg["W"] * jn * jn)) * jn
 
@@ -186,7 +171,7 @@ def test_block_elimination_matches_explicit_bordered_system(pt8):
     psi, info = corrector.solve_mode(pt8, 0, e, gs)
 
     A, interior = corrector._assemble(pt8, 0, gs)
-    jn = corrector._jn_profile(b, gg["r"], gg["xn"]).ravel()
+    jn = _jn_grid(b, gg).ravel()
     col = np.where(interior.ravel(), jn, 0.0)
     row = gg["W"].ravel() * jn
     anorm = abs(A).sum(axis=0).max()
@@ -250,7 +235,7 @@ def _colamd_oracle(pt, degree, e, gs):
     if degree > 0:
         return spla.splu(A.tocsc()).solve(rhs).reshape(e.shape), 0.0
     gg = corrector.grid_geometry(gs, pt.n)
-    jn = corrector._jn_profile(Bubble(pt), gg["r"], gg["xn"]).ravel()
+    jn = _jn_grid(Bubble(pt), gg).ravel()
     col = np.where(interior.ravel(), jn, 0.0)
     row = gg["W"].ravel() * jn
     anorm = abs(A).sum(axis=0).max()
@@ -302,7 +287,7 @@ def test_dissection_solve_is_backward_stable(n, log_excess, degree, nr, nxn):
     solved = e
     if degree == 0:
         gg = corrector.grid_geometry(gs, n)
-        jn = corrector._jn_profile(Bubble(pt), gg["r"], gg["xn"])
+        jn = _jn_grid(Bubble(pt), gg)
         solved = e - info["multiplier"] * jn
         row = (gg["W"] * jn).ravel()[None, :]
         assert _normwise_backward_error(row, psi.ravel(), [0.0]) <= 1e-14
