@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,115 @@ def test_solve_mode_factors_once_in_dissection_order(pt8, monkeypatch,
     assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}]
 
 
+class _CountedLU:
+    """A factorization that records the ``trans`` of each of its solves."""
+
+    def __init__(self, lu, calls):
+        self.lu, self.calls = lu, calls
+        self.shape = lu.shape
+
+    def solve(self, v, trans="N"):
+        self.calls.append(trans)
+        return self.lu.solve(v, trans=trans)
+
+
+def test_degree0_solve_makes_ten_lu_solves(pt8, monkeypatch):
+    # 2 for the border (z and q), 2 for the solve and its refinement, and
+    # 6 for the gate, whose inverse iteration converges in 3 steps here
+    calls = []
+    splu = corrector.spla.splu
+    monkeypatch.setattr(corrector.spla, "splu",
+                        lambda *a, **k: _CountedLU(splu(*a, **k), calls))
+    gs = corrector.GridSpec(nr=100, nxn=100)
+    e = _compatible_degree0_forcing(Bubble(pt8), gs)
+    corrector.solve_mode(pt8, 0, e, gs)
+    assert len(calls) == 10
+    assert calls.count("T") == 4
+
+
+def test_degree0_gate_matches_a_dense_svd(pt8):
+    # second route: the singular triple of the explicitly assembled,
+    # row-equilibrated bordered matrix from LAPACK, with no inverse
+    # iteration.  sigma_min is 4.4e-9 of sigma_max here, so the dense
+    # value itself is good to about eps / 4.4e-9 = 5e-8 (measured 2.4e-10)
+    b = Bubble(pt8)
+    gs = corrector.GridSpec(nr=24, nxn=20)
+    gg = corrector.grid_geometry(gs, 8)
+    _, info = corrector.solve_mode(pt8, 0, _compatible_degree0_forcing(b, gs),
+                                   gs)
+    A, interior = corrector._assemble(pt8, 0, gs)
+    jn = _jn_grid(b, gg).ravel()
+    col = np.where(interior.ravel(), jn, 0.0)
+    row = gg["W"].ravel() * jn
+    d = 1.0 / np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel()
+                      + col ** 2)
+    M = sp.bmat([[sp.diags(d) @ A, (d * col)[:, None]],
+                 [(row / np.linalg.norm(row))[None, :], None]]).toarray()
+    _, s, vt = np.linalg.svd(M)
+    kernel = np.append(jn / np.linalg.norm(jn), 0.0)
+    assert info["sigma_min"] == pytest.approx(s[-1], rel=1e-7)
+    assert info["kernel_overlap"] == pytest.approx(abs(vt[-1] @ kernel),
+                                                   rel=1e-10)
+
+
+def test_smallest_singular_stops_once_converged():
+    # an isolated smallest singular value, 1e-9 against the next at 1.
+    # Step k's eigen-residual is about (sigma_1 / sigma_2)^(2 (k - 1))
+    # times the seed's share off the singular vector, so the earliest
+    # stop, after two steps, comes here
+    M, q2 = _orthogonal_test_matrix(60, 1e-9)
+    calls = []
+    sigma, vec = corrector._smallest_singular(_CountedLU(spla.splu(M), calls))
+    assert calls == ["T", "N"] * 2
+    assert sigma == pytest.approx(1e-9, rel=1e-12)
+    assert abs(vec @ q2[:, -1]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_smallest_singular_runs_every_step_without_a_gap():
+    # a double smallest singular value 1.0 and the next at 1 + 1/59: each
+    # step shrinks the residual by a gap ratio of about 0.97, so the
+    # iteration never meets its 1e-8 and runs the full 12 steps
+    M, _ = _orthogonal_test_matrix(60, 1.0)
+    calls = []
+    sigma, _ = corrector._smallest_singular(_CountedLU(spla.splu(M), calls))
+    assert calls == ["T", "N"] * 12
+    # ||(M^T M)^-1 v|| <= 1 / sigma_min^2 for a unit v: never below 1.0
+    assert 1.0 <= sigma < 1.02
+
+
+class _OverflowingLU:
+    """A 'factorization' whose solves return ``value`` at every entry."""
+
+    shape = (8, 8)
+
+    def __init__(self, value):
+        self.value = value
+
+    def solve(self, v, trans="N"):
+        return np.full(v.shape, self.value)
+
+
+@pytest.mark.parametrize("value", [1e300, np.inf, np.nan])
+def test_smallest_singular_refuses_an_iterate_out_of_range(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="machine-singular"):
+            corrector._conditioning_check(_OverflowingLU(value), 1.0,
+                                          np.ones(8) / np.sqrt(8.0))
+
+
+def test_degree0_gate_names_an_overflow_machine_singular():
+    # at n = 12, D = 1e8 the kernel profile has left the 16^2 grid and
+    # ||M^-1 M^-T v|| overflows on the first step of the gate
+    pt = ProblemPoint(n=12, K=-132.0, H=1e8)
+    gs = corrector.GridSpec(nr=16, nxn=16)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 12), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="machine-singular"):
+            corrector.solve_mode(pt, 0, e, gs)
+
+
 def _orthogonal_test_matrix(size, smallest):
     rng = np.random.default_rng(3)
     q1, _ = np.linalg.qr(rng.normal(size=(size, size)))
@@ -574,6 +684,22 @@ def test_solution_save_load_round_trip(tmp_path, sol8):
         # timing keys must never be persisted: identical configs must
         # produce byte-identical files
         assert not any(k.endswith("_seconds") for k in md["info"])
+
+
+def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(3)
+    # signed zeros, subnormals, the extremes of the range and non-finites
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+               np.finfo(float).max, np.inf, -np.inf, np.nan]
+    wide = rng.normal(size=(150, 7)) * 10.0 ** rng.integers(-300, 300,
+                                                            size=(150, 7))
+    wide.flat[:len(special)] = special
+    for arr in (wide, np.array([special]), np.array(special)[:, None],
+                rng.normal(size=(corrector._CSV_ROWS, 3))):
+        corrector._write_csv(tmp_path / "ours.csv", arr)
+        np.savetxt(tmp_path / "ref.csv", arr, delimiter=",")
+        assert (tmp_path / "ours.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_corrector_is_linear_in_the_frame(pt8, frame8):
