@@ -133,7 +133,7 @@ def decompose_forcing(frame, b):
 
     # parity: the odd angular part (degrees 1 and 3) must vanish pointwise
     # at three draws of (r, x_n) over a subset of the sphere nodes
-    nodes, _ = geom.sphere_rule(m, 3)
+    nodes, _ = geom.sphere_rule(m)
     theta = nodes[:: max(1, len(nodes) // 16)]
     rng = np.random.default_rng(1871)
     r, xn = rng.uniform([0.3, 0.0], 3.0, size=(3, 2)).T[:, :, None, None]
@@ -460,7 +460,8 @@ def _smallest_singular(op):
     eigenvalue lambda of M^T M (Parlett, The Symmetric Eigenvalue
     Problem, 4.5).  The iteration stops once ||r|| <= tau theta, tau =
     _EIGEN_RESIDUAL_TOL, or after _INVERSE_STEPS steps, and returns
-    (1 / sqrt(nu), u) of its last step.
+    (1 / sqrt(nu), u, steps, ||r|| / theta) of its last step, so that a
+    stop at the cap shows in the relative residual it left.
 
     An iterate that leaves the floating-point range (||y|| overflows or
     is not finite) means sigma_min is below 1 / sqrt(max float), about
@@ -471,7 +472,7 @@ def _smallest_singular(op):
     v /= np.linalg.norm(v)
     # range errors are caught by the test on nu, not warned about
     with np.errstate(all="ignore"):
-        for _ in range(_INVERSE_STEPS):
+        for steps in range(1, _INVERSE_STEPS + 1):
             y = op.solve(op.solve(v, trans="T"))
             nu = np.linalg.norm(y)
             if not 0.0 < nu < math.inf:
@@ -481,12 +482,11 @@ def _smallest_singular(op):
                     "machine-singular (sigma_min below 1e-154)")
             u = y / nu
             theta = (u @ v) / nu
-            converged = (np.linalg.norm(v / nu - theta * u)
-                         <= _EIGEN_RESIDUAL_TOL * theta)
+            residual = np.linalg.norm(v / nu - theta * u) / theta
             v = u
-            if converged:
+            if residual <= _EIGEN_RESIDUAL_TOL:
                 break
-    return 1.0 / math.sqrt(nu), v
+    return 1.0 / math.sqrt(nu), v, steps, float(residual)
 
 
 # sigma_min bands, relative to the equilibrated operator norm.  Broken
@@ -510,7 +510,9 @@ def _conditioning_check(system, base_norm, kernel):
     inverse iteration of _smallest_singular, which stops once its
     eigen-residual is at most ``_EIGEN_RESIDUAL_TOL`` (1e-8) of its
     Rayleigh quotient, after at most 12 steps of two solves each.
-    Returns an info dict with the measurement; raises SingularSystem
+    Returns an info dict with the measurement, the steps taken
+    (``gate_steps``) and the final relative eigen-residual
+    (``gate_eigen_residual``); raises SingularSystem
     below ``_SIGMA_RAISE * base_norm``, a level only a broken assembly
     reaches, and when an iterate leaves the floating-point range.
 
@@ -529,11 +531,12 @@ def _conditioning_check(system, base_norm, kernel):
     raised; the solve's actual accuracy is certified by residual_norm,
     not by sigma_min.
     """
-    sigma, vec = _smallest_singular(system)
+    sigma, vec, steps, residual = _smallest_singular(system)
     threshold = _SIGMA_RAISE * base_norm
     overlap = float(abs(np.dot(vec, kernel)))
     out = {"sigma_min": float(sigma), "sigma_threshold": float(threshold),
-           "base_norm": float(base_norm), "kernel_overlap": overlap}
+           "base_norm": float(base_norm), "kernel_overlap": overlap,
+           "gate_steps": steps, "gate_eigen_residual": residual}
     if sigma < threshold:
         where = (f"bordered degree-0 operator sigma_min {sigma:.3e} below "
                  f"{_SIGMA_RAISE:g} * ||A|| = {threshold:.3e}")
@@ -771,7 +774,7 @@ class CorrectorSolution:
     def angular_gram(self):
         """Gram matrix G[a, b] = int P_a P_b dtheta over the mode list."""
         m = self.pt.n - 1
-        nodes, w = geom.sphere_rule(m, 5)
+        nodes, w = geom.sphere_rule(m)
         vals = [mode.angular(nodes) for mode in self.modes]
         G = np.empty((len(self.modes), len(self.modes)))
         for a, va in enumerate(vals):
@@ -840,7 +843,7 @@ def forcing_pairing(sol):
     """int E_p V_p over the half-space through the modal Gram matrix.
 
     Both factors are mode sums on the shared grid, so the integral
-    collapses to sum_ab G_ab * sum(W e_a psi_b); the degree-5 sphere
+    collapses to sum_ab G_ab * sum(W e_a psi_b); the degree-7 sphere
     rule behind angular_gram is exact for the degree <= 4 products.
     """
     return _pairing(sol.angular_gram(), sol.grid["W"],
@@ -862,7 +865,7 @@ def corrector_diagnostics(sol):
     b = Bubble(pt)
     gg = sol.grid
     r, xn, W = gg["r"], gg["xn"], gg["W"]
-    nodes, wq = geom.sphere_rule(n - 1, 5)
+    nodes, wq = geom.sphere_rule(n - 1)
     checks = []
     diag = {}
 

@@ -35,19 +35,19 @@ a closed-form tail (`paired_moments`).  `paired_halfspace` is the
 independent route that integrates the records' pointwise profiles by
 double-exponential quadrature; `route_gap` compares the two.
 
-Angular integrals of tensor contractions use a product Gauss rule on
-the sphere (`sphere_rule`) that is exact for polynomial integrands up
-to the requested degree, so "the integral vanishes" is always a
-measured statement about a quadrature, never an assumption.
+Angular integrals of tensor contractions use one fully symmetric
+sphere rule (`sphere_rule`), fitted to the closed-form sphere moments
+and exact to degree 7, so "the integral vanishes" is always a measured
+statement about a quadrature, never an assumption.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import quad
 from .bubble import Bubble, c_n, check_field_index
@@ -160,37 +160,45 @@ def random_frame(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# product Gauss quadrature on spheres, exact for polynomials
+# a fully symmetric degree-7 rule on spheres
 
 
 @lru_cache(maxsize=None)
-def sphere_rule(m, degree):
-    """Nodes/weights on S^{m-1} integrating all polynomials of degree <= degree.
+def sphere_rule(m):
+    """Nodes/weights on S^{m-1} integrating all polynomials of degree <= 7.
 
-    Built recursively from theta = (u, sqrt(1-u^2) zeta) with a
-    Gauss-Jacobi rule in u (weight (1-u^2)^{(m-3)/2}) and the rule on
-    S^{m-2} for zeta; the base circle uses equispaced points.  Returns
-    (nodes, weights) with shapes (q, m) and (q,); arrays are read-only.
+    The nodes are the orbits, under permutations and sign changes of the
+    coordinates, of the points with k entries 1/sqrt(k) and the rest 0,
+    for k in {1, 2, 3, m}; each orbit has one weight.  Being invariant
+    under that group, the rule integrates every odd monomial to 0, and
+    with |theta|^2 = 1 every even moment of degree <= 6 follows from
+    those of 1, theta_1^4 and theta_1^6.  The weights are the
+    minimum-norm least-squares solution of these three conditions, with
+    `quad.sphere_monomial` on the right, as in Stroud's fully symmetric
+    rules (*Approximate Calculation of Multiple Integrals*, 1971, U_n
+    7-1).  The orbits k = 1, 2, 3 alone get a negative weight from
+    m = 6; with the fourth, the weights stay positive up to m = 13.  No
+    angular integrand here exceeds degree 6 (the quartic curvature term
+    of `cancellation_suite`), so the rule has no degree knob.  Returns
+    (nodes, weights) with shapes (q, m) and (q,), q = 2 to 3,610 for
+    m = 1 to 11; arrays are read-only.
     """
     if m < 1:
         raise DomainError(f"sphere_rule needs m >= 1, got {m}")
-    if m == 1:
-        nodes = np.array([[1.0], [-1.0]])
-        weights = np.array([1.0, 1.0])
-    elif m == 2:
-        K = max(int(degree) + 1, 3)
-        ang = 2.0 * math.pi * np.arange(K) / K
-        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        weights = np.full(K, 2.0 * math.pi / K)
-    else:
-        k = int(degree) // 2 + 1
-        u, wu = roots_jacobi(k, 0.5 * (m - 3), 0.5 * (m - 3))
-        sub_nodes, sub_w = sphere_rule(m - 1, degree)
-        s = np.sqrt(1.0 - u * u)
-        nodes = np.concatenate(
-            [np.repeat(u, len(sub_w))[:, None],
-             np.kron(s[:, None], sub_nodes)], axis=1)
-        weights = np.kron(wu, sub_w)
+    orbits = []
+    for k in sorted({1, 2, 3, m} & set(range(1, m + 1))):
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+        signs /= math.sqrt(k)
+        orbit = np.zeros((math.comb(m, k), len(signs), m))
+        for row, idx in enumerate(itertools.combinations(range(m), k)):
+            orbit[row][:, idx] = signs
+        orbits.append(orbit.reshape(-1, m))
+    # one column per orbit: its sums of 1, theta_1^4 and theta_1^6
+    A = np.array([[np.sum(o[:, 0] ** p) for o in orbits] for p in (0, 4, 6)])
+    rhs = np.array([quad.sphere_monomial((p,), m) for p in (0, 4, 6)])
+    w = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    nodes = np.concatenate(orbits)
+    weights = np.repeat(w, [len(o) for o in orbits])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -222,10 +230,6 @@ class Term(NamedTuple):
 
     angular: object
     radial: tuple
-
-
-# the angular products of two records have degree <= 4
-_PAIR_DEGREE = 5
 
 
 def _quadform(M):
@@ -282,12 +286,12 @@ def radial_profile(radial, b):
 def paired_moments(terms_a, terms_b, table):
     """Half-space integral of (sum_a term) * (sum_b term), by moments.
 
-    Angular factors are integrated by the sphere-exact product rule and
+    Angular factors are integrated by the degree-7 sphere rule and
     always kept as measured values; each radial product is a half-space
     moment of ``table`` (a closed-form Beta moment times a closed-form
     tail), divided by the sphere area the angular rule carries.
     """
-    nodes, weights = sphere_rule(table.n - 1, _PAIR_DEGREE)
+    nodes, weights = sphere_rule(table.n - 1)
     total = 0.0
     for ta in terms_a:
         va = np.asarray(ta.angular(nodes), dtype=float)
@@ -311,7 +315,7 @@ def paired_halfspace(terms_a, terms_b, b):
     moment route, which calls no quadrature.
     """
     n = b.n
-    nodes, weights = sphere_rule(n - 1, _PAIR_DEGREE)
+    nodes, weights = sphere_rule(n - 1)
     total = 0.0
     for ta in terms_a:
         va = np.asarray(ta.angular(nodes), dtype=float)
@@ -381,11 +385,6 @@ def route_gap(frame, b, table=None):
 # cancellation suite
 
 
-# nodes per block of the cancellation suite's angular sums: the degree-6
-# rule's 7 * 4^(n-3) nodes fit in one block up to n = 9
-_SUITE_BLOCK = 2 ** 15
-
-
 def cancellation_suite(frame, pt, tol=1e-8, table=None):
     """Numerically verify the vanishing/ratio identities behind the expansion.
 
@@ -412,17 +411,13 @@ def cancellation_suite(frame, pt, tol=1e-8, table=None):
     def radial(rpow, xnpow):
         return table.halfspace_moment(xnpow, rpow, n) / table.omega
 
-    nodes, weights = sphere_rule(m, 6)
-    # the angular sums of (1) and (4), over blocks of nodes so that
-    # A[q, i, s] = R[i,k,s,l] theta_k theta_l stays small
-    ang_R = ang_RR = 0.0
-    for lo in range(0, len(weights), _SUITE_BLOCK):
-        th = nodes[lo:lo + _SUITE_BLOCK]
-        wq = weights[lo:lo + _SUITE_BLOCK]
-        A = np.einsum("iksl,qk,ql->qis", R, th, th, optimize=True)
-        ang_R += float(wq @ np.einsum("qij,qi,qj->q", A, th, th,
+    nodes, weights = sphere_rule(m)
+    # A[q, i, s] = R[i,k,s,l] theta_k theta_l, the angular factor of (1)
+    # and (4)
+    A = np.einsum("iksl,qk,ql->qis", R, nodes, nodes, optimize=True)
+    ang_R = float(weights @ np.einsum("qij,qi,qj->q", A, nodes, nodes,
                                       optimize=True))
-        ang_RR += float(wq @ np.einsum("qis,qjs,qi,qj->q", A, A, th, th,
+    ang_RR = float(weights @ np.einsum("qis,qjs,qi,qj->q", A, A, nodes, nodes,
                                        optimize=True))
     checks = []
 

@@ -21,10 +21,9 @@ SUPPORTED_MIN_DIMENSION = 8
 # identity verification still makes sense below the blow-up threshold;
 # the explicit override lowers the gate to this hard floor
 OVERRIDE_MIN_DIMENSION = 5
-# the degree-6 sphere rule behind verify-bubble has 7 * 4^(n-3) nodes;
-# the cancellation suite sums over them in blocks, so a verify-bubble
-# run peaks at 139 MB at n = 10, 192 MB at n = 11 and 424 MB (8 s) at
-# n = 12, where the nodes themselves take 161 MB (2 cores, Python 3.11)
+# the validated ceiling, not a cost limit: verify-bubble's sphere rule
+# has 3,610 nodes at n = 12, and its fitted weights stay positive up to
+# n = 14 and turn negative at n = 15.  Raising it is a separate decision
 MAX_DIMENSION = 12
 # the formulas raise |K| and D to powers up to about 2n; the bubble
 # amplitude overflows at |K| = 1e300 and underflows at 1e-100, and the

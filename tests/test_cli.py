@@ -95,6 +95,15 @@ def test_verify_bubble_reports_the_divergent_quartic_moment(tmp_path,
                for r in doc["identities"])
 
 
+def test_verify_bubble_at_the_dimension_ceiling(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"n": 12, "K": -132.0, "H": 2.0})
+    assert _run("verify-bubble", "--config", cfg, "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "verify_report.json").read_text())
+    assert doc["parameters"]["n"] == 12
+    assert doc["all_passed"]
+    assert all(row["passed"] for row in doc["identities"])
+
+
 def test_hard_floor_survives_override(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"n": 4})
     assert _run("verify-integrals", "--config", cfg, "--out", str(tmp_path),

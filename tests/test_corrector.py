@@ -362,9 +362,11 @@ def test_degree0_solve_makes_ten_lu_solves(pt8, monkeypatch):
                         lambda *a, **k: _CountedLU(splu(*a, **k), calls))
     gs = corrector.GridSpec(nr=100, nxn=100)
     e = _compatible_degree0_forcing(Bubble(pt8), gs)
-    corrector.solve_mode(pt8, 0, e, gs)
+    _, info = corrector.solve_mode(pt8, 0, e, gs)
     assert len(calls) == 10
     assert calls.count("T") == 4
+    assert info["gate_steps"] == 3
+    assert info["gate_eigen_residual"] <= 1e-8
 
 
 def test_degree0_gate_matches_a_dense_svd(pt8):
@@ -399,8 +401,10 @@ def test_smallest_singular_stops_once_converged():
     # stop, after two steps, comes here
     M, q2 = _orthogonal_test_matrix(60, 1e-9)
     calls = []
-    sigma, vec = corrector._smallest_singular(_CountedLU(spla.splu(M), calls))
+    sigma, vec, steps, residual = corrector._smallest_singular(
+        _CountedLU(spla.splu(M), calls))
     assert calls == ["T", "N"] * 2
+    assert steps == 2 and residual <= 1e-8
     assert sigma == pytest.approx(1e-9, rel=1e-12)
     assert abs(vec @ q2[:, -1]) == pytest.approx(1.0, rel=1e-12)
 
@@ -411,8 +415,10 @@ def test_smallest_singular_runs_every_step_without_a_gap():
     # iteration never meets its 1e-8 and runs the full 12 steps
     M, _ = _orthogonal_test_matrix(60, 1.0)
     calls = []
-    sigma, _ = corrector._smallest_singular(_CountedLU(spla.splu(M), calls))
+    sigma, _, steps, residual = corrector._smallest_singular(
+        _CountedLU(spla.splu(M), calls))
     assert calls == ["T", "N"] * 12
+    assert steps == 12 and residual > 1e-8
     # ||(M^T M)^-1 v|| <= 1 / sigma_min^2 for a unit v: never below 1.0
     assert 1.0 <= sigma < 1.02
 
@@ -491,6 +497,10 @@ def test_conditioning_check_healthy_matrix():
     info = corrector._conditioning_check(spla.splu(M), 1.0, q2[:, -1])
     assert info["sigma_min"] >= info["sigma_threshold"]
     assert "near_singular" not in info
+    # the double smallest singular value keeps the gate from converging:
+    # it stops at its cap, and the info dict says so
+    assert info["gate_steps"] == 12
+    assert info["gate_eigen_residual"] > 1e-8
 
 
 def test_decompose_forcing_zero_frame(pt8):
@@ -521,12 +531,16 @@ def test_decompose_forcing_reconstructs(pt8, frame8, rng):
 
 def test_decompose_forcing_rejects_an_odd_component(pt8, frame8,
                                                     monkeypatch):
-    # 1e-8 x_1 is odd in theta, against a forcing of size about 1e-2
+    # 1e-8 times an odd term in theta, against a forcing of size about
+    # 1e-2.  x_1 x_2 x_3 vanishes on every node with fewer than three
+    # nonzero entries, so the parity subsample must reach past those
     naive = geom.forcing_Ep
-    monkeypatch.setattr(geom, "forcing_Ep", lambda frame, b, x:
-                        naive(frame, b, x) + 1e-8 * x[..., 0])
-    with pytest.raises(DecompositionError, match="odd angular component"):
-        corrector.decompose_forcing(frame8, Bubble(pt8))
+    for odd in (lambda x: x[..., 0],
+                lambda x: x[..., 0] * x[..., 1] * x[..., 2]):
+        monkeypatch.setattr(geom, "forcing_Ep", lambda frame, b, x, odd=odd:
+                            naive(frame, b, x) + 1e-8 * odd(x))
+        with pytest.raises(DecompositionError, match="odd angular component"):
+            corrector.decompose_forcing(frame8, Bubble(pt8))
 
 
 def test_decompose_forcing_rejects_a_term_that_is_no_mode(pt8, frame8,
@@ -563,7 +577,7 @@ def test_pairing_of_three_modes_matches_nodewise_integration(sol_three_modes):
                                             "normal-block"]
     # the two degree-2 modes overlap, so the pairing's cross terms run
     assert sol.angular_gram()[1, 2] != 0.0
-    nodes, weights = geom.sphere_rule(7, 5)
+    nodes, weights = geom.sphere_rule(7)
     W = sol.grid["W"]
     total = 0.0
     for node, wq in zip(nodes, weights):

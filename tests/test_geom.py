@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,16 +69,29 @@ def test_weyl_norm_refuses_what_validate_frame_refuses(frame8):
         geom.weyl_norm(bad)
 
 
-def test_sphere_rule_exactness():
-    m = 7
-    nodes, w = geom.sphere_rule(m, 5)
-    assert w.sum() == pytest.approx(quad.sphere_area(m), rel=1e-13)
-    for powers in ((2, 0, 0, 0, 0, 0, 0), (4, 0, 0, 0, 0, 0, 0),
-                   (2, 2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0),
-                   (3, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0)):
-        mono = np.prod(nodes ** np.array(powers), axis=1)
-        assert w @ mono == pytest.approx(quad.sphere_monomial(powers, m),
-                                         abs=1e-12)
+@pytest.mark.parametrize("m", range(1, 12))
+def test_sphere_rule_exactness(m):
+    # the fit imposes only 1, theta_1^4 and theta_1^6; the group
+    # invariance must carry every other monomial of degree <= 7, the
+    # odd ones and the mixed even ones such as theta_1^2 theta_2^2 theta_3^2
+    nodes, w = geom.sphere_rule(m)
+    counts = (2, 8, 26, 80, 162, 296, 506, 832, 1346, 2184, 3610)
+    assert nodes.shape == (counts[m - 1], m) and w.shape == (counts[m - 1],)
+    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) < 1e-15
+    assert np.all(w > 0.0)
+    d = min(m, 4)
+    area = quad.sphere_area(m)
+    for powers in itertools.product(range(8), repeat=d):
+        if sum(powers) > 7:
+            continue
+        mono = np.prod(nodes[:, :d] ** np.array(powers), axis=1)
+        assert abs(w @ mono - quad.sphere_monomial(powers, m)) \
+            <= 1e-14 * area, powers
+
+
+def test_sphere_rule_refuses_m_below_one():
+    with pytest.raises(DomainError, match="m >= 1"):
+        geom.sphere_rule(0)
 
 
 def test_forcing_is_linear_in_the_frame(pt8, frame8, rng):
@@ -126,7 +141,7 @@ def test_forcing_orthogonal_to_kernel(pt8, frame8):
 
 
 def test_cancellation_suite(pt8, pt10):
-    for pt in (pt8, pt10):
+    for pt in (pt8, pt10, ProblemPoint(n=12, K=-132.0, H=2.0)):
         fr = geom.random_frame(pt.n, np.random.default_rng(7))
         rep = geom.cancellation_suite(fr, pt)
         assert rep.passed, [(c.name, c.value) for c in rep.failures()]

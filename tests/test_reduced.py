@@ -60,7 +60,7 @@ def test_coeff_B_nonconstant_oracle(pt8):
     k = k + k.T
     n = 8
     b = Bubble(pt8)
-    nodes, w = geom.sphere_rule(n - 1, 3)
+    nodes, w = geom.sphere_rule(n - 1)
     ang_h = float(w @ np.einsum("ij,qi,qj->q", h, nodes, nodes))
     ang_k = float(w @ np.einsum("ij,qi,qj->q", k[:-1, :-1], nodes, nodes))
     p_bd = crit_boundary(n)
