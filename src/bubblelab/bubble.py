@@ -282,7 +282,9 @@ def bubble_energy_quadrature(pt, rel_tol=1e-8):
     """Independent oracle: the energy functional evaluated by quadrature.
 
     (c_n/2) int |grad U|^2 + (|K|/2*) int U^{2*}
-        - (n-2) H int_boundary U^{2#}.
+        - (n-2) H int_boundary U^{2#},
+
+    each integral on exp-sinh nodes at the bubble's length D.
     """
     n = pt.n
     b = Bubble(pt)
@@ -290,10 +292,13 @@ def bubble_energy_quadrature(pt, rel_tol=1e-8):
     tsh = crit_boundary(n)
 
     grad2 = quad.brute_halfspace(
-        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=rel_tol)
-    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=rel_tol)
+        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=rel_tol,
+        scale=pt.D)
+    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=rel_tol,
+                                scale=pt.D)
 
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
-        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=rel_tol)
+        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=rel_tol,
+        scale=pt.D)
     return 0.5 * c_n(n) * grad2 + abs(pt.K) / ts * upow \
         - (n - 2.0) * pt.H * btrace

@@ -374,7 +374,7 @@ def cmd_verify_integrals(cfg):
             closed = quad.phi_power(p, m, dd)
             direct = quad.integrate_halfline(
                 lambda t, _p=p, _m=m, _d=dd: (t - _d) ** _p
-                * (t * t - 1.0) ** (-_m), a=dd, rel_tol=_QUAD_TOL)
+                * (t * t - 1.0) ** (-_m), a=dd, rel_tol=_QUAD_TOL, scale=dd)
             worst = max(worst, abs(closed - direct) / abs(direct))
     rows.append(_row(f"tail moments against quadrature ({3 * len(ibp)} "
                      "triples)", worst, _bound(cfg, 1e-10)))
@@ -390,12 +390,13 @@ def cmd_verify_integrals(cfg):
     tbl = quad.MomentTable(n, pt.D)
     for a, b, m in _separable_triples(n):
         closed = tbl.halfspace_moment(a, b, m)
-        brute = quad.brute_halfspace(
-            lambda X, _a=a, _b=b, _m=m: X[..., -1] ** _a
-            * np.sum(X[..., :-1] ** 2, axis=-1) ** (0.5 * _b)
-            * (np.sum(X[..., :-1] ** 2, axis=-1) + (X[..., -1] + pt.D) ** 2
-               - 1.0) ** -_m,
-            n, rel_tol=1e-9)
+
+        def moment(X, a=a, b=b, m=m):
+            rt2 = np.sum(X[..., :-1] ** 2, axis=-1)
+            return X[..., -1] ** a * rt2 ** (0.5 * b) \
+                * (rt2 + (X[..., -1] + pt.D) ** 2 - 1.0) ** -m
+
+        brute = quad.brute_halfspace(moment, n, rel_tol=1e-9, scale=pt.D)
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
                          abs(closed - brute) / abs(closed),
                          _bound(cfg, 1e-8)))

@@ -310,9 +310,10 @@ def paired_halfspace(terms_a, terms_b, b):
 
     The independent route: each product of the records' pointwise
     profiles, times r^{n-2}, goes to `quad._de_quadrant`, the tensor
-    exp-sinh rule on [0, inf)^2, at relative tolerance 1e-9.  It never
-    sees the monomial exponents and shares no closed form with the
-    moment route, which calls no quadrature.
+    exp-sinh rule on [0, inf)^2 with its nodes at the bubble's length D,
+    at relative tolerance 1e-9.  It never sees the monomial exponents
+    and shares no closed form with the moment route, which calls no
+    quadrature.
     """
     n = b.n
     nodes, weights = sphere_rule(n - 1)
@@ -327,7 +328,7 @@ def paired_halfspace(terms_a, terms_b, b):
             fb = radial_profile(tb.radial, b)
             radial = quad._de_quadrant(
                 lambda r, xn, fa=fa, fb=fb: fa(r, xn) * fb(r, xn)
-                * r ** (n - 2), 1e-9)
+                * r ** (n - 2), 1e-9, b.pt.D)
             total += ang * radial
     return total
 

@@ -25,15 +25,24 @@ z = 2/b < 1.  The table calls no quadrature.
 
 Every quadrature in the package is one exp-sinh rule (Takahasi and
 Mori, "Double exponential formulas for numerical integration", Publ.
-RIMS 9, 1974): nodes x = exp(pi/2 sinh t) on |t| <= T, evaluated on
+RIMS 9, 1974): nodes x = L exp(pi/2 sinh t) on |t| <= T, evaluated on
 node arrays in bounded blocks, with a level-halving error estimate and
-explicit truncation and non-finite checks.  `integrate_halfline` is its
-one-variable case on [a, inf), the route that checks both closed forms
-(`verify_cache` for I, the verify-integrals rows for I and the tail).
-`_de_quadrant` is its tensor case on [0, inf)^2: `brute_halfspace`
-feeds it a point integrand along the slice xt = +/- r e_1, and
-`geom.paired_halfspace` the records' radial profiles.  Neither sees a
-factorised form or a Beta closed form.
+explicit truncation and non-finite checks.  The length L (``scale``) is
+the caller's: the integrand's own length, so that the nodes cluster
+where it varies.  `integrate_halfline` is its one-variable case on
+[a, inf), the route that checks both closed forms (`verify_cache` for
+I, the verify-integrals rows for I and the tail).  `_de_quadrant` is
+its tensor case on [0, inf)^2: `brute_halfspace` feeds it a point
+integrand along the slice xt = +/- r e_1, and `geom.paired_halfspace`
+the records' radial profiles.  Neither sees a factorised form or a
+Beta closed form.  Which length each oracle takes:
+
+* the Beta moments (1 + rho^2)^-m, in `verify_cache` and the
+  verify-integrals rows: L = 1;
+* the tails (t - D)^k (t^2 - 1)^-m on [D, inf): L = D;
+* the half-space moments at depth D, the bubble energy's three
+  integrals and the records' pairings: L = D, the distance from the
+  boundary to the centre of the bubble's sphere.
 """
 from __future__ import annotations
 
@@ -264,9 +273,9 @@ def moment_table(n, D, table=None):
 
 # The exp-sinh rule of `_de_quadrant` and `integrate_halfline` (Takahasi
 # and Mori, "Double exponential formulas for numerical integration",
-# Publ. RIMS 9, 1974): x = exp(pi/2 sinh t) on |t| <= T, so the nodes run
-# from e^-42.9 to e^42.9 and algebraic tails decay double-exponentially
-# in t.
+# Publ. RIMS 9, 1974): x = L exp(pi/2 sinh t) on |t| <= T, so the nodes
+# run from L e^-42.9 to L e^42.9 and algebraic tails decay
+# double-exponentially in t.
 _DE_T = 4.0
 _DE_H0 = 0.25       # step of level 0; each level halves it
 _DE_LEVELS = 6      # levels 0..5, h = 1/4 .. 1/128
@@ -274,11 +283,23 @@ _DE_LINE_LEVELS = 8  # levels 0..7 of the half-line rule, h = 1/4 .. 1/512
 _DE_BLOCK = 2048    # nodes per call of the integrand
 
 
-def _exp_sinh(h):
-    """Nodes x(t) = exp(pi/2 sinh t) and dx/dt at t = k h, |t| <= T."""
+def _check(rel_tol, scale):
+    """Refuse a tolerance or a length the rule cannot use."""
+    if rel_tol <= 0.0:
+        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"scale must be finite and positive, got {scale}")
+
+
+def _exp_sinh(h, scale):
+    """Nodes x(t) = L exp(pi/2 sinh t) and dx/dt at t = k h, |t| <= T.
+
+    L = ``scale`` is the integrand's own length: the nodes cluster
+    around x = L, and a function of x/L sees the same nodes at every L.
+    """
     k = round(_DE_T / h)
     t = h * np.arange(-k, k + 1)
-    x = np.exp(0.5 * math.pi * np.sinh(t))
+    x = scale * np.exp(0.5 * math.pi * np.sinh(t))
     return x, 0.5 * math.pi * np.cosh(t) * x
 
 
@@ -299,26 +320,27 @@ def _tensor_sum(F, xr, wr, xc, wc):
     return total
 
 
-def _de_quadrant(F, rel_tol):
+def _de_quadrant(F, rel_tol, scale=1.0):
     """int_0^inf int_0^inf F(r, x_n) dr dx_n by the tensor exp-sinh rule.
 
     ``F`` is a batch integrand: it gets a column of r nodes and a row of
-    x_n nodes and returns their broadcast grid of values.  Level l uses
-    the step h = 2^-l / 4 and evaluates only the nodes level l-1 lacks;
-    the step halves until two levels agree to ``rel_tol``.  Raises
+    x_n nodes and returns their broadcast grid of values.  ``scale`` is
+    the length L of F in both variables: the nodes on each axis are
+    L exp(pi/2 sinh t).  Level l uses the step h = 2^-l / 4 and
+    evaluates only the nodes level l-1 lacks; the step halves until two
+    levels agree to ``rel_tol``.  Raises
     NonConvergence when the last level still disagrees, when the edge
     rows and columns (|t| = T) carry more than ``rel_tol`` of the sum,
     or when F is not finite at some node: nothing is zeroed.
     """
-    if rel_tol <= 0.0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    _check(rel_tol, scale)
     h = _DE_H0
-    x, w = _exp_sinh(h)
+    x, w = _exp_sinh(h, scale)
     raw = _tensor_sum(F, x, w, x, w)
     value = h * h * raw
     for level in range(1, _DE_LEVELS):
         h *= 0.5
-        x, w = _exp_sinh(h)
+        x, w = _exp_sinh(h, scale)
         old, new = slice(0, None, 2), slice(1, None, 2)
         raw += _tensor_sum(F, x[new], w[new], x, w) \
             + _tensor_sum(F, x[old], w[old], x[new], w[new])
@@ -344,32 +366,31 @@ def _de_quadrant(F, rel_tol):
     return value
 
 
-def integrate_halfline(f, a=0.0, rel_tol=1e-10):
+def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
     """int_a^inf f(y) dy by the exp-sinh rule of `_de_quadrant` in one variable.
 
     ``f`` is a batch integrand: it maps an array of y nodes to their
-    values.  With y = a + x the nodes x are those of `_de_quadrant`,
-    summed by `_tensor_sum` against a one-node column (x_n = 0, weight
-    1), so the rule never samples y = a or y = inf.  The step halves
+    values.  With y = a + x the nodes x are those of `_de_quadrant` at
+    length ``scale``, summed by `_tensor_sum` against a one-node column
+    (x_n = 0, weight 1), so the rule never samples y = a or y = inf.  The step halves
     from 1/4 to 1/512 until two levels agree to ``rel_tol``.  Raises
     NonConvergence when the last level still disagrees, when the two
     edge nodes (|t| = T) carry more than ``rel_tol`` of the sum, or when
     f is not finite at some node.
     """
-    if rel_tol <= 0.0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    _check(rel_tol, scale)
     xn, wn = np.zeros(1), np.ones(1)     # the one-node column
 
     def F(x, _):
         return f(a + x)
 
     h = _DE_H0
-    x, w = _exp_sinh(h)
+    x, w = _exp_sinh(h, scale)
     raw = _tensor_sum(F, x, w, xn, wn)
     value = h * raw
     for level in range(1, _DE_LINE_LEVELS):
         h *= 0.5
-        x, w = _exp_sinh(h)
+        x, w = _exp_sinh(h, scale)
         raw += _tensor_sum(F, x[1::2], w[1::2], xn, wn)
         prev, value = value, h * raw
         if abs(value - prev) <= rel_tol * abs(value):
@@ -392,31 +413,35 @@ def integrate_halfline(f, a=0.0, rel_tol=1e-10):
 _PROBES = np.array([(0.7, 0.3), (1.3, 1.7), (0.2, 2.6)])
 
 
-def brute_halfspace(f, n, rel_tol=1e-8):
+def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0):
     """2-D oracle for half-space integrals of functions of (|xt|, x_n).
 
     ``f`` is a batch point integrand: it maps an array X of shape
     (..., n), with x_n = X[..., -1] >= 0, to values of shape (...), as
     `Bubble.U` does.  The oracle evaluates f only on the antipodal
-    slices xt = +/- r e_1, averages them, which removes any part odd in
-    xt, and integrates omega * g(r, x_n) r^{n-2} over [0, inf)^2 with
-    the tensor exp-sinh rule of `_de_quadrant`.  It never sees a
-    factorised form and shares no closed form with `MomentTable`.  When the even part along e_1 differs
-    from the one along a diagonal at probe points, f is not a function
+    slices xt = +/- r e_1, both in one call on a stacked (2, ..., n)
+    batch, averages them, which removes any part odd in xt, and
+    integrates omega * g(r, x_n) r^{n-2} over [0, inf)^2 with the tensor
+    exp-sinh rule of `_de_quadrant` at length ``scale``.  It never sees
+    a factorised form and shares no closed form with `MomentTable`.
+    When the even part along e_1 differs from the one along a diagonal
+    at probe points (at ``scale`` times `_PROBES`), f is not a function
     of (|xt|, x_n); a warning says so and the e_1 slice is integrated.
     """
     if n < 3:
         raise DomainError(f"brute_halfspace needs n >= 3, got n={n}")
+    _check(rel_tol, scale)
 
     def even(r, xn, direction):
-        X = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(xn)) + (n,))
+        shape = np.broadcast_shapes(np.shape(r), np.shape(xn))
+        X = np.zeros((2,) + shape + (n,))
         X[..., -1] = xn
-        X[..., :2] = np.multiply.outer(r, direction)
-        plus = np.asarray(f(X), dtype=float)
-        X[..., :2] *= -1.0
-        return 0.5 * (plus + np.asarray(f(X), dtype=float))
+        X[0, ..., :2] = np.multiply.outer(r, direction)
+        X[1, ..., :2] = -X[0, ..., :2]
+        both = np.asarray(f(X), dtype=float)
+        return 0.5 * (both[0] + both[1])
 
-    r, xn = _PROBES[:, 0], _PROBES[:, 1]
+    r, xn = scale * _PROBES.T
     on_axis = even(r, xn, (1.0, 0.0))
     skew = np.max(np.abs(on_axis - even(r, xn, (math.sqrt(0.5),) * 2)))
     if skew > 1e-8 * (np.max(np.abs(on_axis)) + 1e-300):
@@ -427,5 +452,5 @@ def brute_halfspace(f, n, rel_tol=1e-8):
 
     power = n - 2
     val = _de_quadrant(lambda r, xn: even(r, xn, (1.0, 0.0)) * r ** power,
-                       rel_tol)
+                       rel_tol, scale)
     return sphere_area(n - 1) * val

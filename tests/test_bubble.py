@@ -141,6 +141,15 @@ def test_energy_closed_form_vs_quadrature(pt8, pt10):
         assert closed == pytest.approx(direct, rel=1e-7)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("d", [1e4, 1e8, 1e12])
+def test_energy_oracle_at_extreme_depth(n, d):
+    # all three integrals of the oracle on nodes at the bubble's length D
+    pt = ProblemPoint(n=n, K=-float(n * (n - 1)), H=d)
+    assert bubble_energy_quadrature(pt, rel_tol=1e-9) == pytest.approx(
+        bubble_energy(pt), rel=1e-7)
+
+
 def test_energy_frozen_value(pt8):
     assert bubble_energy(pt8) == pytest.approx(1.0767440997271294, rel=1e-13)
 
@@ -178,7 +187,8 @@ def test_energy_trace_at_extreme_depth(n, d):
     b = Bubble(pt)
     tsh = crit_boundary(n)
     trace = quad.integrate_halfline(
-        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9)
+        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9,
+        scale=pt.D)
     table = quad.MomentTable(n, pt.D)
     closed = b.C ** tsh * table.boundary_moment(0, n - 1) / table.omega
     assert trace == pytest.approx(closed, rel=1e-12)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab import cli, corrector, geom
+from bubblelab import cli, corrector, geom, quad
 
 
 def _write(tmp_path, name, doc):
@@ -511,10 +511,12 @@ def _non_constants_at(K, d):
     ("locate", _non_constants_at(-56.0, 1.0 + 1e-9)),
     ("locate", _non_constants_at(-1e-30, 1e10)),
     ("locate", _non_constants_at(-1e30, 1e12)),
+    ("verify-integrals", {"H": 1e8}),
+    ("verify-integrals", {"H": 1e12}),
 ])
 def test_extreme_depths_pass(tmp_path, command, config):
     # the tails are closed forms: near D = 1 and at D >= 1e8 no
-    # quadrature can stall
+    # quadrature can stall; the oracle's nodes follow D
     cfg = _write(tmp_path, "c.json", config)
     assert _run(command, "--config", cfg, "--out",
                 str(tmp_path / "out")) == 0
@@ -524,3 +526,19 @@ def test_out_dir_from_config_is_relative_to_config(tmp_path):
     cfg = _write(tmp_path, "c.json", {"out": "nested/results"})
     assert _run("verify-hyperbolic", "--config", cfg) == 0
     assert (tmp_path / "nested" / "results" / "verify_report.json").exists()
+
+
+def test_verify_integrals_nodes_follow_the_point(tmp_path, monkeypatch):
+    # with its nodes at x = exp(pi/2 sinh t) whatever the point, the
+    # run evaluated the integrand at 1,593,497 nodes; at the point's
+    # length it takes 1,047,321
+    tensor_sum = quad._tensor_sum
+    nodes = [0]
+
+    def counted(F, xr, wr, xc, wc):
+        nodes[0] += len(xr) * len(xc)
+        return tensor_sum(F, xr, wr, xc, wc)
+
+    monkeypatch.setattr(quad, "_tensor_sum", counted)
+    assert _run("verify-integrals", "--out", str(tmp_path)) == 0
+    assert 0 < nodes[0] < 1_593_497

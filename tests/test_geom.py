@@ -211,6 +211,19 @@ def test_moment_route_matches_nested_quadrature(n):
         assert abs(value - geom.paired_halfspace(ep, js, b)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("d", [1e8, 1e12])
+def test_paired_halfspace_at_extreme_depth(n, d):
+    # the quadrature route on nodes at the bubble's length D
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=d))
+    table = quad.MomentTable(n, d)
+    frame = geom.random_frame(n, np.random.default_rng(40 + n))
+    for records in (geom.forcing_terms(frame, b), geom.jacobi_terms(b, 1),
+                    geom.jacobi_terms(b, n)):
+        assert geom.paired_halfspace(records, records, b) == pytest.approx(
+            geom.paired_moments(records, records, table), rel=1e-8)
+
+
 def test_moment_route_matches_nested_quadrature_off_the_gauge(pt8):
     # outside the gauge E_p pairs with j_n well above roundoff, so the
     # two routes are compared on a value that carries digits

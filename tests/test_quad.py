@@ -211,6 +211,48 @@ def test_brute_halfspace_sweeps_the_moments(n, d):
                                       rel=1e-8)
 
 
+@pytest.mark.parametrize("d", [2.0, 1e4, 1e8, 1e12])
+def test_brute_halfspace_at_the_points_length(d):
+    # every verify-integrals moment at n = 8, on nodes scaled by D
+    n = 8
+    table = quad.MomentTable(n, d)
+    for a, b, m in _separable_triples(n):
+        brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
+                                     rel_tol=1e-9, scale=d)
+        assert brute == pytest.approx(table.halfspace_moment(a, b, m),
+                                      rel=1e-8)
+
+
+@pytest.mark.parametrize("length", [1e-6, 0.3, 7.0, 1e9])
+def test_scale_moves_the_nodes_only(length):
+    # a profile of y/L on nodes scaled by L: L times the unit integral,
+    # on the same levels, to roundoff
+    def unit(y):
+        return (1.0 + y * y) ** -3.0
+
+    one = quad.integrate_halfline(unit, rel_tol=1e-12)
+    scaled = quad.integrate_halfline(lambda y: unit(y / length),
+                                     rel_tol=1e-12, scale=length)
+    assert scaled == pytest.approx(length * one, rel=1e-14)
+    two = quad._de_quadrant(lambda r, xn: unit(r) * unit(xn), 1e-12)
+    both = quad._de_quadrant(
+        lambda r, xn: unit(r / length) * unit(xn / length), 1e-12, length)
+    assert both == pytest.approx(length * length * two, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_every_entry_point_refuses_a_bad_scale(scale):
+    def g(*args):
+        raise AssertionError("the integrand was called")
+
+    with pytest.raises(DomainError, match="scale"):
+        quad.integrate_halfline(g, scale=scale)
+    with pytest.raises(DomainError, match="scale"):
+        quad._de_quadrant(g, 1e-9, scale)
+    with pytest.raises(DomainError, match="scale"):
+        quad.brute_halfspace(g, 8, scale=scale)
+
+
 def test_brute_halfspace_averages_out_odd_parts():
     # (1 + x_1) g: the antipodal slices cancel x_1 g exactly, no warning
     n = 8
