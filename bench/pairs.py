@@ -4,7 +4,7 @@ Usage, from the root of a checkout:
 
     python3 bench/pairs.py --before DIR --after DIR --out BENCH_topic.json \
         --pairs degree0:500-509 frame:510-512 verify:520-522 \
-        --traced degree0:530 frame:531 --seconds 40
+        --traced degree0:530 frame:531 --seconds 40 --walls 5
 
 ``--before`` and ``--after`` are two checkouts (each with its own
 perfbench/ and src/).  For every seed of ``--pairs`` the workload runs
@@ -13,7 +13,9 @@ first alternates from pair to pair, so slow drift of the machine falls
 on both sides alike.  Every seed of ``--traced`` gets one ``--trace 1``
 run per side.  The output holds every run's metrics, and per workload
 and end-to-end metric each side's median and quartiles and how many
-pairs the after side won.
+pairs the after side won.  ``--walls N`` adds N alternating rounds of
+fresh-process walls per side: a bare ``import bubblelab.cli`` and each
+CLI command at its defaults (``locate`` on the README example).
 """
 import argparse
 import json
@@ -22,7 +24,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+
+THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+README_LOCATE = {"n": 8, "K": -56.0, "H": 2.0, "case": "constants",
+                 "frame": "random", "seed": 11,
+                 "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0},
+                             {"label": "p1", "coords": [1.0], "gamma": 1.5}]}
 
 
 def run(root, workload, seed, seconds, trace):
@@ -37,6 +47,39 @@ def run(root, workload, seed, seconds, trace):
         {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     result["run_s"] = time.monotonic() - start
     return result
+
+
+def walls(sides, rounds):
+    """Fresh-process walls per command and side, sides alternating."""
+    with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "locate.json")
+        with open(config, "w") as fh:
+            json.dump(README_LOCATE, fh)
+        commands = {"import bubblelab.cli": ["-c", "import bubblelab.cli"]}
+        for cmd in ("verify-integrals", "verify-bubble", "verify-hyperbolic",
+                    "corrector", "locate"):
+            commands[cmd] = ["-m", "bubblelab.cli", cmd, "--out",
+                             os.path.join(work, "out")]
+        commands["locate"] += ["--config", config]
+        out = {name: {"before": [], "after": []} for name in commands}
+        for k in range(rounds):
+            order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            for name, args in commands.items():
+                for side in order:
+                    env = dict(os.environ, **THREAD_ENV,
+                               PYTHONPATH=os.path.join(sides[side], "src"))
+                    start = time.monotonic()
+                    proc = subprocess.run([sys.executable, *args], cwd=work,
+                                          env=env, capture_output=True)
+                    wall = time.monotonic() - start
+                    if proc.returncode != 0:
+                        raise RuntimeError(f"{name} on the {side} side exited "
+                                           f"{proc.returncode}")
+                    out[name][side].append(wall)
+    for runs in out.values():
+        for side in ("before", "after"):
+            runs[f"{side}_median"] = statistics.median(runs[side])
+    return out
 
 
 def seeds(spec):
@@ -86,6 +129,7 @@ def main(argv=None):
     ap.add_argument("--pairs", nargs="+", default=[])
     ap.add_argument("--traced", nargs="*", default=[])
     ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--walls", type=int, default=0)
     args = ap.parse_args(argv)
     sides = {"before": os.path.abspath(args.before),
              "after": os.path.abspath(args.after)}
@@ -97,7 +141,8 @@ def main(argv=None):
     report = {
         "command": " ".join(["bench/pairs.py", "--pairs", *args.pairs,
                              "--traced", *args.traced,
-                             "--seconds", f"{args.seconds:g}"]),
+                             "--seconds", f"{args.seconds:g}",
+                             "--walls", str(args.walls)]),
         "sides": {side: os.path.basename(root)
                   for side, root in sides.items()},
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -125,6 +170,9 @@ def main(argv=None):
             print(json.dumps({"workload": workload, "seed": seed, **runs}),
                   flush=True)
             report["traced"][f"{workload}:{seed}"] = runs
+    if args.walls:
+        report["walls"] = walls(sides, args.walls)
+        print(json.dumps({"walls": report["walls"]}), flush=True)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -214,24 +214,29 @@ def jacobi_grad(b, i, x):
 
 
 def jacobi_laplacian(b, i, x):
-    """Analytic Laplacian of j_i, assembled from Lap(w^-s) and the product rule."""
+    """Analytic Laplacian of j_i, in the form where nothing cancels.
+
+    With s = n/2, Lap(w^-s) = 4s w^{-s-1} + 4s(s+1) w^{-s-2}, because
+    |x - x0|^2 = w + 1.  In the product rule for x_i w^-s the w^{-s-1}
+    part of x_i Lap(w^-s) cancels 2 d_i(w^-s) identically, and for
+    phi w^-s (phi = |x|^2 + 1 - D^2, x.(x - x0) = (w + phi)/2) the
+    w^-s and w^{-s-1} parts cancel as well.  What is left is
+
+        Lap j_i = (2-n) C 4s(s+1) x_i w^{-s-2}        for i < n,
+        Lap j_n = (n-2)/2 C 4s(s+1) phi w^{-s-2},
+
+    about D^2 times smaller than the terms that cancel, which would
+    leave a rounding error of eps D^2 relative.
+    """
     x = np.asarray(x, dtype=float)
     n = b.n
     check_field_index(n, i)
     s = 0.5 * n
-    d = x - b.x0
-    wv = b.w(x)
-    # Lap(w^-s) = 2s(2s+2-n) w^{-s-1} + 4s(s+1) w^{-s-2} (|x-x0|^2 = w + 1)
-    lap_ws = 2.0 * s * (2.0 * s + 2.0 - n) * wv ** (-s - 1.0) \
-        + 4.0 * s * (s + 1.0) * wv ** (-s - 2.0)
-    grad_ws = (-2.0 * s * wv ** (-s - 1.0))[..., None] * d
+    scale = 4.0 * s * (s + 1.0) * b.C * b.w(x) ** (-s - 2.0)
     if i < n:
-        A = (2.0 - n) * b.C
-        return A * (x[..., i - 1] * lap_ws + 2.0 * grad_ws[..., i - 1])
-    B = 0.5 * (n - 2.0) * b.C
+        return (2.0 - n) * scale * x[..., i - 1]
     phi = np.sum(x * x, axis=-1) + 1.0 - b.pt.D ** 2
-    return B * (2.0 * n * wv ** (-s)
-                + 2.0 * np.sum(2.0 * x * grad_ws, axis=-1) + phi * lap_ws)
+    return 0.5 * (n - 2.0) * scale * phi
 
 
 def residual_linearized(b, i, x):

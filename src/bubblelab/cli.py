@@ -32,15 +32,15 @@ import sys
 
 import numpy as np
 
-from . import corrector, geom, hyperbolic, quad, reduced
+from . import geom, hyperbolic, quad, reduced
 from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
-from .model import (MAX_DIMENSION, OVERRIDE_MIN_DIMENSION,
-                    SUPPORTED_MIN_DIMENSION, CurvatureFrame, HessianData,
-                    ProblemPoint, validate_frame, validate_hessians,
-                    validate_point)
+from .model import (MAX_DIMENSION, MAX_GRID_CELLS, OVERRIDE_MIN_DIMENSION,
+                    SUPPORTED_MIN_DIMENSION, CurvatureFrame, GridSpec,
+                    HessianData, ProblemPoint, validate_frame,
+                    validate_hessians, validate_point)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -51,10 +51,10 @@ _QUAD_TOL = 1e-12
 
 # The one config schema: key -> (kind, default, doc).  It drives the
 # defaults, the kind checks and --schema.  Point bounds live in
-# model.validate_point and grid bounds in GridSpec, whose field defaults
-# are the grid defaults; the kinds "count" and "positive" carry the
-# bounds of the keys only the CLI reads.  A null value stands for the
-# default, and is accepted only where the default is null.
+# model.validate_point and grid bounds in model.GridSpec, whose field
+# defaults are the grid defaults; the kinds "count" and "positive" carry
+# the bounds of the keys only the CLI reads.  A null value stands for
+# the default, and is accepted only where the default is null.
 _KEYS = {
     "n": ("integer", 8, f"dimension, {SUPPORTED_MIN_DIMENSION} <= n <= "
           f"{MAX_DIMENSION} (from {OVERRIDE_MIN_DIMENSION} with "
@@ -77,12 +77,11 @@ _KEYS = {
                    "relative to the config file (not the non-constants "
                    "case)"),
     "grid": ({
-        "nr": ("integer", corrector.GridSpec.nr, "radial cells, >= 16"),
-        "nxn": ("integer", corrector.GridSpec.nxn, "normal cells, >= 16; "
-                f"nr * nxn <= {corrector.MAX_GRID_CELLS}"),
-        "r_max": ("number", corrector.GridSpec.r_max,
-                  "truncation radius, > 1"),
-        "stretch": ("number", corrector.GridSpec.stretch,
+        "nr": ("integer", GridSpec.nr, "radial cells, >= 16"),
+        "nxn": ("integer", GridSpec.nxn, "normal cells, >= 16; "
+                f"nr * nxn <= {MAX_GRID_CELLS}"),
+        "r_max": ("number", GridSpec.r_max, "truncation radius, > 1"),
+        "stretch": ("number", GridSpec.stretch,
                     "algebraic grid stretch, in (0, 1e100]"),
     }, {}, "modal solver grid (not the non-constants case)"),
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
@@ -250,7 +249,7 @@ def _load_config(args, command):
                         cfg["override_dimension_gate"])
     if "grid" in cfg:
         try:
-            cfg["grid"] = corrector.GridSpec(**cfg["grid"])
+            cfg["grid"] = GridSpec(**cfg["grid"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -387,16 +386,23 @@ def cmd_verify_integrals(cfg):
             f"tail-moment integration by parts n={k} D={dd}",
             abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
 
+    # the oracle integrates x_n^a |xt|^b (|xt|^2 + (x_n+D)^2 - 1)^-m in
+    # units of D, y = x/D, so that no factor leaves the float range
+    # before the others meet it: D^(n+a+b-2m) times the integral of
+    # y_n^a |yt|^b (|yt|^2 + (y_n+1)^2 - D^-2)^-m, on nodes at length 1
     tbl = quad.MomentTable(n, pt.D)
+    inv_d2 = pt.D ** -2
     for a, b, m in _separable_triples(n):
         closed = tbl.halfspace_moment(a, b, m)
 
-        def moment(X, a=a, b=b, m=m):
-            rt2 = np.sum(X[..., :-1] ** 2, axis=-1)
-            return X[..., -1] ** a * rt2 ** (0.5 * b) \
-                * (rt2 + (X[..., -1] + pt.D) ** 2 - 1.0) ** -m
+        def moment(Y, a=a, b=b, m=m):
+            yt = Y[..., :-1]
+            yt2 = np.einsum("...i,...i->...", yt, yt)
+            return Y[..., -1] ** a * yt2 ** (0.5 * b) \
+                * (yt2 + (Y[..., -1] + 1.0) ** 2 - inv_d2) ** -m
 
-        brute = quad.brute_halfspace(moment, n, rel_tol=1e-9, scale=pt.D)
+        brute = pt.D ** (n + a + b - 2.0 * m) \
+            * quad.brute_halfspace(moment, n, rel_tol=1e-9)
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
                          abs(closed - brute) / abs(closed),
                          _bound(cfg, 1e-8)))
@@ -565,6 +571,8 @@ def _build_frame(cfg):
 
 
 def cmd_corrector(cfg):
+    from . import corrector     # scipy.sparse: only the commands that solve
+
     pt = cfg["_pt"]
     frame = _build_frame(cfg)
     gs = cfg["grid"]
@@ -641,6 +649,8 @@ def cmd_locate(cfg):
     pt = cfg["_pt"]
     n = pt.n
     if cfg["case"] == "constants":
+        from . import corrector
+
         parsed = _parse_samples(cfg, need_h=False)
         frame = _build_frame(cfg)
         # one geometry, many gammas: the corrector solve is shared

@@ -48,12 +48,15 @@ from . import geom
 from .bubble import Bubble, c_n, crit_boundary, crit_interior
 from .errors import (DecompositionError, DomainError, NonConvergence,
                      SingularSystem)
-from .model import Check, ValidationReport
+# GridSpec and MAX_GRID_CELLS live in model, so that the CLI reads the
+# grid defaults without importing this module; both stay names here
+from .model import MAX_GRID_CELLS, Check, GridSpec, ValidationReport
 
 __all__ = [
     "ForcingMode",
     "decompose_forcing",
     "GridSpec",
+    "MAX_GRID_CELLS",
     "solve_mode",
     "residual_norm",
     "CorrectorSolution",
@@ -166,55 +169,6 @@ def decompose_forcing(frame, b):
 
 # ---------------------------------------------------------------------------
 # the 2-D modal solver
-
-
-# a random-frame corrector run peaks at 319 MB on 400^2 cells and
-# 1.12 GB on 800^2
-MAX_GRID_CELLS = 800 ** 2
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor grid on [0, r_max]^2 with algebraic stretching.
-
-    Both coordinates use the map r(s) = r_max s / (1 + stretch (1-s)),
-    which crowds nodes near the origin where the forcing concentrates.
-    Its field defaults are the grid defaults of the CLI.
-    """
-
-    nr: int = 400
-    nxn: int = 400
-    r_max: float = 40.0
-    stretch: float = 10.0
-
-    def __post_init__(self):
-        if self.nr < 16 or self.nxn < 16:
-            raise DomainError("grid needs at least 16 cells per direction")
-        if self.nr * self.nxn > MAX_GRID_CELLS:
-            raise DomainError(f"grid needs nr * nxn <= {MAX_GRID_CELLS}, "
-                              f"got {self.nr} * {self.nxn}")
-        if not self.r_max > 1.0:
-            raise DomainError(f"r_max must exceed 1, got {self.r_max}")
-        # d2coord raises 1 + stretch to the third power
-        if not 0.0 < self.stretch <= 1e100:
-            raise DomainError(f"stretch must lie in (0, 1e100], "
-                              f"got {self.stretch}")
-
-    def to_json_dict(self):
-        return {"nr": self.nr, "nxn": self.nxn, "r_max": self.r_max,
-                "stretch": self.stretch}
-
-    # the stretching map and its derivatives, on [0, 1]
-    def coord(self, s):
-        return self.r_max * s / (1.0 + self.stretch * (1.0 - s))
-
-    def dcoord(self, s):
-        return self.r_max * (1.0 + self.stretch) \
-            / (1.0 + self.stretch * (1.0 - s)) ** 2
-
-    def d2coord(self, s):
-        return 2.0 * self.r_max * self.stretch * (1.0 + self.stretch) \
-            / (1.0 + self.stretch * (1.0 - s)) ** 3
 
 
 def _axes(gs):
@@ -782,6 +736,17 @@ class CorrectorSolution:
                 G[a, bb] = float(w @ (va * vb))
         return G
 
+    def forcing_pairing(self):
+        """int E_p V_p over the half-space through the modal Gram matrix.
+
+        Both factors are mode sums on the shared grid, so the integral
+        collapses to sum_ab G_ab * sum(W e_a psi_b); the degree-7 sphere
+        rule behind angular_gram is exact for the degree <= 4 products.
+        """
+        return _pairing(self.angular_gram(), self.grid["W"],
+                        [mode.e for mode in self.modes],
+                        [mode.psi for mode in self.modes])
+
     # -- serialization: JSON header + one CSV per stored profile --------
     def save(self, directory):
         from pathlib import Path
@@ -837,18 +802,6 @@ def _pairing(G, W, xs, ys):
             if g != 0.0:
                 total += g * float(np.sum(W * x * y))
     return total
-
-
-def forcing_pairing(sol):
-    """int E_p V_p over the half-space through the modal Gram matrix.
-
-    Both factors are mode sums on the shared grid, so the integral
-    collapses to sum_ab G_ab * sum(W e_a psi_b); the degree-7 sphere
-    rule behind angular_gram is exact for the degree <= 4 products.
-    """
-    return _pairing(sol.angular_gram(), sol.grid["W"],
-                    [mode.e for mode in sol.modes],
-                    [mode.psi for mode in sol.modes])
 
 
 def corrector_diagnostics(sol):

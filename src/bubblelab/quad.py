@@ -21,7 +21,13 @@ t = D + s, a = D - 1 and b = D + 1 the tail is
     b^-m a^(k+1-m) B(k+1, 2m-k-1) 2F1(m, k+1; 2m; 2/b),
 
 so its singular scale a^(k+1-m) is explicit and 2F1 is evaluated at
-z = 2/b < 1.  The table calls no quadrature.
+z = 2/b < 1.  The table calls no quadrature.  The package evaluates
+that 2F1 itself, in floats and without scipy: by its Gauss series (DLMF
+15.2.1) while z <= 0.97, and nearer D = 1 by the connection formulas in
+w = 1 - z (DLMF 15.8.4; for integer m their logarithmic limit, DLMF
+15.8.10, whose digammas are then harmonic numbers).  w is formed as a/b
+because a = D - 1 is exact near D = 1, where 1 - z would carry the
+rounding of z.
 
 Every quadrature in the package is one exp-sinh rule (Takahasi and
 Mori, "Double exponential formulas for numerical integration", Publ.
@@ -40,9 +46,11 @@ Beta closed form.  Which length each oracle takes:
 * the Beta moments (1 + rho^2)^-m, in `verify_cache` and the
   verify-integrals rows: L = 1;
 * the tails (t - D)^k (t^2 - 1)^-m on [D, inf): L = D;
-* the half-space moments at depth D, the bubble energy's three
-  integrals and the records' pairings: L = D, the distance from the
-  boundary to the centre of the bubble's sphere.
+* the half-space moments of the verify-integrals rows, written in
+  units of D (y = x/D, so no factor leaves the float range before the
+  others meet it): L = 1;
+* the bubble energy's three integrals and the records' pairings: L = D,
+  the distance from the boundary to the centre of the bubble's sphere.
 """
 from __future__ import annotations
 
@@ -51,7 +59,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, hyp2f1
 
 from .errors import DomainError, NonConvergence
 
@@ -82,27 +89,124 @@ def I(m, alpha):
         raise DomainError(
             f"I(m, alpha) diverges: need alpha+1 < 2m, got m={m}, alpha={alpha}")
     h = 0.5 * (alpha + 1.0)
-    return 0.5 * math.exp(betaln(h, m - h))
+    return 0.5 * math.exp(_log_beta(h, m - h))
+
+
+def _log_beta(x, y):
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
+def _gamma_ratio(num, den):
+    """prod Gamma(num) / prod Gamma(den), through log-Gamma and the signs."""
+    log = sum(map(math.lgamma, num)) - sum(map(math.lgamma, den))
+    # Gamma(x) < 0 where x < 0 has an odd floor
+    negative = sum(x < 0.0 and math.floor(x) % 2 for x in num + den)
+    return (-1.0) ** negative * math.exp(log)
+
+
+# 2F1 by its Gauss series while z <= _SERIES_Z, which needs about 1,500
+# terms at z = 0.97 and k = 6; nearer 1 the connection formulas in
+# w = 1 - z, whose two terms cancel more as w grows (2.2e-13 at w = 0.03)
+_SERIES_Z = 0.97
+_SERIES_TERMS = 100_000
+_EPS = 2.0 ** -53
+
+
+def _gauss_series(a, b, c, x):
+    """sum_j (a)_j (b)_j / ((c)_j j!) x^j for 0 <= x < 1 (DLMF 15.2.1).
+
+    It stops once the terms decrease and the last one is below the
+    rounding of the sum over what the remaining terms could add.
+    """
+    total = term = 1.0
+    for j in range(_SERIES_TERMS):
+        ratio = (a + j) * (b + j) / ((c + j) * (j + 1.0)) * x
+        term *= ratio
+        total += term
+        if 0.0 <= ratio < 1.0 \
+                and abs(term) <= _EPS * (1.0 - ratio) * abs(total):
+            return total
+    raise NonConvergence(f"2F1({a}, {b}; {c}; {x}): the Gauss series "
+                         f"needs more than {_SERIES_TERMS} terms")
+
+
+def _hyp2f1(a, b, c, z, w):
+    """2F1(a, b; c; z) for 0 < z < 1, with c > a > 0, c > b > 0 and
+    2(c - a - b) an integer; a and b integers too when c - a - b is.
+
+    ``w`` is 1 - z, formed by the caller without the rounding of z.
+    While z <= _SERIES_Z it is the Gauss series.  Beyond, with
+    s = c - a - b, Euler's transformation (DLMF 15.8.1) first makes
+    s >= 0, and then it is the connection formula in w: DLMF 15.8.4
+    when s is not an integer, and else its logarithmic limit DLMF
+    15.8.10 (Abramowitz and Stegun 15.3.10-11), whose digammas at the
+    integers a, b are harmonic numbers.
+    """
+    if z <= _SERIES_Z:
+        return _gauss_series(a, b, c, z)
+    s = c - a - b
+    if s < 0.0:
+        return w ** s * _hyp2f1(c - a, c - b, c, z, w)
+    if s != round(s):
+        return (_gamma_ratio((c, s), (c - a, c - b))
+                * _gauss_series(a, b, 1.0 - s, w)
+                + _gamma_ratio((c, -s), (a, b)) * w ** s
+                * _gauss_series(c - a, c - b, 1.0 + s, w))
+    s, a, b = round(s), round(a), round(b)
+    finite = term = 1.0
+    for j in range(s - 1):
+        term *= (a + j) * (b + j) / ((j + 1.0) * (1.0 - s + j)) * w
+        finite += term
+    finite = _gamma_ratio((s, a + b + s), (a + s, b + s)) * finite \
+        if s else 0.0
+    # psi(a+n+s) + psi(b+n+s) - psi(n+1) - psi(n+s+1) as harmonic numbers
+    # H_{a+n+s-1} + H_{b+n+s-1} - H_n - H_{n+s}; Euler's constant cancels
+    log_w = math.log(w)
+    h = sum(1.0 / i for i in range(1, a + s)) \
+        + sum(1.0 / i for i in range(1, b + s)) \
+        - sum(1.0 / i for i in range(1, s + 1))
+    term = math.exp(-math.lgamma(s + 1.0))
+    total = 0.0
+    for n in range(_SERIES_TERMS):
+        total += term * (log_w + h)
+        ratio = (a + s + n) * (b + s + n) / ((n + 1.0) * (n + s + 1.0)) * w
+        if ratio < 1.0 and abs(term) * (abs(log_w) + abs(h)) \
+                <= _EPS * (1.0 - ratio) * abs(total):
+            return finite - (-w) ** s * _gamma_ratio((a + b + s,), (a, b)) \
+                * total
+        term *= ratio
+        h += 1.0 / (a + n + s) + 1.0 / (b + n + s) - 1.0 / (n + 1.0) \
+            - 1.0 / (n + s + 1.0)
+    raise NonConvergence(f"2F1({a}, {b}; {c}; 1 - {w}): the logarithmic "
+                         f"series needs more than {_SERIES_TERMS} terms")
 
 
 def phi_power(k, m, D):
     """Tail integral int_D^inf (t-D)^k (t^2-1)^-m dt for integer k >= 0.
 
     Euler's integral (DLMF 15.6.1) with a = D - 1, b = D + 1:
-    B(k+1, 2m-k-1) b^-m a^(k+1-m) 2F1(m, k+1; 2m; 2/b).  scipy reports
-    a failure as nan or inf, so a value that is not finite, or beyond
-    the float range, raises NonConvergence.
+    B(k+1, 2m-k-1) b^-m a^(k+1-m) 2F1(m, k+1; 2m; z), z = 2/b, through
+    `_hyp2f1`.  2m must be an integer; every caller passes integers or
+    half-integers.  Near D = 1 the 2F1 is a function of w = 1 - z,
+    formed as a/b: a = D - 1 is exact there, while 1 - z would inherit
+    the rounding of z, about 1e-16 absolute and so 2e-7 relative in w
+    at D = 1 + 1e-9.  A value beyond the float range raises
+    NonConvergence.
     """
-    if D <= 1.0:
-        raise DomainError(f"tail integrals need D > 1, got D={D}")
+    if not 1.0 < D < math.inf:
+        raise DomainError(f"tail integrals need finite D > 1, got D={D}")
+    if not (k >= 0 and float(k).is_integer()):
+        raise DomainError(f"tail integrals need integer k >= 0, got k={k}")
+    if not float(2.0 * m).is_integer():
+        raise DomainError(f"tail integrals need an integer 2m, got m={m}")
     if k - 2.0 * m >= -1.0:
         raise DomainError(
             f"tail integral diverges: need k - 2m < -1, got k={k}, m={m}")
     a, b = D - 1.0, D + 1.0
     try:
-        value = math.exp(betaln(k + 1.0, 2.0 * m - k - 1.0)
+        value = math.exp(_log_beta(k + 1.0, 2.0 * m - k - 1.0)
                          - m * math.log(b) + (k + 1.0 - m) * math.log(a)) \
-            * hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / b)
+            * _hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / b, a / b)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -127,7 +231,8 @@ def sphere_area(m):
     """Surface measure of the unit sphere S^{m-1} in R^m."""
     if m < 1:
         raise DomainError(f"sphere_area needs m >= 1, got {m}")
-    return 2.0 * math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m))
+    return 2.0 * math.exp(0.5 * m * math.log(math.pi)
+                           - math.lgamma(0.5 * m))
 
 
 def sphere_monomial(powers, m):
@@ -143,8 +248,8 @@ def sphere_monomial(powers, m):
         raise DomainError("negative exponent in sphere_monomial")
     if any(p % 2 for p in ps):
         return 0.0
-    log_num = sum(gammaln(0.5 * (p + 1)) for p in ps)
-    return 2.0 * math.exp(log_num - gammaln(0.5 * (m + sum(ps))))
+    log_num = sum(math.lgamma(0.5 * (p + 1)) for p in ps)
+    return 2.0 * math.exp(log_num - math.lgamma(0.5 * (m + sum(ps))))
 
 
 @dataclass

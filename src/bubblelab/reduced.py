@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corrector, geom, quad
+from . import geom, quad
 from .bubble import alpha_n, bubble_energy, c_n, crit_boundary, crit_interior
 from .errors import DomainError, HypothesisFailure
 from .model import validate_hessians
@@ -135,7 +135,7 @@ def coeff_B_constant(pt, frame, sol, table=None):
         raise DomainError("corrector solution was computed for a different "
                           f"problem point: {sol.pt} vs {pt}")
     tbl = quad.moment_table(n, pt.D, table)
-    pair = 0.5 * corrector.forcing_pairing(sol)
+    pair = 0.5 * sol.forcing_pairing()
     weyl_term = geom.weyl_norm(frame) / (24.0 * (n - 1.0)) \
         * _amplitude_sq(pt) * tbl.halfspace_moment(0, 2, n - 2)
     s_term = frame.nnins_sq * compute_S(pt, tbl) \

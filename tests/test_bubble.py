@@ -117,6 +117,39 @@ def test_jacobi_fields_solve_linearized_problem(pt8, pt10, rng):
             assert np.all(np.abs(boundary) < 1e-8)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, 10.0])
+def test_jacobi_laplacian_matches_finite_differences(d, rng):
+    # the fourth-order central stencil in each coordinate, h = 1e-2:
+    # truncation about h^4, rounding about eps / h^2
+    n, h = 8, 1e-2
+    b = Bubble(ProblemPoint(n=n, K=-56.0, H=d))
+    x = rng.normal(size=(5, n))
+    x[:, -1] = np.abs(x[:, -1]) + 0.1
+    steps = h * np.eye(n)[:, None, :]
+    for i in range(1, n + 1):
+        def j(y):
+            return jacobi(b, i, y)
+
+        fd = np.sum(-j(x + 2 * steps) + 16 * j(x + steps) - 30 * j(x)
+                    + 16 * j(x - steps) - j(x - 2 * steps), axis=0) \
+            / (12 * h * h)
+        lap = jacobi_laplacian(b, i, x)
+        assert np.max(np.abs(fd - lap)) < 1e-6 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("d", [1e4, 1e8, 1e12])
+def test_linearized_residuals_at_extreme_depth(n, d, rng):
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=d))
+    pts = rng.normal(size=(20, n)) * rng.lognormal(0.0, 1.0, size=(20, 1))
+    pts[:, -1] = np.abs(pts[:, -1])
+    pts[::2, -1] = 0.0
+    for i in range(1, n + 1):
+        interior, boundary = residual_linearized(b, i, pts)
+        assert np.max(interior) < 1e-13
+        assert np.max(boundary) < 1e-13
+
+
 def test_jacobi_values_are_finite(pt8, rng):
     b = Bubble(pt8)
     x = rng.normal(size=8)

@@ -37,15 +37,33 @@ def test_schema_exits_clean(capsys):
         assert "config" in doc and "outputs" in doc
 
 
-def test_cli_import_loads_no_scipy_integrate():
-    # a fresh interpreter: this one may have imported it for a test
+def _fresh(code):
+    """stdout of ``code`` run in a fresh interpreter on this package;
+    this one may have imported scipy for a test."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, bubblelab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+@pytest.mark.parametrize("module", ["bubblelab.cli", "bubblelab.reduced"])
+def test_cli_and_reduced_imports_load_no_scipy(module):
+    assert _fresh(f"import sys, {module}; print({_SCIPY_LOADED})") \
+        .strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["verify-integrals", "verify-bubble",
+                                     "verify-hyperbolic"])
+def test_verify_commands_run_without_scipy(tmp_path, command):
+    code = ("import sys\nfrom bubblelab import cli\n"
+            f"code = cli.main([{command!r}, '--out', {str(tmp_path)!r}])\n"
+            f"print(code, {_SCIPY_LOADED})")
+    assert _fresh(code).splitlines()[-1] == "0 []"
 
 
 def test_verify_integrals_default(tmp_path, capsys):
@@ -513,10 +531,16 @@ def _non_constants_at(K, d):
     ("locate", _non_constants_at(-1e30, 1e12)),
     ("verify-integrals", {"H": 1e8}),
     ("verify-integrals", {"H": 1e12}),
+    ("verify-bubble", {"H": 1e8}),
+    ("verify-bubble", {"H": 1e12}),
+    ("verify-bubble", {"n": 12, "K": -132.0, "H": 1e8}),
+    ("verify-integrals", {"n": 12, "K": -132.0, "H": 1e12}),
 ])
 def test_extreme_depths_pass(tmp_path, command, config):
     # the tails are closed forms: near D = 1 and at D >= 1e8 no
-    # quadrature can stall; the oracle's nodes follow D
+    # quadrature can stall; the oracle's nodes follow D, the separable
+    # oracle works in units of D, and the Jacobi Laplacian carries no
+    # cancelling terms
     cfg = _write(tmp_path, "c.json", config)
     assert _run(command, "--config", cfg, "--out",
                 str(tmp_path / "out")) == 0

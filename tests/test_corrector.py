@@ -585,7 +585,7 @@ def test_pairing_of_three_modes_matches_nodewise_integration(sol_three_modes):
         e = sum(pa * m.e for pa, m in zip(p, sol.modes))
         v = sum(pa * m.psi for pa, m in zip(p, sol.modes))
         total += wq * float(np.sum(W * e * v))
-    assert corrector.forcing_pairing(sol) == pytest.approx(total, rel=1e-12)
+    assert sol.forcing_pairing() == pytest.approx(total, rel=1e-12)
 
 
 def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
@@ -602,7 +602,7 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
         ops.append(np.where(interior, (A @ m.psi.ravel()).reshape(
             m.psi.shape), 0.0))
     qform = corrector._pairing(G, W, ops, psis)
-    pairing = corrector.forcing_pairing(sol)
+    pairing = sol.forcing_pairing()
     agree = abs(pairing - qform) / max(abs(pairing), abs(qform))
     assert sol.diagnostics["quadratic_form"] == pytest.approx(qform,
                                                               rel=1e-12)
@@ -676,7 +676,7 @@ def test_corrector_diagnostics_pass(sol8):
 
 def test_forcing_pairing_matches_diagnostics(sol8):
     corrector.corrector_diagnostics(sol8)
-    direct = corrector.forcing_pairing(sol8)
+    direct = sol8.forcing_pairing()
     assert direct == pytest.approx(sol8.diagnostics["forcing_pairing"],
                                    rel=1e-12)
     assert direct == pytest.approx(0.33190, rel=2e-3)  # grid-converged value

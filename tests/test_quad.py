@@ -52,6 +52,49 @@ def test_phi_power_guards():
         quad.phi_power(3, 2.0, 2.0)     # k - 2m = -1, diverges
     with pytest.raises(DomainError):
         quad.phi_power(0, 4.0, 1.0)     # needs D > 1
+    with pytest.raises(DomainError):
+        quad.phi_power(1.5, 4.0, 2.0)   # needs an integer k
+    for m in (3.25, 3.3, 4.0 + 1e-9):   # needs an integer 2m
+        with pytest.raises(DomainError, match="integer 2m"):
+            quad.phi_power(0, m, 2.0)
+
+
+# the tails' 2F1(m, k+1; 2m; z) over the validated range of D, with z and
+# w = 1 - z formed as phi_power forms them
+_TAIL_DEPTHS = (1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0,
+                10.0, 1e3, 1e6, 1e12)
+_TAIL_GRID = [(k, 0.5 * h) for k in range(7) for h in range(k + 2, 31)]
+
+
+def _tail_hyp2f1(k, m, d):
+    return quad._hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / (d + 1.0),
+                        (d - 1.0) / (d + 1.0))
+
+
+def test_tail_hypergeometric_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for d in _TAIL_DEPTHS:
+            z = 2 / (mpmath.mpf(d) + 1)     # d is exact in mpf
+            for k, m in _TAIL_GRID:
+                ref = mpmath.hyp2f1(m, k + 1, 2 * m, z)
+                worst = max(worst, float(abs(_tail_hyp2f1(k, m, d) - ref)
+                                         / ref))
+    assert worst < 1e-12
+
+
+def test_tail_hypergeometric_matches_scipy():
+    # scipy's own value rounds z = 2/(D+1) first, so it is a reference
+    # only away from D = 1
+    from scipy.special import hyp2f1
+
+    for d in _TAIL_DEPTHS:
+        if d < 1.01:
+            continue
+        for k, m in _TAIL_GRID:
+            ref = hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / (d + 1.0))
+            assert _tail_hyp2f1(k, m, d) == pytest.approx(ref, rel=1e-12)
 
 
 def test_phi_power_refuses_a_value_beyond_the_float_range():
