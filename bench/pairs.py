@@ -12,10 +12,12 @@ once in each checkout, untraced, one run at a time; the side that runs
 first alternates from pair to pair, so slow drift of the machine falls
 on both sides alike.  Every seed of ``--traced`` gets one ``--trace 1``
 run per side.  The output holds every run's metrics, and per workload
-and end-to-end metric each side's median and quartiles and how many
-pairs the after side won.  ``--walls N`` adds N alternating rounds of
-fresh-process walls per side: a bare ``import bubblelab.cli`` and each
-CLI command at its defaults (``locate`` on the README example).
+and end-to-end metric each side's median and quartiles, how many pairs
+the after side won, how many runs errored on each side, and a verdict
+against BENCHMARK.json's bound (see `verdict`).  ``--walls N`` adds N
+alternating rounds of fresh-process walls per side: a bare
+``import bubblelab.cli`` and each CLI command at its defaults
+(``locate`` on the README example).
 """
 import argparse
 import json
@@ -96,11 +98,46 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def summarize(pairs, better):
+def verdict(before, after, wins, direction, bound):
+    """How the after side stands against the before side on one metric.
+
+    "gain": the after side wins at least 9 of every 10 pairs, and its
+    median is better by more than the before side's interquartile
+    range.  "worse": the after median is worse than the before median by
+    more than ``bound``, a share of the before median.  "unresolved":
+    either side's interquartile range is wider than that bound, so the
+    runs spread too widely to tell, unless every after run is better
+    than every before run.  Otherwise "no worse".
+    """
+    sign = 1.0 if direction == "lower" else -1.0    # costs: lower wins
+    cost_before = [sign * v for v in before]
+    cost_after = [sign * v for v in after]
+    gap = statistics.median(cost_before) - statistics.median(cost_after)
+    lo, hi = quartiles(before)
+    if 10 * wins >= 9 * len(before) and gap > hi - lo:
+        return "gain"
+    limit = bound * abs(statistics.median(before))
+    if -gap > limit:
+        return "worse"
+    after_lo, after_hi = quartiles(after)
+    spread = max(hi - lo, after_hi - after_lo)
+    if spread > limit and max(cost_after) >= min(cost_before):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs, better, bounds=None):
     """Each side's median and quartiles, and after-side wins, per metric.
 
-    A tie counts as a win for neither side.
+    A tie counts as a win for neither side.  A pair with an errored run
+    (no metrics) is left out of the medians; ``before_errors`` and
+    ``after_errors`` count each side's errored runs.  ``bounds`` maps a metric to the share of the before
+    median by which the after one may be worse (BENCHMARK.json's
+    bound; 0 when missing), and each metric gets a `verdict`.
     """
+    bounds = bounds or {}
+    errors = {side: sum("error" in p[side] for p in pairs)
+              for side in ("before", "after")}
     out = {}
     for name, direction in better.items():
         rows = [(p["before"]["metrics"][name]["value"],
@@ -108,6 +145,10 @@ def summarize(pairs, better):
                 if name in p["before"].get("metrics", {})
                 and name in p["after"].get("metrics", {})]
         if not rows:
+            if any(errors.values()):
+                out[name] = {"pairs": 0, "before_errors": errors["before"],
+                             "after_errors": errors["after"],
+                             "verdict": "unresolved"}
             continue
         before = [b for b, _ in rows]
         after = [a for _, a in rows]
@@ -117,7 +158,11 @@ def summarize(pairs, better):
                      "after_median": statistics.median(after),
                      "before_quartiles": quartiles(before),
                      "after_quartiles": quartiles(after),
-                     "after_wins": wins, "pairs": len(rows)}
+                     "after_wins": wins, "pairs": len(rows),
+                     "before_errors": errors["before"],
+                     "after_errors": errors["after"],
+                     "verdict": verdict(before, after, wins, direction,
+                                        bounds.get(name, 0.0))}
     return out
 
 
@@ -134,7 +179,9 @@ def main(argv=None):
     sides = {"before": os.path.abspath(args.before),
              "after": os.path.abspath(args.after)}
     with open(os.path.join(sides["before"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     import numpy
     import scipy
@@ -161,7 +208,7 @@ def main(argv=None):
             print(json.dumps({"workload": workload, **pair}), flush=True)
             pairs.append(pair)
         report["workloads"][workload] = {
-            "pairs": pairs, "summary": summarize(pairs, better)}
+            "pairs": pairs, "summary": summarize(pairs, better, bounds)}
     for spec in args.traced:
         workload, seed_list = seeds(spec)
         for seed in seed_list:

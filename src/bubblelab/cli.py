@@ -340,6 +340,36 @@ def _separable_triples(n):
     return [(a, b, m) for a, b, m in quoted + extras if 2 * m > n + a + b]
 
 
+def _separable_family(triples, D):
+    """The integrands of the separable oracle, as one `brute_halfspace` family.
+
+    Member k of ``triples`` = [(a, b, m), ...] is x_n^a |xt|^b
+    (|xt|^2 + (x_n+D)^2 - 1)^-m written in units of D, y = x/D, so that
+    no factor leaves the float range before the others meet it: its
+    integral times D^(n+a+b-2m) is the moment.  The integrand is
+    y_n^a |yt|^b (|yt|^2 + (y_n+1)^2 - D^-2)^-m, from the definition;
+    a block forms |yt|^2, y_n, the base and each distinct power once,
+    with the operations of one member's own expression, so each value
+    is the one that member's own call returns.
+    """
+    inv_d2 = D ** -2
+
+    def family(Y, which):
+        yt = Y[..., :-1]
+        yt2 = np.einsum("...i,...i->...", yt, yt)
+        # a contiguous copy: powers of the strided view run 1.5x slower
+        yn = np.ascontiguousarray(Y[..., -1])
+        base = yt2 + (yn + 1.0) ** 2 - inv_d2
+        chosen = [triples[k] for k in which]
+        a_s, b_s, m_s = (set(e) for e in zip(*chosen))
+        yn_a = {a: yn ** a for a in a_s}
+        yt_b = {b: yt2 ** (0.5 * b) for b in b_s}
+        base_m = {m: base ** -m for m in m_s}
+        return [yn_a[a] * yt_b[b] * base_m[m] for a, b, m in chosen]
+
+    return family
+
+
 def cmd_verify_integrals(cfg):
     pt = cfg["_pt"]
     n = pt.n
@@ -386,23 +416,14 @@ def cmd_verify_integrals(cfg):
             f"tail-moment integration by parts n={k} D={dd}",
             abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
 
-    # the oracle integrates x_n^a |xt|^b (|xt|^2 + (x_n+D)^2 - 1)^-m in
-    # units of D, y = x/D, so that no factor leaves the float range
-    # before the others meet it: D^(n+a+b-2m) times the integral of
-    # y_n^a |yt|^b (|yt|^2 + (y_n+1)^2 - D^-2)^-m, on nodes at length 1
+    # the oracle integrates the triples in units of D, as one family
     tbl = quad.MomentTable(n, pt.D)
-    inv_d2 = pt.D ** -2
-    for a, b, m in _separable_triples(n):
+    triples = _separable_triples(n)
+    brutes = quad.brute_halfspace(_separable_family(triples, pt.D), n,
+                                  rel_tol=1e-9, count=len(triples))
+    for (a, b, m), brute in zip(triples, brutes):
         closed = tbl.halfspace_moment(a, b, m)
-
-        def moment(Y, a=a, b=b, m=m):
-            yt = Y[..., :-1]
-            yt2 = np.einsum("...i,...i->...", yt, yt)
-            return Y[..., -1] ** a * yt2 ** (0.5 * b) \
-                * (yt2 + (Y[..., -1] + 1.0) ** 2 - inv_d2) ** -m
-
-        brute = pt.D ** (n + a + b - 2.0 * m) \
-            * quad.brute_halfspace(moment, n, rel_tol=1e-9)
+        brute = pt.D ** (n + a + b - 2.0 * m) * brute
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
                          abs(closed - brute) / abs(closed),
                          _bound(cfg, 1e-8)))

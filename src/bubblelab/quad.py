@@ -41,7 +41,20 @@ I, the verify-integrals rows for I and the tail).  `_de_quadrant` is
 its tensor case on [0, inf)^2: `brute_halfspace` feeds it a point
 integrand along the slice xt = +/- r e_1, and `geom.paired_halfspace`
 the records' radial profiles.  Neither sees a factorised form or a
-Beta closed form.  Which length each oracle takes:
+Beta closed form.
+
+Both take a family of integrands as well (``count=k``): one pass over
+one node set, where the integrand gets the indices of the members still
+running and returns one array per member, and the call returns k
+values.  Each member keeps its own level test, stop level, edge check,
+non-finite check and block-by-block sums, so its value is bit for bit
+the one a call of its own returns; a failure or warning names the
+member.  A call without ``count`` is a family of one.  The separable
+oracle of verify-integrals is one such family; `integrate_halfline`,
+the bubble energy's integrals and the records' pairings stay one
+integral per call.
+
+Which length each oracle takes:
 
 * the Beta moments (1 + rho^2)^-m, in `verify_cache` and the
   verify-integrals rows: L = 1;
@@ -55,6 +68,7 @@ Beta closed form.  Which length each oracle takes:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,6 +124,7 @@ def _gamma_ratio(num, den):
 _SERIES_Z = 0.97
 _SERIES_TERMS = 100_000
 _EPS = 2.0 ** -53
+_NORMAL_MIN = sys.float_info.min
 
 
 def _gauss_series(a, b, c, x):
@@ -190,8 +205,9 @@ def phi_power(k, m, D):
     half-integers.  Near D = 1 the 2F1 is a function of w = 1 - z,
     formed as a/b: a = D - 1 is exact there, while 1 - z would inherit
     the rounding of z, about 1e-16 absolute and so 2e-7 relative in w
-    at D = 1 + 1e-9.  A value beyond the float range raises
-    NonConvergence.
+    at D = 1 + 1e-9.  A value beyond the float range, or below its
+    normal range, where a subnormal keeps only some of its digits and
+    zero none, raises NonConvergence.
     """
     if not 1.0 < D < math.inf:
         raise DomainError(f"tail integrals need finite D > 1, got D={D}")
@@ -209,9 +225,10 @@ def phi_power(k, m, D):
             * _hyp2f1(m, k + 1.0, 2.0 * m, 2.0 / b, a / b)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if not _NORMAL_MIN <= value < math.inf:
         raise NonConvergence(
-            f"tail closed form is {value} at k={k}, m={m}, D={D}")
+            f"tail closed form is {value} at k={k}, m={m}, D={D}: "
+            "outside the normal float range")
     return value
 
 
@@ -388,12 +405,14 @@ _DE_LINE_LEVELS = 8  # levels 0..7 of the half-line rule, h = 1/4 .. 1/512
 _DE_BLOCK = 2048    # nodes per call of the integrand
 
 
-def _check(rel_tol, scale):
-    """Refuse a tolerance or a length the rule cannot use."""
+def _check(rel_tol, scale, count=None):
+    """Refuse a tolerance, a length or a family size the rule cannot use."""
     if rel_tol <= 0.0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be finite and positive, got {scale}")
+    if count is not None and not (isinstance(count, int) and count >= 1):
+        raise DomainError(f"count must be a positive integer, got {count}")
 
 
 def _exp_sinh(h, scale):
@@ -408,24 +427,38 @@ def _exp_sinh(h, scale):
     return x, 0.5 * math.pi * np.cosh(t) * x
 
 
-def _tensor_sum(F, xr, wr, xc, wc):
-    """sum_ij wr_i wc_j F(xr_i, xc_j), evaluated a block of rows at a time."""
+def _label(k, count):
+    """How a message names member k: not at all in a one-integrand call."""
+    return "" if count is None else f" (member {k})"
+
+
+def _tensor_sum(F, xr, wr, xc, wc, which, count=None):
+    """sum_ij wr_i wc_j F_k(xr_i, xc_j) for each member k of ``which``.
+
+    ``F(r, x_n, which)`` returns one array per member of ``which``.  The
+    rows go a block at a time, and each member sums its own blocks from
+    0.0 in block order, so its total does not depend on the others.
+    """
     rows = max(1, _DE_BLOCK // len(xc))
-    total = 0.0
+    totals = [0.0] * len(which)
     for i in range(0, len(xr), rows):
-        r = xr[i:i + rows, None]
-        vals = np.broadcast_to(F(r, xc[None, :]), (len(r), len(xc)))
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k, j = np.argwhere(bad)[0]
-            raise NonConvergence(
-                f"double-exponential quadrature: integrand is {vals[k, j]} "
-                f"at (r, x_n) = ({r[k, 0]:.6e}, {xc[j]:.6e})")
-        total += float(wr[i:i + rows] @ vals @ wc)
-    return total
+        r, wb = xr[i:i + rows, None], wr[i:i + rows]
+        shape = (len(r), len(xc))
+        members = zip(which, F(r, xc[None, :], which), strict=True)
+        for j, (k, vals) in enumerate(members):
+            if np.shape(vals) != shape:
+                vals = np.broadcast_to(vals, shape)
+            if not np.isfinite(vals).all():
+                p, q = np.argwhere(~np.isfinite(vals))[0]
+                raise NonConvergence(
+                    f"double-exponential quadrature{_label(k, count)}: "
+                    f"integrand is {vals[p, q]} at (r, x_n) = "
+                    f"({r[p, 0]:.6e}, {xc[q]:.6e})")
+            totals[j] += float(wb @ vals @ wc)
+    return totals
 
 
-def _de_quadrant(F, rel_tol, scale=1.0):
+def _de_quadrant(F, rel_tol, scale=1.0, count=None):
     """int_0^inf int_0^inf F(r, x_n) dr dx_n by the tensor exp-sinh rule.
 
     ``F`` is a batch integrand: it gets a column of r nodes and a row of
@@ -437,38 +470,66 @@ def _de_quadrant(F, rel_tol, scale=1.0):
     NonConvergence when the last level still disagrees, when the edge
     rows and columns (|t| = T) carry more than ``rel_tol`` of the sum,
     or when F is not finite at some node: nothing is zeroed.
+
+    With ``count=k`` the call integrates a family of k integrands over
+    one node set and returns a list of k values.  ``F(r, x_n, which)``
+    then gets the indices of the members still running and returns one
+    array per member, in that order; a member leaves the family at the
+    level where it converges, after its edge check there.  Each member
+    keeps the level test, stop level, edge check, non-finite check and
+    block-by-block sums of a call of its own, so its value is bit for
+    bit the one that call returns, and an error names the member.  A
+    call without ``count`` is a family of one.
     """
-    _check(rel_tol, scale)
+    _check(rel_tol, scale, count)
+    members = 1 if count is None else count
+
+    def G(r, xn, which):
+        return (F(r, xn),) if count is None else F(r, xn, which)
+
+    def size(r, xn, which):
+        return [np.abs(v) for v in G(r, xn, which)]
+
     h = _DE_H0
     x, w = _exp_sinh(h, scale)
-    raw = _tensor_sum(F, x, w, x, w)
-    value = h * h * raw
+    which = list(range(members))
+    raw = _tensor_sum(G, x, w, x, w, which, count)
+    value = [h * h * s for s in raw]
+    prev = [math.nan] * members
     for level in range(1, _DE_LEVELS):
         h *= 0.5
         x, w = _exp_sinh(h, scale)
         old, new = slice(0, None, 2), slice(1, None, 2)
-        raw += _tensor_sum(F, x[new], w[new], x, w) \
-            + _tensor_sum(F, x[old], w[old], x[new], w[new])
-        prev, value = value, h * h * raw
-        if abs(value - prev) <= rel_tol * abs(value):
+        rows = _tensor_sum(G, x[new], w[new], x, w, which, count)
+        cols = _tensor_sum(G, x[old], w[old], x[new], w[new], which, count)
+        for k, a, b in zip(which, rows, cols):
+            raw[k] += a + b
+            prev[k], value[k] = value[k], h * h * raw[k]
+        done = [k for k in which
+                if abs(value[k] - prev[k]) <= rel_tol * abs(value[k])]
+        if done:
+            ends, inner = [0, -1], slice(1, -1)
+            edges = zip(
+                done, _tensor_sum(size, x[ends], w[ends], x, w, done, count),
+                _tensor_sum(size, x[inner], w[inner], x[ends], w[ends],
+                            done, count))
+            for k, a, b in edges:
+                edge = h * h * (a + b)
+                if edge > rel_tol * abs(value[k]):
+                    raise NonConvergence(
+                        f"double-exponential quadrature{_label(k, count)} "
+                        f"truncated at |t| = {_DE_T:g}: edge rows and "
+                        f"columns carry {edge:.3e} of {value[k]:.6e}")
+            which = [k for k in which if k not in done]
+        if not which:
             break
     else:
+        k = which[0]
         raise NonConvergence(
-            f"double-exponential quadrature stalled at level {level} "
-            f"(h = 1/{round(1.0 / h)}): levels differ by "
-            f"{abs(value - prev):.3e} (value={value:.6e})")
-
-    def size(r, xn):
-        return np.abs(F(r, xn))
-
-    ends, inner = [0, -1], slice(1, -1)
-    edge = h * h * (_tensor_sum(size, x[ends], w[ends], x, w)
-                    + _tensor_sum(size, x[inner], w[inner], x[ends], w[ends]))
-    if edge > rel_tol * abs(value):
-        raise NonConvergence(
-            f"double-exponential quadrature truncated at |t| = {_DE_T:g}: "
-            f"edge rows and columns carry {edge:.3e} of {value:.6e}")
-    return value
+            f"double-exponential quadrature{_label(k, count)} stalled at "
+            f"level {level} (h = 1/{round(1.0 / h)}): levels differ by "
+            f"{abs(value[k] - prev[k]):.3e} (value={value[k]:.6e})")
+    return value[0] if count is None else value
 
 
 def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
@@ -486,17 +547,17 @@ def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
     _check(rel_tol, scale)
     xn, wn = np.zeros(1), np.ones(1)     # the one-node column
 
-    def F(x, _):
-        return f(a + x)
+    def F(x, _, which):
+        return (f(a + x),)
 
     h = _DE_H0
     x, w = _exp_sinh(h, scale)
-    raw = _tensor_sum(F, x, w, xn, wn)
+    raw = _tensor_sum(F, x, w, xn, wn, [0])[0]
     value = h * raw
     for level in range(1, _DE_LINE_LEVELS):
         h *= 0.5
         x, w = _exp_sinh(h, scale)
-        raw += _tensor_sum(F, x[1::2], w[1::2], xn, wn)
+        raw += _tensor_sum(F, x[1::2], w[1::2], xn, wn, [0])[0]
         prev, value = value, h * raw
         if abs(value - prev) <= rel_tol * abs(value):
             break
@@ -506,8 +567,8 @@ def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
             f"(h = 1/{round(1.0 / h)}): levels differ by "
             f"{abs(value - prev):.3e} (value={value:.6e})")
     ends = [0, -1]
-    edge = h * _tensor_sum(lambda x, _: np.abs(f(a + x)), x[ends], w[ends],
-                           xn, wn)
+    edge = h * _tensor_sum(lambda x, _, which: (np.abs(f(a + x)),),
+                           x[ends], w[ends], xn, wn, [0])[0]
     if edge > rel_tol * abs(value):
         raise NonConvergence(
             f"half-line quadrature truncated at |t| = {_DE_T:g}: "
@@ -518,7 +579,7 @@ def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
 _PROBES = np.array([(0.7, 0.3), (1.3, 1.7), (0.2, 2.6)])
 
 
-def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0):
+def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0, count=None):
     """2-D oracle for half-space integrals of functions of (|xt|, x_n).
 
     ``f`` is a batch point integrand: it maps an array X of shape
@@ -532,30 +593,50 @@ def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0):
     When the even part along e_1 differs from the one along a diagonal
     at probe points (at ``scale`` times `_PROBES`), f is not a function
     of (|xt|, x_n); a warning says so and the e_1 slice is integrated.
+
+    With ``count=k`` it integrates a family of k integrands in one pass
+    of `_de_quadrant` and returns a list of k values: ``f(X, which)``
+    returns one array per member index in ``which``, and each value,
+    warning and error is the member's own, bit for bit as in a call of
+    its own.
     """
     if n < 3:
         raise DomainError(f"brute_halfspace needs n >= 3, got n={n}")
-    _check(rel_tol, scale)
+    _check(rel_tol, scale, count)
+    members = 1 if count is None else count
 
-    def even(r, xn, direction):
+    def g(X, which):
+        return (f(X),) if count is None else f(X, which)
+
+    def even(r, xn, direction, which):
         shape = np.broadcast_shapes(np.shape(r), np.shape(xn))
         X = np.zeros((2,) + shape + (n,))
         X[..., -1] = xn
         X[0, ..., :2] = np.multiply.outer(r, direction)
         X[1, ..., :2] = -X[0, ..., :2]
-        both = np.asarray(f(X), dtype=float)
-        return 0.5 * (both[0] + both[1])
+        return [0.5 * (both[0] + both[1])
+                for both in (np.asarray(v, dtype=float) for v in g(X, which))]
 
     r, xn = scale * _PROBES.T
-    on_axis = even(r, xn, (1.0, 0.0))
-    skew = np.max(np.abs(on_axis - even(r, xn, (math.sqrt(0.5),) * 2)))
-    if skew > 1e-8 * (np.max(np.abs(on_axis)) + 1e-300):
-        warnings.warn(
-            "brute_halfspace: integrand is not a function of (|xt|, x_n); "
-            "integrating its even part along xt = r e_1",
-            RuntimeWarning, stacklevel=2)
+    every = list(range(members))
+    diagonal = even(r, xn, (math.sqrt(0.5),) * 2, every)
+    for k, on_axis, off in zip(every, even(r, xn, (1.0, 0.0), every),
+                               diagonal):
+        skew = np.max(np.abs(on_axis - off))
+        if skew > 1e-8 * (np.max(np.abs(on_axis)) + 1e-300):
+            warnings.warn(
+                f"brute_halfspace{_label(k, count)}: integrand is not a "
+                "function of (|xt|, x_n); integrating its even part along "
+                "xt = r e_1", RuntimeWarning, stacklevel=2)
 
     power = n - 2
-    val = _de_quadrant(lambda r, xn: even(r, xn, (1.0, 0.0)) * r ** power,
-                       rel_tol, scale)
-    return sphere_area(n - 1) * val
+
+    def quadrant(r, xn, which):
+        weight = r ** power
+        return [v * weight for v in even(r, xn, (1.0, 0.0), which)]
+
+    omega = sphere_area(n - 1)
+    if count is None:
+        return omega * _de_quadrant(lambda r, xn: quadrant(r, xn, [0])[0],
+                                    rel_tol, scale)
+    return [omega * v for v in _de_quadrant(quadrant, rel_tol, scale, count)]

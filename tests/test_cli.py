@@ -554,15 +554,28 @@ def test_out_dir_from_config_is_relative_to_config(tmp_path):
 
 def test_verify_integrals_nodes_follow_the_point(tmp_path, monkeypatch):
     # with its nodes at x = exp(pi/2 sinh t) whatever the point, the
-    # run evaluated the integrand at 1,593,497 nodes; at the point's
-    # length it takes 1,047,321
-    tensor_sum = quad._tensor_sum
+    # run evaluated its integrands at 1,593,497 nodes; at the point's
+    # length it takes 1,047,321.  Counted per member at the integrands,
+    # so the family of separable oracles evaluates no extra node
     nodes = [0]
+    halfline, quadrant = quad.integrate_halfline, quad._de_quadrant
 
-    def counted(F, xr, wr, xc, wc):
-        nodes[0] += len(xr) * len(xc)
-        return tensor_sum(F, xr, wr, xc, wc)
+    def counted_halfline(f, *args, **kwargs):
+        def g(y):
+            nodes[0] += np.size(y)
+            return f(y)
 
-    monkeypatch.setattr(quad, "_tensor_sum", counted)
+        return halfline(g, *args, **kwargs)
+
+    def counted_quadrant(F, rel_tol, scale=1.0, count=None):
+        def G(r, xn, *which):
+            members = len(which[0]) if which else 1
+            nodes[0] += np.broadcast(r, xn).size * members
+            return F(r, xn, *which)
+
+        return quadrant(G, rel_tol, scale, count)
+
+    monkeypatch.setattr(quad, "integrate_halfline", counted_halfline)
+    monkeypatch.setattr(quad, "_de_quadrant", counted_quadrant)
     assert _run("verify-integrals", "--out", str(tmp_path)) == 0
-    assert 0 < nodes[0] < 1_593_497
+    assert nodes[0] == 1_047_321

@@ -30,3 +30,55 @@ def test_summarize_reports_both_sides_and_counts_ties_for_neither():
     ratio = got["pass_ratio"]
     assert ratio["after_wins"] == 0
     assert ratio["after_quartiles"] == pytest.approx([0.75, 1.0])
+
+
+def test_summarize_counts_errored_runs_per_side():
+    runs = [{"before": _run(4.0, 1.0), "after": _run(3.0, 1.0)},
+            {"before": {"error": "exit 1"}, "after": _run(3.0, 1.0)},
+            {"before": _run(4.0, 1.0), "after": {"error": "exit 2"}},
+            {"before": _run(4.0, 1.0), "after": {"error": "exit 2"}}]
+    got = pairs.summarize(runs, {"wall_s": "lower"})
+    wall = got["wall_s"]
+    assert wall["pairs"] == 1
+    assert (wall["before_errors"], wall["after_errors"]) == (1, 2)
+    every = pairs.summarize(runs[1:], {"wall_s": "lower"})["wall_s"]
+    assert every["pairs"] == 0 and every["verdict"] == "unresolved"
+    assert pairs.summarize(runs[:1], {"wall_s": "lower"})["wall_s"][
+        "after_errors"] == 0
+
+
+def _verdict(before, after, direction="lower", bound=0.25):
+    runs = [{"before": _run(b, 1.0), "after": _run(a, 1.0)}
+            for b, a in zip(before, after)]
+    return pairs.summarize(runs, {"wall_s": direction},
+                           {"wall_s": bound})["wall_s"]["verdict"]
+
+
+def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
+    before = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    assert _verdict(before, [0.5] * 10) == "gain"
+    # eight wins in ten: no gain, however large the gap
+    assert _verdict(before, [0.5] * 8 + [1.1, 1.2]) == "no worse"
+    # ten wins, but the gap is inside the before side's quartiles
+    assert _verdict(before, [b - 0.005 for b in before]) == "no worse"
+    # higher is better: the same runs read the other way
+    assert _verdict(before, [0.5] * 10, "higher") == "worse"
+    assert _verdict([0.5] * 10, before, "higher") == "gain"
+
+
+def test_verdict_reads_the_bound_against_the_before_median():
+    before = [1.0] * 10
+    assert _verdict(before, [1.2] * 10) == "no worse"
+    assert _verdict(before, [1.3] * 10) == "worse"
+    assert _verdict(before, [1.3] * 10, bound=0.5) == "no worse"
+    # the median is inside the bound, the after runs' spread is not
+    assert _verdict(before, [1.0] * 6 + [1.4] * 4) == "unresolved"
+    # the before runs spread wider than the bound: unresolved, unless
+    # every after run beats every before run
+    wide = [1.0, 1.5] * 5
+    assert _verdict(wide, wide) == "unresolved"
+    assert _verdict(wide, [0.9] * 10) == "no worse"
+    # a missing bound allows no loss of the median
+    runs = [{"before": _run(1.0, 1.0), "after": _run(1.01, 1.0)}]
+    assert pairs.summarize(runs, {"wall_s": "lower"})["wall_s"][
+        "verdict"] == "worse"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, bubble_energy, crit_interior
-from bubblelab.cli import _separable_triples
+from bubblelab.cli import _separable_family, _separable_triples
 from bubblelab.errors import DomainError, NonConvergence
 
 
@@ -101,6 +101,20 @@ def test_phi_power_refuses_a_value_beyond_the_float_range():
     # the tail is about 1e690 here
     with pytest.raises(NonConvergence, match="inf"):
         quad.phi_power(0, 60.0, 1.0 + 1e-12)
+
+
+def test_phi_power_refuses_a_value_below_the_normal_range():
+    # the tail is 3.7e-326 at m = 14 (0.0 in floats) and 3.8e-314 at
+    # m = 13.5 (a subnormal with about 10 digits)
+    for m in (14.0, 13.5):
+        with pytest.raises(NonConvergence, match="normal float range"):
+            quad.phi_power(0, m, 1e12)
+
+
+def test_the_tables_tails_stay_normal_at_the_deepest_point():
+    # every tail the CLI's tables ask for, n <= 12, at D = 1e12
+    for k, m in _TAIL_KEYS:
+        assert quad.phi_power(k, m, 1e12) >= 1e-170
 
 
 def test_phi_aliases():
@@ -361,3 +375,115 @@ def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
         geom.forcing_norm(frame8, b, table)
     # verify_cache checks the Beta entries by quadrature
     assert table.verify_cache()[0] == 0.0
+
+
+def _one_by_one(triples, d):
+    """The separable integrands in units of D, one function per triple."""
+    inv_d2 = d ** -2
+
+    def single(a, b, m):
+        def f(Y):
+            yt = Y[..., :-1]
+            yt2 = np.einsum("...i,...i->...", yt, yt)
+            return Y[..., -1] ** a * yt2 ** (0.5 * b) \
+                * (yt2 + (Y[..., -1] + 1.0) ** 2 - inv_d2) ** -m
+
+        return f
+
+    return [single(*t) for t in triples]
+
+
+def _stop_level(nodes):
+    """The level a member stopped at, from the nodes it was evaluated at:
+    the (32 2^l + 1)^2 grid, its edge rows and columns and 6 probes."""
+    levels = {(32 * 2 ** l + 1) ** 2 + 4 * (32 * 2 ** l + 1) + 2: l
+              for l in range(6)}
+    return levels[nodes]
+
+
+@pytest.mark.parametrize("n,d", [(8, 1.5), (8, 2.0), (8, 1e8), (10, 3.0),
+                                 (12, 2.0)])
+def test_a_family_member_equals_its_own_call_bit_for_bit(n, d):
+    triples = _separable_triples(n)
+    family = _separable_family(triples, d)
+    nodes = [0] * len(triples)
+
+    def counted(Y, which):
+        for k in which:
+            nodes[k] += Y[0, ..., 0].size
+        return family(Y, which)
+
+    together = quad.brute_halfspace(counted, n, rel_tol=1e-9,
+                                    count=len(triples))
+    alone = [quad.brute_halfspace(f, n, rel_tol=1e-9)
+             for f in _one_by_one(triples, d)]
+    assert together == alone
+    levels = [_stop_level(c) for c in nodes]
+    if (n, d) == (8, 2.0):
+        assert sorted(levels) == [2] * 6 + [3] * 6 + [4] * 2
+    assert set(levels) <= {2, 3, 4}
+
+
+def _gauss(r, xn):
+    return np.exp(-r * r - xn * xn)
+
+
+def _family_with(bad):
+    """Members 0 and 2 are Gaussians, member 1 is ``bad``."""
+    def F(r, xn, which):
+        return [bad(r, xn) if k == 1 else _gauss(r, xn) for k in which]
+
+    return F
+
+
+@pytest.mark.parametrize("bad,rel_tol,message", [
+    # not resolved by the finest step: the levels never agree
+    (lambda r, xn: np.cos(40.0 * r) ** 2 * _gauss(0.1 * r, xn), 1e-9,
+     "member 1.* stalled at level 5"),
+    (lambda r, xn: np.where(xn > 1.0, np.nan, _gauss(r, xn)), 1e-9,
+     "member 1.*integrand is nan"),
+    # (1 + r)^-1.3: the levels agree to 1e-6, but about 6e-6 of the
+    # sum sits on the edge nodes
+    (lambda r, xn: (1.0 + r) ** -1.3 * _gauss(0.0, xn), 1e-6,
+     "member 1.* truncated at"),
+])
+def test_a_failing_member_is_named(bad, rel_tol, message):
+    with pytest.raises(NonConvergence, match=message):
+        quad._de_quadrant(_family_with(bad), rel_tol, count=3)
+
+
+def test_a_family_without_a_failing_member_returns_every_value():
+    values = quad._de_quadrant(_family_with(_gauss), 1e-12, count=3)
+    assert values == [quad._de_quadrant(_gauss, 1e-12)] * 3
+    assert values[0] == pytest.approx(0.25 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5, "3"])
+def test_a_family_needs_a_positive_integer_count(count):
+    with pytest.raises(DomainError, match="count"):
+        quad._de_quadrant(_family_with(_gauss), 1e-9, count=count)
+    with pytest.raises(DomainError, match="count"):
+        quad.brute_halfspace(lambda X, which: [], 8, count=count)
+
+
+def test_the_skew_warning_names_its_member():
+    def g(X):
+        return np.exp(-np.sum(X ** 2, axis=-1))
+
+    def family(X, which):
+        return [X[..., 0] ** 2 * g(X) if k == 1 else g(X) for k in which]
+
+    with pytest.warns(RuntimeWarning) as caught:
+        quad.brute_halfspace(family, 5, rel_tol=1e-6, count=3)
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "brute_halfspace (member 1)"]
+
+
+def test_brute_halfspace_names_a_failing_member():
+    # member 1 is the log-divergent moment of
+    # test_brute_halfspace_refuses_a_log_divergent_moment
+    fs = [moment_integrand(2, 0, 8, 2.0), moment_integrand(0, 0, 4, 2.0)]
+    with pytest.raises(NonConvergence,
+                       match=r"\(member 1\) (stalled at level|truncated)"):
+        quad.brute_halfspace(lambda X, which: [fs[k](X) for k in which], 8,
+                             rel_tol=1e-9, count=2)
