@@ -62,9 +62,9 @@ class Bubble:
     pt: ProblemPoint
 
     def __post_init__(self):
-        if self.pt.D <= 1.0:
-            raise DomainError(
-                f"bubble family needs D > 1, got D = {self.pt.D:.6g}")
+        if not 1.0 < self.pt.D < math.inf:
+            raise DomainError(f"bubble family needs a finite D > 1, "
+                              f"got D = {self.pt.D:.6g}")
 
     # -- basic scalars -----------------------------------------------------
     @property

@@ -37,10 +37,10 @@ from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
-from .model import (MAX_DIMENSION, MAX_GRID_CELLS, OVERRIDE_MIN_DIMENSION,
-                    SUPPORTED_MIN_DIMENSION, CurvatureFrame, GridSpec,
-                    HessianData, ProblemPoint, validate_frame,
-                    validate_hessians, validate_point)
+from .model import (MAX_DIMENSION, MAX_GRID_CELLS, MAX_GRID_SCALE,
+                    OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
+                    CurvatureFrame, GridSpec, HessianData, ProblemPoint,
+                    validate_frame, validate_hessians, validate_point)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -82,7 +82,8 @@ _KEYS = {
                 f"nr * nxn <= {MAX_GRID_CELLS}"),
         "r_max": ("number", GridSpec.r_max, "truncation radius, > 1"),
         "stretch": ("number", GridSpec.stretch,
-                    "algebraic grid stretch, in (0, 1e100]"),
+                    f"algebraic grid stretch, > 0; r_max^{MAX_DIMENSION} "
+                    f"(1 + stretch)^3 <= {MAX_GRID_SCALE:g}"),
     }, {}, "modal solver grid (not the non-constants case)"),
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
@@ -311,6 +312,13 @@ def _print_rows(rows):
         print(line)
 
 
+def _write_json(path, doc):
+    """A report document as the CLI writes it: indented, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
 def _write_report(cfg, command, rows, extra=None):
     doc = {"command": command, "parameters": _parameters(cfg),
            "identities": rows, "count": len(rows),
@@ -318,9 +326,7 @@ def _write_report(cfg, command, rows, extra=None):
     if extra:
         doc.update(extra)
     path = os.path.join(cfg["_out"], "verify_report.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(path, doc)
     _print_rows(rows)
     print(f"{'all passed' if doc['all_passed'] else 'FAILURES'} — "
           f"{len(rows)} identities -> {path}")
@@ -598,6 +604,7 @@ def cmd_corrector(cfg):
     frame = _build_frame(cfg)
     gs = cfg["grid"]
     out = cfg["_out"]
+    path = os.path.join(out, "diagnostics.json")
     doc = {"command": "corrector", "parameters": _parameters(cfg,
                                                              with_grid=True)}
     try:
@@ -605,9 +612,7 @@ def cmd_corrector(cfg):
         rep = corrector.corrector_diagnostics(sol)
     except (SingularSystem, NonConvergence) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
-        with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
+        _write_json(path, doc)
         print(f"corrector solve failed: {doc['error']}", file=sys.stderr)
         return EXIT_NUMERIC
     sol.save(out)
@@ -617,9 +622,7 @@ def cmd_corrector(cfg):
                           if isinstance(v, (int, float, bool, str))}
     doc["modes"] = [{"degree": m.degree, "label": m.label} for m in sol.modes]
     doc["all_passed"] = all(r["passed"] for r in rows)
-    with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(path, doc)
     _print_rows(rows)
     print(f"{len(sol.modes)} modes -> {out}")
     return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC

@@ -73,6 +73,14 @@ class ProblemPoint:
 # a random-frame corrector run peaks at 319 MB on 400^2 cells and
 # 1.12 GB on 800^2
 MAX_GRID_CELLS = 800 ** 2
+# the corrector takes the grid's lengths to powers up to
+# r_max^n (1 + stretch)^3: its area weights hold r^{n-2} rs ts, with
+# r <= r_max and rs, ts <= r_max (1 + stretch), and its fourth-order
+# residual forms rs^3.  Bounding that product at n = MAX_DIMENSION
+# by 1e150 keeps a product of two such factors, as the residual norm's
+# squares form, inside the float range; unbounded, the corrector
+# overflowed near 1e300 (r_max = 1e25 at stretch 10 and n = 12)
+MAX_GRID_SCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -97,10 +105,15 @@ class GridSpec:
                               f"got {self.nr} * {self.nxn}")
         if not self.r_max > 1.0:
             raise DomainError(f"r_max must exceed 1, got {self.r_max}")
-        # d2coord raises 1 + stretch to the third power
-        if not 0.0 < self.stretch <= 1e100:
-            raise DomainError(f"stretch must lie in (0, 1e100], "
-                              f"got {self.stretch}")
+        if not self.stretch > 0.0:
+            raise DomainError(f"stretch must be positive, got {self.stretch}")
+        if MAX_DIMENSION * math.log10(self.r_max) \
+                + 3.0 * math.log10(1.0 + self.stretch) \
+                > math.log10(MAX_GRID_SCALE):
+            raise DomainError(
+                f"grid needs r_max^{MAX_DIMENSION} (1 + stretch)^3 <= "
+                f"{MAX_GRID_SCALE:g}, got r_max = {self.r_max}, "
+                f"stretch = {self.stretch}")
 
     def to_json_dict(self):
         return {"nr": self.nr, "nxn": self.nxn, "r_max": self.r_max,

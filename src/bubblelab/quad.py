@@ -41,18 +41,23 @@ I, the verify-integrals rows for I and the tail).  `_de_quadrant` is
 its tensor case on [0, inf)^2: `brute_halfspace` feeds it a point
 integrand along the slice xt = +/- r e_1, and `geom.paired_halfspace`
 the records' radial profiles.  Neither sees a factorised form or a
-Beta closed form.
+Beta closed form.  Both run through one level loop, `_de_loop`: the
+step halving, the level test, the edge check, the non-finite check and
+the stall error exist once.  What differs between the two cases, the
+node blocks each level adds and edge-checks with the level cap and the
+power of h that go with them, is `_de_nodes`, beside `_exp_sinh`.
 
-Both take a family of integrands as well (``count=k``): one pass over
-one node set, where the integrand gets the indices of the members still
-running and returns one array per member, and the call returns k
-values.  Each member keeps its own level test, stop level, edge check,
-non-finite check and block-by-block sums, so its value is bit for bit
-the one a call of its own returns; a failure or warning names the
-member.  A call without ``count`` is a family of one.  The separable
-oracle of verify-integrals is one such family; `integrate_halfline`,
-the bubble energy's integrals and the records' pairings stay one
-integral per call.
+`_de_quadrant` and `brute_halfspace` take a family of integrands as
+well (``count=k``): one pass over one node set, where the integrand
+gets the indices of the members still running and returns one array
+per member, and the call returns k values.  Each member keeps its own
+level test, stop level, edge check, non-finite check and
+block-by-block sums, so its value is bit for bit the one a call of its
+own returns; a failure or warning names the member.  A call without
+``count`` is a family of one, as every call of `integrate_halfline`
+is.  The separable oracle of verify-integrals is one such family;
+`integrate_halfline`, the bubble energy's integrals and the records'
+pairings stay one integral per call.
 
 Which length each oracle takes:
 
@@ -286,8 +291,9 @@ class MomentTable:
     def __post_init__(self):
         if self.n < 3:
             raise DomainError(f"MomentTable needs n >= 3, got n={self.n}")
-        if self.D <= 1.0:
-            raise DomainError(f"MomentTable needs D > 1, got D={self.D}")
+        if not 1.0 < self.D < math.inf:
+            raise DomainError(f"MomentTable needs a finite D > 1, "
+                              f"got D={self.D}")
         self.omega = sphere_area(self.n - 1)
 
     # -- cached primitives ------------------------------------------------
@@ -400,15 +406,17 @@ def moment_table(n, D, table=None):
 # double-exponentially in t.
 _DE_T = 4.0
 _DE_H0 = 0.25       # step of level 0; each level halves it
-_DE_LEVELS = 6      # levels 0..5, h = 1/4 .. 1/128
+_DE_LEVELS = 6      # levels 0..5 of the tensor rule, h = 1/4 .. 1/128
 _DE_LINE_LEVELS = 8  # levels 0..7 of the half-line rule, h = 1/4 .. 1/512
 _DE_BLOCK = 2048    # nodes per call of the integrand
+_COLUMN = (np.zeros(1), np.ones(1))  # the half-line rule's x_n = 0, weight 1
 
 
 def _check(rel_tol, scale, count=None):
     """Refuse a tolerance, a length or a family size the rule cannot use."""
-    if rel_tol <= 0.0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must be a finite number in (0, 1), "
+                          f"got {rel_tol}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be finite and positive, got {scale}")
     if count is not None and not (isinstance(count, int) and count >= 1):
@@ -427,35 +435,117 @@ def _exp_sinh(h, scale):
     return x, 0.5 * math.pi * np.cosh(t) * x
 
 
+def _de_nodes(scale, line):
+    """The levels of one exp-sinh rule: (level, h, h^d, added, edge).
+
+    A block (rows, row weights, columns, column weights) stands for the
+    tensor product of its rows and columns.  Level l has the step
+    h = 2^-l / 4; ``added`` holds the blocks it adds to the sum of level
+    l-1 (every node at level 0), and ``edge`` those of the edge check,
+    the nodes at |t| = T.  The tensor rule on [0, inf)^2 (d = 2,
+    `_DE_LEVELS` levels) adds the new rows against every column and the
+    old rows against the new columns, and its edge is the end rows
+    against every column and the inner rows against the end columns.
+    The half-line rule (``line``; d = 1, `_DE_LINE_LEVELS` levels) sums
+    its nodes as rows against the one-node column x_n = 0 of weight 1,
+    and its edge is the two end nodes.
+    """
+    ends, inner, old = [0, -1], slice(1, -1), slice(0, None, 2)
+    for level in range(_DE_LINE_LEVELS if line else _DE_LEVELS):
+        h = _DE_H0 * 0.5 ** level
+        x, w = _exp_sinh(h, scale)
+        new = slice(None) if level == 0 else slice(1, None, 2)
+        if line:
+            yield (level, h, h, [(x[new], w[new], *_COLUMN)],
+                   [(x[ends], w[ends], *_COLUMN)])
+            continue
+        added = [(x[new], w[new], x, w)]
+        if level:
+            added.append((x[old], w[old], x[new], w[new]))
+        yield (level, h, h * h, added,
+               [(x[ends], w[ends], x, w),
+                (x[inner], w[inner], x[ends], w[ends])])
+
+
 def _label(k, count):
     """How a message names member k: not at all in a one-integrand call."""
     return "" if count is None else f" (member {k})"
 
 
-def _tensor_sum(F, xr, wr, xc, wc, which, count=None):
-    """sum_ij wr_i wc_j F_k(xr_i, xc_j) for each member k of ``which``.
+def _de_loop(F, rel_tol, scale, count, origin=None):
+    """The level loop of both exp-sinh rules, whose nodes `_de_nodes` gives.
 
-    ``F(r, x_n, which)`` returns one array per member of ``which``.  The
-    rows go a block at a time, and each member sums its own blocks from
-    0.0 in block order, so its total does not depend on the others.
+    ``origin`` None is the tensor rule of `_de_quadrant`, whose
+    arguments and value these are; a number a is the half-line rule of
+    `integrate_halfline` on [a, inf), whose F gets the offsets x of the
+    nodes y = a + x and ignores its x_n.
+
+    Each member of ``which``, the members still running, sums its own
+    blocks from 0.0 in block order, so its total does not depend on the
+    others; it leaves at the level where two levels agree to
+    ``rel_tol``, after its edge check there.
     """
-    rows = max(1, _DE_BLOCK // len(xc))
-    totals = [0.0] * len(which)
-    for i in range(0, len(xr), rows):
-        r, wb = xr[i:i + rows, None], wr[i:i + rows]
-        shape = (len(r), len(xc))
-        members = zip(which, F(r, xc[None, :], which), strict=True)
-        for j, (k, vals) in enumerate(members):
-            if np.shape(vals) != shape:
-                vals = np.broadcast_to(vals, shape)
-            if not np.isfinite(vals).all():
-                p, q = np.argwhere(~np.isfinite(vals))[0]
+    _check(rel_tol, scale, count)
+    line = origin is not None
+    rule = "half-line quadrature" if line else "double-exponential quadrature"
+    members = 1 if count is None else count
+
+    def G(r, xn, which):
+        return (F(r, xn),) if count is None else F(r, xn, which)
+
+    def size(r, xn, which):
+        return [np.abs(v) for v in G(r, xn, which)]
+
+    def total(H, blocks, which):
+        # sum_ij wr_i wc_j H_k(xr_i, xc_j) over the blocks for each
+        # member k of which, about _DE_BLOCK nodes per call of H
+        sums = [0.0] * len(which)
+        for xr, wr, xc, wc in blocks:
+            part = [0.0] * len(which)
+            rows = max(1, _DE_BLOCK // len(xc))
+            for i in range(0, len(xr), rows):
+                r, wb = xr[i:i + rows, None], wr[i:i + rows]
+                shape = (len(r), len(xc))
+                got = zip(which, H(r, xc[None, :], which), strict=True)
+                for j, (k, vals) in enumerate(got):
+                    if np.shape(vals) != shape:
+                        vals = np.broadcast_to(vals, shape)
+                    if not np.isfinite(vals).all():
+                        p, q = np.argwhere(~np.isfinite(vals))[0]
+                        at = f"y = {origin + r[p, 0]:.6e}" if line else \
+                            f"(r, x_n) = ({r[p, 0]:.6e}, {xc[q]:.6e})"
+                        raise NonConvergence(
+                            f"{rule}{_label(k, count)}: integrand is "
+                            f"{vals[p, q]} at {at}")
+                    part[j] += float(wb @ vals @ wc)
+            sums = [s + p for s, p in zip(sums, part)]
+        return sums
+
+    which = list(range(members))
+    raw = [0.0] * members
+    value = [math.nan] * members
+    prev = list(value)
+    for level, h, hd, added, edge in _de_nodes(scale, line):
+        for k, s in zip(which, total(G, added, which)):
+            raw[k] += s
+            prev[k], value[k] = value[k], hd * raw[k]
+        done = [k for k in which
+                if abs(value[k] - prev[k]) <= rel_tol * abs(value[k])]
+        for k, s in zip(done, total(size, edge, done) if done else ()):
+            if hd * s > rel_tol * abs(value[k]):
+                ends = "nodes" if line else "rows and columns"
                 raise NonConvergence(
-                    f"double-exponential quadrature{_label(k, count)}: "
-                    f"integrand is {vals[p, q]} at (r, x_n) = "
-                    f"({r[p, 0]:.6e}, {xc[q]:.6e})")
-            totals[j] += float(wb @ vals @ wc)
-    return totals
+                    f"{rule}{_label(k, count)} truncated at |t| = "
+                    f"{_DE_T:g}: edge {ends} carry {hd * s:.3e} of "
+                    f"{value[k]:.6e}")
+        which = [k for k in which if k not in done]
+        if not which:
+            return value[0] if count is None else value
+    k = which[0]
+    raise NonConvergence(
+        f"{rule}{_label(k, count)} stalled at level {level} "
+        f"(h = 1/{round(1.0 / h)}): levels differ by "
+        f"{abs(value[k] - prev[k]):.3e} (value={value[k]:.6e})")
 
 
 def _de_quadrant(F, rel_tol, scale=1.0, count=None):
@@ -466,10 +556,11 @@ def _de_quadrant(F, rel_tol, scale=1.0, count=None):
     the length L of F in both variables: the nodes on each axis are
     L exp(pi/2 sinh t).  Level l uses the step h = 2^-l / 4 and
     evaluates only the nodes level l-1 lacks; the step halves until two
-    levels agree to ``rel_tol``.  Raises
-    NonConvergence when the last level still disagrees, when the edge
-    rows and columns (|t| = T) carry more than ``rel_tol`` of the sum,
-    or when F is not finite at some node: nothing is zeroed.
+    levels agree to ``rel_tol``, through the level loop `_de_loop` it
+    shares with `integrate_halfline`.  Raises NonConvergence when the
+    last level (h = 1/128) still disagrees, when the edge rows and
+    columns (|t| = T) carry more than ``rel_tol`` of the sum, or when F
+    is not finite at some node: nothing is zeroed.
 
     With ``count=k`` the call integrates a family of k integrands over
     one node set and returns a list of k values.  ``F(r, x_n, which)``
@@ -481,99 +572,23 @@ def _de_quadrant(F, rel_tol, scale=1.0, count=None):
     bit the one that call returns, and an error names the member.  A
     call without ``count`` is a family of one.
     """
-    _check(rel_tol, scale, count)
-    members = 1 if count is None else count
-
-    def G(r, xn, which):
-        return (F(r, xn),) if count is None else F(r, xn, which)
-
-    def size(r, xn, which):
-        return [np.abs(v) for v in G(r, xn, which)]
-
-    h = _DE_H0
-    x, w = _exp_sinh(h, scale)
-    which = list(range(members))
-    raw = _tensor_sum(G, x, w, x, w, which, count)
-    value = [h * h * s for s in raw]
-    prev = [math.nan] * members
-    for level in range(1, _DE_LEVELS):
-        h *= 0.5
-        x, w = _exp_sinh(h, scale)
-        old, new = slice(0, None, 2), slice(1, None, 2)
-        rows = _tensor_sum(G, x[new], w[new], x, w, which, count)
-        cols = _tensor_sum(G, x[old], w[old], x[new], w[new], which, count)
-        for k, a, b in zip(which, rows, cols):
-            raw[k] += a + b
-            prev[k], value[k] = value[k], h * h * raw[k]
-        done = [k for k in which
-                if abs(value[k] - prev[k]) <= rel_tol * abs(value[k])]
-        if done:
-            ends, inner = [0, -1], slice(1, -1)
-            edges = zip(
-                done, _tensor_sum(size, x[ends], w[ends], x, w, done, count),
-                _tensor_sum(size, x[inner], w[inner], x[ends], w[ends],
-                            done, count))
-            for k, a, b in edges:
-                edge = h * h * (a + b)
-                if edge > rel_tol * abs(value[k]):
-                    raise NonConvergence(
-                        f"double-exponential quadrature{_label(k, count)} "
-                        f"truncated at |t| = {_DE_T:g}: edge rows and "
-                        f"columns carry {edge:.3e} of {value[k]:.6e}")
-            which = [k for k in which if k not in done]
-        if not which:
-            break
-    else:
-        k = which[0]
-        raise NonConvergence(
-            f"double-exponential quadrature{_label(k, count)} stalled at "
-            f"level {level} (h = 1/{round(1.0 / h)}): levels differ by "
-            f"{abs(value[k] - prev[k]):.3e} (value={value[k]:.6e})")
-    return value[0] if count is None else value
+    return _de_loop(F, rel_tol, scale, count)
 
 
 def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
     """int_a^inf f(y) dy by the exp-sinh rule of `_de_quadrant` in one variable.
 
     ``f`` is a batch integrand: it maps an array of y nodes to their
-    values.  With y = a + x the nodes x are those of `_de_quadrant` at
-    length ``scale``, summed by `_tensor_sum` against a one-node column
-    (x_n = 0, weight 1), so the rule never samples y = a or y = inf.  The step halves
+    values.  The nodes are y = a + x, with x those of `_de_quadrant` at
+    length ``scale``, so the rule never samples y = a or y = inf; they
+    go through the level loop of `_de_quadrant`, `_de_loop`, as rows
+    against a one-node column (x_n = 0, weight 1).  The step halves
     from 1/4 to 1/512 until two levels agree to ``rel_tol``.  Raises
     NonConvergence when the last level still disagrees, when the two
-    edge nodes (|t| = T) carry more than ``rel_tol`` of the sum, or when
-    f is not finite at some node.
+    edge nodes (|t| = T) carry more than ``rel_tol`` of the sum, or
+    when f is not finite at some node y.
     """
-    _check(rel_tol, scale)
-    xn, wn = np.zeros(1), np.ones(1)     # the one-node column
-
-    def F(x, _, which):
-        return (f(a + x),)
-
-    h = _DE_H0
-    x, w = _exp_sinh(h, scale)
-    raw = _tensor_sum(F, x, w, xn, wn, [0])[0]
-    value = h * raw
-    for level in range(1, _DE_LINE_LEVELS):
-        h *= 0.5
-        x, w = _exp_sinh(h, scale)
-        raw += _tensor_sum(F, x[1::2], w[1::2], xn, wn, [0])[0]
-        prev, value = value, h * raw
-        if abs(value - prev) <= rel_tol * abs(value):
-            break
-    else:
-        raise NonConvergence(
-            f"half-line quadrature stalled at level {level} "
-            f"(h = 1/{round(1.0 / h)}): levels differ by "
-            f"{abs(value - prev):.3e} (value={value:.6e})")
-    ends = [0, -1]
-    edge = h * _tensor_sum(lambda x, _, which: (np.abs(f(a + x)),),
-                           x[ends], w[ends], xn, wn, [0])[0]
-    if edge > rel_tol * abs(value):
-        raise NonConvergence(
-            f"half-line quadrature truncated at |t| = {_DE_T:g}: "
-            f"edge nodes carry {edge:.3e} of {value:.6e}")
-    return value
+    return _de_loop(lambda x, _: f(a + x), rel_tol, scale, None, a)
 
 
 _PROBES = np.array([(0.7, 0.3), (1.3, 1.7), (0.2, 2.6)])

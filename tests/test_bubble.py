@@ -27,6 +27,12 @@ def test_bubble_needs_supercritical_mean_curvature():
         Bubble(ProblemPoint(n=8, K=-56.0, H=0.2))
 
 
+@pytest.mark.parametrize("H", [float("nan"), float("inf")])
+def test_bubble_needs_a_finite_scaling_quantity(H):
+    with pytest.raises(DomainError, match="finite D > 1"):
+        Bubble(ProblemPoint(n=8, K=-56.0, H=H))
+
+
 def test_residuals_at_fixed_points(pt8):
     b = Bubble(pt8)
     x = np.array([[0.5, 0, 0, 0, 0, 0, 0, 1.0],

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubblelab import cli, corrector, geom, quad
@@ -165,6 +165,15 @@ _REJECTED = {
     "grid-1e9": ("corrector", {"grid": {"nr": 1e9}}, None, "grid.nr"),
     "grid-cap": ("corrector", {"grid": {"nr": 1000000, "nxn": 1000000}},
                  None, "nr * nxn"),
+    # grids whose powers overflowed: rs^3 in residual_norm, and the area
+    # weights r^{n-2} rs ts in grid_geometry
+    "grid-rs3": ("corrector", {"frame": "random", "grid": {
+        "nr": 16, "nxn": 16, "r_max": 1e6, "stretch": 1e100}},
+        None, "(1 + stretch)^3"),
+    "grid-weights": ("corrector", {"n": 12, "K": -132.0, "frame": "random",
+                                   "grid": {"nr": 16, "nxn": 16,
+                                            "r_max": 1e30}},
+                     None, "(1 + stretch)^3"),
     "frame-kind": ("corrector", {"frame": "flat"}, None, "frame"),
     "frame-file-json": ("corrector", {"frame_file": "frame.json"},
                         "{not json", "invalid frame file"),
@@ -273,10 +282,14 @@ _VALUES = {
     "frame": st.sampled_from(["random", "zero"]),
     "frame_file": st.sampled_from(
         ["frame.json", "frame9.json", "broken.json", "missing.json"]),
+    # every decade of r_max and stretch up to and past the bound
+    # r_max^12 (1 + stretch)^3 <= 1e150
     "grid": st.fixed_dictionaries(
         {"nr": _SIDE, "nxn": _SIDE},
-        optional={"r_max": st.floats(1.0, 60.0),
-                  "stretch": st.floats(0.0, 20.0)}),
+        optional={"r_max": st.floats(0.0, 13.0).map(lambda e: 10.0 ** e),
+                  "stretch": st.one_of(
+                      st.just(0.0),
+                      st.floats(-3.0, 51.0).map(lambda e: 10.0 ** e))}),
     "case": st.sampled_from(["constants", "non-constants"]),
     "samples": st.lists(_SAMPLE_ENTRY, min_size=1, max_size=3),
     "hessH": st.sampled_from(["identity", [[1.0]]]),
@@ -320,6 +333,8 @@ _FILES = {
 
 
 @given(_configs())
+@example(_REJECTED["grid-rs3"][:2])
+@example(_REJECTED["grid-weights"][:2])
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_any_config_exits_with_a_contract_code(case):
     """Whatever the config holds, main returns 0, 1 or 2 and raises none."""

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,23 @@ def test_grid_spec_validation_and_round_trip():
     gs = corrector.GridSpec(nr=64, nxn=48, r_max=30.0, stretch=8.0)
     assert gs.to_json_dict() == {"nr": 64, "nxn": 48, "r_max": 30.0,
                                  "stretch": 8.0}
+
+
+@pytest.mark.parametrize("r_max,stretch", [
+    (math.inf, 10.0), (40.0, math.inf), (1e30, 10.0), (1e6, 1e100),
+    (10.0 ** 12.5, 1e-3), (1.01, 1e50)])
+def test_grid_spec_refuses_lengths_whose_powers_overflow(r_max, stretch):
+    with pytest.raises(DomainError, match="stretch"):
+        corrector.GridSpec(nr=16, nxn=16, r_max=r_max, stretch=stretch)
+
+
+@pytest.mark.parametrize("r_max,stretch", [
+    # the README, ROADMAP and benchmark grids, and two far corners
+    (40.0, 10.0), (80.0, 10.0), (160.0, 10.0), (40.0, 1000.0),
+    (160.0, 1000.0), (1e12, 10.0), (1.01, 1e49)])
+def test_grid_spec_keeps_the_documented_grids(r_max, stretch):
+    assert corrector.GridSpec(nr=16, nxn=16, r_max=r_max,
+                              stretch=stretch).r_max == r_max
 
 
 def _synthetic_forcing(gg, radial_power):

@@ -182,6 +182,12 @@ def moment_integrand(a, b, m, d):
     return f
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf])
+def test_moment_table_needs_a_finite_d_above_one(d):
+    with pytest.raises(DomainError, match="finite D > 1"):
+        quad.MomentTable(8, d)
+
+
 def test_halfspace_moment_convergence_precondition():
     tbl = quad.MomentTable(8, 2.0)
     with pytest.raises(DomainError):
@@ -297,17 +303,50 @@ def test_scale_moves_the_nodes_only(length):
     assert both == pytest.approx(length * length * two, rel=1e-14)
 
 
+def _never_called(*args):
+    raise AssertionError("the integrand was called")
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_every_entry_point_refuses_a_bad_scale(scale):
-    def g(*args):
-        raise AssertionError("the integrand was called")
+    with pytest.raises(DomainError, match="scale"):
+        quad.integrate_halfline(_never_called, scale=scale)
+    with pytest.raises(DomainError, match="scale"):
+        quad._de_quadrant(_never_called, 1e-9, scale)
+    with pytest.raises(DomainError, match="scale"):
+        quad.brute_halfspace(_never_called, 8, scale=scale)
 
-    with pytest.raises(DomainError, match="scale"):
-        quad.integrate_halfline(g, scale=scale)
-    with pytest.raises(DomainError, match="scale"):
-        quad._de_quadrant(g, 1e-9, scale)
-    with pytest.raises(DomainError, match="scale"):
-        quad.brute_halfspace(g, 8, scale=scale)
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 1.0])
+def test_every_entry_point_refuses_a_bad_rel_tol(rel_tol):
+    # nan ran every level into a stall, inf passed every level and
+    # edge test, and 1.0 accepted any two levels
+    with pytest.raises(DomainError, match="rel_tol"):
+        quad.integrate_halfline(_never_called, rel_tol=rel_tol)
+    with pytest.raises(DomainError, match="rel_tol"):
+        quad._de_quadrant(_never_called, rel_tol)
+    with pytest.raises(DomainError, match="rel_tol"):
+        quad.brute_halfspace(_never_called, 8, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("f,a,rel_tol,message", [
+    # (1 + y)^-1.2 decays too slowly for the levels to settle by h = 1/512
+    (lambda y: (1.0 + y) ** -1.2, 0.0, 1e-6,
+     "half-line quadrature stalled at level 7 (h = 1/512): levels differ "
+     "by 7.862e-06 (value=4.999063e+00)"),
+    # (1 + y)^-1.5: the levels agree to 1e-10, but about 1.3e-9 of the
+    # sum sits on the two edge nodes
+    (lambda y: (1.0 + y) ** -1.5, 0.0, 1e-10,
+     "half-line quadrature truncated at |t| = 4: edge nodes carry "
+     "2.636e-09 of 2.000000e+00"),
+    # the message names the node y = a + x, here a = 1, not its offset x
+    (lambda y: np.where(y > 3.0, np.nan, np.exp(-y)), 1.0, 1e-10,
+     "half-line quadrature: integrand is nan at y = 3.267175e+00"),
+])
+def test_the_half_line_rule_says_why_it_fails(f, a, rel_tol, message):
+    with pytest.raises(NonConvergence) as caught:
+        quad.integrate_halfline(f, a=a, rel_tol=rel_tol)
+    assert str(caught.value) == message
 
 
 def test_brute_halfspace_averages_out_odd_parts():
