@@ -3,9 +3,10 @@
 Five subcommands: three verification suites (`verify-integrals`,
 `verify-bubble`, `verify-hyperbolic`) that write a `verify_report.json`
 of identity rows, `corrector` which solves the modal problems and emits
-profile CSVs plus a diagnostics JSON, and `locate` which maximizes the
-reduced energy over a boundary sample and emits `blowup.json` +
-`samples.csv`.
+each mode's forcing and solution profiles as exact float64 `.npy` files
+(read back with `np.load(path)`, rows the radial index) plus a
+diagnostics JSON, and `locate` which maximizes the reduced energy over
+a boundary sample and emits `blowup.json` + `samples.csv`.
 
 Exit codes: 0 success, 1 numeric or hypothesis failure, 2 configuration
 failure.  Reports are byte-deterministic: identical configuration means
@@ -40,7 +41,8 @@ from .errors import (BubbleLabError, ConfigError, DomainError,
 from .model import (MAX_DIMENSION, MAX_GRID_CELLS, MAX_GRID_SCALE,
                     OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
                     CurvatureFrame, GridSpec, HessianData, ProblemPoint,
-                    validate_frame, validate_hessians, validate_point)
+                    validate_frame, validate_hessians, validate_point,
+                    write_json)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -191,9 +193,10 @@ _OUTPUTS = {
     "verify-hyperbolic": _VERIFY_OUTPUTS,
     "corrector": {
         "corrector.json": "problem, grid, modes[{degree, label, weight, "
-                          "e_csv, psi_csv, info}]",
-        "mode<k>_<label>_e.csv / _psi.csv":
-            "(nr+1) x (nxn+1) grids, rows = radial index, comma-separated",
+                          "e_npy, psi_npy, info}]",
+        "mode<k>_<label>_e.npy / _psi.npy":
+            "(nr+1) x (nxn+1) float64 arrays, rows = radial index, "
+            "read with np.load(path)",
         "diagnostics.json": "command, parameters, checks[...], diagnostics, "
                             "all_passed",
     },
@@ -303,20 +306,20 @@ def _bound(cfg, stated):
 
 
 def _print_rows(rows):
-    """One console line per row; a failed row also prints its detail."""
+    """One console line per row.
+
+    A failed row also prints its detail, and so does a passing row that
+    holds by structure (its detail starts with "vacuous:"), tagged
+    [vacuous] instead of [pass].
+    """
     for r in rows:
-        line = (f"[{'pass' if r['passed'] else 'FAIL'}] {r['name']}: "
+        vacuous = r["detail"].startswith("vacuous:")
+        tag = "FAIL" if not r["passed"] else "vacuous" if vacuous else "pass"
+        line = (f"[{tag}] {r['name']}: "
                 f"{r['value']:.3e} (bound {r['bound']:.3e})")
-        if not r["passed"] and r["detail"]:
+        if tag != "pass" and r["detail"]:
             line += f": {r['detail']}"
         print(line)
-
-
-def _write_json(path, doc):
-    """A report document as the CLI writes it: indented, keys sorted."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
 
 
 def _write_report(cfg, command, rows, extra=None):
@@ -326,7 +329,7 @@ def _write_report(cfg, command, rows, extra=None):
     if extra:
         doc.update(extra)
     path = os.path.join(cfg["_out"], "verify_report.json")
-    _write_json(path, doc)
+    write_json(path, doc)
     _print_rows(rows)
     print(f"{'all passed' if doc['all_passed'] else 'FAILURES'} — "
           f"{len(rows)} identities -> {path}")
@@ -612,7 +615,7 @@ def cmd_corrector(cfg):
         rep = corrector.corrector_diagnostics(sol)
     except (SingularSystem, NonConvergence) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
-        _write_json(path, doc)
+        write_json(path, doc)
         print(f"corrector solve failed: {doc['error']}", file=sys.stderr)
         return EXIT_NUMERIC
     sol.save(out)
@@ -622,7 +625,7 @@ def cmd_corrector(cfg):
                           if isinstance(v, (int, float, bool, str))}
     doc["modes"] = [{"degree": m.degree, "label": m.label} for m in sol.modes]
     doc["all_passed"] = all(r["passed"] for r in rows)
-    _write_json(path, doc)
+    write_json(path, doc)
     _print_rows(rows)
     print(f"{len(sol.modes)} modes -> {out}")
     return EXIT_OK if doc["all_passed"] else EXIT_NUMERIC

@@ -36,7 +36,6 @@ certify static pivoting the same way).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +49,8 @@ from .errors import (DecompositionError, DomainError, NonConvergence,
                      SingularSystem)
 # GridSpec and MAX_GRID_CELLS live in model, so that the CLI reads the
 # grid defaults without importing this module; both stay names here
-from .model import MAX_GRID_CELLS, Check, GridSpec, ValidationReport
+from .model import (MAX_GRID_CELLS, Check, GridSpec, ValidationReport,
+                    write_json)
 
 __all__ = [
     "ForcingMode",
@@ -678,25 +678,6 @@ def residual_norm(pt, degree, psi, forcing, gs):
 # assembled corrector
 
 
-# rows per block of _write_csv: a block of a 401-column array formats
-# to about 0.6 MB of text
-_CSV_ROWS = 64
-
-
-def _write_csv(path, arr):
-    """The bytes of ``np.savetxt(path, arr, delimiter=",")`` for a 2-D array.
-
-    Each value is written as '%.18e', with ',' between values and '\n'
-    after each row, like savetxt; one '%' operation formats a block of
-    _CSV_ROWS rows where savetxt formats each row on its own.
-    """
-    line = ",".join(["%.18e"] * arr.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for start in range(0, arr.shape[0], _CSV_ROWS):
-            block = arr[start:start + _CSV_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
-
-
 @dataclass
 class SolvedMode:
     degree: int
@@ -747,8 +728,13 @@ class CorrectorSolution:
                         [mode.e for mode in self.modes],
                         [mode.psi for mode in self.modes])
 
-    # -- serialization: JSON header + one CSV per stored profile --------
+    # -- serialization: JSON header + one .npy per stored profile -------
     def save(self, directory):
+        """Write corrector.json and each mode's e and psi as exact .npy.
+
+        Each profile is the float64 (nr+1) x (nxn+1) array itself, rows
+        the radial index; ``np.load(path)`` returns it bit for bit.
+        """
         from pathlib import Path
 
         out = Path(directory)
@@ -761,18 +747,17 @@ class CorrectorSolution:
         }
         for k, mode in enumerate(self.modes):
             stem = f"mode{k}_{mode.label}"
-            _write_csv(out / f"{stem}_e.csv", mode.e)
-            _write_csv(out / f"{stem}_psi.csv", mode.psi)
+            np.save(out / f"{stem}_e.npy", mode.e, allow_pickle=False)
+            np.save(out / f"{stem}_psi.npy", mode.psi, allow_pickle=False)
             weight = mode.weight if isinstance(mode.weight, float) \
                 else np.asarray(mode.weight).tolist()
             header["modes"].append({
                 "degree": mode.degree, "label": mode.label, "weight": weight,
-                "e_csv": f"{stem}_e.csv", "psi_csv": f"{stem}_psi.csv",
+                "e_npy": f"{stem}_e.npy", "psi_npy": f"{stem}_psi.npy",
                 "info": {k2: v for k2, v in mode.info.items()
                          if isinstance(v, (int, float, bool, str))},
             })
-        with open(out / "corrector.json", "w") as fh:
-            json.dump(header, fh, indent=2, sort_keys=True, default=float)
+        write_json(out / "corrector.json", header)
         return out / "corrector.json"
 
 

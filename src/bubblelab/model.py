@@ -9,9 +9,12 @@ operation returns a report listing each invariant with its measured
 violation, so the CLI can show all failures at once.  The corrector's
 grid, :class:`GridSpec`, is a domain type too: the CLI reads its
 defaults and checks its bounds without importing the sparse solver.
+Every report JSON file goes through :func:`write_json`, so all of them
+share one format.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -247,6 +250,13 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
+
+
+def write_json(path, doc):
+    """A report document as every command writes it: indented, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
 
 
 def validate_point(pt, override_dimension_gate=False):

@@ -19,7 +19,6 @@ delta ~ eps^rate.
 """
 
 import csv
-import json
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 from . import geom, quad
 from .bubble import alpha_n, bubble_energy, c_n, crit_boundary, crit_interior
 from .errors import DomainError, HypothesisFailure
-from .model import validate_hessians
+from .model import validate_hessians, write_json
 
 
 def _amplitude_sq(pt):
@@ -268,10 +267,7 @@ class BlowupReport:
     def save(self, directory):
         """Write blowup.json and the per-sample samples.csv table."""
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "blowup.json"), "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True,
-                      default=float)
-            fh.write("\n")
+        write_json(os.path.join(directory, "blowup.json"), self.to_json_dict())
         with open(os.path.join(directory, "samples.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample", "E", "A", "B", "d0", "G"])

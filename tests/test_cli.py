@@ -389,10 +389,30 @@ def test_corrector_random_frame_deterministic(tmp_path):
     # no timing keys may leak into any emitted JSON
     assert "_seconds" not in (a / "corrector.json").read_text()
     assert "_seconds" not in (a / "diagnostics.json").read_text()
-    profiles = sorted(p.name for p in a.glob("mode*_*.csv"))
+    profiles = sorted(p.name for p in a.glob("mode*_*.npy"))
     assert profiles
     for name in profiles:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_corrector_prints_vacuous_rows_as_vacuous(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"frame": "random", "grid": {"nr": 48, "nxn": 48}})
+    out = tmp_path / "out"
+    assert _run("corrector", "--config", cfg, "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    vacuous = [line for line in lines if line.startswith("[vacuous] ")]
+    assert [line.split(":")[0] for line in vacuous] == [
+        "[vacuous] interior/boundary mass identity",
+        "[vacuous] pairing vs discrete quadratic form"]
+    assert vacuous[0].endswith(": vacuous: no mode has an angular average")
+    assert vacuous[1].endswith(
+        ": vacuous: the forcing vanishes on the boundary rows")
+    # the rows still count as passed in the report
+    doc = json.loads((out / "diagnostics.json").read_text())
+    rows = {r["name"]: r for r in doc["checks"]}
+    assert rows["interior/boundary mass identity"]["passed"]
+    assert rows["pairing vs discrete quadratic form"]["passed"]
 
 
 def test_corrector_frame_file(tmp_path):

@@ -710,28 +710,31 @@ def test_solution_save_load_round_trip(tmp_path, sol8):
     assert len(header["modes"]) == len(sol8.modes)
     for md, mode in zip(header["modes"], sol8.modes):
         assert md["degree"] == mode.degree and md["label"] == mode.label
-        for key, arr in (("psi_csv", mode.psi), ("e_csv", mode.e)):
-            back = np.loadtxt(tmp_path / md[key], delimiter=",", ndmin=2)
-            np.testing.assert_allclose(back, arr, rtol=0, atol=1e-15)
+        for key, arr in (("psi_npy", mode.psi), ("e_npy", mode.e)):
+            back = np.load(tmp_path / md[key])
+            assert back.dtype == np.float64
+            assert back.shape == (sol8.gs.nr + 1, sol8.gs.nxn + 1)
+            assert np.array_equal(back, arr)
         # timing keys must never be persisted: identical configs must
         # produce byte-identical files
         assert not any(k.endswith("_seconds") for k in md["info"])
 
 
-def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path):
-    rng = np.random.default_rng(3)
-    # signed zeros, subnormals, the extremes of the range and non-finites
-    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300,
-               np.finfo(float).max, np.inf, -np.inf, np.nan]
-    wide = rng.normal(size=(150, 7)) * 10.0 ** rng.integers(-300, 300,
-                                                            size=(150, 7))
-    wide.flat[:len(special)] = special
-    for arr in (wide, np.array([special]), np.array(special)[:, None],
-                rng.normal(size=(corrector._CSV_ROWS, 3))):
-        corrector._write_csv(tmp_path / "ours.csv", arr)
-        np.savetxt(tmp_path / "ref.csv", arr, delimiter=",")
-        assert (tmp_path / "ours.csv").read_bytes() \
-            == (tmp_path / "ref.csv").read_bytes()
+@pytest.mark.parametrize("n,seed", [(8, 1), (8, 7), (12, 1), (12, 1871)])
+def test_angular_gram_matches_its_closed_form(n, seed):
+    # for trace-free symmetric Q0 the fourth moments of theta give
+    # int <Q0 theta, theta>^2 = 2 |S^{m-1}| |Q0|_F^2 / (m (m + 2))
+    m = n - 1
+    # random_frame's normal block is trace-free with unit Frobenius norm
+    Q0 = geom.random_frame(n, np.random.default_rng(seed)).normal_block
+    mode = corrector.SolvedMode(degree=2, weight=Q0, label="normal-block",
+                                e=None, psi=None)
+    sol = corrector.CorrectorSolution(
+        pt=ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0),
+        gs=corrector.GridSpec(nr=16, nxn=16), modes=[mode])
+    area = 2.0 * math.pi ** (m / 2) / math.gamma(m / 2)
+    closed = 2.0 * area / (m * (m + 2))
+    assert abs(sol.angular_gram()[0, 0] - closed) <= 1e-13 * closed
 
 
 def test_corrector_is_linear_in_the_frame(pt8, frame8):
