@@ -16,8 +16,9 @@ and end-to-end metric each side's median and quartiles, how many pairs
 the after side won, how many runs errored on each side, and a verdict
 against BENCHMARK.json's bound (see `verdict`).  ``--walls N`` adds N
 alternating rounds of fresh-process walls per side: a bare
-``import bubblelab.cli`` and each CLI command at its defaults
-(``locate`` on the README example).
+``import bubblelab.cli`` and each CLI command at its defaults, except
+that ``corrector`` runs a random frame (seed 11) so that it solves a
+mode on the default 400^2 grid, and ``locate`` runs the README example.
 """
 import argparse
 import json
@@ -35,6 +36,8 @@ README_LOCATE = {"n": 8, "K": -56.0, "H": 2.0, "case": "constants",
                  "frame": "random", "seed": 11,
                  "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0},
                              {"label": "p1", "coords": [1.0], "gamma": 1.5}]}
+# the zero frame has no mode: a default corrector run would solve nothing
+CORRECTOR = {"frame": "random", "seed": 11}
 
 
 def run(root, workload, seed, seconds, trace):
@@ -54,15 +57,16 @@ def run(root, workload, seed, seconds, trace):
 def walls(sides, rounds):
     """Fresh-process walls per command and side, sides alternating."""
     with tempfile.TemporaryDirectory() as work:
-        config = os.path.join(work, "locate.json")
-        with open(config, "w") as fh:
-            json.dump(README_LOCATE, fh)
         commands = {"import bubblelab.cli": ["-c", "import bubblelab.cli"]}
         for cmd in ("verify-integrals", "verify-bubble", "verify-hyperbolic",
                     "corrector", "locate"):
             commands[cmd] = ["-m", "bubblelab.cli", cmd, "--out",
                              os.path.join(work, "out")]
-        commands["locate"] += ["--config", config]
+        for cmd, doc in (("corrector", CORRECTOR), ("locate", README_LOCATE)):
+            config = os.path.join(work, f"{cmd}.json")
+            with open(config, "w") as fh:
+                json.dump(doc, fh)
+            commands[cmd] += ["--config", config]
         out = {name: {"before": [], "after": []} for name in commands}
         for k in range(rounds):
             order = ("before", "after") if k % 2 == 0 else ("after", "before")

@@ -1,21 +1,27 @@
 """Reduced-energy coefficients and the finite-dimensional blow-up locator.
 
 The expansion of the energy of a bubble of depth delta at a boundary
-point p collapses, after the corrector is accounted for, to a function
-of (delta, p) alone:
+point collapses, after the corrector is accounted for, to one depth law
+in both regimes, E + drive d - B d^p with delta = eps^rate d:
 
-    constant curvatures:      E(p) + A(p) gamma(p) eps delta - B(p) delta^4
-    non-constant curvatures:  E(p) + A(p) eps delta - B(p) delta^2
+    constant curvatures:      drive = A gamma, p = 4, rate 1/3
+    non-constant curvatures:  drive = A,       p = 2, rate 1
 
 This module computes A and the two flavors of B from closed moments
 (coeff_A, coeff_B_nonconstant) or from a solved corrector plus curvature
-invariants (coeff_B_constant), carries the sign quantity S with its two
-equivalent expressions, and maximizes the increment over a finite sample
-of boundary points.  The coefficients of one point share one
-``quad.MomentTable``, passed as ``table``.  Sampling the boundary is the
-caller's business: the locator consumes a list of BoundarySample
-records and returns the maximizer, its depth, and the rate
-delta ~ eps^rate.
+invariants (coeff_B_constant), and carries the sign quantity S with its
+two equivalent expressions.  The coefficients of one point share one
+``quad.MomentTable``, passed as ``table``.
+
+One locator serves both regimes.  Each sample's depth is the stationary
+point d0 = (drive / (p B))^{1/(p-1)} of the increment drive d - B d^p,
+hence rate = 1/(p-1).  The winner has the largest E; samples whose E
+ties it within 1e-9 (relative) go to the larger increment G.  When
+B <= 0 at every sample the locator raises HypothesisFailure ("B(p) <= 0
+at every sample: the delta^p coefficient never produces a maximum at
+positive depth").  Sampling the boundary is the caller's business: the
+locator consumes a list of BoundarySample records and returns the
+maximizer, its depth, and the rate.
 """
 
 import csv
@@ -172,35 +178,23 @@ class ReducedCoefficients:
         return doc
 
 
-def increment_constants(d, a, gamma, b):
-    """Reduced-energy increment A gamma d - B d^4 (depth units of eps^{1/3})."""
-    return a * gamma * d - b * d ** 4
+def increment(d, drive, b, p):
+    """Reduced-energy increment drive d - B d^p at depth d."""
+    return drive * d - b * d ** p
 
 
-def increment_nonconstant(d, a, b):
-    """Reduced-energy increment A d - B d^2 (depth units of eps)."""
-    return a * d - b * d * d
+def stationary_depth(drive, b, p):
+    """Closed-form maximizer of drive d - B d^p, requires drive > 0, B > 0.
 
-
-def stationary_depth_constants(a, gamma, b):
-    """Closed-form maximizer of A gamma d - B d^4, requires B > 0.
-
-    The stationarity equation A gamma = 4 d^3 B gives
-    d0 = (A gamma / (4 B))^{1/3}.
+    The stationarity equation drive = p B d^{p-1} gives
+    d0 = (drive / (p B))^{1/(p-1)}.
     """
     if b <= 0.0:
         raise DomainError(f"stationary depth needs B > 0, got B={b}")
-    if a * gamma <= 0.0:
-        raise DomainError(f"stationary depth needs A*gamma > 0, "
-                          f"got A={a}, gamma={gamma}")
-    return (a * gamma / (4.0 * b)) ** (1.0 / 3.0)
-
-
-def stationary_depth_nonconstant(a, b):
-    """Closed-form maximizer of A d - B d^2: d0 = A / (2 B), requires B > 0."""
-    if b <= 0.0:
-        raise DomainError(f"stationary depth needs B > 0, got B={b}")
-    return a / (2.0 * b)
+    if drive <= 0.0:
+        raise DomainError(f"stationary depth needs a positive drive, "
+                          f"got {drive}")
+    return (drive / (p * b)) ** (1.0 / (p - 1))
 
 
 @dataclass(frozen=True)
@@ -277,104 +271,92 @@ class BlowupReport:
                     for k in ("E", "A", "B", "d0", "G")])
 
 
-def _admissible(samples):
-    """Drop samples below the bubble threshold D > 1, warning per drop."""
-    kept = []
+def _locate(samples, coeff_b, drive, p):
+    """Shared core of both locators: maximize E + drive d - B d^p.
+
+    Samples with D <= 1 are dropped with a warning.  Every other sample
+    gets one moment table and its row (E, A, B, d0, G), where
+    ``coeff_b(sample, table)`` gives B, ``drive(sample, A)`` the
+    coefficient of d, and d0 and G = increment(d0) exist when B > 0.
+    The bubble energy E dominates at order eps^0, so the winner has the
+    largest E; samples whose E ties it within 1e-9 (relative) are ranked
+    by the larger G.  Returns the rows, the winner as (sample, row,
+    table), and whether every sample had D > 1.
+    """
+    samples = list(samples)
     for s in samples:
         if s.pt.D <= 1.0:
             warnings.warn(
                 f"sample {s.label!r} has D = {s.pt.D:.6g} <= 1 (no bubble "
                 "exists there); excluded from the maximization")
-            continue
-        kept.append(s)
+    kept = [s for s in samples if s.pt.D > 1.0]
     if not kept:
         raise DomainError("no admissible samples: every point has D <= 1")
-    return kept
+    rows = []
+    entries = []
+    for s in kept:
+        tbl = quad.MomentTable(s.pt.n, s.pt.D)
+        row = {"sample": s.label, "E": bubble_energy(s.pt, tbl),
+               "A": coeff_A(s.pt, tbl), "B": coeff_b(s, tbl),
+               "d0": None, "G": None}
+        if row["B"] > 0.0:
+            f = drive(s, row["A"])
+            row["d0"] = stationary_depth(f, row["B"], p)
+            row["G"] = increment(row["d0"], f, row["B"], p)
+            entries.append((s, row, tbl))
+        rows.append(row)
+    if not entries:
+        raise HypothesisFailure(
+            f"B(p) <= 0 at every sample: the delta^{p} coefficient never "
+            "produces a maximum at positive depth")
+    e_max = max(row["E"] for _, row, _ in entries)
+    band = [entry for entry in entries
+            if entry[1]["E"] >= e_max - 1e-9 * abs(e_max)]
+    winner = max(band, key=lambda entry: entry[1]["G"])
+    return rows, winner, len(kept) == len(samples)
 
 
 def optimize_constants(samples):
-    """Maximize A gamma d - B d^4 over boundary samples, rate 1/3.
+    """Maximize E + A gamma d - B d^4 over boundary samples, rate 1/3.
 
-    Every admissible sample gets its coefficient row, from one moment
-    table per sample; samples with B <= 0 are flagged and skipped for
-    the maximization.  HypothesisFailure when no sample has B > 0.
+    B comes from each sample's frame and solved corrector; see `_locate`
+    for the selection.  The report carries S at the winner.
     """
-    kept = _admissible(list(samples))
-    all_d = all(s.pt.D > 1.0 for s in samples)
-    rows = []
-    best = None
-    for s in kept:
+    def coeff_b(s, tbl):
         if s.frame is None or s.sol is None:
             raise DomainError(f"sample {s.label!r} lacks frame/corrector data")
-        tbl = quad.MomentTable(s.pt.n, s.pt.D)
-        e_val = bubble_energy(s.pt, tbl)
-        a_val = coeff_A(s.pt, tbl)
-        b_val = coeff_B_constant(s.pt, s.frame, s.sol, tbl)
-        row = {"sample": s.label, "E": e_val, "A": a_val, "B": b_val,
-               "d0": None, "G": None}
-        if b_val > 0.0:
-            d0 = stationary_depth_constants(a_val, s.pt.gamma, b_val)
-            row["d0"] = d0
-            row["G"] = increment_constants(d0, a_val, s.pt.gamma, b_val)
-            if best is None or row["G"] > best[1]["G"]:
-                best = (s, row, tbl)
-        rows.append(row)
-    if best is None:
-        raise HypothesisFailure(
-            "B(p) <= 0 at every sample: the delta^4 coefficient never "
-            "produces a maximum at positive depth")
-    s, row, tbl = best
+        return coeff_B_constant(s.pt, s.frame, s.sol, tbl)
+
+    rows, winner, all_d = _locate(samples, coeff_b,
+                                  lambda s, a: a * s.pt.gamma, 4)
+    s, row, tbl = winner
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
                                  case_tag="constants", S=compute_S(s.pt, tbl))
-    flags = {"B_positive": bool(row["B"] > 0.0),
-             "D_above_one_along_sample": bool(all_d)}
+    flags = {"B_positive": True, "D_above_one_along_sample": all_d}
     j_values = {"E": row["E"],
                 "A_gamma_d": row["A"] * s.pt.gamma * row["d0"],
                 "B_d4": row["B"] * row["d0"] ** 4,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),
-                        d_star=row["d0"], rate=1.0 / 3.0,
-                        case_tag="constants", coefficients=coeffs,
-                        gamma=s.pt.gamma, J_values=j_values,
-                        hypothesis_flags=flags, table=rows)
+                        d_star=row["d0"], rate=1.0 / 3.0, case_tag="constants",
+                        coefficients=coeffs, gamma=s.pt.gamma,
+                        J_values=j_values, hypothesis_flags=flags, table=rows)
 
 
 def optimize_nonconstant(samples):
-    """Maximize over samples in the non-constant case, rate 1.
+    """Maximize E + A d - B d^2 over boundary samples, rate 1.
 
-    The bubble energy E(p) dominates at order eps^0, so the selection
-    maximizes E first; samples whose E ties the maximum within 1e-9
-    (relative) are ranked by the eps^2-order increment
-    G = A^2/(4B).  HypothesisFailure when the curvature Hessians at the
-    selected point fail validate_hessians (symmetry and positive
-    definiteness).
+    B comes from each sample's curvature Hessians; see `_locate` for the
+    selection.  HypothesisFailure when the Hessians at the winner fail
+    validate_hessians (symmetry and positive definiteness).
     """
-    kept = _admissible(list(samples))
-    all_d = all(s.pt.D > 1.0 for s in samples)
-    rows = []
-    entries = []
-    for s in kept:
+    def coeff_b(s, tbl):
         if s.hess is None:
             raise DomainError(f"sample {s.label!r} lacks Hessian data")
-        tbl = quad.MomentTable(s.pt.n, s.pt.D)
-        e_val = bubble_energy(s.pt, tbl)
-        a_val = coeff_A(s.pt, tbl)
-        b_val = coeff_B_nonconstant(s.pt, s.hess, tbl)
-        row = {"sample": s.label, "E": e_val, "A": a_val, "B": b_val,
-               "d0": None, "G": None}
-        if b_val > 0.0:
-            d0 = stationary_depth_nonconstant(a_val, b_val)
-            row["d0"] = d0
-            row["G"] = increment_nonconstant(d0, a_val, b_val)
-            entries.append((s, row))
-        rows.append(row)
-    if not entries:
-        raise HypothesisFailure(
-            "B(p) <= 0 at every sample: no positive-depth maximum exists")
-    e_max = max(row["E"] for _, row in entries)
-    band = [pair for pair in entries
-            if pair[1]["E"] >= e_max - 1e-9 * abs(e_max)]
-    s, row = max(band, key=lambda pair: pair[1]["G"])
+        return coeff_B_nonconstant(s.pt, s.hess, tbl)
+
+    rows, winner, all_d = _locate(samples, coeff_b, lambda s, a: a, 2)
+    s, row, _ = winner
     bad = validate_hessians(s.hess).failures()
     if bad:
         raise HypothesisFailure(
@@ -382,15 +364,13 @@ def optimize_nonconstant(samples):
             + ", ".join(f"{c.name} ({c.value:.3e})" for c in bad))
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
                                  case_tag="non-constants")
-    flags = {"B_positive": bool(row["B"] > 0.0),
-             "hessians_positive_definite": True,
-             "D_above_one_along_sample": bool(all_d)}
+    flags = {"B_positive": True, "hessians_positive_definite": True,
+             "D_above_one_along_sample": all_d}
     j_values = {"E": row["E"],
                 "A_d": row["A"] * row["d0"],
                 "B_d2": row["B"] * row["d0"] ** 2,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),
-                        d_star=row["d0"], rate=1.0,
-                        case_tag="non-constants", coefficients=coeffs,
-                        gamma=s.pt.gamma, J_values=j_values,
-                        hypothesis_flags=flags, table=rows)
+                        d_star=row["d0"], rate=1.0, case_tag="non-constants",
+                        coefficients=coeffs, gamma=s.pt.gamma,
+                        J_values=j_values, hypothesis_flags=flags, table=rows)

@@ -226,11 +226,11 @@ def test_criterion_12_locator(pt8, frame8, sol8):
     # constants: closed stationary depth against a dense grid search
     a_val = reduced.coeff_A(pt8)
     b_val = reduced.coeff_B_constant(pt8, frame8, sol8)
-    closed = reduced.stationary_depth_constants(a_val, 1.0, b_val)
+    closed = reduced.stationary_depth(a_val * 1.0, b_val, 4)
     lo, hi = 0.01, 10.0
     for _ in range(5):
         grid = np.linspace(lo, hi, 4001)
-        vals = reduced.increment_constants(grid, a_val, 1.0, b_val)
+        vals = reduced.increment(grid, a_val * 1.0, b_val, 4)
         k = int(np.argmax(vals))
         lo, hi = grid[max(k - 2, 0)], grid[min(k + 2, 4000)]
     searched = 0.5 * (lo + hi)

@@ -749,3 +749,22 @@ def test_corrector_is_linear_in_the_frame(pt8, frame8):
         v1 = np.multiply.outer(m1.weight, m1.psi)
         v2 = np.multiply.outer(m2.weight, m2.psi)
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_random_frame_seed_does_not_reach_psi(n):
+    # the one reachable mode's radial profile is frame-free, and the
+    # frame reaches the pairing only through the unit norm of Q0: the
+    # seed moves the frame and its weights, never the solve
+    pt = ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0)
+    gs = corrector.GridSpec(nr=48, nxn=48)
+    sols = [corrector.solve_corrector(
+        geom.random_frame(n, np.random.default_rng(seed)), pt, gs)
+        for seed in (1, 7, 1871)]
+    first = sols[0].modes[0]
+    for sol in sols:
+        assert [m.label for m in sol.modes] == ["normal-block"]
+        assert np.array_equal(sol.modes[0].e, first.e)
+        assert np.array_equal(sol.modes[0].psi, first.psi)
+    pairings = [sol.forcing_pairing() for sol in sols]
+    assert max(pairings) - min(pairings) <= 1e-14 * abs(pairings[0])

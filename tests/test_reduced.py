@@ -149,37 +149,26 @@ def test_reduced_coefficients_validation():
     assert ok.to_json_dict()["S"] == 0.5
 
 
-@given(a=st.floats(0.1, 50.0), gamma=st.floats(0.1, 10.0),
-       b=st.floats(0.1, 50.0))
+@pytest.mark.parametrize("p", [4, 2])
+@given(drive=st.floats(0.1, 500.0), b=st.floats(0.1, 50.0))
 @settings(max_examples=50, deadline=None)
-def test_stationary_depth_constants_is_a_maximum(a, gamma, b):
-    d0 = reduced.stationary_depth_constants(a, gamma, b)
-    assert d0 == pytest.approx((a * gamma / (4.0 * b)) ** (1.0 / 3.0),
+def test_stationary_depth_is_a_maximum(p, drive, b):
+    d0 = reduced.stationary_depth(drive, b, p)
+    assert d0 == pytest.approx((drive / (p * b)) ** (1.0 / (p - 1)),
                                rel=1e-12)
-    center = reduced.increment_constants(d0, a, gamma, b)
+    center = reduced.increment(d0, drive, b, p)
     h = 1e-4 * d0
-    assert center > reduced.increment_constants(d0 - h, a, gamma, b)
-    assert center > reduced.increment_constants(d0 + h, a, gamma, b)
-
-
-@given(a=st.floats(0.1, 50.0), b=st.floats(0.1, 50.0))
-@settings(max_examples=50, deadline=None)
-def test_stationary_depth_nonconstant_is_a_maximum(a, b):
-    d0 = reduced.stationary_depth_nonconstant(a, b)
-    assert d0 == pytest.approx(a / (2.0 * b), rel=1e-12)
-    center = reduced.increment_nonconstant(d0, a, b)
-    h = 1e-4 * d0
-    assert center > reduced.increment_nonconstant(d0 - h, a, b)
-    assert center > reduced.increment_nonconstant(d0 + h, a, b)
+    assert center > reduced.increment(d0 - h, drive, b, p)
+    assert center > reduced.increment(d0 + h, drive, b, p)
 
 
 def test_stationary_depth_guards():
     with pytest.raises(DomainError):
-        reduced.stationary_depth_constants(1.0, 1.0, -2.0)
+        reduced.stationary_depth(1.0, -2.0, 4)
     with pytest.raises(DomainError):
-        reduced.stationary_depth_constants(-1.0, 1.0, 2.0)
+        reduced.stationary_depth(-1.0, 2.0, 4)
     with pytest.raises(DomainError):
-        reduced.stationary_depth_nonconstant(1.0, 0.0)
+        reduced.stationary_depth(1.0, 0.0, 2)
 
 
 def test_optimize_constants_gamma_homogeneity(pt8, frame8, sol8):
@@ -202,6 +191,25 @@ def test_optimize_constants_gamma_homogeneity(pt8, frame8, sol8):
     # the constants report carries S; positivity is enforced on build
     assert rep.coefficients.S == pytest.approx(0.48298127382137823,
                                                rel=1e-12)
+
+
+def test_optimize_constants_ranks_energy_before_increment():
+    # H = 2.2 has the larger increment G (96.4 against 23.8) but the
+    # smaller bubble energy E (0.525 against 1.077): E, the eps^0 term,
+    # decides before G
+    frame = geom.random_frame(8, np.random.default_rng(1871))
+    gs = corrector.GridSpec(nr=48, nxn=48)
+    samples = []
+    for label, h_val, gamma in (("H2.0", 2.0, 1.0), ("H2.2", 2.2, 5.0)):
+        pt = ProblemPoint(n=8, K=-56.0, H=h_val, gamma=gamma)
+        samples.append(reduced.BoundarySample(
+            label=label, coords=(h_val,), pt=pt, frame=frame,
+            sol=corrector.solve_corrector(frame, pt, gs)))
+    rep = reduced.optimize_constants(samples)
+    rows = {r["sample"]: r for r in rep.table}
+    assert rows["H2.0"]["E"] > rows["H2.2"]["E"]
+    assert rows["H2.0"]["G"] < rows["H2.2"]["G"]
+    assert rep.p_star == "H2.0"
 
 
 def test_optimize_constants_needs_corrector_data(pt8):
