@@ -265,8 +265,8 @@ def residual_linearized(b, i, x):
 # Bubble energy
 
 
-def bubble_energy(pt, table=None):
-    """Closed-form energy of the bubble over ``pt``.
+def bubble_energy(pt):
+    """Closed-form energy of the bubble over ``pt``, from ``pt.moments``.
 
     E = a_n / |K|^{(n-2)/2} * ( -(n-1) phi_{(n+1)/2}(D) + D (D^2-1)^{-(n-1)/2} ),
     a_n = alpha_n^{2#} * omega * I(n-1, n) * (n-3) / ((n-1) sqrt(n(n-1))).
@@ -275,7 +275,7 @@ def bubble_energy(pt, table=None):
     D = pt.D
     if D <= 1.0:
         raise DomainError(f"bubble energy needs D > 1, got D = {D:.6g}")
-    tbl = quad.moment_table(n, D, table)
+    tbl = pt.moments
     a = alpha_n(n) ** crit_boundary(n) * tbl.omega * tbl.I(n - 1, n) \
         * (n - 3.0) / ((n - 1.0) * math.sqrt(n * (n - 1.0)))
     bracket = -(n - 1.0) * tbl.phi(0.5 * (n + 1.0)) \
@@ -283,13 +283,14 @@ def bubble_energy(pt, table=None):
     return a / abs(pt.K) ** (0.5 * (n - 2.0)) * bracket
 
 
-def bubble_energy_quadrature(pt, rel_tol=1e-8):
+def bubble_energy_quadrature(pt):
     """Independent oracle: the energy functional evaluated by quadrature.
 
     (c_n/2) int |grad U|^2 + (|K|/2*) int U^{2*}
         - (n-2) H int_boundary U^{2#},
 
-    each integral on exp-sinh nodes at the bubble's length D.
+    each integral on exp-sinh nodes at the bubble's length D, at
+    relative tolerance 1e-9.
     """
     n = pt.n
     b = Bubble(pt)
@@ -297,13 +298,13 @@ def bubble_energy_quadrature(pt, rel_tol=1e-8):
     tsh = crit_boundary(n)
 
     grad2 = quad.brute_halfspace(
-        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=rel_tol,
+        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=1e-9,
         scale=pt.D)
-    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=rel_tol,
+    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=1e-9,
                                 scale=pt.D)
 
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
-        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=rel_tol,
+        lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9,
         scale=pt.D)
     return 0.5 * c_n(n) * grad2 + abs(pt.K) / ts * upow \
         - (n - 2.0) * pt.H * btrace

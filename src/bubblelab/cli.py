@@ -426,29 +426,28 @@ def cmd_verify_integrals(cfg):
             abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
 
     # the oracle integrates the triples in units of D, as one family
-    tbl = quad.MomentTable(n, pt.D)
     triples = _separable_triples(n)
     brutes = quad.brute_halfspace(_separable_family(triples, pt.D), n,
                                   rel_tol=1e-9, count=len(triples))
     for (a, b, m), brute in zip(triples, brutes):
-        closed = tbl.halfspace_moment(a, b, m)
+        closed = pt.moments.halfspace_moment(a, b, m)
         brute = pt.D ** (n + a + b - 2.0 * m) * brute
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
                          abs(closed - brute) / abs(closed),
                          _bound(cfg, 1e-8)))
 
     if n >= 7:
-        s1 = reduced.compute_S(pt, tbl)
-        s2 = reduced.compute_S_alt(pt, tbl)
+        s1 = reduced.compute_S(pt)
+        s2 = reduced.compute_S_alt(pt)
         rows.append(_row("sign quantity: two expressions agree",
                          abs(s1 - s2) / abs(s1), _bound(cfg, 1e-8)))
         rows.append(_row("sign quantity positive", s1, 0.0,
                          detail="value must exceed the bound",
                          passed=s1 > 0.0))
         scale = 0.5 * reduced._amplitude_sq(pt) \
-            * tbl.halfspace_moment(2, 0, n - 2)
+            * pt.moments.halfspace_moment(2, 0, n - 2)
         rows.append(_row("vanishing second bracket of the depth-4 term",
-                         abs(reduced.compute_I2(pt, tbl)) / scale,
+                         abs(reduced.compute_I2(pt)) / scale,
                          _bound(cfg, 1e-8)))
     return _write_report(cfg, "verify-integrals", rows)
 
@@ -474,10 +473,8 @@ def cmd_verify_bubble(cfg):
     rows.append(_row(f"linearized problem residuals ({n} kernel fields "
                      "x 100 points)", worst, _bound(cfg, 1e-8)))
 
-    # one table serves every row below
-    tbl = quad.MomentTable(n, pt.D)
-    closed = bubble_energy(pt, tbl)
-    direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
+    closed = bubble_energy(pt)
+    direct = bubble_energy_quadrature(pt)
     rows.append(_row("bubble energy: closed form vs quadrature",
                      abs(closed - direct) / abs(closed), _bound(cfg, 1e-6)))
 
@@ -492,26 +489,25 @@ def cmd_verify_bubble(cfg):
                      passed=slope < 0.0))
 
     pt4 = ProblemPoint(n=n, K=4.0 * pt.K, H=2.0 * pt.H)
-    ratio = bubble_energy(pt4, tbl) / closed
+    ratio = bubble_energy(pt4) / closed
     expected = 4.0 ** (-0.5 * (n - 2.0))
     rows.append(_row("bubble energy |K|-scaling at fixed D",
                      abs(ratio - expected) / expected, _bound(cfg, 1e-10)))
 
     frame = geom.random_frame(n, rng)
-    suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8),
-                                    table=tbl)
+    suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8))
     rows.extend(_report_rows(suite))
 
-    ep_norm = geom.forcing_norm(frame, b, tbl)
+    ep_norm = geom.forcing_norm(frame, b)
     worst = 0.0
     for s in range(1, n + 1):
-        val, scale = geom.integral_Ep_jacobi(frame, b, s, tbl, ep_norm=ep_norm)
+        val, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
         worst = max(worst, abs(val) / scale)
     rows.append(_row(f"forcing orthogonal to the kernel ({n} fields)",
                      worst, _bound(cfg, 1e-8)))
     rows.append(_row("separable pairings: moments vs double-exponential "
                      "quadrature (5 radial records)",
-                     geom.route_gap(frame, b, tbl), _bound(cfg, 1e-8)))
+                     geom.route_gap(frame, b), _bound(cfg, 1e-8)))
     return _write_report(cfg, "verify-bubble", rows)
 
 

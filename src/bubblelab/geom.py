@@ -333,36 +333,34 @@ def paired_halfspace(terms_a, terms_b, b):
     return total
 
 
-def forcing_norm(frame, b, table=None):
+def forcing_norm(frame, b):
     """L^2 norm of the forcing over the half-space."""
     ep = forcing_terms(frame, b)
-    table = quad.moment_table(b.n, b.pt.D, table)
-    return math.sqrt(max(paired_moments(ep, ep, table), 0.0))
+    return math.sqrt(max(paired_moments(ep, ep, b.pt.moments), 0.0))
 
 
-def jacobi_norm(b, s, table=None):
+def jacobi_norm(b, s):
     """L^2 norm of the kernel element j_s (same value for all s < n)."""
     js = jacobi_terms(b, s)
-    table = quad.moment_table(b.n, b.pt.D, table)
-    return math.sqrt(max(paired_moments(js, js, table), 0.0))
+    return math.sqrt(max(paired_moments(js, js, b.pt.moments), 0.0))
 
 
-def integral_Ep_jacobi(frame, b, s, table=None, ep_norm=None):
+def integral_Ep_jacobi(frame, b, s, ep_norm=None):
     """(value, scale) of int E_p j_s over the half-space.
 
     scale = ||E_p||_L2 * ||j_s||_L2; the orthogonality statement is
     |value| <= tol * scale.  A precomputed ||E_p|| may be passed in when
-    sweeping many kernel elements against one frame; one ``table`` per
-    (n, D) shares the moments across the sweep.
+    sweeping many kernel elements against one frame; the sweep shares
+    the moments of its point, ``b.pt.moments``.
     """
-    table = quad.moment_table(b.n, b.pt.D, table)
-    value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s), table)
+    value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s),
+                           b.pt.moments)
     if ep_norm is None:
-        ep_norm = forcing_norm(frame, b, table)
-    return value, ep_norm * jacobi_norm(b, s, table)
+        ep_norm = forcing_norm(frame, b)
+    return value, ep_norm * jacobi_norm(b, s)
 
 
-def route_gap(frame, b, table=None):
+def route_gap(frame, b):
     """Worst relative gap between the moment route and `paired_halfspace`.
 
     Every radial record (the three forcing terms, j_1 and j_n) is paired
@@ -370,13 +368,12 @@ def route_gap(frame, b, table=None):
     the check covers each monomial list whatever the frame's angular
     weights are.
     """
-    table = quad.moment_table(b.n, b.pt.D, table)
     records = forcing_terms(frame, b) + jacobi_terms(b, 1) \
         + jacobi_terms(b, b.n)
     worst = 0.0
     for rec in records:
         unit = [rec._replace(angular=_ones)]
-        moments = paired_moments(unit, unit, table)
+        moments = paired_moments(unit, unit, b.pt.moments)
         direct = paired_halfspace(unit, unit, b)
         worst = max(worst, abs(direct - moments) / abs(moments))
     return worst
@@ -386,7 +383,7 @@ def route_gap(frame, b, table=None):
 # cancellation suite
 
 
-def cancellation_suite(frame, pt, tol=1e-8, table=None):
+def cancellation_suite(frame, pt, tol=1e-8):
     """Numerically verify the vanishing/ratio identities behind the expansion.
 
     (1) int (R[i,k,j,l] x_k x_l / 3 + Q_ij x_n^2) d_iU d_jU = 0;
@@ -396,12 +393,12 @@ def cancellation_suite(frame, pt, tol=1e-8, table=None):
         (second-derivative curvature inputs default to zero here).
 
     Angular factors are integrated by the sphere-exact rule, radial
-    factors are half-space moments of ``table``; every check reports
+    factors are half-space moments of ``pt.moments``; every check reports
     |value|/scale.  The radial moment of (4) diverges for n <= 6, and
     that check then fails with the divergence as its detail.
     """
     b = Bubble(pt)
-    table = quad.moment_table(b.n, b.pt.D, table)
+    table = pt.moments
     n = b.n
     m = n - 1
     q = 0.5 * (n - 2.0)

@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import quad
 from .errors import DomainError
 
 SUPPORTED_MIN_DIMENSION = 8
@@ -57,7 +59,10 @@ class ProblemPoint:
     """Scalar data of a candidate blow-up point.
 
     The scaling quantity D is always recomputed from (n, K, H) — it is a
-    property, never stored, so it cannot drift out of sync.
+    property, never stored, so it cannot drift out of sync.  ``moments``
+    is the point's one `quad.MomentTable` at (n, D): built on first use
+    and kept by this point object, so every coefficient of one point
+    reads one table and no table is shared across points.
     """
 
     n: int
@@ -68,6 +73,10 @@ class ProblemPoint:
     @property
     def D(self):
         return scaling_quantity(self.n, self.K, self.H)
+
+    @cached_property
+    def moments(self):
+        return quad.MomentTable(self.n, self.D)
 
     def to_json_dict(self):
         return {"n": self.n, "K": self.K, "H": self.H, "gamma": self.gamma}

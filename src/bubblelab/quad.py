@@ -91,7 +91,6 @@ __all__ = [
     "sphere_area",
     "sphere_monomial",
     "MomentTable",
-    "moment_table",
     "brute_halfspace",
 ]
 
@@ -383,20 +382,6 @@ class MomentTable:
                 max_quad = max(max_quad, abs(by_quad - value) / abs(value))
             max_bit = max(max_bit, abs(value - stored))
         return max_bit, max_quad
-
-
-def moment_table(n, D, table=None):
-    """``table`` checked against (n, D), or a fresh one at (n, D).
-
-    Quantities evaluated at one point share one table, so each moment
-    is computed once per point.
-    """
-    if table is None:
-        return MomentTable(n, D)
-    if (table.n, table.D) != (n, D):
-        raise DomainError(f"moment table at (n, D) = ({table.n}, {table.D}) "
-                          f"does not match the point's ({n}, {D})")
-    return table
 
 
 # The exp-sinh rule of `_de_quadrant` and `integrate_halfline` (Takahasi

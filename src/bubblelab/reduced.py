@@ -10,8 +10,9 @@ in both regimes, E + drive d - B d^p with delta = eps^rate d:
 This module computes A and the two flavors of B from closed moments
 (coeff_A, coeff_B_nonconstant) or from a solved corrector plus curvature
 invariants (coeff_B_constant), and carries the sign quantity S with its
-two equivalent expressions.  The coefficients of one point share one
-``quad.MomentTable``, passed as ``table``.
+two equivalent expressions.  Every coefficient reads the moments of its
+point, ``pt.moments``, so the coefficients of one point share one
+``quad.MomentTable``.
 
 One locator serves both regimes.  Each sample's depth is the stationary
 point d0 = (drive / (p B))^{1/(p-1)} of the increment drive d - B d^p,
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geom, quad
+from . import geom
 from .bubble import alpha_n, bubble_energy, c_n, crit_boundary, crit_interior
 from .errors import DomainError, HypothesisFailure
 from .model import validate_hessians, write_json
@@ -42,15 +43,14 @@ def _amplitude_sq(pt):
     return alpha_n(pt.n) ** 2 / abs(pt.K) ** (0.5 * (pt.n - 2.0))
 
 
-def coeff_A(pt, table=None):
+def coeff_A(pt):
     """Coefficient of the eps*delta term: (n-1) int U^2(xt, 0) dxt."""
     n = pt.n
-    tbl = quad.moment_table(n, pt.D, table)
     return float((n - 1.0) * _amplitude_sq(pt)
-                 * tbl.boundary_moment(0, n - 2))
+                 * pt.moments.boundary_moment(0, n - 2))
 
 
-def coeff_B_nonconstant(pt, hess, table=None):
+def coeff_B_nonconstant(pt, hess):
     """Coefficient of the delta^2 term from the curvature Hessians.
 
     The quadratic forms <D^2 H xt, xt> and <D^2 K x, x> integrate
@@ -64,7 +64,7 @@ def coeff_B_nonconstant(pt, hess, table=None):
     n = pt.n
     if hess.n != n:
         raise DomainError(f"hessians are for n={hess.n}, point has n={n}")
-    tbl = quad.moment_table(n, pt.D, table)
+    tbl = pt.moments
     amp = alpha_n(n) / abs(pt.K) ** (0.25 * (n - 2.0))
     tr_h = float(np.trace(hess.hessH))
     tr_k = float(np.trace(hess.hessK[:-1, :-1]))
@@ -77,18 +77,18 @@ def coeff_B_nonconstant(pt, hess, table=None):
                  + amp ** crit_interior(n) * term_k / (2.0 * crit_interior(n)))
 
 
-def compute_S(pt, table=None):
+def compute_S(pt):
     """The positive quantity S multiplying R^2_{nins} in the delta^4 term."""
     n = pt.n
     D = pt.D
-    tbl = quad.moment_table(n, D, table)
+    tbl = pt.moments
     bracket = tbl.phi_hat(0.5 * (n - 3.0)) \
         + (n - 3.0) * D * tbl.phi_power(3, 0.5 * (n - 1.0))
     return _amplitude_sq(pt) * tbl.omega * ((n - 2.0) / (n + 1.0)) \
         * tbl.I(n, n + 2) * bracket
 
 
-def compute_S_alt(pt, table=None):
+def compute_S_alt(pt):
     """Equivalent expression for S through the tail-moment identity.
 
     The bracket (n-3) phi~_{(n-1)/2} - 4 phi^_{(n-3)/2} equals -S over
@@ -96,14 +96,14 @@ def compute_S_alt(pt, table=None):
     checks the verify command reports.
     """
     n = pt.n
-    tbl = quad.moment_table(n, pt.D, table)
+    tbl = pt.moments
     bracket = (n - 3.0) * tbl.phi_tilde(0.5 * (n - 1.0)) \
         - 4.0 * tbl.phi_hat(0.5 * (n - 3.0))
     return -_amplitude_sq(pt) * tbl.omega * ((n - 2.0) / (n + 1.0)) \
         * tbl.I(n, n + 2) * bracket
 
 
-def compute_I2(pt, table=None):
+def compute_I2(pt):
     """The second delta^4 bracket; vanishes identically.
 
     Returns the signed value of
@@ -115,14 +115,14 @@ def compute_I2(pt, table=None):
     verify command checks it against zero.
     """
     n = pt.n
-    tbl = quad.moment_table(n, pt.D, table)
+    tbl = pt.moments
     first = c_n(n) * _amplitude_sq(pt) * (n - 2.0) ** 2 \
         / (2.0 * (n * n - 1.0)) * tbl.halfspace_moment(2, 4, n)
     second = 0.5 * _amplitude_sq(pt) * tbl.halfspace_moment(2, 0, n - 2)
     return first - second
 
 
-def coeff_B_constant(pt, frame, sol, table=None):
+def coeff_B_constant(pt, frame, sol):
     """Coefficient of the delta^4 term when both curvatures are constant.
 
     B = 1/2 int E_p V_p + |Weyl|^2/(24(n-1)) int |xt|^2 U^2
@@ -139,11 +139,10 @@ def coeff_B_constant(pt, frame, sol, table=None):
     if (sol.pt.n, sol.pt.K, sol.pt.H) != (pt.n, pt.K, pt.H):
         raise DomainError("corrector solution was computed for a different "
                           f"problem point: {sol.pt} vs {pt}")
-    tbl = quad.moment_table(n, pt.D, table)
     pair = 0.5 * sol.forcing_pairing()
     weyl_term = geom.weyl_norm(frame) / (24.0 * (n - 1.0)) \
-        * _amplitude_sq(pt) * tbl.halfspace_moment(0, 2, n - 2)
-    s_term = frame.nnins_sq * compute_S(pt, tbl) \
+        * _amplitude_sq(pt) * pt.moments.halfspace_moment(0, 2, n - 2)
+    s_term = frame.nnins_sq * compute_S(pt) \
         if frame.nnins_sq > 0.0 else 0.0
     return float(pair + weyl_term + s_term)
 
@@ -216,13 +215,17 @@ class BoundarySample:
 
 @dataclass
 class BlowupReport:
-    """Outcome of the finite-dimensional maximization over a sample."""
+    """Outcome of the finite-dimensional maximization over a sample.
+
+    ``p`` and ``drive`` give the winner's depth law drive d - B d^p;
+    ``rate`` follows from p and ``case_tag`` from the coefficients.
+    """
 
     p_star: str
     coords: tuple
     d_star: float
-    rate: float
-    case_tag: str
+    p: int
+    drive: float
     coefficients: ReducedCoefficients
     gamma: float
     J_values: dict
@@ -230,17 +233,22 @@ class BlowupReport:
     table: list = field(default_factory=list)
 
     def __post_init__(self):
-        c = self.coefficients
-        if self.case_tag == "constants":
-            defect = abs(c.A * self.gamma - 4.0 * self.d_star ** 3 * c.B)
-            scale = abs(c.A * self.gamma)
-        else:
-            defect = abs(c.A - 2.0 * self.d_star * c.B)
-            scale = abs(c.A)
+        # the stationarity equation of drive d - B d^p at d_star
+        defect = abs(self.drive - self.p * self.coefficients.B
+                     * self.d_star ** (self.p - 1))
+        scale = abs(self.drive)
         if defect > 1e-8 * scale:
             raise DomainError(
                 f"d_star violates the stationarity equation: defect "
                 f"{defect:.3e} vs scale {scale:.3e}")
+
+    @property
+    def rate(self):
+        return 1.0 / (self.p - 1)
+
+    @property
+    def case_tag(self):
+        return self.coefficients.case_tag
 
     def to_json_dict(self):
         return {
@@ -275,13 +283,13 @@ def _locate(samples, coeff_b, drive, p):
     """Shared core of both locators: maximize E + drive d - B d^p.
 
     Samples with D <= 1 are dropped with a warning.  Every other sample
-    gets one moment table and its row (E, A, B, d0, G), where
-    ``coeff_b(sample, table)`` gives B, ``drive(sample, A)`` the
-    coefficient of d, and d0 and G = increment(d0) exist when B > 0.
-    The bubble energy E dominates at order eps^0, so the winner has the
-    largest E; samples whose E ties it within 1e-9 (relative) are ranked
-    by the larger G.  Returns the rows, the winner as (sample, row,
-    table), and whether every sample had D > 1.
+    gets its row (E, A, B, d0, G), where ``coeff_b(sample)`` gives B,
+    ``drive(sample, A)`` the coefficient of d, and d0 and G =
+    increment(d0) exist when B > 0.  The bubble energy E dominates at
+    order eps^0, so the winner has the largest E; samples whose E ties
+    it within 1e-9 (relative) are ranked by the larger G.  Returns the
+    rows, the winner as (sample, row), and whether every sample had
+    D > 1.
     """
     samples = list(samples)
     for s in samples:
@@ -295,21 +303,20 @@ def _locate(samples, coeff_b, drive, p):
     rows = []
     entries = []
     for s in kept:
-        tbl = quad.MomentTable(s.pt.n, s.pt.D)
-        row = {"sample": s.label, "E": bubble_energy(s.pt, tbl),
-               "A": coeff_A(s.pt, tbl), "B": coeff_b(s, tbl),
+        row = {"sample": s.label, "E": bubble_energy(s.pt),
+               "A": coeff_A(s.pt), "B": coeff_b(s),
                "d0": None, "G": None}
         if row["B"] > 0.0:
             f = drive(s, row["A"])
             row["d0"] = stationary_depth(f, row["B"], p)
             row["G"] = increment(row["d0"], f, row["B"], p)
-            entries.append((s, row, tbl))
+            entries.append((s, row))
         rows.append(row)
     if not entries:
         raise HypothesisFailure(
             f"B(p) <= 0 at every sample: the delta^{p} coefficient never "
             "produces a maximum at positive depth")
-    e_max = max(row["E"] for _, row, _ in entries)
+    e_max = max(row["E"] for _, row in entries)
     band = [entry for entry in entries
             if entry[1]["E"] >= e_max - 1e-9 * abs(e_max)]
     winner = max(band, key=lambda entry: entry[1]["G"])
@@ -322,23 +329,26 @@ def optimize_constants(samples):
     B comes from each sample's frame and solved corrector; see `_locate`
     for the selection.  The report carries S at the winner.
     """
-    def coeff_b(s, tbl):
+    def coeff_b(s):
         if s.frame is None or s.sol is None:
             raise DomainError(f"sample {s.label!r} lacks frame/corrector data")
-        return coeff_B_constant(s.pt, s.frame, s.sol, tbl)
+        return coeff_B_constant(s.pt, s.frame, s.sol)
 
-    rows, winner, all_d = _locate(samples, coeff_b,
-                                  lambda s, a: a * s.pt.gamma, 4)
-    s, row, tbl = winner
+    def drive(s, a):
+        return a * s.pt.gamma
+
+    rows, winner, all_d = _locate(samples, coeff_b, drive, 4)
+    s, row = winner
+    f = drive(s, row["A"])
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
-                                 case_tag="constants", S=compute_S(s.pt, tbl))
+                                 case_tag="constants", S=compute_S(s.pt))
     flags = {"B_positive": True, "D_above_one_along_sample": all_d}
     j_values = {"E": row["E"],
-                "A_gamma_d": row["A"] * s.pt.gamma * row["d0"],
+                "A_gamma_d": f * row["d0"],
                 "B_d4": row["B"] * row["d0"] ** 4,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),
-                        d_star=row["d0"], rate=1.0 / 3.0, case_tag="constants",
+                        d_star=row["d0"], p=4, drive=f,
                         coefficients=coeffs, gamma=s.pt.gamma,
                         J_values=j_values, hypothesis_flags=flags, table=rows)
 
@@ -350,13 +360,13 @@ def optimize_nonconstant(samples):
     selection.  HypothesisFailure when the Hessians at the winner fail
     validate_hessians (symmetry and positive definiteness).
     """
-    def coeff_b(s, tbl):
+    def coeff_b(s):
         if s.hess is None:
             raise DomainError(f"sample {s.label!r} lacks Hessian data")
-        return coeff_B_nonconstant(s.pt, s.hess, tbl)
+        return coeff_B_nonconstant(s.pt, s.hess)
 
     rows, winner, all_d = _locate(samples, coeff_b, lambda s, a: a, 2)
-    s, row, _ = winner
+    s, row = winner
     bad = validate_hessians(s.hess).failures()
     if bad:
         raise HypothesisFailure(
@@ -371,6 +381,6 @@ def optimize_nonconstant(samples):
                 "B_d2": row["B"] * row["d0"] ** 2,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),
-                        d_star=row["d0"], rate=1.0, case_tag="non-constants",
+                        d_star=row["d0"], p=2, drive=row["A"],
                         coefficients=coeffs, gamma=s.pt.gamma,
                         J_values=j_values, hypothesis_flags=flags, table=rows)

@@ -115,7 +115,7 @@ def test_criterion_06_bubble_energy():
         for d in (1.5, 2.0):
             pt = _point(n, d)
             closed = bubble_energy(pt)
-            direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
+            direct = bubble_energy_quadrature(pt)
             worst = max(worst, abs(closed - direct) / abs(closed))
     _line(6, "bubble energy closed form vs quadrature", worst, 1e-6)
 

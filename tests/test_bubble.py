@@ -176,7 +176,7 @@ def test_jacobi_functions_reject_a_field_index_outside_1_to_n(pt8, pt10, f):
 def test_energy_closed_form_vs_quadrature(pt8, pt10):
     for pt in (pt8, pt10):
         closed = bubble_energy(pt)
-        direct = bubble_energy_quadrature(pt, rel_tol=1e-9)
+        direct = bubble_energy_quadrature(pt)
         assert closed == pytest.approx(direct, rel=1e-7)
 
 
@@ -185,7 +185,7 @@ def test_energy_closed_form_vs_quadrature(pt8, pt10):
 def test_energy_oracle_at_extreme_depth(n, d):
     # all three integrals of the oracle on nodes at the bubble's length D
     pt = ProblemPoint(n=n, K=-float(n * (n - 1)), H=d)
-    assert bubble_energy_quadrature(pt, rel_tol=1e-9) == pytest.approx(
+    assert bubble_energy_quadrature(pt) == pytest.approx(
         bubble_energy(pt), rel=1e-7)
 
 

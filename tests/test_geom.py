@@ -194,19 +194,17 @@ def test_records_match_the_pointwise_forms(n, rng):
 def test_moment_route_matches_nested_quadrature(n):
     """The moment route against `paired_halfspace` on the same records."""
     b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=2.0))
-    table = quad.MomentTable(n, b.pt.D)
     frame = geom.random_frame(n, np.random.default_rng(40 + n))
     ep = geom.forcing_terms(frame, b)
-    ep_norm = geom.forcing_norm(frame, b, table)
+    ep_norm = geom.forcing_norm(frame, b)
     assert ep_norm ** 2 == pytest.approx(geom.paired_halfspace(ep, ep, b),
                                          rel=1e-8)
     for s in (1, n):
         js = geom.jacobi_terms(b, s)
-        js_norm = geom.jacobi_norm(b, s, table)
+        js_norm = geom.jacobi_norm(b, s)
         assert js_norm ** 2 == pytest.approx(geom.paired_halfspace(js, js, b),
                                              rel=1e-8)
-        value, scale = geom.integral_Ep_jacobi(frame, b, s, table,
-                                               ep_norm=ep_norm)
+        value, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
         # in the gauge both routes measure a roundoff-sized pairing
         assert abs(value - geom.paired_halfspace(ep, js, b)) <= 1e-8 * scale
 
@@ -235,7 +233,3 @@ def test_moment_route_matches_nested_quadrature_off_the_gauge(pt8):
                                    geom.jacobi_terms(b, 8), b)
     assert value == pytest.approx(direct, rel=1e-8)
 
-
-def test_moment_table_must_match_the_bubble(pt8, pt10, frame8):
-    with pytest.raises(DomainError):
-        geom.forcing_norm(frame8, Bubble(pt8), quad.MomentTable(8, pt10.D))

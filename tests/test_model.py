@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubblelab import geom
+from bubblelab import geom, quad
 from bubblelab.errors import DomainError
 from bubblelab.model import (CurvatureFrame, HessianData, ProblemPoint,
                              validate_frame, validate_hessians,
@@ -16,6 +16,31 @@ def test_scaling_quantity_round_numbers(pt8, pt10):
 def test_point_json_round_trip(pt8):
     assert pt8.to_json_dict() == {"n": 8, "K": -56.0, "H": 2.0,
                                   "gamma": 1.0}
+
+
+def test_point_owns_its_moments(monkeypatch):
+    pt = ProblemPoint(n=8, K=-56.0, H=2.0)
+    table = pt.moments
+    assert pt.moments is table
+    fresh = quad.MomentTable(8, pt.D)
+    for tbl in (table, fresh):
+        tbl.halfspace_moment(2, 4, 8)
+        tbl.boundary_moment(0, 6)
+        tbl.phi_tilde(4.5)
+    assert (table.n, table.D) == (fresh.n, fresh.D)
+    assert table.cache == fresh.cache and table.omega == fresh.omega
+    # one table per point object, not per value
+    twin = ProblemPoint(n=8, K=-56.0, H=2.0)
+    assert twin == pt and twin.moments is not table
+
+    def refuse(*args):
+        raise AssertionError("validation built a moment table")
+
+    monkeypatch.setattr(quad, "MomentTable", refuse)
+    flat = ProblemPoint(n=8, K=-56.0, H=0.5)     # D = 0.5: no bubble
+    rep = validate_point(flat)
+    assert [c.name for c in rep.failures()] == ["D > 1"]
+    assert "moments" not in vars(flat)
 
 
 def test_dimension_gate():

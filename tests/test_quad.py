@@ -11,6 +11,7 @@ from bubblelab import geom, quad
 from bubblelab.bubble import Bubble, bubble_energy, crit_interior
 from bubblelab.cli import _separable_family, _separable_triples
 from bubblelab.errors import DomainError, NonConvergence
+from bubblelab.model import ProblemPoint
 
 
 def test_beta_moment_spot_values():
@@ -384,14 +385,18 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the two routes share an engine")
 
 
-def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
-    n, d = 8, pt8.D
-    b = Bubble(pt8)
-    records = geom.forcing_terms(frame8, b) + geom.jacobi_terms(b, n)
+def test_oracles_and_moment_table_share_no_engine(frame8, monkeypatch):
+    # each context builds its own point: a point keeps its moment table,
+    # so a table cached before the patch would hide a call into it
+    n = 8
     with monkeypatch.context() as mp:
         # the oracles: no half-line rule, no Beta closed form, no table
         for name in ("integrate_halfline", "I", "phi_power", "MomentTable"):
             mp.setattr(quad, name, _refuse)
+        pt = ProblemPoint(n=n, K=-56.0, H=2.0)
+        d = pt.D
+        b = Bubble(pt)
+        records = geom.forcing_terms(frame8, b) + geom.jacobi_terms(b, n)
         for a, bb, m in _separable_triples(n)[:3]:
             quad.brute_halfspace(moment_integrand(a, bb, m, d), n,
                                  rel_tol=1e-9)
@@ -407,11 +412,13 @@ def test_oracles_and_moment_table_share_no_engine(pt8, frame8, monkeypatch):
         mp.setattr(quad, "brute_halfspace", _refuse)
         mp.setattr(geom, "paired_halfspace", _refuse)
         mp.setattr(quad, "integrate_halfline", _refuse)
-        table = quad.MomentTable(n, d)
+        pt = ProblemPoint(n=n, K=-56.0, H=2.0)
+        b = Bubble(pt)
+        table = pt.moments
         for a, bb, m in _separable_triples(n):
             table.halfspace_moment(a, bb, m)
-        bubble_energy(pt8, table)
-        geom.forcing_norm(frame8, b, table)
+        bubble_energy(pt)
+        geom.forcing_norm(frame8, b)
     # verify_cache checks the Beta entries by quadrature
     assert table.verify_cache()[0] == 0.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -311,12 +312,21 @@ def test_blowup_report_save(tmp_path):
     assert len(lines) == 10
 
 
-def test_blowup_report_rejects_nonstationary_depth():
-    rep = reduced.optimize_nonconstant(_line_samples())
+@pytest.mark.parametrize("case_tag", ["constants", "non-constants"])
+def test_blowup_report_rejects_nonstationary_depth(case_tag, request):
+    if case_tag == "constants":
+        pt = ProblemPoint(n=8, K=-56.0, H=2.0, gamma=3.0)
+        rep = reduced.optimize_constants([reduced.BoundarySample(
+            label="p", coords=(0.0,), pt=pt,
+            frame=request.getfixturevalue("frame8"),
+            sol=request.getfixturevalue("sol8"))])
+        p, drive = 4, rep.coefficients.A * pt.gamma
+    else:
+        rep = reduced.optimize_nonconstant(_line_samples())
+        p, drive = 2, rep.coefficients.A
+    assert (rep.p, rep.drive, rep.case_tag) == (p, drive, case_tag)
+    assert rep.rate == 1.0 / (p - 1)
+    # the report's own depth is stationary; a doubled one is not
+    dataclasses.replace(rep)
     with pytest.raises(DomainError, match="stationarity"):
-        reduced.BlowupReport(
-            p_star=rep.p_star, coords=rep.coords, d_star=2.0 * rep.d_star,
-            rate=rep.rate, case_tag=rep.case_tag,
-            coefficients=rep.coefficients, gamma=rep.gamma,
-            J_values=rep.J_values, hypothesis_flags=rep.hypothesis_flags,
-            table=rep.table)
+        dataclasses.replace(rep, d_star=2.0 * rep.d_star)
