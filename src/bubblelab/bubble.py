@@ -290,18 +290,21 @@ def bubble_energy_quadrature(pt):
         - (n-2) H int_boundary U^{2#},
 
     each integral on exp-sinh nodes at the bubble's length D, at
-    relative tolerance 1e-9.
+    relative tolerance 1e-9.  The two half-space integrals are one
+    `quad.brute_halfspace` family of two members, each bit for bit
+    the value of a call of its own; the boundary trace is one
+    `quad.integrate_halfline` call.
     """
     n = pt.n
     b = Bubble(pt)
     ts = crit_interior(n)
     tsh = crit_boundary(n)
 
-    grad2 = quad.brute_halfspace(
-        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=1e-9,
-        scale=pt.D)
-    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=1e-9,
-                                scale=pt.D)
+    halfspace = (lambda X: np.sum(b.grad_U(X) ** 2, axis=-1),
+                 lambda X: b.U(X) ** ts)
+    grad2, upow = quad.brute_halfspace(
+        lambda X, which: [halfspace[k](X) for k in which], n, rel_tol=1e-9,
+        scale=pt.D, count=2)
 
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
         lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9,

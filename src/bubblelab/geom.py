@@ -32,8 +32,12 @@ records drive the corrector's modal profiles and every half-space
 pairing.  A pairing multiplies monomials, so its radial factor is a
 `quad.MomentTable` half-space moment: a closed-form Beta moment times
 a closed-form tail (`paired_moments`).  `paired_halfspace` is the
-independent route that integrates the records' pointwise profiles by
-double-exponential quadrature; `route_gap` compares the two.
+independent route: it takes a list of record pairs and integrates
+each pair's product of pointwise profiles by double-exponential
+quadrature, all pairs as the members of one `quad._de_quadrant`
+family, whose values are bit for bit those of one call per pair.
+`route_gap` compares the two routes on the five self-pairs of the
+radial records in one such call.
 
 Angular integrals of tensor contractions use one fully symmetric
 sphere rule (`sphere_rule`), fitted to the closed-form sphere moments
@@ -274,13 +278,23 @@ def jacobi_terms(b, s):
                   (c * (1.0 - b.pt.D ** 2), 0, 0, 0.5 * n)))]
 
 
+def _monomials(radial, r, xn, w):
+    """sum coef x_n^a r^b w^-m of ``radial`` at (r, x_n), with w given."""
+    return sum(c * xn ** a * r ** p * w ** -m for c, a, p, m in radial)
+
+
 def radial_profile(radial, b):
     """Pointwise sum coef x_n^a r^b w^-m of a record's monomials, broadcasting."""
     def profile(r, xn):
-        w = b.w_rx(r, xn)
-        return sum(c * xn ** a * r ** p * w ** -m for c, a, p, m in radial)
+        return _monomials(radial, r, xn, b.w_rx(r, xn))
 
     return profile
+
+
+def _angular_factors(terms, nodes):
+    """Each distinct record's angular factor on the sphere nodes, once."""
+    return {t: np.asarray(t.angular(nodes), dtype=float)
+            for t in dict.fromkeys(terms)}
 
 
 def paired_moments(terms_a, terms_b, table):
@@ -292,11 +306,11 @@ def paired_moments(terms_a, terms_b, table):
     tail), divided by the sphere area the angular rule carries.
     """
     nodes, weights = sphere_rule(table.n - 1)
+    values = _angular_factors([*terms_a, *terms_b], nodes)
     total = 0.0
     for ta in terms_a:
-        va = np.asarray(ta.angular(nodes), dtype=float)
         for tb in terms_b:
-            ang = float(weights @ (va * tb.angular(nodes)))
+            ang = float(weights @ (values[ta] * values[tb]))
             radial = sum(ca * cb * table.halfspace_moment(aa + ab, pa + pb,
                                                           ma + mb)
                          for ca, aa, pa, ma in ta.radial
@@ -305,32 +319,45 @@ def paired_moments(terms_a, terms_b, table):
     return total / table.omega
 
 
-def paired_halfspace(terms_a, terms_b, b):
-    """The same integral as `paired_moments`, by double-exponential quadrature.
+def paired_halfspace(pairs, b):
+    """The integrals of `paired_moments`, pair by pair, by quadrature.
 
-    The independent route: each product of the records' pointwise
-    profiles, times r^{n-2}, goes to `quad._de_quadrant`, the tensor
-    exp-sinh rule on [0, inf)^2 with its nodes at the bubble's length D,
-    at relative tolerance 1e-9.  It never sees the monomial exponents
-    and shares no closed form with the moment route, which calls no
-    quadrature.
+    ``pairs`` is a list of (term_a, term_b); the value of a pair is its
+    sphere-rule angular factor times the half-space integral of the
+    product of the two records' pointwise profiles, and the list of
+    values follows ``pairs``.  A pair whose angular factor is exactly
+    0.0 gets 0.0 and no integral.  The others are the members of one
+    family of `quad._de_quadrant`, the tensor exp-sinh rule on
+    [0, inf)^2 with its nodes at the bubble's length D, at relative
+    tolerance 1e-9: one node set, on whose blocks w, r^{n-2} and each
+    distinct record's profile are formed once, while each member keeps
+    its own level test, stop level and checks, so its value is bit for
+    bit the one a call of its own returns.  This is the independent
+    route: it never sees the monomial exponents and shares no closed
+    form with the moment route, which calls no quadrature.
     """
     n = b.n
     nodes, weights = sphere_rule(n - 1)
-    total = 0.0
-    for ta in terms_a:
-        va = np.asarray(ta.angular(nodes), dtype=float)
-        fa = radial_profile(ta.radial, b)
-        for tb in terms_b:
-            ang = float(weights @ (va * tb.angular(nodes)))
-            if ang == 0.0:
-                continue
-            fb = radial_profile(tb.radial, b)
-            radial = quad._de_quadrant(
-                lambda r, xn, fa=fa, fb=fb: fa(r, xn) * fb(r, xn)
-                * r ** (n - 2), 1e-9, b.pt.D)
-            total += ang * radial
-    return total
+    values = _angular_factors([t for pair in pairs for t in pair], nodes)
+    angular = [float(weights @ (values[ta] * values[tb])) for ta, tb in pairs]
+    live = [pair for pair, ang in zip(pairs, angular) if ang != 0.0]
+
+    def F(r, xn, which):
+        w = b.w_rx(r, xn)
+        weight = r ** (n - 2)
+        profiles = {}
+
+        def profile(term):
+            if term.radial not in profiles:
+                profiles[term.radial] = _monomials(term.radial, r, xn, w)
+            return profiles[term.radial]
+
+        return [profile(ta) * profile(tb) * weight
+                for ta, tb in (live[k] for k in which)]
+
+    radial = iter(quad._de_quadrant(F, 1e-9, b.pt.D, count=len(live))
+                  if live else ())
+    return [ang * next(radial) if ang != 0.0 else 0.0 for ang in angular]
 
 
 def forcing_norm(frame, b):
@@ -370,12 +397,12 @@ def route_gap(frame, b):
     """
     records = forcing_terms(frame, b) + jacobi_terms(b, 1) \
         + jacobi_terms(b, b.n)
+    units = [rec._replace(angular=_ones) for rec in records]
+    direct = paired_halfspace([(unit, unit) for unit in units], b)
     worst = 0.0
-    for rec in records:
-        unit = [rec._replace(angular=_ones)]
-        moments = paired_moments(unit, unit, b.pt.moments)
-        direct = paired_halfspace(unit, unit, b)
-        worst = max(worst, abs(direct - moments) / abs(moments))
+    for unit, value in zip(units, direct):
+        moments = paired_moments([unit], [unit], b.pt.moments)
+        worst = max(worst, abs(value - moments) / abs(moments))
     return worst
 
 

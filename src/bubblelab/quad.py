@@ -55,9 +55,10 @@ level test, stop level, edge check, non-finite check and
 block-by-block sums, so its value is bit for bit the one a call of its
 own returns; a failure or warning names the member.  A call without
 ``count`` is a family of one, as every call of `integrate_halfline`
-is.  The separable oracle of verify-integrals is one such family;
-`integrate_halfline`, the bubble energy's integrals and the records'
-pairings stay one integral per call.
+is.  The separable oracle of verify-integrals is one such family, the
+bubble energy's two half-space integrals another, and the records'
+pairings of one `geom.paired_halfspace` call a third; only
+`integrate_halfline` stays one integral per call.
 
 Which length each oracle takes:
 
@@ -72,6 +73,7 @@ Which length each oracle takes:
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -426,30 +428,37 @@ def _de_nodes(scale, line):
     A block (rows, row weights, columns, column weights) stands for the
     tensor product of its rows and columns.  Level l has the step
     h = 2^-l / 4; ``added`` holds the blocks it adds to the sum of level
-    l-1 (every node at level 0), and ``edge`` those of the edge check,
-    the nodes at |t| = T.  The tensor rule on [0, inf)^2 (d = 2,
-    `_DE_LEVELS` levels) adds the new rows against every column and the
-    old rows against the new columns, and its edge is the end rows
-    against every column and the inner rows against the end columns.
-    The half-line rule (``line``; d = 1, `_DE_LINE_LEVELS` levels) sums
-    its nodes as rows against the one-node column x_n = 0 of weight 1,
-    and its edge is the two end nodes.
+    l-1 (every node at level 0), and ``edge()`` builds those of the edge
+    check, the nodes at |t| = T, which only a level where some member
+    stops reads.  The tensor rule on [0, inf)^2 (d = 2, `_DE_LEVELS`
+    levels) adds the new rows against every column and the old rows
+    against the new columns, and its edge is the end rows against every
+    column and the inner rows against the end columns.  The half-line
+    rule (``line``; d = 1, `_DE_LINE_LEVELS` levels) sums its nodes as
+    rows against the one-node column x_n = 0 of weight 1, and its edge
+    is the two end nodes.
     """
-    ends, inner, old = [0, -1], slice(1, -1), slice(0, None, 2)
+    old = slice(0, None, 2)
     for level in range(_DE_LINE_LEVELS if line else _DE_LEVELS):
         h = _DE_H0 * 0.5 ** level
         x, w = _exp_sinh(h, scale)
         new = slice(None) if level == 0 else slice(1, None, 2)
+        edge = functools.partial(_de_edge, x, w, line)
         if line:
-            yield (level, h, h, [(x[new], w[new], *_COLUMN)],
-                   [(x[ends], w[ends], *_COLUMN)])
+            yield level, h, h, [(x[new], w[new], *_COLUMN)], edge
             continue
         added = [(x[new], w[new], x, w)]
         if level:
             added.append((x[old], w[old], x[new], w[new]))
-        yield (level, h, h * h, added,
-               [(x[ends], w[ends], x, w),
-                (x[inner], w[inner], x[ends], w[ends])])
+        yield level, h, h * h, added, edge
+
+
+def _de_edge(x, w, line):
+    """The edge blocks of one level of `_de_nodes`, on its nodes x, w."""
+    ends, inner = [0, -1], slice(1, -1)
+    if line:
+        return [(x[ends], w[ends], *_COLUMN)]
+    return [(x[ends], w[ends], x, w), (x[inner], w[inner], x[ends], w[ends])]
 
 
 def _label(k, count):
@@ -516,7 +525,7 @@ def _de_loop(F, rel_tol, scale, count, origin=None):
             prev[k], value[k] = value[k], hd * raw[k]
         done = [k for k in which
                 if abs(value[k] - prev[k]) <= rel_tol * abs(value[k])]
-        for k, s in zip(done, total(size, edge, done) if done else ()):
+        for k, s in zip(done, total(size, edge(), done) if done else ()):
             if hd * s > rel_tol * abs(value[k]):
                 ends = "nodes" if line else "rows and columns"
                 raise NonConvergence(

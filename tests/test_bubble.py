@@ -180,6 +180,30 @@ def test_energy_closed_form_vs_quadrature(pt8, pt10):
         assert closed == pytest.approx(direct, rel=1e-7)
 
 
+def _energy_by_separate_calls(pt):
+    """The oracle as three quadratures of their own, one per integral."""
+    n = pt.n
+    b = Bubble(pt)
+    ts = crit_interior(n)
+    grad2 = quad.brute_halfspace(
+        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=1e-9,
+        scale=pt.D)
+    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=1e-9,
+                                scale=pt.D)
+    btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
+        lambda r: b.U_rx(r, 0.0) ** crit_boundary(n) * r ** (n - 2),
+        rel_tol=1e-9, scale=pt.D)
+    return 0.5 * c_n(n) * grad2 + abs(pt.K) / ts * upow \
+        - (n - 2.0) * pt.H * btrace
+
+
+@pytest.mark.parametrize("n,K,H", [(8, -56.0, 2.0), (8, -56.0, 1.5),
+                                   (12, -132.0, 2.0), (8, -56.0, 1e8)])
+def test_energy_family_equals_separate_calls_bit_for_bit(n, K, H):
+    pt = ProblemPoint(n=n, K=K, H=H)
+    assert bubble_energy_quadrature(pt) == _energy_by_separate_calls(pt)
+
+
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("d", [1e4, 1e8, 1e12])
 def test_energy_oracle_at_extreme_depth(n, d):

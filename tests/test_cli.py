@@ -587,11 +587,9 @@ def test_out_dir_from_config_is_relative_to_config(tmp_path):
     assert (tmp_path / "nested" / "results" / "verify_report.json").exists()
 
 
-def test_verify_integrals_nodes_follow_the_point(tmp_path, monkeypatch):
-    # with its nodes at x = exp(pi/2 sinh t) whatever the point, the
-    # run evaluated its integrands at 1,593,497 nodes; at the point's
-    # length it takes 1,047,321.  Counted per member at the integrands,
-    # so the family of separable oracles evaluates no extra node
+def _nodes_evaluated(command, out, monkeypatch):
+    """The nodes a run's quadratures evaluate their integrands at, counted
+    at the integrands and per family member."""
     nodes = [0]
     halfline, quadrant = quad.integrate_halfline, quad._de_quadrant
 
@@ -612,5 +610,23 @@ def test_verify_integrals_nodes_follow_the_point(tmp_path, monkeypatch):
 
     monkeypatch.setattr(quad, "integrate_halfline", counted_halfline)
     monkeypatch.setattr(quad, "_de_quadrant", counted_quadrant)
-    assert _run("verify-integrals", "--out", str(tmp_path)) == 0
-    assert nodes[0] == 1_047_321
+    assert _run(command, "--out", str(out)) == 0
+    return nodes[0]
+
+
+def test_verify_integrals_nodes_follow_the_point(tmp_path, monkeypatch):
+    # with its nodes at x = exp(pi/2 sinh t) whatever the point, the
+    # run evaluated its integrands at 1,593,497 nodes; at the point's
+    # length it takes 1,047,321.  Counted per member at the integrands,
+    # so the family of separable oracles evaluates no extra node
+    assert _nodes_evaluated("verify-integrals", tmp_path,
+                            monkeypatch) == 1_047_321
+
+
+def test_verify_bubble_families_evaluate_no_extra_node(tmp_path,
+                                                       monkeypatch):
+    # 220,042 nodes with one quadrature per pairing and per energy
+    # integral; the pairings and the two energy integrals, each run as
+    # one family, evaluate no node that those calls did not
+    assert _nodes_evaluated("verify-bubble", tmp_path,
+                            monkeypatch) == 220_042

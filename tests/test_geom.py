@@ -166,6 +166,12 @@ def _traceful_frame(n, rng):
         normal_block=Q + Q.T)
 
 
+def _paired_sum(terms_a, terms_b, b):
+    """The quadrature route's integral of (sum_a term) * (sum_b term)."""
+    return sum(geom.paired_halfspace(list(itertools.product(terms_a, terms_b)),
+                                     b))
+
+
 def _at(terms, b, x):
     """Sum of the records' angular times radial factors at the point x."""
     r = float(np.linalg.norm(x[:-1]))
@@ -197,16 +203,108 @@ def test_moment_route_matches_nested_quadrature(n):
     frame = geom.random_frame(n, np.random.default_rng(40 + n))
     ep = geom.forcing_terms(frame, b)
     ep_norm = geom.forcing_norm(frame, b)
-    assert ep_norm ** 2 == pytest.approx(geom.paired_halfspace(ep, ep, b),
+    assert ep_norm ** 2 == pytest.approx(_paired_sum(ep, ep, b),
                                          rel=1e-8)
     for s in (1, n):
         js = geom.jacobi_terms(b, s)
         js_norm = geom.jacobi_norm(b, s)
-        assert js_norm ** 2 == pytest.approx(geom.paired_halfspace(js, js, b),
+        assert js_norm ** 2 == pytest.approx(_paired_sum(js, js, b),
                                              rel=1e-8)
         value, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
         # in the gauge both routes measure a roundoff-sized pairing
-        assert abs(value - geom.paired_halfspace(ep, js, b)) <= 1e-8 * scale
+        assert abs(value - _paired_sum(ep, js, b)) <= 1e-8 * scale
+
+
+def test_paired_moments_evaluates_each_angular_factor_once(frame8, pt8):
+    b = Bubble(pt8)
+    calls = []
+
+    def counted(k, angular):
+        def f(nodes):
+            calls.append(k)
+            return angular(nodes)
+
+        return f
+
+    plain = geom.forcing_terms(frame8, b)
+    ep = [t._replace(angular=counted(k, t.angular))
+          for k, t in enumerate(plain)]
+    value = geom.paired_moments(ep, ep, pt8.moments)
+    # the parent evaluated 12: each left factor once, each right one
+    # once per left term
+    assert sorted(calls) == [0, 1, 2]
+    assert value == geom.paired_moments(plain, plain, pt8.moments)
+
+
+def _paired_by_its_own_call(ta, tb, b):
+    """One pair's value through a `quad._de_quadrant` call of its own."""
+    n = b.n
+    nodes, weights = geom.sphere_rule(n - 1)
+    ang = float(weights @ (np.asarray(ta.angular(nodes), dtype=float)
+                           * tb.angular(nodes)))
+    if ang == 0.0:
+        return 0.0
+    fa = geom.radial_profile(ta.radial, b)
+    fb = geom.radial_profile(tb.radial, b)
+    return ang * quad._de_quadrant(
+        lambda r, xn: fa(r, xn) * fb(r, xn) * r ** (n - 2), 1e-9, b.pt.D)
+
+
+def _counted_quadrant(monkeypatch):
+    """Patch `quad._de_quadrant` to record the ``count`` of each call."""
+    counts = []
+    quadrant = quad._de_quadrant
+
+    def counted(F, rel_tol, scale=1.0, count=None):
+        counts.append(count)
+        return quadrant(F, rel_tol, scale, count)
+
+    monkeypatch.setattr(quad, "_de_quadrant", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n,d", [(8, 2.0), (12, 2.0), (8, 1e8)])
+def test_paired_halfspace_members_equal_their_own_calls(n, d, monkeypatch):
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=d))
+    frame = geom.random_frame(n, np.random.default_rng(40 + n))
+    j1 = geom.jacobi_terms(b, 1)
+    zero = j1[0]._replace(angular=lambda nodes: np.zeros(nodes.shape[0]))
+    pairs = list(itertools.product(geom.forcing_terms(frame, b), j1)) \
+        + [(j1[0], j1[0]), (zero, j1[0])]
+    alone = [_paired_by_its_own_call(ta, tb, b) for ta, tb in pairs]
+    counts = _counted_quadrant(monkeypatch)
+    together = geom.paired_halfspace(pairs, b)
+    assert together == alone
+    assert together[-1] == 0.0
+    # one family, of every pair whose angular factor is not 0.0
+    assert counts == [sum(v != 0.0 for v in alone)]
+    assert counts[0] > 1
+
+
+def test_paired_halfspace_skips_a_zero_angular_factor(monkeypatch):
+    b = Bubble(ProblemPoint(n=8, K=-56.0, H=2.0))
+    j1 = geom.jacobi_terms(b, 1)[0]
+    zero = j1._replace(angular=lambda nodes: np.zeros(nodes.shape[0]))
+    counts = _counted_quadrant(monkeypatch)
+    assert geom.paired_halfspace([(zero, j1), (j1, zero)], b) == [0.0, 0.0]
+    assert geom.paired_halfspace([], b) == []
+    assert counts == []
+
+
+def test_route_gap_is_one_pairing_call_and_one_pass(frame8, pt8,
+                                                    monkeypatch):
+    calls = []
+    paired = geom.paired_halfspace
+
+    def counted(pairs, b):
+        calls.append(len(pairs))
+        return paired(pairs, b)
+
+    counts = _counted_quadrant(monkeypatch)
+    monkeypatch.setattr(geom, "paired_halfspace", counted)
+    assert geom.route_gap(frame8, Bubble(pt8)) <= 1e-8
+    assert calls == [5]
+    assert counts == [5]
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -218,7 +316,7 @@ def test_paired_halfspace_at_extreme_depth(n, d):
     frame = geom.random_frame(n, np.random.default_rng(40 + n))
     for records in (geom.forcing_terms(frame, b), geom.jacobi_terms(b, 1),
                     geom.jacobi_terms(b, n)):
-        assert geom.paired_halfspace(records, records, b) == pytest.approx(
+        assert _paired_sum(records, records, b) == pytest.approx(
             geom.paired_moments(records, records, table), rel=1e-8)
 
 
@@ -229,7 +327,7 @@ def test_moment_route_matches_nested_quadrature_off_the_gauge(pt8):
     frame = _traceful_frame(8, np.random.default_rng(5))
     value, scale = geom.integral_Ep_jacobi(frame, b, 8)
     assert abs(value) > 1e-2 * scale
-    direct = geom.paired_halfspace(geom.forcing_terms(frame, b),
-                                   geom.jacobi_terms(b, 8), b)
+    direct = _paired_sum(geom.forcing_terms(frame, b),
+                         geom.jacobi_terms(b, 8), b)
     assert value == pytest.approx(direct, rel=1e-8)
 

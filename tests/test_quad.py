@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -404,7 +405,7 @@ def test_oracles_and_moment_table_share_no_engine(frame8, monkeypatch):
                              rel_tol=1e-9)
         quad.brute_halfspace(lambda X: b.U(X) ** crit_interior(n), n,
                              rel_tol=1e-9)
-        geom.paired_halfspace(records, records, b)
+        geom.paired_halfspace(list(itertools.product(records, records)), b)
     with monkeypatch.context() as mp:
         # the closed forms: no quadrature of any kind, no oracle
         mp.setattr(quad, "_de_quadrant", _refuse)
