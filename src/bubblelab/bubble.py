@@ -20,8 +20,9 @@ pure floating-point cancellation, which is the point of the test suite.
 
 Every pointwise function here takes points of shape (..., n) and
 returns one value per point (a vector for gradients, a matrix for the
-Hessian).  The residuals return (interior, boundary): one value per
-point, and one per point on x_n = 0.
+Hessian); `Bubble.grad_U_sq_w` takes the values of w instead.  The
+residuals return (interior, boundary): one value per point, and one per
+point on x_n = 0.
 """
 from __future__ import annotations
 
@@ -92,7 +93,10 @@ class Bubble:
     # -- pointwise evaluation (x has shape (..., n)) ------------------------
     def w(self, x):
         d = np.asarray(x, dtype=float) - self.x0
-        return np.sum(d * d, axis=-1) - 1.0
+        d *= d      # in place: the energy oracle calls this on big batches
+        wv = d.sum(axis=-1)
+        wv -= 1.0
+        return wv
 
     def U(self, x):
         return self.C * self.w(x) ** (-self.q)
@@ -102,6 +106,19 @@ class Bubble:
         wv = np.sum(d * d, axis=-1) - 1.0
         coef = -2.0 * self.q * self.C * wv ** (-self.q - 1.0)
         return coef[..., None] * d
+
+    def grad_U_sq_w(self, wv):
+        """|grad U|^2 from w alone, with no n-vector.
+
+        grad U = coef (x - x0), coef = -2q C w^{-q-1}, and
+        |x - x0|^2 = w + 1, so |grad U|^2 = coef^2 (w + 1).  It is formed
+        as coef * (coef * (w + 1)): the inner product lies in the range of
+        U and the outer one in that of |grad U|^2, so no intermediate
+        underflows where the components of `grad_U` squared would not
+        (coef^2 alone does, at D = 1e12 and n = 12).
+        """
+        coef = 2.0 * self.q * self.C * wv ** (-self.q - 1.0)
+        return coef * (coef * (wv + 1.0))
 
     def hess_U(self, x):
         d = np.asarray(x, dtype=float) - self.x0
@@ -293,18 +310,28 @@ def bubble_energy_quadrature(pt):
     relative tolerance 1e-9.  The two half-space integrals are one
     `quad.brute_halfspace` family of two members, each bit for bit
     the value of a call of its own; the boundary trace is one
-    `quad.integrate_halfline` call.
+    `quad.integrate_halfline` call.  Both half-space integrands are
+    scalars of w = |x - x0|^2 - 1, formed once per block: since
+    grad U = -2q C w^{-q-1} (x - x0) and |x - x0|^2 = w + 1,
+
+        |grad U|^2 = (2q C w^{-q-1})^2 (w + 1)      (`Bubble.grad_U_sq_w`),
+        U^{2*} = (C w^{-q})^{2*},
+
+    so no n-vector gradient is built.
     """
     n = pt.n
     b = Bubble(pt)
     ts = crit_interior(n)
     tsh = crit_boundary(n)
 
-    halfspace = (lambda X: np.sum(b.grad_U(X) ** 2, axis=-1),
-                 lambda X: b.U(X) ** ts)
-    grad2, upow = quad.brute_halfspace(
-        lambda X, which: [halfspace[k](X) for k in which], n, rel_tol=1e-9,
-        scale=pt.D, count=2)
+    members = (b.grad_U_sq_w, lambda wv: (b.C * wv ** -b.q) ** ts)
+
+    def halfspace(X, which):
+        wv = b.w(X)
+        return [members[k](wv) for k in which]
+
+    grad2, upow = quad.brute_halfspace(halfspace, n, rel_tol=1e-9,
+                                       scale=pt.D, count=2)
 
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
         lambda r: b.U_rx(r, 0.0) ** tsh * r ** (n - 2), rel_tol=1e-9,

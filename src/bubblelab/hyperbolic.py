@@ -32,6 +32,17 @@ class HyperbolicPicture:
     mu0: float
     mu1: float
 
+    @property
+    def gap(self):
+        """1 - R^2 as 2R sqrt(D-1) sqrt(D+1), from 1 + R^2 = 2RD.
+
+        Near D = 1, where R -> 1, the subtraction 1 - R^2 turns R's
+        rounding eps into a relative error of about eps / sqrt(2(D-1));
+        this form cancels nothing.
+        """
+        return 2.0 * self.R * math.sqrt(self.D - 1.0) \
+            * math.sqrt(self.D + 1.0)
+
 
 def hyperbolic_picture(D):
     """Closed forms R = D - sqrt(D^2-1), mu0 = 2R/(1+R^2), mu1 = (1+R^2)/(2R)."""
@@ -48,19 +59,20 @@ def hyperbolic_picture(D):
     return HyperbolicPicture(D=D, R=R, mu0=mu0, mu1=mu1)
 
 
-def _eigenfunction(which, form, x):
+def _eigenfunction(which, form, x, gap=None):
     """Value, Laplacian and radial derivative of a candidate at x (..., n).
 
     which = 0 is the ground mode (1+|x|^2)/(1-|x|^2).  which = (1, i)
     selects the i-th first mode (i is 1-based); ``form`` picks between
     the two circulating versions: "radial" carries the extra |x| factor
     (|x| x_i/(1-|x|^2)), "plain" does not (x_i/(1-|x|^2)).  The points
-    must satisfy 0 < |x| < 1.
+    must satisfy 0 < |x| < 1.  ``gap`` is 1 - |x|^2 when the caller
+    knows it without cancellation; by default it is formed from x.
     """
     n = x.shape[-1]
     r2 = np.sum(x * x, axis=-1)
     r = np.sqrt(r2)
-    f = 1.0 / (1.0 - r2)
+    f = 1.0 / ((1.0 - r2) if gap is None else gap)
     if which == 0:
         val = (1.0 + r2) * f
         lap = 4.0 * n * f * f + 16.0 * r2 * f ** 3
@@ -89,9 +101,10 @@ def steklov_residual(hp, which, x, operator="standard", form="plain"):
     same second-order part, first-order coefficient (n-2)/2).  Boundary:
     the Steklov condition ((1-|x|^2)/2) d(phi)/dr - mu phi evaluated at
     the radial projection of x onto |x| = R, with mu = mu0 or mu1 as
-    appropriate.  Both hold one value per point.  Raises DomainError for
-    an unknown operator or form, a first-mode index outside 1..n, or a
-    point outside 0 < |x| < 1.
+    appropriate and with 1 - R^2 taken from `HyperbolicPicture.gap`, both
+    in the coefficient and in phi.  Both hold one value per point.
+    Raises DomainError for an unknown operator or form, a first-mode
+    index outside 1..n, or a point outside 0 < |x| < 1.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -114,10 +127,11 @@ def steklov_residual(hp, which, x, operator="standard", form="plain"):
         drift = drift * (1.0 - r2)
     interior = 0.25 * (1.0 - r2) ** 2 * lap + drift - n * val
 
-    R = hp.R
-    valb, _, drb = _eigenfunction(which, form, x * (R / r)[..., None])
+    gap = hp.gap
+    valb, _, drb = _eigenfunction(which, form, x * (hp.R / r)[..., None],
+                                  gap)
     mu = hp.mu0 if which == 0 else hp.mu1
-    boundary = 0.5 * (1.0 - R * R) * drb - mu * valb
+    boundary = 0.5 * gap * drb - mu * valb
     return interior, boundary
 
 

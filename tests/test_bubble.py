@@ -70,6 +70,20 @@ def test_pointwise_functions_take_batches(pt8, pt10, rng):
                 <= 1e-13 * np.max(np.abs(batch))
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("D", [1.0 + 1e-6, 2.0, 1e8])
+def test_grad_U_sq_matches_the_squared_gradient(n, D, rng):
+    # the scalar of w against the n-vector it replaces in the energy
+    # oracle, on the boundary, near the centre's shadow and far out
+    b = Bubble(ProblemPoint(n=n, K=-float(n * (n - 1)), H=D))
+    x = np.concatenate([_half_on_boundary(n, rng) * s
+                        for s in (1e-3, 1.0, D, 1e3 * D)])
+    want = np.sum(b.grad_U(x) ** 2, axis=-1)
+    assert np.all(want > 0.0)
+    got = b.grad_U_sq_w(b.w(x))
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 def test_residuals_return_one_boundary_value_per_boundary_point(pt8, rng):
     b = Bubble(pt8)
     x = _half_on_boundary(8, rng).reshape(10, 10, 8)
@@ -181,13 +195,13 @@ def test_energy_closed_form_vs_quadrature(pt8, pt10):
 
 
 def _energy_by_separate_calls(pt):
-    """The oracle as three quadratures of their own, one per integral."""
+    """The oracle as three quadratures of their own, one per integral,
+    each on the oracle's own integrand."""
     n = pt.n
     b = Bubble(pt)
     ts = crit_interior(n)
-    grad2 = quad.brute_halfspace(
-        lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n, rel_tol=1e-9,
-        scale=pt.D)
+    grad2 = quad.brute_halfspace(lambda X: b.grad_U_sq_w(b.w(X)), n,
+                                 rel_tol=1e-9, scale=pt.D)
     upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=1e-9,
                                 scale=pt.D)
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(

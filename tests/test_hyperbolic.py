@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,28 @@ def test_steklov_annihilating_variants():
     assert ("standard", "phi0") in got
     assert ("standard", "phi1-plain") in got
     assert not any(op == "flat-drift" for op, _ in got)
+
+
+@pytest.mark.parametrize("D", [1.0 + 1e-9, 1.0 + 1e-6, 2.0, 1e8])
+def test_gap_is_one_minus_R_squared_to_rounding(D):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(D)
+        root = (d * d - 1).sqrt()
+        exact = 2 * (d - root) * root
+    hp = hyperbolic.hyperbolic_picture(D)
+    assert abs(Decimal(hp.gap) - exact) <= Decimal(1e-14) * exact
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_steklov_annihilating_variants_near_the_unit_ball(n):
+    # at D = 1 + 1e-9, phi ~ 1 / (1 - R^2) ~ 1e4 on the sphere: 1 - R^2
+    # formed by subtraction carried ~1e-11 relative rounding into a
+    # residual of 1e-7, against the bound 1e-10
+    hp = hyperbolic.hyperbolic_picture(1.0 + 1e-9)
+    _, annihilating = hyperbolic.steklov_variants(hp, n)
+    assert {("standard", "phi0"), ("standard", "phi1-plain")} \
+        <= set(annihilating)
 
 
 @pytest.mark.parametrize("n", [8, 10])
