@@ -38,7 +38,7 @@ from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
-from .model import (MAX_DIMENSION, MAX_GRID_CELLS, MAX_GRID_SCALE,
+from .model import (MAX_DIMENSION, MAX_GAMMA, MAX_GRID_CELLS, MAX_GRID_SCALE,
                     OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
                     CurvatureFrame, GridSpec, HessianData, ProblemPoint,
                     validate_frame, validate_hessians, validate_point,
@@ -64,7 +64,8 @@ _KEYS = {
     "K": ("number", -56.0, "prescribed scalar curvature, < 0"),
     "H": ("number", 2.0, "prescribed boundary mean curvature; "
           "D = sqrt(n(n-1)) H / sqrt(|K|) must exceed 1"),
-    "gamma": ("number", 1.0, "perturbation weight gamma(p), > 0"),
+    "gamma": ("number", 1.0, "perturbation weight gamma(p), 0 < gamma "
+              f"<= {MAX_GAMMA:g}"),
     "seed": ("count", 1871, "seed of every random draw"),
     "rel_tol": ("positive", None, "pass-threshold floor; loosens identity "
                 "bounds, never tightens"),
@@ -418,8 +419,8 @@ def cmd_verify_integrals(cfg):
                      "triples)", worst, _bound(cfg, 1e-10)))
 
     for k, dd in ibp:
-        lhs = quad.phi_tilde(0.5 * (k - 1.0), dd)
-        rhs = 3.0 / (k - 3.0) * quad.phi_hat(0.5 * (k - 3.0), dd) \
+        lhs = quad.phi_power(4, 0.5 * (k - 1.0), dd)
+        rhs = 3.0 / (k - 3.0) * quad.phi_power(2, 0.5 * (k - 3.0), dd) \
             - dd * quad.phi_power(3, 0.5 * (k - 1.0), dd)
         rows.append(_row(
             f"tail-moment integration by parts n={k} D={dd}",

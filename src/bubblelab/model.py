@@ -37,6 +37,16 @@ MAX_DIMENSION = 12
 # moments overflow at D = 1e200.  These bounds keep a wide margin.
 MAX_CURVATURE_SCALE = 1e30          # 1 / scale <= |K| <= scale
 MAX_SCALING_QUANTITY = 1e12
+# gamma enters the constants depth law as drive = A gamma, and the
+# locator forms d0^4 at d0 = (drive / 4B)^{1/3}, which overflows once
+# drive/B exceeds about 6e231 (at gamma = 1e250 it did).  A/B is about
+# 24 at the README point, so gamma <= 1e30 leaves a margin near 1e200
+MAX_GAMMA = 1e30
+# the corrector and the locator square the frame's entries and multiply
+# them by the moments: x1e200 frames wrote NaN and Infinity into the
+# reports, while x1e30 frames (n = 8 and 12, |K| down to 1e-30, 32^2
+# grid) raise no floating-point warning and exit as unit frames do
+MAX_FRAME_ENTRY = 1e30
 
 
 def scaling_quantity(n, K, H):
@@ -298,6 +308,8 @@ def validate_point(pt, override_dimension_gate=False):
          MAX_SCALING_QUANTITY, f"need D <= {MAX_SCALING_QUANTITY:g}, got D = {D:.6g}"),
         ("gamma > 0", pt.gamma > 0.0, pt.gamma, 0.0,
          f"need gamma > 0, got gamma = {pt.gamma:.6g}"),
+        (f"gamma <= {MAX_GAMMA:g}", not pt.gamma > MAX_GAMMA, pt.gamma,
+         MAX_GAMMA, f"need gamma <= {MAX_GAMMA:g}, got gamma = {pt.gamma:.6g}"),
     ]
     checks = [Check(name=name, passed=bool(ok), value=float(value),
                     bound=float(bound), detail="" if ok else detail)
@@ -306,7 +318,8 @@ def validate_point(pt, override_dimension_gate=False):
 
 
 def validate_frame(fr):
-    """Check the algebraic symmetries and gauge trace conditions of a frame.
+    """Check the algebraic symmetries and gauge trace conditions of a frame,
+    and that no entry exceeds MAX_FRAME_ENTRY in size.
 
     Violations are measured in max norm and compared against
     1e-10 * max(1, |R|_max, |Q|_max).
@@ -334,6 +347,8 @@ def validate_frame(fr):
         Check("normal block symmetric", mx(Q - Q.T) <= bound, mx(Q - Q.T), bound),
         Check("normal block trace vanishes", abs(float(np.trace(Q))) <= bound,
               abs(float(np.trace(Q))), bound),
+        Check(f"entries at most {MAX_FRAME_ENTRY:g} in size",
+              scale <= MAX_FRAME_ENTRY, scale, MAX_FRAME_ENTRY),
     ]
     return ValidationReport(checks=checks)
 

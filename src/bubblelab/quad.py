@@ -36,34 +36,32 @@ node arrays in bounded blocks, with a level-halving error estimate and
 explicit truncation and non-finite checks.  The length L (``scale``) is
 the caller's: the integrand's own length, so that the nodes cluster
 where it varies.  `integrate_halfline` is its one-variable case on
-[a, inf), the route that checks both closed forms (`verify_cache` for
-I, the verify-integrals rows for I and the tail).  `_de_quadrant` is
-its tensor case on [0, inf)^2: `brute_halfspace` feeds it a point
-integrand along the slice xt = +/- r e_1, and `geom.paired_halfspace`
-the records' radial profiles.  Neither sees a factorised form or a
-Beta closed form.  Both run through one level loop, `_de_loop`: the
-step halving, the level test, the edge check, the non-finite check and
-the stall error exist once.  What differs between the two cases, the
+[a, inf), the route that checks both closed forms in the
+verify-integrals rows.  `_de_quadrant` is its tensor case on
+[0, inf)^2: `brute_halfspace` feeds it a point integrand along the
+slice xt = +/- r e_1, and `geom.paired_halfspace` the records' radial
+profiles.  Neither sees a factorised form or a Beta closed form.  Both
+run through one level loop, `_de_loop`: the step halving, the level
+test, the edge check, the non-finite check and the stall error exist
+once.  What differs between the two cases, the
 node blocks each level adds and edge-checks with the level cap and the
 power of h that go with them, is `_de_nodes`, beside `_exp_sinh`.
 
-`_de_quadrant` and `brute_halfspace` take a family of integrands as
-well (``count=k``): one pass over one node set, where the integrand
-gets the indices of the members still running and returns one array
-per member, and the call returns k values.  Each member keeps its own
-level test, stop level, edge check, non-finite check and
-block-by-block sums, so its value is bit for bit the one a call of its
-own returns; a failure or warning names the member.  A call without
-``count`` is a family of one, as every call of `integrate_halfline`
-is.  The separable oracle of verify-integrals is one such family, the
-bubble energy's two half-space integrals another, and the records'
-pairings of one `geom.paired_halfspace` call a third; only
-`integrate_halfline` stays one integral per call.
+`_de_quadrant` and `brute_halfspace` integrate families only
+(``count=k``): one pass over one node set, where the integrand gets
+the indices of the members still running and returns one array per
+member, and the call returns the list of k values.  Each member keeps
+its own level test, stop level, edge check, non-finite check and
+block-by-block sums, so its value is bit for bit the one a family of
+one returns; a failure or warning names the member unless k = 1.  The
+separable oracle of verify-integrals is one such family, the bubble
+energy's two half-space integrals another, and the records' pairings
+of one `geom.paired_halfspace` call a third.  `integrate_halfline`
+keeps one integrand per call, which it runs as a family of one.
 
 Which length each oracle takes:
 
-* the Beta moments (1 + rho^2)^-m, in `verify_cache` and the
-  verify-integrals rows: L = 1;
+* the Beta moments (1 + rho^2)^-m of the verify-integrals rows: L = 1;
 * the tails (t - D)^k (t^2 - 1)^-m on [D, inf): L = D;
 * the half-space moments of the verify-integrals rows, written in
   units of D (y = x/D, so no factor leaves the float range before the
@@ -86,9 +84,6 @@ from .errors import DomainError, NonConvergence
 __all__ = [
     "integrate_halfline",
     "I",
-    "phi",
-    "phi_hat",
-    "phi_tilde",
     "phi_power",
     "sphere_area",
     "sphere_monomial",
@@ -238,18 +233,6 @@ def phi_power(k, m, D):
     return value
 
 
-def phi(m, D):
-    return phi_power(0, m, D)
-
-
-def phi_hat(m, D):
-    return phi_power(2, m, D)
-
-
-def phi_tilde(m, D):
-    return phi_power(4, m, D)
-
-
 def sphere_area(m):
     """Surface measure of the unit sphere S^{m-1} in R^m."""
     if m < 1:
@@ -279,10 +262,9 @@ def sphere_monomial(powers, m):
 class MomentTable:
     """Cached moments at fixed (n, D), all of them closed forms.
 
-    The cache maps a descriptor tuple to a float.  Every entry is
-    reproducible: calling :meth:`verify_cache` recomputes each one
-    through a fresh table and checks bit-for-bit agreement, and
-    checks the Beta entries against the half-line rule.
+    The cache maps a descriptor tuple to a float, computed on first use
+    and kept; no entry calls a quadrature.  The verify-integrals rows
+    check the Beta moments and the tails against the half-line rule.
     """
 
     n: int
@@ -359,32 +341,6 @@ class MomentTable:
 
         return self._memo(("bd", b, float(m)), compute)
 
-    def verify_cache(self):
-        """Recompute every cached entry; return the max discrepancies.
-
-        Each key is recomputed through the public method of a fresh
-        table at the same (n, D).  Returns (max_bit_diff,
-        max_rel_quad_err): the first must be 0.0 (derivations are
-        deterministic), the second compares closed-form Beta entries to
-        `integrate_halfline` at relative target 1e-12.
-        """
-        fresh = MomentTable(self.n, self.D)
-        recompute = {"I": fresh.I, "phi": fresh.phi_power,
-                     "hs": fresh.halfspace_moment, "bd": fresh.boundary_moment}
-        max_bit = 0.0
-        max_quad = 0.0
-        for key, stored in self.cache.items():
-            kind, *args = key
-            value = recompute[kind](*args)
-            if kind == "I":
-                m, alpha = args
-                by_quad = integrate_halfline(
-                    lambda rho: rho ** alpha * (1.0 + rho * rho) ** (-m),
-                    a=0.0, rel_tol=1e-12)
-                max_quad = max(max_quad, abs(by_quad - value) / abs(value))
-            max_bit = max(max_bit, abs(value - stored))
-        return max_bit, max_quad
-
 
 # The exp-sinh rule of `_de_quadrant` and `integrate_halfline` (Takahasi
 # and Mori, "Double exponential formulas for numerical integration",
@@ -399,14 +355,14 @@ _DE_BLOCK = 2048    # nodes per call of the integrand
 _COLUMN = (np.zeros(1), np.ones(1))  # the half-line rule's x_n = 0, weight 1
 
 
-def _check(rel_tol, scale, count=None):
+def _check(rel_tol, scale, count):
     """Refuse a tolerance, a length or a family size the rule cannot use."""
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must be a finite number in (0, 1), "
                           f"got {rel_tol}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be finite and positive, got {scale}")
-    if count is not None and not (isinstance(count, int) and count >= 1):
+    if not (isinstance(count, int) and count >= 1):
         raise DomainError(f"count must be a positive integer, got {count}")
 
 
@@ -462,8 +418,8 @@ def _de_edge(x, w, line):
 
 
 def _label(k, count):
-    """How a message names member k: not at all in a one-integrand call."""
-    return "" if count is None else f" (member {k})"
+    """How a message names member k: not at all in a family of one."""
+    return "" if count == 1 else f" (member {k})"
 
 
 def _de_loop(F, rel_tol, scale, count, origin=None):
@@ -482,13 +438,9 @@ def _de_loop(F, rel_tol, scale, count, origin=None):
     _check(rel_tol, scale, count)
     line = origin is not None
     rule = "half-line quadrature" if line else "double-exponential quadrature"
-    members = 1 if count is None else count
-
-    def G(r, xn, which):
-        return (F(r, xn),) if count is None else F(r, xn, which)
 
     def size(r, xn, which):
-        return [np.abs(v) for v in G(r, xn, which)]
+        return [np.abs(v) for v in F(r, xn, which)]
 
     def total(H, blocks, which):
         # sum_ij wr_i wc_j H_k(xr_i, xc_j) over the blocks for each
@@ -515,12 +467,12 @@ def _de_loop(F, rel_tol, scale, count, origin=None):
             sums = [s + p for s, p in zip(sums, part)]
         return sums
 
-    which = list(range(members))
-    raw = [0.0] * members
-    value = [math.nan] * members
+    which = list(range(count))
+    raw = [0.0] * count
+    value = [math.nan] * count
     prev = list(value)
     for level, h, hd, added, edge in _de_nodes(scale, line):
-        for k, s in zip(which, total(G, added, which)):
+        for k, s in zip(which, total(F, added, which)):
             raw[k] += s
             prev[k], value[k] = value[k], hd * raw[k]
         done = [k for k in which
@@ -534,7 +486,7 @@ def _de_loop(F, rel_tol, scale, count, origin=None):
                     f"{value[k]:.6e}")
         which = [k for k in which if k not in done]
         if not which:
-            return value[0] if count is None else value
+            return value
     k = which[0]
     raise NonConvergence(
         f"{rule}{_label(k, count)} stalled at level {level} "
@@ -542,29 +494,28 @@ def _de_loop(F, rel_tol, scale, count, origin=None):
         f"{abs(value[k] - prev[k]):.3e} (value={value[k]:.6e})")
 
 
-def _de_quadrant(F, rel_tol, scale=1.0, count=None):
-    """int_0^inf int_0^inf F(r, x_n) dr dx_n by the tensor exp-sinh rule.
+def _de_quadrant(F, rel_tol, scale, *, count):
+    """int_0^inf int_0^inf F_k(r, x_n) dr dx_n, k < ``count``, by the
+    tensor exp-sinh rule, as a list of ``count`` values.
 
-    ``F`` is a batch integrand: it gets a column of r nodes and a row of
-    x_n nodes and returns their broadcast grid of values.  ``scale`` is
-    the length L of F in both variables: the nodes on each axis are
-    L exp(pi/2 sinh t).  Level l uses the step h = 2^-l / 4 and
-    evaluates only the nodes level l-1 lacks; the step halves until two
-    levels agree to ``rel_tol``, through the level loop `_de_loop` it
-    shares with `integrate_halfline`.  Raises NonConvergence when the
+    ``F`` is a batch family: ``F(r, x_n, which)`` gets a column of r
+    nodes, a row of x_n nodes and the indices of the members still
+    running, and returns one broadcast grid of values per member, in
+    that order.  ``scale`` is the length L of F in both variables: the
+    nodes on each axis are L exp(pi/2 sinh t).  Level l uses the step
+    h = 2^-l / 4 and evaluates only the nodes level l-1 lacks; the step
+    halves until two levels agree to ``rel_tol``, through the level loop
+    `_de_loop` it shares with `integrate_halfline`.  Raises NonConvergence when the
     last level (h = 1/128) still disagrees, when the edge rows and
     columns (|t| = T) carry more than ``rel_tol`` of the sum, or when F
     is not finite at some node: nothing is zeroed.
 
-    With ``count=k`` the call integrates a family of k integrands over
-    one node set and returns a list of k values.  ``F(r, x_n, which)``
-    then gets the indices of the members still running and returns one
-    array per member, in that order; a member leaves the family at the
-    level where it converges, after its edge check there.  Each member
-    keeps the level test, stop level, edge check, non-finite check and
-    block-by-block sums of a call of its own, so its value is bit for
-    bit the one that call returns, and an error names the member.  A
-    call without ``count`` is a family of one.
+    The members share one node set, and a member leaves the family at
+    the level where it converges, after its edge check there.  Each
+    member keeps its own level test, stop level, edge check,
+    non-finite check and block-by-block sums, so its value is bit for
+    bit the one a family of that member alone returns; an error names
+    the member unless ``count`` is 1.
     """
     return _de_loop(F, rel_tol, scale, count)
 
@@ -582,40 +533,35 @@ def integrate_halfline(f, a=0.0, rel_tol=1e-10, scale=1.0):
     edge nodes (|t| = T) carry more than ``rel_tol`` of the sum, or
     when f is not finite at some node y.
     """
-    return _de_loop(lambda x, _: f(a + x), rel_tol, scale, None, a)
+    return _de_loop(lambda x, _, which: [f(a + x)], rel_tol, scale, 1, a)[0]
 
 
 _PROBES = np.array([(0.7, 0.3), (1.3, 1.7), (0.2, 2.6)])
 
 
-def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0, count=None):
+def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0, *, count):
     """2-D oracle for half-space integrals of functions of (|xt|, x_n).
 
-    ``f`` is a batch point integrand: it maps an array X of shape
-    (..., n), with x_n = X[..., -1] >= 0, to values of shape (...), as
-    `Bubble.U` does.  The oracle evaluates f only on the antipodal
-    slices xt = +/- r e_1, both in one call on a stacked (2, ..., n)
-    batch, averages them, which removes any part odd in xt, and
-    integrates omega * g(r, x_n) r^{n-2} over [0, inf)^2 with the tensor
-    exp-sinh rule of `_de_quadrant` at length ``scale``.  It never sees
+    ``f`` is a batch point family of ``count`` members: ``f(X, which)``
+    maps an array X of shape (..., n), with x_n = X[..., -1] >= 0, to
+    one array of values of shape (...) per member index in ``which``,
+    as `Bubble.U` does for one integrand.  The oracle evaluates f only
+    on the antipodal slices xt = +/- r e_1, both in one call on a
+    stacked (2, ..., n) batch, averages them, which removes any part odd
+    in xt, and integrates omega * g_k(r, x_n) r^{n-2} over [0, inf)^2
+    in one pass of the tensor exp-sinh rule of `_de_quadrant` at length
+    ``scale``; it returns the list of ``count`` values.  It never sees
     a factorised form and shares no closed form with `MomentTable`.
-    When the even part along e_1 differs from the one along a diagonal
-    at probe points (at ``scale`` times `_PROBES`), f is not a function
-    of (|xt|, x_n); a warning says so and the e_1 slice is integrated.
-
-    With ``count=k`` it integrates a family of k integrands in one pass
-    of `_de_quadrant` and returns a list of k values: ``f(X, which)``
-    returns one array per member index in ``which``, and each value,
-    warning and error is the member's own, bit for bit as in a call of
-    its own.
+    When a member's even part along e_1 differs from the one along a
+    diagonal at probe points (at ``scale`` times `_PROBES`), it is not a
+    function of (|xt|, x_n); a warning says so and the e_1 slice is
+    integrated.  Each value, warning and error is the member's own, bit
+    for bit as in a family of one, and names the member unless
+    ``count`` is 1.
     """
     if n < 3:
         raise DomainError(f"brute_halfspace needs n >= 3, got n={n}")
     _check(rel_tol, scale, count)
-    members = 1 if count is None else count
-
-    def g(X, which):
-        return (f(X),) if count is None else f(X, which)
 
     def even(r, xn, direction, which):
         shape = np.broadcast_shapes(np.shape(r), np.shape(xn))
@@ -624,10 +570,10 @@ def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0, count=None):
         X[0, ..., :2] = np.multiply.outer(r, direction)
         X[1, ..., :2] = -X[0, ..., :2]
         return [0.5 * (both[0] + both[1])
-                for both in (np.asarray(v, dtype=float) for v in g(X, which))]
+                for both in (np.asarray(v, dtype=float) for v in f(X, which))]
 
     r, xn = scale * _PROBES.T
-    every = list(range(members))
+    every = list(range(count))
     diagonal = even(r, xn, (math.sqrt(0.5),) * 2, every)
     for k, on_axis, off in zip(every, even(r, xn, (1.0, 0.0), every),
                                diagonal):
@@ -645,7 +591,5 @@ def brute_halfspace(f, n, rel_tol=1e-8, scale=1.0, count=None):
         return [v * weight for v in even(r, xn, (1.0, 0.0), which)]
 
     omega = sphere_area(n - 1)
-    if count is None:
-        return omega * _de_quadrant(lambda r, xn: quadrant(r, xn, [0])[0],
-                                    rel_tol, scale)
-    return [omega * v for v in _de_quadrant(quadrant, rel_tol, scale, count)]
+    return [omega * v
+            for v in _de_quadrant(quadrant, rel_tol, scale, count=count)]

@@ -26,6 +26,7 @@ maximizer, its depth, and the rate.
 """
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -285,9 +286,10 @@ def _locate(samples, coeff_b, drive, p):
     Samples with D <= 1 are dropped with a warning.  Every other sample
     gets its row (E, A, B, d0, G), where ``coeff_b(sample)`` gives B,
     ``drive(sample, A)`` the coefficient of d, and d0 and G =
-    increment(d0) exist when B > 0.  The bubble energy E dominates at
-    order eps^0, so the winner has the largest E; samples whose E ties
-    it within 1e-9 (relative) are ranked by the larger G.  Returns the
+    increment(d0) exist when B > 0; a G beyond the float range (B tiny
+    against the drive) raises DomainError.  The bubble energy E
+    dominates at order eps^0, so the winner has the largest E; samples
+    whose E ties it within 1e-9 (relative) are ranked by the larger G.  Returns the
     rows, the winner as (sample, row), and whether every sample had
     D > 1.
     """
@@ -309,7 +311,15 @@ def _locate(samples, coeff_b, drive, p):
         if row["B"] > 0.0:
             f = drive(s, row["A"])
             row["d0"] = stationary_depth(f, row["B"], p)
-            row["G"] = increment(row["d0"], f, row["B"], p)
+            try:
+                row["G"] = increment(row["d0"], f, row["B"], p)
+            except OverflowError:
+                row["G"] = math.inf
+            if not math.isfinite(row["G"]):
+                raise DomainError(
+                    f"sample {s.label!r}: the depth law's maximum lies "
+                    f"beyond the float range (drive = {f:.6g}, "
+                    f"B = {row['B']:.6g})")
             entries.append((s, row))
         rows.append(row)
     if not entries:

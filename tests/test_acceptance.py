@@ -59,8 +59,8 @@ def test_criterion_03_integration_by_parts():
     worst = 0.0
     for n in range(8, 13):
         for d in (1.5, 2.0, 3.0):
-            lhs = quad.phi_tilde(0.5 * (n - 1.0), d)
-            rhs = 3.0 / (n - 3.0) * quad.phi_hat(0.5 * (n - 3.0), d) \
+            lhs = quad.phi_power(4, 0.5 * (n - 1.0), d)
+            rhs = 3.0 / (n - 3.0) * quad.phi_power(2, 0.5 * (n - 3.0), d) \
                 - d * quad.phi_power(3, 0.5 * (n - 1.0), d)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
     _line(3, "tail-moment integration by parts, 15 combinations",
@@ -79,12 +79,13 @@ def test_criterion_04_separable_reduction():
     worst = 0.0
     for a, b, m in quoted + extras:
         closed = tbl.halfspace_moment(a, b, m)
-        brute = quad.brute_halfspace(
-            lambda X, _a=a, _b=b, _m=m: X[..., -1] ** _a
-            * np.sum(X[..., :-1] ** 2, axis=-1) ** (0.5 * _b)
-            * (np.sum(X[..., :-1] ** 2, axis=-1) + (X[..., -1] + d) ** 2
-               - 1.0) ** -_m,
-            n, rel_tol=1e-9)
+        brute, = quad.brute_halfspace(
+            lambda X, which, _a=a, _b=b, _m=m: [
+                X[..., -1] ** _a
+                * np.sum(X[..., :-1] ** 2, axis=-1) ** (0.5 * _b)
+                * (np.sum(X[..., :-1] ** 2, axis=-1) + (X[..., -1] + d) ** 2
+                   - 1.0) ** -_m],
+            n, rel_tol=1e-9, count=1)
         worst = max(worst, abs(closed - brute) / abs(closed))
     elapsed = time.perf_counter() - start
     _line(4, f"separable reduction, {len(quoted) + len(extras)} triples "

@@ -200,10 +200,10 @@ def _energy_by_separate_calls(pt):
     n = pt.n
     b = Bubble(pt)
     ts = crit_interior(n)
-    grad2 = quad.brute_halfspace(lambda X: b.grad_U_sq_w(b.w(X)), n,
-                                 rel_tol=1e-9, scale=pt.D)
-    upow = quad.brute_halfspace(lambda X: b.U(X) ** ts, n, rel_tol=1e-9,
-                                scale=pt.D)
+    grad2, = quad.brute_halfspace(lambda X, _: [b.grad_U_sq_w(b.w(X))], n,
+                                  rel_tol=1e-9, scale=pt.D, count=1)
+    upow, = quad.brute_halfspace(lambda X, _: [b.U(X) ** ts], n,
+                                 rel_tol=1e-9, scale=pt.D, count=1)
     btrace = quad.sphere_area(n - 1) * quad.integrate_halfline(
         lambda r: b.U_rx(r, 0.0) ** crit_boundary(n) * r ** (n - 2),
         rel_tol=1e-9, scale=pt.D)

@@ -66,6 +66,27 @@ def test_verify_commands_run_without_scipy(tmp_path, command):
     assert _fresh(code).splitlines()[-1] == "0 []"
 
 
+def test_the_tracer_reads_every_verify_layer(tmp_path):
+    """The benchmark's tracer wraps the package's layers by name: under
+    it, the three verify commands leave no verify-workload metric of
+    ``spans.LAYER_METRICS`` at zero, so a renamed or re-signed traced
+    function fails here."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (f"import json, sys\nsys.path.insert(0, {str(perfbench)!r})\n"
+            "import spans\nfrom bubblelab import cli\n"
+            "tracer = spans.Tracer(0)\nspans.install(tracer)\n"
+            f"codes = [cli.main([c, '--out', {str(tmp_path)!r}]) for c in "
+            "('verify-integrals', 'verify-bubble', 'verify-hyperbolic')]\n"
+            "got = spans.layer_metrics(tracer.spans, tracer.counts)\n"
+            "verify = [m for m, (_, on) in spans.LAYER_METRICS.items() "
+            "if 'verify' in on]\n"
+            "print(json.dumps([codes, len(verify), "
+            "[m for m in verify if not got[m]]]))")
+    codes, metrics, zero = json.loads(_fresh(code).splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert metrics >= 14 and zero == []
+
+
 def test_verify_integrals_default(tmp_path, capsys):
     assert _run("verify-integrals", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
@@ -263,17 +284,20 @@ _JUNK = st.one_of(
     st.dictionaries(st.sampled_from(["", "x", "nrr"]), st.integers(),
                     min_size=1, max_size=2))
 _SIDE = st.integers(16, 24)
+# every decade of gamma up to and past the bound 1e30
+_GAMMA = st.one_of(st.floats(0.0, 3.0),
+                   st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
 _SAMPLE_ENTRY = st.fixed_dictionaries(
     {"label": st.sampled_from(["p0", "p1", 3])},
     optional={"coords": st.lists(st.floats(-2.0, 2.0), max_size=2),
-              "gamma": st.floats(0.0, 3.0),
+              "gamma": _GAMMA,
               "H": st.floats(0.5, 5.0)})
 # In-kind values, some of them outside the bounds.
 _VALUES = {
     "n": st.integers(7, 13),
     "K": st.floats(-120.0, 0.0),
     "H": st.floats(0.5, 6.0),
-    "gamma": st.floats(0.0, 3.0),
+    "gamma": _GAMMA,
     "seed": st.integers(-5, 2 ** 64),
     "rel_tol": st.one_of(st.none(), st.floats(0.0, 1.0)),
     "override_dimension_gate": st.booleans(),
@@ -281,7 +305,8 @@ _VALUES = {
     "out": st.sampled_from(["o", "sub/o"]),
     "frame": st.sampled_from(["random", "zero"]),
     "frame_file": st.sampled_from(
-        ["frame.json", "frame9.json", "broken.json", "missing.json"]),
+        ["frame.json", "frame9.json", "broken.json", "missing.json",
+         "huge.json", "tiny.json"]),
     # every decade of r_max and stretch up to and past the bound
     # r_max^12 (1 + stretch)^3 <= 1e150
     "grid": st.fixed_dictionaries(
@@ -323,31 +348,66 @@ def _configs(draw):
     return command, config
 
 
+def _scaled_frame(n, seed, factor):
+    """A random frame file whose entries are multiplied by ``factor``."""
+    doc = geom.random_frame(n, np.random.default_rng(seed)).to_json_dict()
+    for key in ("riem_boundary", "normal_block"):
+        doc[key] = (factor * np.asarray(doc[key])).tolist()
+    return json.dumps(doc)
+
+
 _FILES = {
     "frame.json": json.dumps(
         geom.random_frame(8, np.random.default_rng(4)).to_json_dict()),
     "frame9.json": json.dumps(
         geom.random_frame(9, np.random.default_rng(4)).to_json_dict()),
     "broken.json": '{"n": 8, "riem_boundary": [1, 2',
+    # beyond the 1e30 entry bound: the reports held NaN and Infinity
+    "huge.json": _scaled_frame(8, 3, 1e200),
+    # B about 7e-241: d0^4 overflowed in the locator
+    "tiny.json": _scaled_frame(8, 3, 1e-120),
 }
+_GRID16 = {"nr": 16, "nxn": 16}
+
+
+def _non_finite(path):
+    """Whether a written .json or .csv file holds a NaN or an infinity."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        found = []
+        json.loads(text, parse_constant=found.append)
+        return bool(found)
+    return any(field.strip("-") in ("inf", "nan")
+               for line in text.splitlines() for field in line.split(","))
 
 
 @given(_configs())
 @example(_REJECTED["grid-rs3"][:2])
 @example(_REJECTED["grid-weights"][:2])
+@example(("locate", {"grid": _GRID16, "frame": "random", "samples": [
+    {"label": "p0", "coords": [0.0], "gamma": 1e250}]}))
+@example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}))
+@example(("locate", {"grid": _GRID16, "frame_file": "huge.json",
+                     "samples": [{"label": "p0", "coords": [0.0]}]}))
+@example(("locate", {"grid": _GRID16, "frame_file": "tiny.json",
+                     "samples": [{"label": "p0", "coords": [0.0]}]}))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_any_config_exits_with_a_contract_code(case):
-    """Whatever the config holds, main returns 0, 1 or 2 and raises none."""
+    """Whatever the config holds, main returns 0, 1 or 2 and raises none,
+    and no report file it writes holds a NaN or an infinity."""
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _FILES.items():
             (Path(tmp) / name).write_text(text)
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--config", str(path),
-                             "--out", str(Path(tmp) / "out")])
+                             "--out", str(out)])
+        written = sorted(out.glob("*.json")) + sorted(out.glob("*.csv"))
+        assert [p.name for p in written if _non_finite(p)] == []
     assert code in (0, 1, 2)
 
 
@@ -600,13 +660,12 @@ def _nodes_evaluated(command, out, monkeypatch):
 
         return halfline(g, *args, **kwargs)
 
-    def counted_quadrant(F, rel_tol, scale=1.0, count=None):
-        def G(r, xn, *which):
-            members = len(which[0]) if which else 1
-            nodes[0] += np.broadcast(r, xn).size * members
-            return F(r, xn, *which)
+    def counted_quadrant(F, rel_tol, scale, *, count):
+        def G(r, xn, which):
+            nodes[0] += np.broadcast(r, xn).size * len(which)
+            return F(r, xn, which)
 
-        return quadrant(G, rel_tol, scale, count)
+        return quadrant(G, rel_tol, scale, count=count)
 
     monkeypatch.setattr(quad, "integrate_halfline", counted_halfline)
     monkeypatch.setattr(quad, "_de_quadrant", counted_quadrant)

@@ -247,7 +247,8 @@ def _paired_by_its_own_call(ta, tb, b):
     fa = geom.radial_profile(ta.radial, b)
     fb = geom.radial_profile(tb.radial, b)
     return ang * quad._de_quadrant(
-        lambda r, xn: fa(r, xn) * fb(r, xn) * r ** (n - 2), 1e-9, b.pt.D)
+        lambda r, xn, _: [fa(r, xn) * fb(r, xn) * r ** (n - 2)], 1e-9,
+        b.pt.D, count=1)[0]
 
 
 def _counted_quadrant(monkeypatch):
@@ -255,9 +256,9 @@ def _counted_quadrant(monkeypatch):
     counts = []
     quadrant = quad._de_quadrant
 
-    def counted(F, rel_tol, scale=1.0, count=None):
+    def counted(F, rel_tol, scale, *, count):
         counts.append(count)
-        return quadrant(F, rel_tol, scale, count)
+        return quadrant(F, rel_tol, scale, count=count)
 
     monkeypatch.setattr(quad, "_de_quadrant", counted)
     return counts

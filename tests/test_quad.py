@@ -15,6 +15,18 @@ from bubblelab.errors import DomainError, NonConvergence
 from bubblelab.model import ProblemPoint
 
 
+def brute_one(f, n, **kwargs):
+    """`quad.brute_halfspace` of one point integrand: a family of one."""
+    return quad.brute_halfspace(lambda X, which: [f(X)], n, count=1,
+                                **kwargs)[0]
+
+
+def quadrant_one(F, *args):
+    """`quad._de_quadrant` of one integrand: a family of one."""
+    return quad._de_quadrant(lambda r, xn, which: [F(r, xn)], *args,
+                             count=1)[0]
+
+
 def test_beta_moment_spot_values():
     # I(m, 1) = 1/(2(m-1)) and I(1, 0) = pi/2 by hand
     assert quad.I(5, 1) == pytest.approx(1.0 / 8.0, rel=1e-14)
@@ -121,9 +133,10 @@ def test_the_tables_tails_stay_normal_at_the_deepest_point():
 
 def test_phi_aliases():
     d = 2.0
-    assert quad.phi(3.5, d) == quad.phi_power(0, 3.5, d)
-    assert quad.phi_hat(2.5, d) == quad.phi_power(2, 2.5, d)
-    assert quad.phi_tilde(3.5, d) == quad.phi_power(4, 3.5, d)
+    tbl = quad.MomentTable(8, d)
+    assert tbl.phi(3.5) == quad.phi_power(0, 3.5, d)
+    assert tbl.phi_hat(2.5) == quad.phi_power(2, 2.5, d)
+    assert tbl.phi_tilde(3.5) == quad.phi_power(4, 3.5, d)
 
 
 # the (k, m) tails the CLI's tables ask for at n = 8..12
@@ -147,8 +160,8 @@ def test_phi_power_closed_form_matches_quadrature(key, log_d):
 @given(n=st.integers(8, 14), d=st.sampled_from([1.3, 1.5, 2.0, 3.0, 6.0]))
 @settings(max_examples=40, deadline=None)
 def test_tail_moment_integration_by_parts(n, d):
-    lhs = quad.phi_tilde(0.5 * (n - 1.0), d)
-    rhs = 3.0 / (n - 3.0) * quad.phi_hat(0.5 * (n - 3.0), d) \
+    lhs = quad.phi_power(4, 0.5 * (n - 1.0), d)
+    rhs = 3.0 / (n - 3.0) * quad.phi_power(2, 0.5 * (n - 3.0), d) \
         - d * quad.phi_power(3, 0.5 * (n - 1.0), d)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -200,8 +213,7 @@ def test_halfspace_moment_vs_brute():
     n = 8
     tbl = quad.MomentTable(n, 2.0)
     closed = tbl.halfspace_moment(2, 0, n)
-    brute = quad.brute_halfspace(moment_integrand(2, 0, n, 2.0), n,
-                                 rel_tol=1e-9)
+    brute = brute_one(moment_integrand(2, 0, n, 2.0), n, rel_tol=1e-9)
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
@@ -210,8 +222,7 @@ def test_halfspace_moment_odd_b_vs_brute(a, b, m):
     # the kernel pairings j_s x E_p carry odd powers of r
     n, d = 8, 2.0
     closed = quad.MomentTable(n, d).halfspace_moment(a, b, m)
-    brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
-                                 rel_tol=1e-9)
+    brute = brute_one(moment_integrand(a, b, m, d), n, rel_tol=1e-9)
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
@@ -245,17 +256,19 @@ def test_moment_table_cache_is_consistent():
     first = tbl.halfspace_moment(2, 0, 8)
     assert tbl.halfspace_moment(2, 0, 8) is first or \
         tbl.halfspace_moment(2, 0, 8) == first
-    bit_diff, quad_err = tbl.verify_cache()
-    assert bit_diff == 0.0
-    assert quad_err < 1e-10
+    # a fresh table recomputes every entry bit for bit
+    fresh = quad.MomentTable(8, 2.0)
+    recompute = {"I": fresh.I, "phi": fresh.phi_power,
+                 "hs": fresh.halfspace_moment, "bd": fresh.boundary_moment}
+    for (kind, *args), stored in tbl.cache.items():
+        assert recompute[kind](*args) == stored
 
 
 def test_brute_halfspace_warns_on_angular_dependence():
     # an even but non-axisymmetric integrand: only its e_1 slice is seen
     with pytest.warns(RuntimeWarning):
-        quad.brute_halfspace(
-            lambda X: X[..., 0] ** 2 * np.exp(-np.sum(X ** 2, axis=-1)),
-            5, rel_tol=1e-6)
+        brute_one(lambda X: X[..., 0] ** 2 * np.exp(-np.sum(X ** 2, axis=-1)),
+                  5, rel_tol=1e-6)
 
 
 def test_integrate_halfline_shifted_origin():
@@ -270,8 +283,7 @@ def test_brute_halfspace_sweeps_the_moments(n, d):
     # far from the default D = 2 on both sides, at the rows' 1e-8 bound
     table = quad.MomentTable(n, d)
     for a, b, m in _separable_triples(n)[:3]:
-        brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
-                                     rel_tol=1e-9)
+        brute = brute_one(moment_integrand(a, b, m, d), n, rel_tol=1e-9)
         assert brute == pytest.approx(table.halfspace_moment(a, b, m),
                                       rel=1e-8)
 
@@ -282,8 +294,8 @@ def test_brute_halfspace_at_the_points_length(d):
     n = 8
     table = quad.MomentTable(n, d)
     for a, b, m in _separable_triples(n):
-        brute = quad.brute_halfspace(moment_integrand(a, b, m, d), n,
-                                     rel_tol=1e-9, scale=d)
+        brute = brute_one(moment_integrand(a, b, m, d), n, rel_tol=1e-9,
+                          scale=d)
         assert brute == pytest.approx(table.halfspace_moment(a, b, m),
                                       rel=1e-8)
 
@@ -299,8 +311,8 @@ def test_scale_moves_the_nodes_only(length):
     scaled = quad.integrate_halfline(lambda y: unit(y / length),
                                      rel_tol=1e-12, scale=length)
     assert scaled == pytest.approx(length * one, rel=1e-14)
-    two = quad._de_quadrant(lambda r, xn: unit(r) * unit(xn), 1e-12)
-    both = quad._de_quadrant(
+    two = quadrant_one(lambda r, xn: unit(r) * unit(xn), 1e-12, 1.0)
+    both = quadrant_one(
         lambda r, xn: unit(r / length) * unit(xn / length), 1e-12, length)
     assert both == pytest.approx(length * length * two, rel=1e-14)
 
@@ -314,9 +326,9 @@ def test_every_entry_point_refuses_a_bad_scale(scale):
     with pytest.raises(DomainError, match="scale"):
         quad.integrate_halfline(_never_called, scale=scale)
     with pytest.raises(DomainError, match="scale"):
-        quad._de_quadrant(_never_called, 1e-9, scale)
+        quad._de_quadrant(_never_called, 1e-9, scale, count=1)
     with pytest.raises(DomainError, match="scale"):
-        quad.brute_halfspace(_never_called, 8, scale=scale)
+        quad.brute_halfspace(_never_called, 8, scale=scale, count=1)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 1.0])
@@ -326,9 +338,9 @@ def test_every_entry_point_refuses_a_bad_rel_tol(rel_tol):
     with pytest.raises(DomainError, match="rel_tol"):
         quad.integrate_halfline(_never_called, rel_tol=rel_tol)
     with pytest.raises(DomainError, match="rel_tol"):
-        quad._de_quadrant(_never_called, rel_tol)
+        quad._de_quadrant(_never_called, rel_tol, 1.0, count=1)
     with pytest.raises(DomainError, match="rel_tol"):
-        quad.brute_halfspace(_never_called, 8, rel_tol=rel_tol)
+        quad.brute_halfspace(_never_called, 8, rel_tol=rel_tol, count=1)
 
 
 @pytest.mark.parametrize("f,a,rel_tol,message", [
@@ -360,17 +372,15 @@ def test_brute_halfspace_averages_out_odd_parts():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = quad.brute_halfspace(lambda X: (1.0 + X[..., 0]) * g(X), n,
-                                   rel_tol=1e-9)
+        val = brute_one(lambda X: (1.0 + X[..., 0]) * g(X), n, rel_tol=1e-9)
     assert val == pytest.approx(0.5 * math.pi ** (0.5 * n), rel=1e-9)
-    assert val == pytest.approx(quad.brute_halfspace(g, n, rel_tol=1e-9),
-                                rel=1e-12)
+    assert val == pytest.approx(brute_one(g, n, rel_tol=1e-9), rel=1e-12)
 
 
 def test_brute_halfspace_refuses_a_log_divergent_moment():
     # a = b = 0, 2m = n: the integrand decays like |x|^-n
     with pytest.raises(NonConvergence, match="stalled at level|truncated"):
-        quad.brute_halfspace(moment_integrand(0, 0, 4, 2.0), 8, rel_tol=1e-9)
+        brute_one(moment_integrand(0, 0, 4, 2.0), 8, rel_tol=1e-9)
 
 
 def test_brute_halfspace_refuses_nan():
@@ -379,7 +389,7 @@ def test_brute_halfspace_refuses_nan():
         return np.where(X[..., -1] > 1.0, np.nan, out)
 
     with pytest.raises(NonConvergence, match="integrand is nan"):
-        quad.brute_halfspace(holey, 8, rel_tol=1e-9)
+        brute_one(holey, 8, rel_tol=1e-9)
 
 
 def _refuse(*args, **kwargs):
@@ -399,12 +409,10 @@ def test_oracles_and_moment_table_share_no_engine(frame8, monkeypatch):
         b = Bubble(pt)
         records = geom.forcing_terms(frame8, b) + geom.jacobi_terms(b, n)
         for a, bb, m in _separable_triples(n)[:3]:
-            quad.brute_halfspace(moment_integrand(a, bb, m, d), n,
-                                 rel_tol=1e-9)
-        quad.brute_halfspace(lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n,
-                             rel_tol=1e-9)
-        quad.brute_halfspace(lambda X: b.U(X) ** crit_interior(n), n,
-                             rel_tol=1e-9)
+            brute_one(moment_integrand(a, bb, m, d), n, rel_tol=1e-9)
+        brute_one(lambda X: np.sum(b.grad_U(X) ** 2, axis=-1), n,
+                  rel_tol=1e-9)
+        brute_one(lambda X: b.U(X) ** crit_interior(n), n, rel_tol=1e-9)
         geom.paired_halfspace(list(itertools.product(records, records)), b)
     with monkeypatch.context() as mp:
         # the closed forms: no quadrature of any kind, no oracle
@@ -420,8 +428,6 @@ def test_oracles_and_moment_table_share_no_engine(frame8, monkeypatch):
             table.halfspace_moment(a, bb, m)
         bubble_energy(pt)
         geom.forcing_norm(frame8, b)
-    # verify_cache checks the Beta entries by quadrature
-    assert table.verify_cache()[0] == 0.0
 
 
 def _one_by_one(triples, d):
@@ -462,8 +468,7 @@ def test_a_family_member_equals_its_own_call_bit_for_bit(n, d):
 
     together = quad.brute_halfspace(counted, n, rel_tol=1e-9,
                                     count=len(triples))
-    alone = [quad.brute_halfspace(f, n, rel_tol=1e-9)
-             for f in _one_by_one(triples, d)]
+    alone = [brute_one(f, n, rel_tol=1e-9) for f in _one_by_one(triples, d)]
     assert together == alone
     levels = [_stop_level(c) for c in nodes]
     if (n, d) == (8, 2.0):
@@ -496,19 +501,19 @@ def _family_with(bad):
 ])
 def test_a_failing_member_is_named(bad, rel_tol, message):
     with pytest.raises(NonConvergence, match=message):
-        quad._de_quadrant(_family_with(bad), rel_tol, count=3)
+        quad._de_quadrant(_family_with(bad), rel_tol, 1.0, count=3)
 
 
 def test_a_family_without_a_failing_member_returns_every_value():
-    values = quad._de_quadrant(_family_with(_gauss), 1e-12, count=3)
-    assert values == [quad._de_quadrant(_gauss, 1e-12)] * 3
+    values = quad._de_quadrant(_family_with(_gauss), 1e-12, 1.0, count=3)
+    assert values == [quadrant_one(_gauss, 1e-12, 1.0)] * 3
     assert values[0] == pytest.approx(0.25 * math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.5, "3"])
 def test_a_family_needs_a_positive_integer_count(count):
     with pytest.raises(DomainError, match="count"):
-        quad._de_quadrant(_family_with(_gauss), 1e-9, count=count)
+        quad._de_quadrant(_family_with(_gauss), 1e-9, 1.0, count=count)
     with pytest.raises(DomainError, match="count"):
         quad.brute_halfspace(lambda X, which: [], 8, count=count)
 
