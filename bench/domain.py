@@ -7,7 +7,7 @@ Usage, from the root of a checkout:
 Each command runs at n in DIMENSIONS and D in DEPTHS, with K = -n(n-1)
 so that D = H: the three verify commands at their defaults otherwise,
 ``corrector`` on a random frame (seed 11) at 200^2, and ``locate`` on
-the README's two constants samples at the default grid.  Runs go two
+the README's two constants samples.  Runs go two
 at a time, each in a fresh directory, with the package of ``--root``
 (default: the checkout holding this script).  A cell records the exit
 code, the first failing row the command printed or else, on a nonzero

@@ -87,7 +87,7 @@ _KEYS = {
         "stretch": ("number", GridSpec.stretch,
                     f"algebraic grid stretch, > 0; r_max^{MAX_DIMENSION} "
                     f"(1 + stretch)^3 <= {MAX_GRID_SCALE:g}"),
-    }, {}, "modal solver grid (not the non-constants case)"),
+    }, {}, "modal solver grid of corrector"),
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
     "samples": ("array", None, "list of {label, coords, gamma} (constants) "
@@ -99,7 +99,7 @@ _KEYS = {
 }
 # the keys a locate case never reads; they must keep their defaults
 _CASE_FOREIGN = {"constants": ("hessH", "hessK"),
-                 "non-constants": ("frame", "frame_file", "grid")}
+                 "non-constants": ("frame", "frame_file")}
 _POINT_KEYS = ("n", "K", "H", "gamma", "seed", "rel_tol",
                "override_dimension_gate", "out")
 _ACCEPTS = {
@@ -107,8 +107,8 @@ _ACCEPTS = {
     "verify-bubble": _POINT_KEYS,
     "verify-hyperbolic": _POINT_KEYS,
     "corrector": _POINT_KEYS + ("frame", "frame_file", "grid"),
-    "locate": _POINT_KEYS + ("frame", "frame_file", "grid", "case",
-                             "samples", "hessH", "hessK"),
+    "locate": _POINT_KEYS + ("frame", "frame_file", "case", "samples",
+                             "hessH", "hessK"),
 }
 
 
@@ -204,7 +204,10 @@ _OUTPUTS = {
     "locate": {
         "blowup.json": "p_star, coords, d_star, rate, case_tag, "
                        "coefficients{E, A, B, S?}, gamma, J_values, "
-                       "hypothesis_flags, depth_convention",
+                       "hypothesis_flags, depth_convention, and in the "
+                       "constants case pairing{levels, values, agreement, "
+                       "bound}: the forcing pairing behind B at the two "
+                       "Chebyshev levels, their relative gap and its bound",
         "samples.csv": "columns: sample, E, A, B, d0, G "
                        "(d0/G empty when B <= 0 at that sample)",
     },
@@ -598,7 +601,7 @@ def _build_frame(cfg):
 
 
 def cmd_corrector(cfg):
-    from . import corrector     # scipy.sparse: only the commands that solve
+    from . import corrector     # scipy.sparse: this command alone
 
     pt = cfg["_pt"]
     frame = _build_frame(cfg)
@@ -673,16 +676,17 @@ def cmd_locate(cfg):
     pt = cfg["_pt"]
     n = pt.n
     if cfg["case"] == "constants":
-        from . import corrector
+        from . import spectral      # only the constants case pairs modes
 
         parsed = _parse_samples(cfg, need_h=False)
         frame = _build_frame(cfg)
-        # one geometry, many gammas: the corrector solve is shared
-        sol = corrector.solve_corrector(frame, pt, cfg["grid"])
+        # one geometry, many gammas: the pairing solve is shared
+        sol = spectral.solve_pairing(frame, pt)
         samples = [reduced.BoundarySample(label=lab, coords=coords,
                                           pt=sample_pt, frame=frame, sol=sol)
                    for lab, coords, sample_pt in parsed]
         report = reduced.optimize_constants(samples)
+        report.pairing = sol.to_json_dict()
     else:
         hess = HessianData(
             hessH=_parse_hessian(cfg["hessH"], n - 1, "hessH"),

@@ -37,7 +37,11 @@ each pair's product of pointwise profiles by double-exponential
 quadrature, all pairs as the members of one `quad._de_quadrant`
 family, whose values are bit for bit those of one call per pair.
 `route_gap` compares the two routes on the five self-pairs of the
-radial records in one such call.
+radial records in one such call.  `decompose_forcing` splits the
+forcing into the angular modes that the corrector's grid and the
+whole-domain route of `spectral` solve, each mode with its radial
+record and pointwise profile; it needs numpy alone, so `locate` reaches
+it without the sparse solver.
 
 Angular integrals of tensor contractions use one fully symmetric
 sphere rule (`sphere_rule`), fitted to the closed-form sphere moments
@@ -55,7 +59,7 @@ import numpy as np
 
 from . import quad
 from .bubble import Bubble, c_n, check_field_index
-from .errors import DomainError, InvalidFrame
+from .errors import DecompositionError, DomainError, InvalidFrame
 from .model import Check, CurvatureFrame, ValidationReport, validate_frame
 
 __all__ = [
@@ -77,6 +81,8 @@ __all__ = [
     "jacobi_norm",
     "integral_Ep_jacobi",
     "route_gap",
+    "ForcingMode",
+    "decompose_forcing",
     "cancellation_suite",
 ]
 
@@ -404,6 +410,117 @@ def route_gap(frame, b):
         moments = paired_moments([unit], [unit], b.pt.moments)
         worst = max(worst, abs(value - moments) / abs(moments))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# angular decomposition of the forcing
+
+
+class ForcingMode(NamedTuple):
+    """One angular component of the forcing: E contribution P(theta) e(r, x_n).
+
+    degree 0 carries a scalar weight with P = 1; degree 2 carries a
+    symmetric trace-free matrix weight with P(theta) = <W theta, theta>.
+    ``radial`` holds the monomials (coef, a, b, m) of e, as in `Term`:
+    ``profile`` evaluates them pointwise, and a route that needs e's
+    far field reads its powers there.
+    """
+
+    degree: int
+    weight: object
+    profile: object            # callable (r, x_n) -> value, broadcasting
+    label: str
+    radial: tuple
+
+    def angular(self, nodes):
+        """P(theta) on a (q, n-1) array of unit vectors."""
+        if self.degree == 0:
+            return np.ones(nodes.shape[0])
+        W = self.weight
+        return np.einsum("ij,qi,qj->q", W, nodes, nodes)
+
+
+def decompose_forcing(frame, b):
+    """Split the forcing into angular modes with radial profiles.
+
+    E_p(r theta, x_n) = sum_modes P_d(theta) e_d(r, x_n), where the
+    candidate modes come from the trace/trace-free split of the two
+    frame contractions.  Modes whose weight is below 1e-13 of the frame
+    scale are dropped (a zero frame yields an empty list).  The
+    decomposition is validated two ways: the odd part of E_p over
+    antipodal sphere nodes must vanish (degrees 1 and 3 absent), and the
+    reconstruction must match the naive contraction at 100 random
+    points; a failure raises DecompositionError.
+    """
+    n = b.n
+    m = n - 1
+    ric = ricci(frame.riem_boundary)
+    Q = np.asarray(frame.normal_block, dtype=float)
+    mean_ric = float(np.trace(ric)) / m
+    trQ = float(np.trace(Q))
+    ric0 = ric - mean_ric * np.eye(m)
+    Q0 = Q - (trQ / m) * np.eye(m)
+    scale = max(float(np.max(np.abs(frame.riem_boundary), initial=0.0)),
+                float(np.max(np.abs(Q), initial=0.0)))
+    cutoff = 1e-13 * max(scale, 1e-300)
+
+    # the records' angular factors are <Ric theta, theta>/3, tr Q and
+    # <Q theta, theta>; the split below takes their traces apart
+    records = [t.radial for t in forcing_terms(frame, b)]
+    e_ric, e_trace, e_normal = (radial_profile(rec, b) for rec in records)
+
+    modes = []
+    if abs(mean_ric) + abs(trQ) > cutoff:
+        def e0(r, xn, mr=mean_ric, tq=trQ):
+            return mr / 3.0 * e_ric(r, xn) + tq * e_trace(r, xn) \
+                + tq / m * e_normal(r, xn)
+
+        radial0 = tuple((f * c, a, p, k)
+                        for f, rec in zip((mean_ric / 3.0, trQ, trQ / m),
+                                          records)
+                        for c, a, p, k in rec)
+        modes.append(ForcingMode(0, 1.0, e0, "trace", radial0))
+    if float(np.max(np.abs(ric0), initial=0.0)) > cutoff:
+        modes.append(ForcingMode(2, ric0 / 3.0, e_ric, "boundary-ricci",
+                                 records[0]))
+    if float(np.max(np.abs(Q0), initial=0.0)) > cutoff:
+        modes.append(ForcingMode(2, Q0.copy(), e_normal, "normal-block",
+                                 records[2]))
+
+    if scale == 0.0:
+        return modes            # empty
+
+    # parity: the odd angular part (degrees 1 and 3) must vanish pointwise
+    # at three draws of (r, x_n) over a subset of the sphere nodes
+    nodes, _ = sphere_rule(m)
+    theta = nodes[:: max(1, len(nodes) // 16)]
+    rng = np.random.default_rng(1871)
+    r, xn = rng.uniform([0.3, 0.0], 3.0, size=(3, 2)).T[:, :, None, None]
+    xn = np.broadcast_to(xn, (3, len(theta), 1))
+    ep = forcing_Ep(frame, b, np.concatenate([r * theta, xn], axis=-1))
+    em = forcing_Ep(frame, b, np.concatenate([-r * theta, xn], axis=-1))
+    worst_odd = np.max(np.abs(ep - em)) / 2.0
+    odd_scale = max(np.max(np.abs(ep)), np.max(np.abs(em)))
+    if worst_odd > 1e-12 * max(odd_scale, 1e-300):
+        raise DecompositionError(
+            f"odd angular component {worst_odd:.3e} exceeds "
+            f"1e-12 * {odd_scale:.3e}")
+
+    # reconstruction against the naive contraction at 100 points
+    x = rng.normal(size=(100, n))
+    x[:, -1] = np.abs(x[:, -1])
+    r = np.linalg.norm(x[:, :-1], axis=-1)
+    theta = x[:, :-1] / r[:, None]
+    rec = sum(mode.angular(theta) * mode.profile(r, x[:, -1])
+              for mode in modes)
+    ep = forcing_Ep(frame, b, x)
+    worst = np.max(np.abs(rec - ep))
+    biggest = np.max(np.abs(ep))
+    if worst > 1e-10 * max(biggest, 1e-300):
+        raise DecompositionError(
+            f"reconstruction defect {worst:.3e} exceeds "
+            f"1e-10 * {biggest:.3e}")
+    return modes
 
 
 # ---------------------------------------------------------------------------

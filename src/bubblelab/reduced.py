@@ -130,9 +130,12 @@ def coeff_B_constant(pt, frame, sol):
         + R^2_{nins} S.
 
     The first term uses the corrector equation to trade the quadratic
-    form of V_p for the forcing pairing, evaluated on the solved modes;
-    |Weyl|^2 comes from the frame's tensor through geom.weyl_norm, which
-    checks the gauge.
+    form of V_p for the forcing pairing, evaluated on the solved modes
+    of ``sol``: a `corrector.CorrectorSolution` (the truncated grid) or
+    a `spectral.PairingSolution` (the whole-domain route `locate`
+    uses).  Either gives ``pt`` and ``forcing_pairing()``.  |Weyl|^2
+    comes from the frame's tensor through geom.weyl_norm, which checks
+    the gauge.
     """
     n = pt.n
     # gamma scales the perturbation, not the geometry, so solutions are
@@ -203,7 +206,8 @@ class BoundarySample:
 
     ``pt`` carries (n, K(p), H(p), gamma(p)).  The non-constant case
     supplies ``hess``; the constants case supplies ``frame`` and the
-    solved corrector ``sol``.
+    solved corrector ``sol``, either kind `coeff_B_constant` reads: a
+    `corrector.CorrectorSolution` or a `spectral.PairingSolution`.
     """
 
     label: str
@@ -220,6 +224,8 @@ class BlowupReport:
 
     ``p`` and ``drive`` give the winner's depth law drive d - B d^p;
     ``rate`` follows from p and ``case_tag`` from the coefficients.
+    ``pairing``, when given, is the record of the forcing pairing behind
+    B (`spectral.PairingSolution.to_json_dict`) and goes to blowup.json.
     """
 
     p_star: str
@@ -232,6 +238,7 @@ class BlowupReport:
     J_values: dict
     hypothesis_flags: dict
     table: list = field(default_factory=list)
+    pairing: dict = None
 
     def __post_init__(self):
         # the stationarity equation of drive d - B d^p at d_star
@@ -252,7 +259,7 @@ class BlowupReport:
         return self.coefficients.case_tag
 
     def to_json_dict(self):
-        return {
+        doc = {
             "p_star": self.p_star,
             "coords": list(self.coords),
             "d_star": self.d_star,
@@ -266,6 +273,9 @@ class BlowupReport:
                                 "/ A = 2 d B (non-constants), from the "
                                 "differentiated increment",
         }
+        if self.pairing is not None:
+            doc["pairing"] = self.pairing
+        return doc
 
     def save(self, directory):
         """Write blowup.json and the per-sample samples.csv table."""

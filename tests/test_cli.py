@@ -66,6 +66,52 @@ def test_verify_commands_run_without_scipy(tmp_path, command):
     assert _fresh(code).splitlines()[-1] == "0 []"
 
 
+_README_LOCATE = {"n": 8, "K": -56.0, "H": 2.0, "case": "constants",
+                  "frame": "random", "seed": 11,
+                  "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0},
+                              {"label": "p1", "coords": [1.0], "gamma": 1.5}]}
+
+
+def test_readme_locate_runs_without_scipy(tmp_path):
+    # the constants case pairs its modes by the dense spectral route
+    cfg = _write(tmp_path, "c.json", _README_LOCATE)
+    code = ("import sys\nfrom bubblelab import cli\n"
+            f"code = cli.main(['locate', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            f"print(code, {_SCIPY_LOADED})")
+    assert _fresh(code).splitlines()[-1] == "0 []"
+
+
+def test_the_tracer_reads_every_frame_layer(tmp_path):
+    """Under the benchmark's tracer, a corrector run on a small grid and
+    the README locate leave no frame-workload metric of
+    ``spans.LAYER_METRICS`` at zero.  The report bytes are added as the
+    benchmark's child adds them, from the files written."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    corrector_cfg = _write(tmp_path, "corrector.json", {
+        "frame": "random", "grid": {"nr": 48, "nxn": 48}})
+    locate_cfg = _write(tmp_path, "locate.json", _README_LOCATE)
+    runs = [["corrector", "--config", corrector_cfg, "--out",
+             str(tmp_path / "corrector")],
+            ["locate", "--config", locate_cfg, "--out",
+             str(tmp_path / "locate")]]
+    code = (f"import json, os, sys\nsys.path.insert(0, {str(perfbench)!r})\n"
+            "import spans\nfrom bubblelab import cli\n"
+            "tracer = spans.Tracer(0)\nspans.install(tracer)\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "tracer.counts['report.bytes'] += sum(\n"
+            "    os.path.getsize(os.path.join(argv[-1], name))\n"
+            f"    for argv in {runs!r} for name in os.listdir(argv[-1]))\n"
+            "got = spans.layer_metrics(tracer.spans, tracer.counts)\n"
+            "frame = [m for m, (_, on) in spans.LAYER_METRICS.items() "
+            "if 'frame' in on]\n"
+            "print(json.dumps([codes, len(frame), "
+            "[m for m in frame if not got[m]]]))")
+    codes, metrics, zero = json.loads(_fresh(code).splitlines()[-1])
+    assert codes == [0, 0]
+    assert metrics >= 14 and zero == []
+
+
 def test_the_tracer_reads_every_verify_layer(tmp_path):
     """The benchmark's tracer wraps the package's layers by name: under
     it, the three verify commands leave no verify-workload metric of
@@ -218,11 +264,15 @@ _REJECTED = {
                    None, "hessH"),
     "frame-in-non-constants": ("locate", {
         "case": "non-constants", "frame_file": "nope.json",
-        "grid": {"nr": 16}, "samples": [{"label": "a", "H": 2.0}]},
-        None, "does not read frame_file, grid"),
+        "samples": [{"label": "a", "H": 2.0}]},
+        None, "does not read frame_file"),
     "hessH-in-constants": ("locate", {
-        "case": "constants", "hessH": [[1]], "grid": {"nr": 32, "nxn": 32},
+        "case": "constants", "hessH": [[1]],
         "samples": [{"label": "a"}]}, None, "does not read hessH"),
+    # locate takes its pairing from the whole-domain route: no grid
+    "grid-in-locate": ("locate", {
+        "grid": {"nr": 32, "nxn": 32}, "samples": [{"label": "a"}]},
+        None, "unknown config keys: grid"),
 }
 
 
@@ -326,12 +376,12 @@ _VALUES = {
 def _configs(draw):
     """A command and a config of its keys.  At most one value, at the top,
     in the grid or in a sample, is junk or an unknown key, so most
-    configs reach the computation.  The grid is always given: the
-    default one is 400^2.  So is the frame: the zero one ends most runs
-    early."""
+    configs reach the computation.  The corrector's grid is always
+    given: the default one is 400^2.  So is the frame: the zero one ends
+    most runs early."""
     command, required = draw(st.sampled_from([
         ("verify-hyperbolic", []), ("corrector", ["grid", "frame"]),
-        ("locate", ["grid", "frame", "samples"])]))
+        ("locate", ["frame", "samples"])]))
     keys = sorted(cli._schema(command)["config"])
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
     config = {k: draw(_VALUES[k]) for k in required + chosen}
@@ -384,12 +434,12 @@ def _non_finite(path):
 @given(_configs())
 @example(_REJECTED["grid-rs3"][:2])
 @example(_REJECTED["grid-weights"][:2])
-@example(("locate", {"grid": _GRID16, "frame": "random", "samples": [
+@example(("locate", {"frame": "random", "samples": [
     {"label": "p0", "coords": [0.0], "gamma": 1e250}]}))
 @example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}))
-@example(("locate", {"grid": _GRID16, "frame_file": "huge.json",
+@example(("locate", {"frame_file": "huge.json",
                      "samples": [{"label": "p0", "coords": [0.0]}]}))
-@example(("locate", {"grid": _GRID16, "frame_file": "tiny.json",
+@example(("locate", {"frame_file": "tiny.json",
                      "samples": [{"label": "p0", "coords": [0.0]}]}))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_any_config_exits_with_a_contract_code(case):
@@ -516,7 +566,6 @@ def _locate_b(tmp_path, name, frame_doc):
     (tmp_path / f"{name}_frame.json").write_text(json.dumps(frame_doc))
     cfg = _write(tmp_path, f"{name}.json", {
         "case": "constants", "frame_file": f"{name}_frame.json",
-        "grid": {"nr": 48, "nxn": 48},
         "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0}]})
     out = tmp_path / name
     assert _run("locate", "--config", cfg, "--out", str(out)) == 0
@@ -549,7 +598,6 @@ def test_locate_rejects_an_asymmetric_hessian(tmp_path, capsys):
 def test_locate_constants(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "case": "constants", "frame": "random", "seed": 11,
-        "grid": {"nr": 100, "nxn": 100},
         "samples": [{"label": "p0", "coords": [0.0], "gamma": 0.5},
                     {"label": "p1", "coords": [1.0], "gamma": 1.5}]})
     out = tmp_path / "out"
@@ -580,7 +628,6 @@ def test_locate_nonconstant(tmp_path):
 def test_locate_reports_hypothesis_failure(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {
         "case": "constants", "frame": "zero",
-        "grid": {"nr": 32, "nxn": 32},
         "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0}]})
     assert _run("locate", "--config", cfg, "--out",
                 str(tmp_path / "out")) == 1
