@@ -15,10 +15,11 @@ run per side.  The output holds every run's metrics, and per workload
 and end-to-end metric each side's median and quartiles, how many pairs
 the after side won, how many runs errored on each side, and a verdict
 against BENCHMARK.json's bound (see `verdict`).  ``--walls N`` adds N
-alternating rounds of fresh-process walls per side: a bare
-``import bubblelab.cli`` and each CLI command at its defaults, except
-that ``corrector`` runs a random frame (seed 11) so that it solves a
-mode on the default 400^2 grid, and ``locate`` runs the README example.
+alternating rounds of fresh-process walls and peak RSS per side: a
+bare ``import bubblelab.cli`` and each CLI command at its defaults,
+except that ``corrector`` runs a random frame (seed 11) so that it
+solves a mode on the default 400^2 grid, and ``locate`` runs the README
+example.
 """
 import argparse
 import json
@@ -54,8 +55,32 @@ def run(root, workload, seed, seconds, trace):
     return result
 
 
+def fresh(args, cwd, env):
+    """(exit code, wall s, peak RSS MB) of one fresh interpreter running
+    ``args``.
+
+    The peak is the child's ``ru_maxrss`` (kB on Linux) as ``os.wait4``
+    returns it, in the MB of perfbench's ``peak_rss_mb``.  Linux keeps
+    that high-water mark across exec, so it starts from this process's
+    own footprint: this script loads neither numpy nor scipy, so it
+    stays below the least of the commands it times, a bare
+    ``import bubblelab.cli``, which loads numpy.
+    """
+    start = time.monotonic()
+    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - start
+    # reaped here: Popen must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+
+
 def walls(sides, rounds):
-    """Fresh-process walls per command and side, sides alternating."""
+    """Fresh-process walls and peak RSS per command and side, sides
+    alternating; each side's runs under its name ("before", "after"),
+    its peaks under "<side>_rss_mb", and the medians of both."""
     with tempfile.TemporaryDirectory() as work:
         commands = {"import bubblelab.cli": ["-c", "import bubblelab.cli"]}
         for cmd in ("verify-integrals", "verify-bubble", "verify-hyperbolic",
@@ -67,24 +92,26 @@ def walls(sides, rounds):
             with open(config, "w") as fh:
                 json.dump(doc, fh)
             commands[cmd] += ["--config", config]
-        out = {name: {"before": [], "after": []} for name in commands}
+        out = {name: {key: [] for key in ("before", "after", "before_rss_mb",
+                                          "after_rss_mb")}
+               for name in commands}
         for k in range(rounds):
             order = ("before", "after") if k % 2 == 0 else ("after", "before")
             for name, args in commands.items():
                 for side in order:
                     env = dict(os.environ, **THREAD_ENV,
                                PYTHONPATH=os.path.join(sides[side], "src"))
-                    start = time.monotonic()
-                    proc = subprocess.run([sys.executable, *args], cwd=work,
-                                          env=env, capture_output=True)
-                    wall = time.monotonic() - start
-                    if proc.returncode != 0:
+                    code, wall, rss = fresh(args, work, env)
+                    if code != 0:
                         raise RuntimeError(f"{name} on the {side} side exited "
-                                           f"{proc.returncode}")
+                                           f"{code}")
                     out[name][side].append(wall)
+                    out[name][f"{side}_rss_mb"].append(rss)
     for runs in out.values():
         for side in ("before", "after"):
             runs[f"{side}_median"] = statistics.median(runs[side])
+            runs[f"{side}_rss_mb_median"] = statistics.median(
+                runs[f"{side}_rss_mb"])
     return out
 
 
@@ -187,8 +214,7 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
 
-    import numpy
-    import scipy
+    from importlib.metadata import version
     report = {
         "command": " ".join(["bench/pairs.py", "--pairs", *args.pairs,
                              "--traced", *args.traced,
@@ -197,7 +223,7 @@ def main(argv=None):
         "sides": {side: os.path.basename(root)
                   for side, root in sides.items()},
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__,
+                    "numpy": version("numpy"), "scipy": version("scipy"),
                     "platform": platform.platform()},
         "seconds": args.seconds, "workloads": {}, "traced": {},
     }

@@ -192,6 +192,15 @@ def _assemble(pt, degree, gs):
 # (COLAMD: 2.13 s, 21.1M); the order itself takes 16 ms at 32 nodes
 _LEAF_NODES = 32
 
+# columns per SuperLU panel.  Beside L and U the panel update keeps
+# work arrays of about 2 panel n integers and panel n doubles (Demmel et
+# al., SIAM J. Matrix Anal. Appl. 20, 1999).  The 400^2 degree-2 factor
+# alone, fresh processes on 2 cores, BLAS at 1 thread, medians of 5
+# rounds: panels of 20 (scipy's default), 4 and 2 peak at 281, 240 and
+# 236 MB, in 0.58, 0.58 and 0.54 s.  Never above 20: scipy's SuperLU
+# aborted with a double free at 32
+_PANEL_SIZE = 4
+
 
 def _dissection(rows, cols):
     """Nested-dissection order of a rows x cols tensor grid.
@@ -225,25 +234,32 @@ def _dissection(rows, cols):
 
 
 class _DissectedLU:
-    """SuperLU of A in a fixed symmetric order, with static diagonal pivots.
+    """SuperLU of a matrix held in a fixed symmetric order, static pivots.
 
-    Factors A[p][:, p] with SuperLU's column ordering off and a pivot
-    threshold of 0, so each pivot is the diagonal entry whenever it is
-    nonzero.  ``shape`` and ``solve(v, trans)`` follow SuperLU's
-    interface and permute in and out, so callers treat this object as
-    a factorization of A itself.
+    ``P`` is A[p][:, p] in CSC form, the one copy of the operator A that
+    the solve keeps: SuperLU factors it with its column ordering off, a
+    pivot threshold of 0, so each pivot is the diagonal entry whenever
+    it is nonzero, and a panel of _PANEL_SIZE columns.  ``shape``,
+    ``solve(v, trans)`` and ``matvec(x)`` permute in and out, so callers
+    treat this object as a factorization of A itself.
     """
 
-    def __init__(self, A, p):
-        self.p = p
-        self.shape = A.shape
-        self.lu = spla.splu(A[p][:, p].tocsc(), permc_spec="NATURAL",
-                            diag_pivot_thresh=0.0)
+    def __init__(self, P, p):
+        self.P, self.p = P, p
+        self.shape = P.shape
+        self.lu = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                            panel_size=_PANEL_SIZE)
 
     def solve(self, v, trans="N"):
         x = np.empty(self.shape[0])
         x[self.p] = self.lu.solve(v[self.p], trans=trans)
         return x
+
+    def matvec(self, x):
+        """A x, read from the permuted copy."""
+        y = np.empty(self.shape[0])
+        y[self.p] = self.P @ x[self.p]
+        return y
 
 
 # bound on the backward error of a modal solve.  Measured at most
@@ -425,8 +441,9 @@ def solve_mode(pt, degree, forcing, gs):
 
     The LU eliminates the nodes in the nested-dissection order of
     _dissection with static diagonal pivots (SuperLU with its column
-    ordering off and a pivot threshold of 0).  Its result is then
-    checked: the normwise backward error
+    ordering off and a pivot threshold of 0).  The solve holds A once,
+    in that order, and every product with A reads that copy.  Its
+    result is then checked: the normwise backward error
     ||b - A x|| / (||A|| ||x|| + ||b||) in the max norm must stay at or
     below 1e-12, else NonConvergence names the value.  For degree 0 it
     is taken on both block rows of the bordered system, with the
@@ -461,8 +478,12 @@ def solve_mode(pt, degree, forcing, gs):
     gg = grid_geometry(gs, pt.n)
     r, xn = gg["r"], gg["xn"]
     rhs = np.where(interior, _forcing_grid(forcing, r, xn), 0.0).ravel()
+    p = _dissection(gs.nr + 1, gs.nxn + 1)
+    # the one copy of A from here on: the natural-order CSR is dropped
+    # before SuperLU runs, and every product reads this copy
+    A = A[p][:, p].tocsc()
     try:
-        lu = _DissectedLU(A, _dissection(gs.nr + 1, gs.nxn + 1))
+        lu = _DissectedLU(A, p)
     except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
         raise NonConvergence(f"sparse solve failed: {exc}") from exc
 
@@ -479,13 +500,14 @@ def solve_mode(pt, degree, forcing, gs):
         col = np.where(interior.ravel(), jn, 0.0)
         row = gg["W"].ravel() * jn
         # the gate's row equilibration of the bordered matrix
-        row_sq = np.asarray(A.multiply(A).sum(axis=1)).ravel() + col ** 2
-        d = 1.0 / np.sqrt(row_sq)
+        row_sq = np.empty(rhs.size)
+        row_sq[p] = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+        d = 1.0 / np.sqrt(row_sq + col ** 2)
         bordered = _BorderedLU(lu, col, row / np.linalg.norm(row), d)
         sol, mu = bordered.border_solve(rhs, 0.0)
         # block elimination is unstable when A is nearly singular, as it
         # is here along the kernel; one refinement step restores it
-        dsol, dmu = bordered.border_solve(rhs - A @ sol - mu * col,
+        dsol, dmu = bordered.border_solve(rhs - lu.matvec(sol) - mu * col,
                                           -(bordered.r @ sol))
         sol = sol + dsol
         mu = mu + dmu
@@ -497,9 +519,10 @@ def solve_mode(pt, degree, forcing, gs):
     # the returned solution is the check that the LU held.  For degree 0
     # the multiplier's column stays on the right-hand side, because its
     # scale follows 1 / |j_n|, which spans about 150 decades over the
-    # valid (n, D); the border row is checked on its own.
-    berr = _backward_error(solved - A @ sol, abs(A).sum(axis=1).max(), sol,
-                           solved)
+    # valid (n, D); the border row is checked on its own.  A symmetric
+    # permutation keeps the set of row sums, so ||A|| reads the copy as is
+    berr = _backward_error(solved - lu.matvec(sol), abs(A).sum(axis=1).max(),
+                           sol, solved)
     if degree == 0:
         berr = max(berr, _backward_error(bordered.r @ sol,
                                          np.abs(bordered.r).sum(), sol, 0.0))
@@ -508,7 +531,8 @@ def solve_mode(pt, degree, forcing, gs):
             f"degree-{degree} solve has backward error {berr:.3e} above "
             f"{_BACKWARD_ERROR_MAX:g}")
     if degree == 0:
-        base_norm = float(abs(sp.diags(d) @ A).sum(axis=0).max())
+        # and the set of column sums of diag(d) A
+        base_norm = float(abs(sp.diags(d[p]) @ A).sum(axis=0).max())
         kernel = np.append(jn / np.linalg.norm(jn), 0.0)
         info.update(_conditioning_check(bordered, base_norm, kernel))
     return sol.reshape(interior.shape), info
@@ -714,17 +738,25 @@ def corrector_diagnostics(sol):
     vnorm = math.sqrt(max(_pairing(G, W, psis, psis), 0.0))
     diag["corrector_norm"] = vnorm
 
-    # (i) orthogonality to the kernel, each j_i from its separable record
+    # (i) orthogonality to the kernel, each j_i from its separable record.
+    # j_1 .. j_{n-1} share one radial record: each distinct record's grid
+    # profile and its sums are made once, and only the angular factor is
+    # taken per j_i
+    mode_angular = [mode.angular(nodes) for mode in sol.modes]
+    profiles = {}   # radial record -> (j, sum(W psi j) per mode, sum(W j j))
     worst = 0.0
     for i in range(1, n + 1):
         (term,) = geom.jacobi_terms(b, i)
+        if term.radial not in profiles:
+            ji = geom.radial_profile(term.radial, b)(r[:, None], xn[None, :])
+            profiles[term.radial] = (
+                ji, [float(np.sum(W * mode.psi * ji)) for mode in sol.modes],
+                float(np.sum(W * ji * ji)))
+        ji, psi_sums, jj = profiles[term.radial]
         ang_j = term.angular(nodes)
-        ji = geom.radial_profile(term.radial, b)(r[:, None], xn[None, :])
-        total = sum((float(wq @ (mode.angular(nodes) * ang_j))
-                     * float(np.sum(W * mode.psi * ji))
-                     for mode in sol.modes), 0.0)
-        scale = vnorm * math.sqrt(float(wq @ (ang_j * ang_j))
-                                  * float(np.sum(W * ji * ji)))
+        total = sum((float(wq @ (P * ang_j)) * s
+                     for P, s in zip(mode_angular, psi_sums)), 0.0)
+        scale = vnorm * math.sqrt(float(wq @ (ang_j * ang_j)) * jj)
         defect = abs(total) / scale if scale > 0 else 0.0
         diag[f"orthogonality_j{i}"] = total
         worst = max(worst, defect)

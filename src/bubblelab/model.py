@@ -92,8 +92,8 @@ class ProblemPoint:
         return {"n": self.n, "K": self.K, "H": self.H, "gamma": self.gamma}
 
 
-# a random-frame corrector run peaks at 319 MB on 400^2 cells and
-# 1.12 GB on 800^2
+# a random-frame corrector run, in a fresh process with BLAS at 1
+# thread, peaks at 248 MB on 400^2 cells and 892 MB on 800^2
 MAX_GRID_CELLS = 800 ** 2
 # the corrector takes the grid's lengths to powers up to
 # r_max^n (1 + stretch)^3: its area weights hold r^{n-2} rs ts, with

@@ -505,6 +505,29 @@ def test_corrector_random_frame_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_corrector_reports_do_not_follow_the_blas_thread_count(tmp_path):
+    # a second BLAS/OpenMP thread must not move a report byte (locate's
+    # dense spectral solve does follow the thread count; corrector not)
+    cfg = _write(tmp_path, "c.json",
+                 {"frame": "random", "grid": {"nr": 48, "nxn": 48}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "bubblelab.cli", "corrector",
+                        "--config", cfg, "--out", str(out)],
+                       capture_output=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=path,
+                                OMP_NUM_THREADS=threads,
+                                OPENBLAS_NUM_THREADS=threads))
+        reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(reports["1"]) == [
+        "corrector.json", "diagnostics.json",
+        "mode0_normal-block_e.npy", "mode0_normal-block_psi.npy"]
+    assert reports["1"] == reports["2"]
+
+
 def test_corrector_prints_vacuous_rows_as_vacuous(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"frame": "random", "grid": {"nr": 48, "nxn": 48}})

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -349,14 +350,51 @@ def test_solve_mode_factors_once_in_dissection_order(pt8, monkeypatch,
     splu = corrector.spla.splu
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append((args, kwargs))
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(corrector.spla, "splu", counted)
     gs = corrector.GridSpec(nr=24, nxn=20)
     e = _synthetic_forcing(corrector.grid_geometry(gs, 8), degree)
     corrector.solve_mode(pt8, degree, e, gs)
-    assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}]
+    # scipy's SuperLU aborted on a panel of 32; its default is 20
+    assert 1 <= corrector._PANEL_SIZE <= 20
+    ((args, kwargs),) = calls
+    assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                      "panel_size": corrector._PANEL_SIZE}
+    (factored,) = args
+    A, _ = corrector._assemble(pt8, degree, gs)
+    p = corrector._dissection(gs.nr + 1, gs.nxn + 1)
+    assert factored.format == "csc"
+    assert (factored != A[p][:, p]).nnz == 0
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_solve_mode_holds_one_operator_copy_while_it_factors(pt8, monkeypatch,
+                                                             degree):
+    # the memory alive when SuperLU starts: the permuted copy it factors
+    # and the grid vectors, with no natural-order copy beside them (that
+    # read 2.75 copies; the copy and the vectors read 1.75)
+    gs = corrector.GridSpec(nr=100, nxn=100)
+    e = _synthetic_forcing(corrector.grid_geometry(gs, 8), degree)
+    A, _ = corrector._assemble(pt8, degree, gs)
+    one_copy = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    del A
+    alive = []
+    splu = corrector.spla.splu
+
+    def measured(*args, **kwargs):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(corrector.spla, "splu", measured)
+    tracemalloc.start()
+    try:
+        corrector.solve_mode(pt8, degree, e, gs)
+    finally:
+        tracemalloc.stop()
+    (held,) = alive
+    assert held < 2 * one_copy
 
 
 class _CountedLU:
@@ -634,6 +672,32 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
     # the border row alone keeps the degree-0 mode orthogonal to j_n
     assert checks["kernel orthogonality"].passed
     assert all("projection_coefficient" not in m.info for m in sol.modes)
+
+
+def test_kernel_orthogonality_row_is_each_j_on_its_own_grid(pt8,
+                                                            sol_three_modes):
+    # reference: each j_i's profile evaluated on the grid by itself, as
+    # though no two shared a radial record; the row must match it bit
+    # for bit
+    sol = sol_three_modes
+    rep = corrector.corrector_diagnostics(sol)
+    row = {c.name: c for c in rep.checks}["kernel orthogonality"]
+    b = Bubble(pt8)
+    nodes, wq = geom.sphere_rule(7)
+    gg, W = sol.grid, sol.grid["W"]
+    vnorm = sol.diagnostics["corrector_norm"]
+    worst = 0.0
+    for i in range(1, 9):
+        (term,) = geom.jacobi_terms(b, i)
+        ang = term.angular(nodes)
+        ji = geom.radial_profile(term.radial, b)(gg["r"][:, None],
+                                                 gg["xn"][None, :])
+        total = sum((float(wq @ (m.angular(nodes) * ang))
+                     * float(np.sum(W * m.psi * ji)) for m in sol.modes), 0.0)
+        assert sol.diagnostics[f"orthogonality_j{i}"] == total
+        worst = max(worst, abs(total) / (vnorm * math.sqrt(
+            float(wq @ (ang * ang)) * float(np.sum(W * ji * ji)))))
+    assert row.value == worst
 
 
 def test_mass_identity_is_vacuous_for_a_deep_degree2_frame():

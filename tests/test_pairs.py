@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,54 @@ def test_verdict_reads_the_bound_against_the_before_median():
     runs = [{"before": _run(1.0, 1.0), "after": _run(1.01, 1.0)}]
     assert pairs.summarize(runs, {"wall_s": "lower"})["wall_s"][
         "verdict"] == "worse"
+
+
+def test_fresh_reads_the_child_peak_rss(tmp_path):
+    # a child's ru_maxrss starts from its parent's footprint, so the
+    # parent here is a fresh interpreter that, like pairs.py, holds
+    # neither numpy nor scipy: a child holding 64 MB at once peaks
+    # above it, and a bare one stays far below
+    code = (f"import json, os, sys\nsys.path.insert(0, {str(_PAIRS.parent)!r})"
+            "\nimport pairs\nhold = 'b = bytearray(64 * 2 ** 20); "
+            "b[::4096] = b\"x\" * len(b[::4096])'\n"
+            "print(json.dumps([pairs.fresh(['-c', c], '.', dict(os.environ))"
+            " for c in (hold, 'pass')]))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    (code, wall, rss), (_, _, bare) = json.loads(out)
+    assert code == 0 and wall > 0.0
+    assert 64.0 < rss < 64.0 + 64.0
+    assert bare < 32.0
+    assert pairs.fresh(["-c", "raise SystemExit(3)"], tmp_path,
+                       dict(os.environ))[0] == 3
+
+
+def test_walls_record_each_run_peak_rss_beside_its_wall(monkeypatch):
+    seen = iter(range(1, 100))
+
+    def fake(args, cwd, env):
+        k = next(seen)
+        return 0, 0.1 * k, 10.0 * k
+
+    monkeypatch.setattr(pairs, "fresh", fake)
+    out = pairs.walls({"before": "b", "after": "a"}, 3)
+    assert list(out) == ["import bubblelab.cli", "verify-integrals",
+                         "verify-bubble", "verify-hyperbolic", "corrector",
+                         "locate"]
+    for runs in out.values():
+        for side in ("before", "after"):
+            assert len(runs[side]) == len(runs[f"{side}_rss_mb"]) == 3
+            # each peak belongs to the run of the same index
+            assert runs[f"{side}_rss_mb"] == pytest.approx(
+                [100.0 * w for w in runs[side]])
+            assert runs[f"{side}_median"] == sorted(runs[side])[1]
+            assert runs[f"{side}_rss_mb_median"] == \
+                sorted(runs[f"{side}_rss_mb"])[1]
+    # the first round runs the before side first, the second the after
+    first = out["import bubblelab.cli"]
+    assert first["before"][0] < first["after"][0]
+    assert first["after"][1] < first["before"][1]
+    monkeypatch.setattr(pairs, "fresh", lambda args, cwd, env: (1, 0.1, 1.0))
+    with pytest.raises(RuntimeError, match="import bubblelab.cli on the "
+                                           "before side exited 1"):
+        pairs.walls({"before": "b", "after": "a"}, 1)
