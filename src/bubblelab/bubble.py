@@ -205,14 +205,6 @@ def jacobi(b, i, x):
     return 0.5 * (n - 2.0) * b.C * phi * wv ** (-s)
 
 
-def jacobi_alt_n(b, x):
-    """Equivalent form of the radial kernel element:
-    (2-n)/2 U - sum_a x_a dU/dx_a."""
-    x = np.asarray(x, dtype=float)
-    n = b.n
-    return 0.5 * (2.0 - n) * b.U(x) - np.sum(x * b.grad_U(x), axis=-1)
-
-
 def jacobi_grad(b, i, x):
     x = np.asarray(x, dtype=float)
     n = b.n

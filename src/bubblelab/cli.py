@@ -637,10 +637,14 @@ def _parse_samples(cfg, need_h):
     if not cfg["samples"]:
         raise ConfigError("locate needs a non-empty 'samples' list")
     out = []
+    labels = set()
     for i, entry in enumerate(cfg["samples"]):
         if type(entry) is not dict or "label" not in entry:
             raise ConfigError(f"sample {i} must be an object with a label")
         where = f"sample {entry['label']!r}: "
+        if str(entry["label"]) in labels:
+            raise ConfigError(f"{where}the label repeats an earlier sample's")
+        labels.add(str(entry["label"]))
         unknown = sorted(set(entry) - {"label", "coords", "gamma", "H"})
         if unknown:
             raise ConfigError(f"{where}unknown keys: {', '.join(unknown)}")

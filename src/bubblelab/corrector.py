@@ -634,14 +634,7 @@ class CorrectorSolution:
 
     def angular_gram(self):
         """Gram matrix G[a, b] = int P_a P_b dtheta over the mode list."""
-        m = self.pt.n - 1
-        nodes, w = geom.sphere_rule(m)
-        vals = [mode.angular(nodes) for mode in self.modes]
-        G = np.empty((len(self.modes), len(self.modes)))
-        for a, va in enumerate(vals):
-            for bb, vb in enumerate(vals):
-                G[a, bb] = float(w @ (va * vb))
-        return G
+        return geom.sphere_pairings(self.modes, self.modes, self.pt.n - 1)
 
     def forcing_pairing(self):
         """int E_p V_p over the half-space through the modal Gram matrix.
@@ -691,9 +684,11 @@ def solve_corrector(frame, pt, gs):
     """Decompose the forcing and solve each mode on the grid ``gs``."""
     gg = grid_geometry(gs, pt.n)
     r, xn = gg["r"], gg["xn"]
+    b = Bubble(pt)
     solved = []
-    for fm in decompose_forcing(frame, Bubble(pt)):
-        evals = np.asarray(fm.profile(r[:, None], xn[None, :]), dtype=float)
+    for fm in decompose_forcing(frame, b):
+        evals = np.asarray(geom.radial_profile(fm.radial, b)(
+            r[:, None], xn[None, :]), dtype=float)
         psi, info = solve_mode(pt, fm.degree, evals, gs)
         solved.append(SolvedMode(degree=fm.degree, weight=fm.weight,
                                  label=fm.label, e=evals, psi=psi, info=info))
@@ -732,6 +727,8 @@ def corrector_diagnostics(sol):
     nodes, wq = geom.sphere_rule(n - 1)
     checks = []
     diag = {}
+    # rows that hold by structure when there is nothing to solve
+    no_mode = "" if sol.modes else "vacuous: no forcing mode"
 
     G = sol.angular_gram()
     psis = [mode.psi for mode in sol.modes]
@@ -740,28 +737,29 @@ def corrector_diagnostics(sol):
 
     # (i) orthogonality to the kernel, each j_i from its separable record.
     # j_1 .. j_{n-1} share one radial record: each distinct record's grid
-    # profile and its sums are made once, and only the angular factor is
-    # taken per j_i
-    mode_angular = [mode.angular(nodes) for mode in sol.modes]
+    # profile and its sums are made once.  One sphere-rule call pairs the
+    # modes, then the j_i themselves, with every j_i
+    jterms = [geom.jacobi_terms(b, i)[0] for i in range(1, n + 1)]
+    ang = geom.sphere_pairings([*sol.modes, *jterms], jterms, n - 1)
+    j_mode = ang[:len(sol.modes)].T.tolist()    # j_i with each mode
+    j_j = ang[len(sol.modes):].diagonal().tolist()
     profiles = {}   # radial record -> (j, sum(W psi j) per mode, sum(W j j))
     worst = 0.0
-    for i in range(1, n + 1):
-        (term,) = geom.jacobi_terms(b, i)
+    for i, term in enumerate(jterms, start=1):
         if term.radial not in profiles:
             ji = geom.radial_profile(term.radial, b)(r[:, None], xn[None, :])
             profiles[term.radial] = (
                 ji, [float(np.sum(W * mode.psi * ji)) for mode in sol.modes],
                 float(np.sum(W * ji * ji)))
         ji, psi_sums, jj = profiles[term.radial]
-        ang_j = term.angular(nodes)
-        total = sum((float(wq @ (P * ang_j)) * s
-                     for P, s in zip(mode_angular, psi_sums)), 0.0)
-        scale = vnorm * math.sqrt(float(wq @ (ang_j * ang_j)) * jj)
+        total = sum((p * s for p, s in zip(j_mode[i - 1], psi_sums)), 0.0)
+        scale = vnorm * math.sqrt(j_j[i - 1] * jj)
         defect = abs(total) / scale if scale > 0 else 0.0
         diag[f"orthogonality_j{i}"] = total
         worst = max(worst, defect)
     jn = ji     # the loop ends on j_n, the degree-0 border
-    checks.append(Check("kernel orthogonality", worst <= 1e-10, worst, 1e-10))
+    checks.append(Check("kernel orthogonality", worst <= 1e-10, worst, 1e-10,
+                        detail=no_mode))
 
     # (ii) decay envelope and fitted exponent
     if sol.modes:
@@ -799,7 +797,7 @@ def corrector_diagnostics(sol):
     else:
         diag["decay_exponent"] = 0.0
         checks.append(Check("decay envelope (1+|x|)^{4-n}", True, 0.0,
-                            1.05, detail="zero corrector"))
+                            1.05, detail=no_mode))
 
     # (iii) interior mass balances boundary mass
     uq = b.U_rx(r[:, None], xn[None, :]) ** (crit_interior(n) - 1.0)
@@ -808,13 +806,12 @@ def corrector_diagnostics(sol):
                                                       gg["s"][1] - gg["s"][0])
     lhs = rhs = 0.0
     averaged = False
-    for mode in sol.modes:
-        P = mode.angular(nodes)
-        ang = float(wq @ P)
-        lhs += ang * abs(pt.K) * float(np.sum(W * uq * mode.psi))
-        rhs += ang * (n - 1.0) * pt.H * float(np.sum(wr_line * ub
-                                                     * mode.psi[:, 0]))
-        averaged |= abs(ang) > 1e-12 * float(wq @ np.abs(P))
+    # j_n's angular factor is 1: its column is each mode's angular average
+    for mode, mean in zip(sol.modes, j_mode[-1]):
+        lhs += mean * abs(pt.K) * float(np.sum(W * uq * mode.psi))
+        rhs += mean * (n - 1.0) * pt.H * float(np.sum(wr_line * ub
+                                                      * mode.psi[:, 0]))
+        averaged |= abs(mean) > 1e-12 * float(wq @ np.abs(mode.angular(nodes)))
     # when every mode's angular average is roundoff (pure degree-2
     # forcing) both sides are roundoff too; the identity is then vacuous
     # and reported as a zero defect
@@ -836,7 +833,7 @@ def corrector_diagnostics(sol):
     solved = [np.where(equation, mode.e - mode.info["multiplier"] * jn
                        if mode.degree == 0 else mode.e, 0.0)
               for mode in sol.modes]
-    pairing = _pairing(G, W, es, psis)
+    pairing = sol.forcing_pairing()
     qform = _pairing(G, W, solved, psis)
     rim = _pairing(G, W, [np.where(equation, 0.0, e) for e in es], psis)
     enorm = math.sqrt(max(_pairing(G, W, es, es), 0.0))
@@ -854,7 +851,7 @@ def corrector_diagnostics(sol):
     positive = qform >= -1e-6 * scale4
     checks.append(Check("quadratic form nonnegative", positive,
                         qform / scale4, 1e-6,
-                        detail=f"int E_p V_p = {pairing:.6e}"))
+                        detail=no_mode or f"int E_p V_p = {pairing:.6e}"))
 
     # (v) the independent route: fourth-order stencils on each solved
     # equation, away from the second-order scheme's truncation error

@@ -39,14 +39,17 @@ family, whose values are bit for bit those of one call per pair.
 `route_gap` compares the two routes on the five self-pairs of the
 radial records in one such call.  `decompose_forcing` splits the
 forcing into the angular modes that the corrector's grid and the
-whole-domain route of `spectral` solve, each mode with its radial
-record and pointwise profile; it needs numpy alone, so `locate` reaches
-it without the sparse solver.
+whole-domain route of `spectral` solve, each mode a record whose
+profile is its radial monomials (`radial_profile` evaluates them); it
+needs numpy alone, so `locate` reaches it without the sparse solver.
 
 Angular integrals of tensor contractions use one fully symmetric
 sphere rule (`sphere_rule`), fitted to the closed-form sphere moments
 and exact to degree 7, so "the integral vanishes" is always a measured
-statement about a quadrature, never an assumption.
+statement about a quadrature, never an assumption.  `sphere_pairings`
+is the one sphere-rule pairing of two lists of angular factors: the
+moment and quadrature routes here, and the angular Gram matrix of both
+modal routes, read it.
 """
 from __future__ import annotations
 
@@ -75,6 +78,7 @@ __all__ = [
     "forcing_terms",
     "jacobi_terms",
     "radial_profile",
+    "sphere_pairings",
     "paired_moments",
     "paired_halfspace",
     "forcing_norm",
@@ -297,10 +301,23 @@ def radial_profile(radial, b):
     return profile
 
 
-def _angular_factors(terms, nodes):
-    """Each distinct record's angular factor on the sphere nodes, once."""
-    return {t: np.asarray(t.angular(nodes), dtype=float)
-            for t in dict.fromkeys(terms)}
+def sphere_pairings(left, right, m):
+    """Sphere-rule pairings G[a, b] = sum_q w_q A_a(theta_q) B_b(theta_q).
+
+    ``left`` and ``right`` list records whose ``angular`` maps a (q, m)
+    array of `sphere_rule` nodes to q values: `Term`s, `ForcingMode`s or
+    the corrector's solved modes.  Each distinct record is evaluated
+    once, keyed by identity, since a mode's weight is an array and a
+    mode does not hash.  Returns the (len(left), len(right)) array.
+    """
+    nodes, weights = sphere_rule(m)
+    values = {}
+    for rec in (*left, *right):
+        if id(rec) not in values:
+            values[id(rec)] = np.asarray(rec.angular(nodes), dtype=float)
+    return np.array([[float(weights @ (values[id(a)] * values[id(b)]))
+                      for b in right] for a in left]) \
+        .reshape(len(left), len(right))
 
 
 def paired_moments(terms_a, terms_b, table):
@@ -311,12 +328,10 @@ def paired_moments(terms_a, terms_b, table):
     moment of ``table`` (a closed-form Beta moment times a closed-form
     tail), divided by the sphere area the angular rule carries.
     """
-    nodes, weights = sphere_rule(table.n - 1)
-    values = _angular_factors([*terms_a, *terms_b], nodes)
+    angular = sphere_pairings(terms_a, terms_b, table.n - 1)
     total = 0.0
-    for ta in terms_a:
-        for tb in terms_b:
-            ang = float(weights @ (values[ta] * values[tb]))
+    for ta, row in zip(terms_a, angular):
+        for tb, ang in zip(terms_b, row.tolist()):
             radial = sum(ca * cb * table.halfspace_moment(aa + ab, pa + pb,
                                                           ma + mb)
                          for ca, aa, pa, ma in ta.radial
@@ -343,9 +358,8 @@ def paired_halfspace(pairs, b):
     form with the moment route, which calls no quadrature.
     """
     n = b.n
-    nodes, weights = sphere_rule(n - 1)
-    values = _angular_factors([t for pair in pairs for t in pair], nodes)
-    angular = [float(weights @ (values[ta] * values[tb])) for ta, tb in pairs]
+    left, right = [ta for ta, _ in pairs], [tb for _, tb in pairs]
+    angular = sphere_pairings(left, right, n - 1).diagonal().tolist()
     live = [pair for pair, ang in zip(pairs, angular) if ang != 0.0]
 
     def F(r, xn, which):
@@ -378,18 +392,16 @@ def jacobi_norm(b, s):
     return math.sqrt(max(paired_moments(js, js, b.pt.moments), 0.0))
 
 
-def integral_Ep_jacobi(frame, b, s, ep_norm=None):
+def integral_Ep_jacobi(frame, b, s, ep_norm):
     """(value, scale) of int E_p j_s over the half-space.
 
-    scale = ||E_p||_L2 * ||j_s||_L2; the orthogonality statement is
-    |value| <= tol * scale.  A precomputed ||E_p|| may be passed in when
-    sweeping many kernel elements against one frame; the sweep shares
+    scale = ||E_p||_L2 * ||j_s||_L2, with ``ep_norm`` = `forcing_norm`
+    computed once for a sweep of kernel elements against one frame; the
+    orthogonality statement is |value| <= tol * scale.  The sweep shares
     the moments of its point, ``b.pt.moments``.
     """
     value = paired_moments(forcing_terms(frame, b), jacobi_terms(b, s),
                            b.pt.moments)
-    if ep_norm is None:
-        ep_norm = forcing_norm(frame, b)
     return value, ep_norm * jacobi_norm(b, s)
 
 
@@ -421,14 +433,13 @@ class ForcingMode(NamedTuple):
 
     degree 0 carries a scalar weight with P = 1; degree 2 carries a
     symmetric trace-free matrix weight with P(theta) = <W theta, theta>.
-    ``radial`` holds the monomials (coef, a, b, m) of e, as in `Term`:
-    ``profile`` evaluates them pointwise, and a route that needs e's
-    far field reads its powers there.
+    ``radial`` holds the monomials (coef, a, b, m) of e, as in `Term`,
+    and is the profile's one representation: `radial_profile` evaluates
+    it pointwise, and a route that needs e's far field reads its powers.
     """
 
     degree: int
     weight: object
-    profile: object            # callable (r, x_n) -> value, broadcasting
     label: str
     radial: tuple
 
@@ -467,25 +478,18 @@ def decompose_forcing(frame, b):
     # the records' angular factors are <Ric theta, theta>/3, tr Q and
     # <Q theta, theta>; the split below takes their traces apart
     records = [t.radial for t in forcing_terms(frame, b)]
-    e_ric, e_trace, e_normal = (radial_profile(rec, b) for rec in records)
 
     modes = []
     if abs(mean_ric) + abs(trQ) > cutoff:
-        def e0(r, xn, mr=mean_ric, tq=trQ):
-            return mr / 3.0 * e_ric(r, xn) + tq * e_trace(r, xn) \
-                + tq / m * e_normal(r, xn)
-
         radial0 = tuple((f * c, a, p, k)
                         for f, rec in zip((mean_ric / 3.0, trQ, trQ / m),
                                           records)
                         for c, a, p, k in rec)
-        modes.append(ForcingMode(0, 1.0, e0, "trace", radial0))
+        modes.append(ForcingMode(0, 1.0, "trace", radial0))
     if float(np.max(np.abs(ric0), initial=0.0)) > cutoff:
-        modes.append(ForcingMode(2, ric0 / 3.0, e_ric, "boundary-ricci",
-                                 records[0]))
+        modes.append(ForcingMode(2, ric0 / 3.0, "boundary-ricci", records[0]))
     if float(np.max(np.abs(Q0), initial=0.0)) > cutoff:
-        modes.append(ForcingMode(2, Q0.copy(), e_normal, "normal-block",
-                                 records[2]))
+        modes.append(ForcingMode(2, Q0.copy(), "normal-block", records[2]))
 
     if scale == 0.0:
         return modes            # empty
@@ -511,7 +515,8 @@ def decompose_forcing(frame, b):
     x[:, -1] = np.abs(x[:, -1])
     r = np.linalg.norm(x[:, :-1], axis=-1)
     theta = x[:, :-1] / r[:, None]
-    rec = sum(mode.angular(theta) * mode.profile(r, x[:, -1])
+    rec = sum(mode.angular(theta)
+              * radial_profile(mode.radial, b)(r, x[:, -1])
               for mode in modes)
     ep = forcing_Ep(frame, b, x)
     worst = np.max(np.abs(rec - ep))

@@ -48,9 +48,10 @@ f = rho^2 e / g and h = g^2 rho^{n-3} rho_s =
 2 L^{n-2} (2(1+s^2))^{4-n} (1+s)^{n-3} (1-s)^{n-7}, finite at s = 1
 for n >= 7.
 
-The route shares only problem data with the grid: the profiles of
-`geom.decompose_forcing` (`geom.radial_profile`), with their records,
-and the bubble's `w_rx` and `U_rx`.  It solves at the two resolutions
+The route shares only problem data with the grid: the mode records of
+`geom.decompose_forcing`, whose radial monomials `geom.radial_profile`
+evaluates, their angular Gram matrix from `geom.sphere_pairings`, and
+the bubble's `w_rx` and `U_rx`.  It solves at the two resolutions
 of LEVELS, each level one dense `np.linalg.solve` per mode, and
 reports the finer one.  NonConvergence is raised when a solve's
 normwise backward error exceeds 1e-12 (the grid's bound) or when the
@@ -183,7 +184,8 @@ def _level(b, mode, N):
     A4[i[:, None], i, i[:, None], i] += pot
     g_fin = (2.0 * (1.0 + s[fin] * s[fin]) / (1.0 - s[fin]) ** 2) ** kk
     f = np.empty((M, M))
-    f[fin] = rho[fin, None] ** 2 * mode.profile(R, X) / g_fin[:, None]
+    e = geom.radial_profile(mode.radial, b)(R, X)
+    f[fin] = rho[fin, None] ** 2 * e / g_fin[:, None]
     f[0] = _far_field(mode, n, L, theta)
     rhs = f.copy()
 
@@ -286,10 +288,7 @@ def solve_pairing(frame, pt):
             raise DomainError(
                 f"degree-{mode.degree} mode {mode.label!r}: the whole-domain "
                 "route solves degrees >= 1 only (no bordered kernel solve)")
-    nodes, wq = geom.sphere_rule(n - 1)
-    ang = [mode.angular(nodes) for mode in modes]
-    gram = np.array([[float(wq @ (pa * pb)) for pb in ang] for pa in ang]) \
-        .reshape(len(modes), len(modes))
+    gram = geom.sphere_pairings(modes, modes, n - 1)
     radial = []
     berrs = []
     for N in LEVELS:

@@ -254,6 +254,10 @@ _REJECTED = {
                       None, "coords"),
     "sample-typo": ("locate", {"samples": [dict(_SAMPLE, gama=1.5)]},
                     None, "unknown keys: gama"),
+    "sample-label-repeated": ("locate", {"samples": [
+        {"label": "p", "gamma": 1.5},
+        {"label": "p", "coords": [1.0], "gamma": 1.5}]},
+        None, "the label repeats"),
     "sample-H-kind": ("locate", {"case": "non-constants",
                                  "samples": [dict(_SAMPLE, H="x")]},
                       None, "H"),
@@ -366,7 +370,9 @@ _VALUES = {
                       st.just(0.0),
                       st.floats(-3.0, 51.0).map(lambda e: 10.0 ** e))}),
     "case": st.sampled_from(["constants", "non-constants"]),
-    "samples": st.lists(_SAMPLE_ENTRY, min_size=1, max_size=3),
+    # repeated labels are refused at parse; the table above covers that
+    "samples": st.lists(_SAMPLE_ENTRY, min_size=1, max_size=3,
+                        unique_by=lambda entry: str(entry["label"])),
     "hessH": st.sampled_from(["identity", [[1.0]]]),
     "hessK": st.sampled_from(["identity", [[1.0]]]),
 }
@@ -477,7 +483,7 @@ def test_verify_hyperbolic_emits_variant_table(tmp_path):
                                            ["standard", "phi1-plain"]]
 
 
-def test_corrector_zero_frame(tmp_path):
+def test_corrector_zero_frame(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"frame": "zero", "grid": {"nr": 32, "nxn": 32}})
     out = tmp_path / "out"
@@ -485,6 +491,19 @@ def test_corrector_zero_frame(tmp_path):
     doc = json.loads((out / "diagnostics.json").read_text())
     assert doc["all_passed"] and doc["modes"] == []
     assert (out / "corrector.json").exists()
+    # with no mode every row holds by structure, and says so
+    lines = capsys.readouterr().out.splitlines()
+    no_mode = ("kernel orthogonality", "decay envelope (1+|x|)^{4-n}",
+               "quadratic form nonnegative")
+    for name in no_mode:
+        (line,) = [line for line in lines if f"] {name}:" in line]
+        assert line.startswith(f"[vacuous] {name}:"), line
+        assert line.endswith(": vacuous: no forcing mode"), line
+    assert not [line for line in lines if line.startswith("[pass] ")]
+    rows = {r["name"]: r for r in doc["checks"]}
+    assert [(rows[name]["passed"], rows[name]["value"], rows[name]["bound"])
+            for name in no_mode] == [
+        (True, 0.0, 1e-10), (True, 0.0, 1.05), (True, 0.0, 1e-6)]
 
 
 def test_corrector_random_frame_deterministic(tmp_path):

@@ -579,7 +579,8 @@ def test_decompose_forcing_reconstructs(pt8, frame8, rng):
         x[-1] = abs(x[-1])
         r = float(np.linalg.norm(x[:-1]))
         theta = (x[:-1] / r)[None, :]
-        recon = sum(float(fm.angular(theta)[0]) * float(fm.profile(r, x[-1]))
+        recon = sum(float(fm.angular(theta)[0])
+                    * float(geom.radial_profile(fm.radial, b)(r, x[-1]))
                     for fm in modes)
         assert recon == pytest.approx(geom.forcing_Ep(frame8, b, x),
                                       rel=1e-10, abs=1e-13)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bubblelab import corrector, geom, reduced, spectral
-from bubblelab.bubble import Bubble
 from bubblelab.errors import DomainError, NonConvergence
 from bubblelab.model import CurvatureFrame, ProblemPoint
 
@@ -84,18 +83,25 @@ def _off_gauge_frame():
         normal_block=Q + Q.T)
 
 
-def test_every_mode_carries_the_monomials_of_its_profile():
-    # the far-field row reads a mode's monomials, the nodes its profile
-    b = Bubble(_point(8, 2.0))
-    modes = geom.decompose_forcing(_off_gauge_frame(), b)
-    assert [m.label for m in modes] == ["trace", "boundary-ricci",
-                                        "normal-block"]
-    r, xn = np.meshgrid(np.geomspace(1e-3, 1e3, 13),
-                        np.geomspace(1e-3, 1e3, 11))
-    for mode in modes:
-        np.testing.assert_allclose(
-            geom.radial_profile(mode.radial, b)(r, xn), mode.profile(r, xn),
-            rtol=1e-13, atol=0.0)
+def test_both_routes_take_one_angular_gram():
+    # a trace-free Ricci beside a trace-free Q: two degree-2 modes that
+    # overlap on the sphere, and no degree-0 mode
+    rng = np.random.default_rng(5)
+    m = 7
+    h = rng.normal(size=(m, m))
+    h = h + h.T - 2.0 * np.trace(h) / m * np.eye(m)
+    Q = rng.normal(size=(m, m))
+    Q = Q + Q.T - 2.0 * np.trace(Q) / m * np.eye(m)
+    frame = CurvatureFrame(riem_boundary=geom.kulkarni_nomizu(h, np.eye(m)),
+                           normal_block=Q)
+    pt = _point(8, 2.0)
+    grid = corrector.solve_corrector(frame, pt,
+                                     corrector.GridSpec(nr=48, nxn=48))
+    whole = spectral.solve_pairing(frame, pt)
+    assert [mode.label for mode in whole.modes] == ["boundary-ricci",
+                                                    "normal-block"]
+    assert whole.gram[0, 1] != 0.0
+    assert np.array_equal(grid.angular_gram(), whole.gram)
 
 
 def test_degree0_mode_is_refused():
