@@ -18,8 +18,9 @@ against BENCHMARK.json's bound (see `verdict`).  ``--walls N`` adds N
 alternating rounds of fresh-process walls and peak RSS per side: a
 bare ``import bubblelab.cli`` and each CLI command at its defaults,
 except that ``corrector`` runs a random frame (seed 11) so that it
-solves a mode on the default 400^2 grid, and ``locate`` runs the README
-example.
+solves a mode, on the default 400^2 grid and again ("corrector 800^2")
+on the largest grid MAX_GRID_CELLS admits, and ``locate`` runs the
+README example.
 """
 import argparse
 import json
@@ -39,6 +40,11 @@ README_LOCATE = {"n": 8, "K": -56.0, "H": 2.0, "case": "constants",
                              {"label": "p1", "coords": [1.0], "gamma": 1.5}]}
 # the zero frame has no mode: a default corrector run would solve nothing
 CORRECTOR = {"frame": "random", "seed": 11}
+# each config-taking wall: its name, the CLI command and the config
+CONFIGURED = (("corrector", "corrector", CORRECTOR),
+              ("corrector 800^2", "corrector",
+               {**CORRECTOR, "grid": {"nr": 800, "nxn": 800}}),
+              ("locate", "locate", README_LOCATE))
 
 
 def run(root, workload, seed, seconds, trace):
@@ -82,16 +88,16 @@ def walls(sides, rounds):
     alternating; each side's runs under its name ("before", "after"),
     its peaks under "<side>_rss_mb", and the medians of both."""
     with tempfile.TemporaryDirectory() as work:
+        out_dir = os.path.join(work, "out")
         commands = {"import bubblelab.cli": ["-c", "import bubblelab.cli"]}
-        for cmd in ("verify-integrals", "verify-bubble", "verify-hyperbolic",
-                    "corrector", "locate"):
-            commands[cmd] = ["-m", "bubblelab.cli", cmd, "--out",
-                             os.path.join(work, "out")]
-        for cmd, doc in (("corrector", CORRECTOR), ("locate", README_LOCATE)):
-            config = os.path.join(work, f"{cmd}.json")
+        for cmd in ("verify-integrals", "verify-bubble", "verify-hyperbolic"):
+            commands[cmd] = ["-m", "bubblelab.cli", cmd, "--out", out_dir]
+        for k, (name, cmd, doc) in enumerate(CONFIGURED):
+            config = os.path.join(work, f"config{k}.json")
             with open(config, "w") as fh:
                 json.dump(doc, fh)
-            commands[cmd] += ["--config", config]
+            commands[name] = ["-m", "bubblelab.cli", cmd, "--out", out_dir,
+                              "--config", config]
         out = {name: {key: [] for key in ("before", "after", "before_rss_mb",
                                           "after_rss_mb")}
                for name in commands}

@@ -27,15 +27,18 @@ and the conditioning gate measures the bordered matrix through the
 same LU against the exact 1-norm of the equilibrated operator.
 
 The LU takes the grid nodes in their geometric nested-dissection order
-(George 1973), which a tensor grid gives without an ordering search,
-and keeps the diagonal pivots of that order: every assembled row has a
-nonzero diagonal.  Nothing then bounds element growth, so each solve
+(George 1973), which a tensor grid gives without an ordering search:
+blocks are cut down to leaves of 4 nodes, and each block shape's order
+is built once, from the orders of its two halves.  The LU keeps the
+diagonal pivots of that order: every assembled row has a nonzero
+diagonal.  Nothing then bounds element growth, so each solve
 measures the normwise backward error of the solution it returns and
 raises NonConvergence above 1e-12 (Li and Demmel, ACM TOMS 29, 2003,
 certify static pivoting the same way).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -186,11 +189,17 @@ def _assemble(pt, degree, gs):
     return A, interior
 
 
-# leaves of at most this many nodes keep row-major order.  At 400^2,
-# degree 2, leaves of 16, 32, 64 and 256 nodes factor in 0.98, 1.05,
-# 1.10 and 1.30 s with 13.3M, 13.8M, 15.0M and 17.5M nonzeros in L + U
-# (COLAMD: 2.13 s, 21.1M); the order itself takes 16 ms at 32 nodes
-_LEAF_NODES = 32
+# leaves of at most this many nodes keep row-major order.  The 400^2
+# degree-2 factor, fresh processes on 2 cores, BLAS at 1 thread,
+# medians of 5 rounds:
+#
+#     leaf nodes         2       4       8      16      32      64
+#     L + U nonzeros  12.80M  12.80M  12.84M  13.29M  13.81M  14.99M
+#     factor (s)       0.519   0.515   0.519   0.532   0.544   0.610
+#
+# (COLAMD: 21.1M).  _dissection builds each block shape's order once,
+# so small leaves cost little order time: 4 ms at 401^2
+_LEAF_NODES = 4
 
 # columns per SuperLU panel.  Beside L and U the panel update keeps
 # work arrays of about 2 panel n integers and panel n doubles (Demmel et
@@ -213,24 +222,26 @@ def _dissection(rows, cols):
     _LEAF_NODES nodes stay in row-major order.  The one-sided boundary
     rows reach two nodes inward, so a cut next to the edge may leak
     fill across it: that costs fill, never accuracy.
+
+    A half's order is the order of its own shape read through its node
+    numbers, so each shape is built once per call; a grid has a few
+    shapes per level of the cut tree.
     """
-    out = []
-
-    def order(block):
-        h, w = block.shape
+    @functools.cache
+    def order(h, w):
+        node = np.arange(h * w).reshape(h, w)
         if h * w <= _LEAF_NODES:
-            out.append(block.ravel())
-        elif h >= w:
-            order(block[:h // 2])
-            order(block[h // 2 + 1:])
-            out.append(block[h // 2])
+            return node.ravel()
+        if h >= w:
+            m = h // 2
+            first, second, cut = node[:m], node[m + 1:], node[m]
         else:
-            order(block[:, :w // 2])
-            order(block[:, w // 2 + 1:])
-            out.append(block[:, w // 2])
+            m = w // 2
+            first, second, cut = node[:, :m], node[:, m + 1:], node[:, m]
+        return np.concatenate([first.ravel()[order(*first.shape)],
+                               second.ravel()[order(*second.shape)], cut])
 
-    order(np.arange(rows * cols).reshape(rows, cols))
-    return np.concatenate(out)
+    return order(rows, cols)
 
 
 class _DissectedLU:
@@ -263,9 +274,11 @@ class _DissectedLU:
 
 
 # bound on the backward error of a modal solve.  Measured at most
-# 1.7e-16 over n in {8, 10, 12}, D in {1 + 1e-6, 1.01, 2, 4, 30, 1e3,
-# 1e8, 1e12}, 16^2, 100^2 and 400^2 grids and degrees 0, 2 and 4; a
-# solve whose results carry a relative error of 1e-8 reads 1.2e-9.
+# 1.3e-16 over n in {8, 10, 12}, D in {1 + 1e-6, 1.01, 2, 4, 30, 1e3,
+# 1e8, 1e12}, 16^2, 100^2 and 400^2 grids and degrees 0, 2 and 4, with
+# forcing r^degree exp(-(r^2 + x_n^2) / 4) (1.7e-16 with 32-node
+# dissection leaves); a solve whose results carry a relative error of
+# 1e-8 reads 1.2e-9.
 _BACKWARD_ERROR_MAX = 1e-12
 
 
@@ -501,7 +514,8 @@ def solve_mode(pt, degree, forcing, gs):
         row = gg["W"].ravel() * jn
         # the gate's row equilibration of the bordered matrix
         row_sq = np.empty(rhs.size)
-        row_sq[p] = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+        row_sq[p] = np.bincount(A.indices, weights=A.data ** 2,
+                                minlength=rhs.size)
         d = 1.0 / np.sqrt(row_sq + col ** 2)
         bordered = _BorderedLU(lu, col, row / np.linalg.norm(row), d)
         sol, mu = bordered.border_solve(rhs, 0.0)
@@ -521,8 +535,8 @@ def solve_mode(pt, degree, forcing, gs):
     # scale follows 1 / |j_n|, which spans about 150 decades over the
     # valid (n, D); the border row is checked on its own.  A symmetric
     # permutation keeps the set of row sums, so ||A|| reads the copy as is
-    berr = _backward_error(solved - lu.matvec(sol), abs(A).sum(axis=1).max(),
-                           sol, solved)
+    norm = np.bincount(A.indices, weights=np.abs(A.data)).max()
+    berr = _backward_error(solved - lu.matvec(sol), norm, sol, solved)
     if degree == 0:
         berr = max(berr, _backward_error(bordered.r @ sol,
                                          np.abs(bordered.r).sum(), sol, 0.0))
@@ -531,8 +545,10 @@ def solve_mode(pt, degree, forcing, gs):
             f"degree-{degree} solve has backward error {berr:.3e} above "
             f"{_BACKWARD_ERROR_MAX:g}")
     if degree == 0:
-        # and the set of column sums of diag(d) A
-        base_norm = float(abs(sp.diags(d[p]) @ A).sum(axis=0).max())
+        # and the set of column sums of diag(d) A; every column holds
+        # its diagonal, so no segment of indptr is empty
+        base_norm = float(np.add.reduceat(np.abs(A.data) * d[p][A.indices],
+                                          A.indptr[:-1]).max())
         kernel = np.append(jn / np.linalg.norm(jn), 0.0)
         info.update(_conditioning_check(bordered, base_norm, kernel))
     return sol.reshape(interior.shape), info

@@ -93,7 +93,7 @@ class ProblemPoint:
 
 
 # a random-frame corrector run, in a fresh process with BLAS at 1
-# thread, peaks at 248 MB on 400^2 cells and 892 MB on 800^2
+# thread, peaks at 234 MB on 400^2 cells and 837 MB on 800^2
 MAX_GRID_CELLS = 800 ** 2
 # the corrector takes the grid's lengths to powers up to
 # r_max^n (1 + stretch)^3: its area weights hold r^{n-2} rs ts, with

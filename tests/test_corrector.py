@@ -236,8 +236,12 @@ def test_assembled_operator_inverts_the_solve(pt8):
     assert np.max(np.abs(out - e)[interior]) <= 1e-12 * np.max(np.abs(e))
 
 
-@pytest.mark.parametrize("rows, cols", [(16, 16), (24, 20), (40, 56),
-                                        (401, 401)])
+# the strips are the longest sides MAX_GRID_CELLS admits
+DISSECTED_SHAPES = [(16, 16), (24, 20), (40, 56), (401, 401), (17, 40001),
+                    (40001, 17)]
+
+
+@pytest.mark.parametrize("rows, cols", DISSECTED_SHAPES)
 def test_dissection_is_a_permutation_of_the_nodes(rows, cols):
     p = corrector._dissection(rows, cols)
     assert np.array_equal(np.sort(p), np.arange(rows * cols))
@@ -245,6 +249,46 @@ def test_dissection_is_a_permutation_of_the_nodes(rows, cols):
     node = np.arange(rows * cols).reshape(rows, cols)
     last = node[rows // 2] if rows >= cols else node[:, cols // 2]
     assert np.array_equal(p[-last.size:], last)
+
+
+def _plain_dissection(rows, cols, leaf):
+    """Second route: the block recursion itself, each block cut in place."""
+    out = []
+
+    def order(block):
+        h, w = block.shape
+        if h * w <= leaf:
+            out.append(block.ravel())
+        elif h >= w:
+            order(block[:h // 2])
+            order(block[h // 2 + 1:])
+            out.append(block[h // 2])
+        else:
+            order(block[:, :w // 2])
+            order(block[:, w // 2 + 1:])
+            out.append(block[:, w // 2])
+
+    order(np.arange(rows * cols).reshape(rows, cols))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("rows, cols", DISSECTED_SHAPES)
+def test_dissection_matches_the_plain_block_recursion(rows, cols):
+    assert corrector._LEAF_NODES == 4
+    assert np.array_equal(corrector._dissection(rows, cols),
+                          _plain_dissection(rows, cols, 4))
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_dissection_order_keeps_the_fill_down(pt8, degree):
+    # 512,475 and 512,273 nonzeros in L + U with leaves of 4 nodes; 32-node
+    # leaves read 572,604 and 572,402
+    gs = corrector.GridSpec(nr=100, nxn=100)
+    A, _ = corrector._assemble(pt8, degree, gs)
+    p = corrector._dissection(gs.nr + 1, gs.nxn + 1)
+    lu = spla.splu(A[p][:, p].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0)
+    assert lu.L.nnz + lu.U.nnz < 530_000
 
 
 def _colamd_oracle(pt, degree, e, gs):

@@ -110,16 +110,20 @@ def test_fresh_reads_the_child_peak_rss(tmp_path):
 
 def test_walls_record_each_run_peak_rss_beside_its_wall(monkeypatch):
     seen = iter(range(1, 100))
+    configs = {}    # run k -> the config it read, if any
 
     def fake(args, cwd, env):
         k = next(seen)
+        if "--config" in args:
+            with open(args[args.index("--config") + 1]) as fh:
+                configs[k] = json.load(fh)
         return 0, 0.1 * k, 10.0 * k
 
     monkeypatch.setattr(pairs, "fresh", fake)
     out = pairs.walls({"before": "b", "after": "a"}, 3)
     assert list(out) == ["import bubblelab.cli", "verify-integrals",
                          "verify-bubble", "verify-hyperbolic", "corrector",
-                         "locate"]
+                         "corrector 800^2", "locate"]
     for runs in out.values():
         for side in ("before", "after"):
             assert len(runs[side]) == len(runs[f"{side}_rss_mb"]) == 3
@@ -129,6 +133,14 @@ def test_walls_record_each_run_peak_rss_beside_its_wall(monkeypatch):
             assert runs[f"{side}_median"] == sorted(runs[side])[1]
             assert runs[f"{side}_rss_mb_median"] == \
                 sorted(runs[f"{side}_rss_mb"])[1]
+    # both README peaks: the random frame on the default grid and on 800^2
+    for name, grid in (("corrector", None),
+                       ("corrector 800^2", {"nr": 800, "nxn": 800})):
+        for side in ("before", "after"):
+            for wall in out[name][side]:
+                doc = configs[round(wall / 0.1)]
+                assert doc.get("grid") == grid
+                assert (doc["frame"], doc["seed"]) == ("random", 11)
     # the first round runs the before side first, the second the after
     first = out["import bubblelab.cli"]
     assert first["before"][0] < first["after"][0]
