@@ -17,7 +17,9 @@ compared between the sides, and so is a ``console.txt`` holding its
 exit code and standard output (standard error is left out: Python's
 warnings name source paths, which differ between checkouts).  The
 script prints each file that differs or exists on one side only, and
-exits 1 if there is one, 0 if every file is byte-identical.  The two
+under a ``.json`` file on both sides the dotted key paths whose values
+differ or exist on one side only (``parameters.n``, ``checks.3.value``);
+it exits 1 if a file differs, 0 if every file is byte-identical.  The two
 trees are written to a temporary directory, which is removed when no
 file differs and otherwise kept, and named, for inspection.
 """
@@ -97,6 +99,48 @@ def differing_files(before, after):
     return sorted(out)
 
 
+_MISSING = object()
+
+
+def _child(doc, key):
+    if isinstance(doc, dict):
+        return doc.get(key, _MISSING)
+    return doc[key] if key < len(doc) else _MISSING
+
+
+def differing_keys(before, after, path=""):
+    """Dotted key paths at which two JSON documents differ.
+
+    A path differs when its values differ, also in kind (1 against
+    1.0), or when it exists in one document only; a list item's key is
+    its index.  Object keys are visited in sorted order.
+    """
+    if isinstance(before, (dict, list)) and type(before) is type(after):
+        keys = sorted(before.keys() | after.keys()) \
+            if isinstance(before, dict) else range(max(len(before),
+                                                       len(after)))
+        return [p for key in keys
+                for p in differing_keys(_child(before, key),
+                                        _child(after, key),
+                                        f"{path}.{key}" if path else str(key))]
+    if type(before) is type(after) and before == after:
+        return []
+    return [path or "(the whole document)"]
+
+
+def differing_file_keys(before, after, rel):
+    """differing_keys of the file ``rel`` in two trees, if it is a
+    ``.json`` file in both; otherwise no key path."""
+    sides = [os.path.join(top, rel) for top in (before, after)]
+    if not rel.endswith(".json") or not all(map(os.path.isfile, sides)):
+        return []
+    docs = []
+    for side in sides:
+        with open(side) as fh:
+            docs.append(json.load(fh))
+    return differing_keys(*docs)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--before", required=True)
@@ -109,6 +153,8 @@ def main(argv=None):
     diff = differing_files(trees["before"], trees["after"])
     for rel in diff:
         print(f"differs: {rel}")
+        for path in differing_file_keys(trees["before"], trees["after"], rel):
+            print(f"  key: {path}")
     compared = sum(len(names) for _, _, names in os.walk(trees["before"]))
     print(f"{len(diff)} of {compared} files differ")
     if not diff:

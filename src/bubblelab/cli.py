@@ -19,10 +19,6 @@ inside a `locate` sample, are refused, and so is a key that the chosen
 `locate` case never reads, unless it holds its default.  File paths
 inside it resolve relative to the config file's directory.  `--schema`
 prints that table for a subcommand, with its output formats, and exits.
-Tolerance semantics: computations always run at fixed internal
-precision; the optional `rel_tol` key only loosens pass thresholds
-(each identity row uses max(stated bound, rel_tol)), so raising it can
-never turn a passing run into a failing one.
 """
 
 import argparse
@@ -48,29 +44,24 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 
-# quadrature precision is fixed; config rel_tol only loosens pass bounds
 _QUAD_TOL = 1e-12
 
 # The one config schema: key -> (kind, default, doc).  It drives the
 # defaults, the kind checks and --schema.  Point bounds live in
 # model.validate_point and grid bounds in model.GridSpec, whose field
-# defaults are the grid defaults; the kinds "count" and "positive" carry
-# the bounds of the keys only the CLI reads.  A null value stands for
-# the default, and is accepted only where the default is null.
+# defaults are the grid defaults; the kind "count" carries the bound of
+# the one key only the CLI reads.  A null value stands for the default,
+# and is accepted only where the default is null.
 _KEYS = {
     "n": ("integer", 8, f"dimension, {SUPPORTED_MIN_DIMENSION} <= n <= "
           f"{MAX_DIMENSION} (from {OVERRIDE_MIN_DIMENSION} with "
-          "--override-dimension-gate)"),
+          "--override-dimension-gate, which locate refuses)"),
     "K": ("number", -56.0, "prescribed scalar curvature, < 0"),
     "H": ("number", 2.0, "prescribed boundary mean curvature; "
           "D = sqrt(n(n-1)) H / sqrt(|K|) must exceed 1"),
     "gamma": ("number", 1.0, "perturbation weight gamma(p), 0 < gamma "
               f"<= {MAX_GAMMA:g}"),
     "seed": ("count", 1871, "seed of every random draw"),
-    "rel_tol": ("positive", None, "pass-threshold floor; loosens identity "
-                "bounds, never tightens"),
-    "override_dimension_gate": ("boolean", False,
-                                "same effect as the CLI flag"),
     "out": ("string", None, "output directory, relative to the config "
             "file (the --out flag takes precedence)"),
     "frame": (("zero", "random"), "zero",
@@ -91,7 +82,8 @@ _KEYS = {
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
     "samples": ("array", None, "list of {label, coords, gamma} (constants) "
-                "or {label, coords, H[, gamma]} (non-constants)"),
+                "or {label, coords, H[, gamma]} (non-constants); a label "
+                "is a string or an integer"),
     "hessH": ("matrix", "identity", "(n-1)x(n-1) Hessian of H "
               "(non-constants case)"),
     "hessK": ("matrix", "identity", "n x n Hessian of K "
@@ -100,8 +92,7 @@ _KEYS = {
 # the keys a locate case never reads; they must keep their defaults
 _CASE_FOREIGN = {"constants": ("hessH", "hessK"),
                  "non-constants": ("frame", "frame_file")}
-_POINT_KEYS = ("n", "K", "H", "gamma", "seed", "rel_tol",
-               "override_dimension_gate", "out")
+_POINT_KEYS = ("n", "K", "H", "gamma", "seed", "out")
 _ACCEPTS = {
     "verify-integrals": _POINT_KEYS,
     "verify-bubble": _POINT_KEYS,
@@ -126,8 +117,6 @@ _KINDS = {
     "integer": ("an integer", _is_int),
     "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "number": ("a finite number", _is_number),
-    "positive": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
-    "boolean": ("true or false", lambda v: type(v) is bool),
     "string": ("a string", lambda v: type(v) is str),
     "array": ("an array", lambda v: type(v) is list),
     "matrix": ("'identity' or an array",
@@ -146,7 +135,7 @@ def _checked(kind, name, value):
     what, ok = _kind(kind)
     if not ok(value):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return float(value) if kind in ("number", "positive") else value
+    return float(value) if kind == "number" else value
 
 
 def _walk(table, raw, where):
@@ -220,7 +209,7 @@ def _schema(command):
             "outputs": _OUTPUTS[command]}
 
 
-def _point(n, K, H, gamma, override, where=""):
+def _point(n, K, H, gamma, where="", override=False):
     """A ProblemPoint that passes validate_point, or one ConfigError line."""
     pt = ProblemPoint(n=n, K=K, H=H, gamma=gamma)
     rep = validate_point(pt, override_dimension_gate=override)
@@ -232,6 +221,10 @@ def _point(n, K, H, gamma, override, where=""):
 
 def _load_config(args, command):
     """Merge file config, defaults and flags; validate; resolve paths."""
+    if command == "locate" and args.override_dimension_gate:
+        # the blow-up point is the n >= 8 result; the override is for
+        # identity verification below it
+        raise ConfigError("locate does not take --override-dimension-gate")
     raw = {}
     base_dir = os.getcwd()
     if args.config is not None:
@@ -251,10 +244,9 @@ def _load_config(args, command):
         if given:
             raise ConfigError(f"case {cfg['case']!r} does not read "
                               f"{', '.join(given)}")
-    if args.override_dimension_gate:
-        cfg["override_dimension_gate"] = True
+    cfg["_override"] = args.override_dimension_gate
     cfg["_pt"] = _point(cfg["n"], cfg["K"], cfg["H"], cfg["gamma"],
-                        cfg["override_dimension_gate"])
+                        override=cfg["_override"])
     if "grid" in cfg:
         try:
             cfg["grid"] = GridSpec(**cfg["grid"])
@@ -283,8 +275,7 @@ def _parameters(cfg, with_grid=False):
     pt = cfg["_pt"]
     doc = {"n": pt.n, "K": pt.K, "H": pt.H, "gamma": pt.gamma,
            "D": pt.D, "seed": cfg["seed"],
-           "rel_tol": cfg["rel_tol"],
-           "override_dimension_gate": cfg["override_dimension_gate"]}
+           "override_dimension_gate": cfg["_override"]}
     if with_grid:
         doc["grid"] = cfg["grid"].to_json_dict()
     return doc
@@ -302,11 +293,6 @@ def _row(name, value, bound, detail="", passed=None):
 def _report_rows(report):
     return [_row(c.name, c.value, c.bound, detail=c.detail, passed=c.passed)
             for c in report.checks]
-
-
-def _bound(cfg, stated):
-    rt = cfg["rel_tol"]
-    return stated if rt is None else max(stated, rt)
 
 
 def _print_rows(rows):
@@ -398,13 +384,13 @@ def cmd_verify_integrals(cfg):
             rel_tol=_QUAD_TOL)
         worst = max(worst, abs(closed - direct) / abs(direct))
     rows.append(_row(f"beta moments against quadrature ({len(pairs)} pairs)",
-                     worst, _bound(cfg, 1e-10)))
+                     worst, 1e-10))
 
     for k in range(8, 13):
         lhs = quad.I(k, k)
         rhs = (k - 3.0) / (k + 1.0) * quad.I(k, k + 2)
         rows.append(_row(f"beta-moment ratio identity n={k}",
-                         abs(lhs - rhs) / lhs, _bound(cfg, 1e-10)))
+                         abs(lhs - rhs) / lhs, 1e-10))
 
     # the three tails of each integration-by-parts identity, by closed
     # form and by quadrature; the identity rows then read the closed form
@@ -419,15 +405,14 @@ def cmd_verify_integrals(cfg):
                 * (t * t - 1.0) ** (-_m), a=dd, rel_tol=_QUAD_TOL, scale=dd)
             worst = max(worst, abs(closed - direct) / abs(direct))
     rows.append(_row(f"tail moments against quadrature ({3 * len(ibp)} "
-                     "triples)", worst, _bound(cfg, 1e-10)))
+                     "triples)", worst, 1e-10))
 
     for k, dd in ibp:
         lhs = quad.phi_power(4, 0.5 * (k - 1.0), dd)
         rhs = 3.0 / (k - 3.0) * quad.phi_power(2, 0.5 * (k - 3.0), dd) \
             - dd * quad.phi_power(3, 0.5 * (k - 1.0), dd)
-        rows.append(_row(
-            f"tail-moment integration by parts n={k} D={dd}",
-            abs(lhs - rhs) / abs(lhs), _bound(cfg, 1e-8)))
+        rows.append(_row(f"tail-moment integration by parts n={k} D={dd}",
+                         abs(lhs - rhs) / abs(lhs), 1e-8))
 
     # the oracle integrates the triples in units of D, as one family
     triples = _separable_triples(n)
@@ -437,22 +422,20 @@ def cmd_verify_integrals(cfg):
         closed = pt.moments.halfspace_moment(a, b, m)
         brute = pt.D ** (n + a + b - 2.0 * m) * brute
         rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
-                         abs(closed - brute) / abs(closed),
-                         _bound(cfg, 1e-8)))
+                         abs(closed - brute) / abs(closed), 1e-8))
 
     if n >= 7:
         s1 = reduced.compute_S(pt)
         s2 = reduced.compute_S_alt(pt)
         rows.append(_row("sign quantity: two expressions agree",
-                         abs(s1 - s2) / abs(s1), _bound(cfg, 1e-8)))
+                         abs(s1 - s2) / abs(s1), 1e-8))
         rows.append(_row("sign quantity positive", s1, 0.0,
                          detail="value must exceed the bound",
                          passed=s1 > 0.0))
         scale = 0.5 * reduced._amplitude_sq(pt) \
             * pt.moments.halfspace_moment(2, 0, n - 2)
         rows.append(_row("vanishing second bracket of the depth-4 term",
-                         abs(reduced.compute_I2(pt)) / scale,
-                         _bound(cfg, 1e-8)))
+                         abs(reduced.compute_I2(pt)) / scale, 1e-8))
     return _write_report(cfg, "verify-integrals", rows)
 
 
@@ -468,19 +451,19 @@ def cmd_verify_bubble(cfg):
     pts[::2, -1] = 0.0          # half the sample probes the boundary trace
     ri, rb = residual_model(b, pts)
     rows.append(_row("model problem interior residual (100 points)",
-                     np.max(ri), _bound(cfg, 1e-8)))
+                     np.max(ri), 1e-8))
     rows.append(_row("model problem boundary residual (50 points)",
-                     np.max(rb), _bound(cfg, 1e-8)))
+                     np.max(rb), 1e-8))
 
     worst = max(np.max(np.concatenate(residual_linearized(b, i, pts)))
                 for i in range(1, n + 1))
     rows.append(_row(f"linearized problem residuals ({n} kernel fields "
-                     "x 100 points)", worst, _bound(cfg, 1e-8)))
+                     "x 100 points)", worst, 1e-8))
 
     closed = bubble_energy(pt)
     direct = bubble_energy_quadrature(pt)
     rows.append(_row("bubble energy: closed form vs quadrature",
-                     abs(closed - direct) / abs(closed), _bound(cfg, 1e-6)))
+                     abs(closed - direct) / abs(closed), 1e-6))
 
     ds = np.linspace(1.2, 4.0, 12)
     es = [bubble_energy(ProblemPoint(
@@ -496,10 +479,10 @@ def cmd_verify_bubble(cfg):
     ratio = bubble_energy(pt4) / closed
     expected = 4.0 ** (-0.5 * (n - 2.0))
     rows.append(_row("bubble energy |K|-scaling at fixed D",
-                     abs(ratio - expected) / expected, _bound(cfg, 1e-10)))
+                     abs(ratio - expected) / expected, 1e-10))
 
     frame = geom.random_frame(n, rng)
-    suite = geom.cancellation_suite(frame, pt, tol=_bound(cfg, 1e-8))
+    suite = geom.cancellation_suite(frame, pt)
     rows.extend(_report_rows(suite))
 
     ep_norm = geom.forcing_norm(frame, b)
@@ -508,10 +491,10 @@ def cmd_verify_bubble(cfg):
         val, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
         worst = max(worst, abs(val) / scale)
     rows.append(_row(f"forcing orthogonal to the kernel ({n} fields)",
-                     worst, _bound(cfg, 1e-8)))
+                     worst, 1e-8))
     rows.append(_row("separable pairings: moments vs double-exponential "
                      "quadrature (5 radial records)",
-                     geom.route_gap(frame, b), _bound(cfg, 1e-8)))
+                     geom.route_gap(frame, b), 1e-8))
     return _write_report(cfg, "verify-bubble", rows)
 
 
@@ -522,24 +505,22 @@ def cmd_verify_hyperbolic(cfg):
 
     hp = hyperbolic.hyperbolic_picture(pt.D)
     rows.append(_row("ball radius inverts to mu1 = D",
-                     abs(hp.mu1 - pt.D) / pt.D, _bound(cfg, 1e-14)))
+                     abs(hp.mu1 - pt.D) / pt.D, 1e-14))
     rows.append(_row("eigenvalue product mu0 mu1 = 1",
-                     abs(hp.mu0 * hp.mu1 - 1.0), _bound(cfg, 1e-14)))
+                     abs(hp.mu0 * hp.mu1 - 1.0), 1e-14))
     hp2 = hyperbolic.hyperbolic_picture(2.0)
     rows.append(_row("ball radius closed form at D=2",
-                     abs(hp2.R - (2.0 - math.sqrt(3.0))), _bound(cfg, 1e-14)))
+                     abs(hp2.R - (2.0 - math.sqrt(3.0))), 1e-14))
     worst = max(abs((1.0 + (h := hyperbolic.hyperbolic_picture(d)).R ** 2)
                     / (2.0 * h.R) - d) / d
                 for d in (1.5, 2.0, 3.0, 10.0))
-    rows.append(_row("radius round trip D in {1.5, 2, 3, 10}", worst,
-                     _bound(cfg, 1e-14)))
+    rows.append(_row("radius round trip D in {1.5, 2, 3, 10}", worst, 1e-14))
     hp_lim = hyperbolic.hyperbolic_picture(1.0 + 1e-6)
     rows.append(_row("approach to the unit ball as D -> 1+",
                      1.0 - hp_lim.R, 2e-3,
                      detail="R = 1 - sqrt(2e-6) + O(e-6) at D = 1 + 1e-6"))
 
-    vrep, annihilating = hyperbolic.steklov_variants(
-        hp, n, tol=_bound(cfg, 1e-10), seed=cfg["seed"])
+    vrep, annihilating = hyperbolic.steklov_variants(hp, n, seed=cfg["seed"])
     rows.append(_row("an annihilating operator variant exists",
                      float(len(annihilating)), 0.0,
                      detail=", ".join(f"{op} + {lab}"
@@ -549,7 +530,7 @@ def cmd_verify_hyperbolic(cfg):
     for op, lab in annihilating:
         c = measured[f"{op} operator + {lab}"]
         rows.append(_row(f"steklov residual: {op} operator + {lab}",
-                         c.value, _bound(cfg, 1e-10), detail=c.detail))
+                         c.value, c.bound, detail=c.detail))
     variants = [{"combination": c.name, "residual": c.value,
                  "detail": c.detail} for c in vrep.checks]
     return _write_report(cfg, "verify-hyperbolic", rows,
@@ -639,12 +620,16 @@ def _parse_samples(cfg, need_h):
     out = []
     labels = set()
     for i, entry in enumerate(cfg["samples"]):
-        if type(entry) is not dict or "label" not in entry:
-            raise ConfigError(f"sample {i} must be an object with a label")
-        where = f"sample {entry['label']!r}: "
-        if str(entry["label"]) in labels:
+        label = entry.get("label") if type(entry) is dict else None
+        # the reports hold str(label), faithful for a string or an integer
+        if type(label) is not str and not _is_int(label):
+            raise ConfigError(f"sample {i} must be an object whose label is "
+                              f"a string or an integer")
+        where = f"sample {label!r}: "
+        label = str(label)
+        if label in labels:
             raise ConfigError(f"{where}the label repeats an earlier sample's")
-        labels.add(str(entry["label"]))
+        labels.add(label)
         unknown = sorted(set(entry) - {"label", "coords", "gamma", "H"})
         if unknown:
             raise ConfigError(f"{where}unknown keys: {', '.join(unknown)}")
@@ -659,9 +644,8 @@ def _parse_samples(cfg, need_h):
                               "non-constants case")
         h_val = _checked("number", f"{where}H", entry["H"]) if need_h \
             else pt.H
-        out.append((str(entry["label"]), tuple(map(float, coords)),
-                    _point(pt.n, pt.K, h_val, gamma,
-                           cfg["override_dimension_gate"], where)))
+        out.append((label, tuple(map(float, coords)),
+                    _point(pt.n, pt.K, h_val, gamma, where)))
     return out
 
 
@@ -746,7 +730,7 @@ def main(argv=None):
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default: 'out')")
         p.add_argument("--override-dimension-gate", action="store_true",
-                       help="allow 5 <= n < 8 for exploration")
+                       help="allow 5 <= n < 8 for exploration (not locate)")
         p.add_argument("--schema", action="store_true",
                        help="print config/output schema and exit")
     args = parser.parse_args(argv)

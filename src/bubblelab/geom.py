@@ -532,7 +532,11 @@ def decompose_forcing(frame, b):
 # cancellation suite
 
 
-def cancellation_suite(frame, pt, tol=1e-8):
+# the bound of every cancellation check, a relative defect
+CANCELLATION_TOL = 1e-8
+
+
+def cancellation_suite(frame, pt):
     """Numerically verify the vanishing/ratio identities behind the expansion.
 
     (1) int (R[i,k,j,l] x_k x_l / 3 + Q_ij x_n^2) d_iU d_jU = 0;
@@ -576,8 +580,9 @@ def cancellation_suite(frame, pt, tol=1e-8):
     scale1 = grad_amp * quad.sphere_area(m) * (
         math.sqrt(float(np.sum(R * R))) / 3.0 * rad4
         + math.sqrt(float(np.sum(Q * Q))) * rad2)
-    checks.append(Check("delta^2 term vanishes", abs(val1) <= tol * scale1,
-                        abs(val1) / scale1, tol))
+    checks.append(Check("delta^2 term vanishes",
+                        abs(val1) <= CANCELLATION_TOL * scale1,
+                        abs(val1) / scale1, CANCELLATION_TOL))
 
     # (2) factor-3 moment ratio
     ang_1111 = float(weights @ nodes[:, 0] ** 4)
@@ -585,23 +590,26 @@ def cancellation_suite(frame, pt, tol=1e-8):
     lhs = ang_1111 * rad2
     rhs = ang_1122 * rad2
     err2 = abs(lhs - 3.0 * rhs) / abs(lhs)
-    checks.append(Check("moment ratio factor 3", err2 <= tol, err2, tol))
+    checks.append(Check("moment ratio factor 3", err2 <= CANCELLATION_TOL,
+                        err2, CANCELLATION_TOL))
 
     # (3) factor 3/(n^2-1) against the full |xt|^4 moment
     full = quad.sphere_area(m) * rad2   # sum over angles of |theta|^4 = omega
     err3 = abs(lhs - 3.0 / (n * n - 1.0) * full) / abs(lhs)
-    checks.append(Check("moment ratio factor 3/(n^2-1)", err3 <= tol, err3, tol))
+    checks.append(Check("moment ratio factor 3/(n^2-1)",
+                        err3 <= CANCELLATION_TOL, err3, CANCELLATION_TOL))
 
     # (4) quartic curvature term
     name4 = "quartic curvature term vanishes"
     try:
         rad6 = radial(6, 0)
     except DomainError as exc:      # the moment diverges for n <= 6
-        checks.append(Check(name4, False, 0.0, tol, detail=str(exc)))
+        checks.append(Check(name4, False, 0.0, CANCELLATION_TOL,
+                            detail=str(exc)))
         return ValidationReport(checks=checks)
     val4 = grad_amp / 15.0 * ang_RR * rad6
     scale4 = grad_amp / 15.0 * float(np.sum(R * R)) * rad6 \
         * quad.sphere_area(m)
-    checks.append(Check(name4, abs(val4) <= tol * scale4, abs(val4) / scale4,
-                        tol))
+    checks.append(Check(name4, abs(val4) <= CANCELLATION_TOL * scale4,
+                        abs(val4) / scale4, CANCELLATION_TOL))
     return ValidationReport(checks=checks)

@@ -135,12 +135,16 @@ def steklov_residual(hp, which, x, operator="standard", form="plain"):
     return interior, boundary
 
 
-def steklov_variants(hp, n, tol=1e-10, seed=0):
+# the residual below which an operator/eigenfunction pair annihilates
+STEKLOV_TOL = 1e-10
+
+
+def steklov_variants(hp, n, seed=0):
     """Measure every operator/eigenfunction combination; report, don't guess.
 
     Returns (report, annihilating) where annihilating lists the
     (operator, candidate) pairs whose interior and boundary residuals
-    both stay below tol at 25 random points of the ball.
+    both stay below STEKLOV_TOL at 25 random points of the ball.
     """
     rng = np.random.default_rng(seed)
 
@@ -160,13 +164,13 @@ def steklov_variants(hp, n, tol=1e-10, seed=0):
                                       form=form)
             worst_i = float(np.max(np.abs(ri)))
             worst_b = float(np.max(np.abs(rb)))
-            ok = worst_i <= tol and worst_b <= tol
+            ok = worst_i <= STEKLOV_TOL and worst_b <= STEKLOV_TOL
             if ok:
                 annihilating.append((operator, label))
             rows.append(Check(
                 name=f"{operator} operator + {label}",
                 passed=True,    # measurement rows; classification below
-                value=max(worst_i, worst_b), bound=tol,
+                value=max(worst_i, worst_b), bound=STEKLOV_TOL,
                 detail=f"interior {worst_i:.3e}, boundary {worst_b:.3e}, "
                        f"annihilates: {ok}"))
     return ValidationReport(checks=rows), annihilating

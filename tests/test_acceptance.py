@@ -165,7 +165,7 @@ def test_criterion_09_cancellation_suite():
     for n in (8, 10):
         pt = _point(n, 2.0)
         frame = geom.random_frame(n, np.random.default_rng(500 + n))
-        rep = geom.cancellation_suite(frame, pt, tol=1e-8)
+        rep = geom.cancellation_suite(frame, pt)
         assert len(rep.checks) == 4
         for c in rep.checks:
             assert c.passed, f"{c.name}: {c.value:.3e}"

@@ -196,10 +196,37 @@ def test_hard_floor_survives_override(tmp_path, capsys):
     assert "dimension gate" in capsys.readouterr().err
 
 
-def test_loosening_tolerance_cannot_fail(tmp_path):
-    cfg = _write(tmp_path, "c.json", {"rel_tol": 1e-2})
-    assert _run("verify-integrals", "--config", cfg,
-                "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize("config", [
+    {"n": 7, "frame": "random", "samples": [{"label": "a"}]},
+    {"n": 6, "case": "non-constants", "samples": [{"label": "a", "H": 2.0}]},
+    {"frame": "random", "samples": [{"label": "a"}]}])
+def test_locate_refuses_the_gate_override(tmp_path, capsys, config):
+    # the override is for identity verification; the blow-up point of
+    # the reduced energy is the n >= 8 result itself
+    cfg = _write(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert _run("locate", "--config", cfg, "--out", str(out),
+                "--override-dimension-gate") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: locate does not take " \
+        "--override-dimension-gate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("rel_tol", 1e-3),
+                                       ("override_dimension_gate", True)])
+def test_no_config_key_loosens_a_check_or_respells_a_flag(tmp_path, capsys,
+                                                          key, value):
+    # rel_tol raised every verify bound, and override_dimension_gate
+    # spelled the flag a second way; every command refuses both
+    cfg = _write(tmp_path, "c.json", {key: value})
+    for command in cli._ACCEPTS:
+        assert _run(command, "--schema") == 0
+        assert key not in json.loads(capsys.readouterr().out)["config"]
+        assert _run(command, "--config", cfg,
+                    "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            f"config error: unknown config keys: {key}\n"
 
 
 _SAMPLE = {"label": "p", "coords": [0.0]}
@@ -209,16 +236,12 @@ _REJECTED = {
     "not-json": ("verify-bubble", "not json", None, "valid JSON"),
     "missing": ("verify-bubble", None, None, "not found"),
     "unknown-key": ("verify-bubble", {"bogus_key": 1}, None, "bogus_key"),
-    "rel_tol<0": ("verify-integrals", {"rel_tol": -1.0}, None, "rel_tol"),
-    "rel_tol-kind": ("verify-integrals", {"rel_tol": "a"}, None, "rel_tol"),
     "D<=1": ("verify-bubble", {"H": 0.2}, None, "D"),
     "K-nan": ("verify-hyperbolic", {"K": float("nan")}, None, "K"),
     "H-inf": ("verify-hyperbolic", {"H": float("inf")}, None, "H"),
     "K-kind": ("verify-hyperbolic", {"K": "abc"}, None, "K"),
     "K>0": ("verify-hyperbolic", {"K": 56.0}, None, "K < 0"),
     "gamma-kind": ("verify-hyperbolic", {"gamma": "x"}, None, "gamma"),
-    "gate-kind": ("verify-hyperbolic", {"override_dimension_gate": "no"},
-                  None, "override_dimension_gate"),
     "out-kind": ("verify-hyperbolic", {"out": 5}, None, "out"),
     "seed<0": ("verify-hyperbolic", {"seed": -1}, None, "seed"),
     "n=13": ("verify-bubble", {"n": 13}, None, "dimension gate"),
@@ -254,6 +277,11 @@ _REJECTED = {
                       None, "coords"),
     "sample-typo": ("locate", {"samples": [dict(_SAMPLE, gama=1.5)]},
                     None, "unknown keys: gama"),
+    # a label reaches the reports through str(): None, True, {'a': 1}
+    **{f"sample-label-{kind}": ("locate", {"samples": [dict(
+        _SAMPLE, label=label)]}, None, "label is a string or an integer")
+       for kind, label in (("null", None), ("bool", True), ("float", 1.5),
+                           ("array", [1]), ("object", {"a": 1}))},
     "sample-label-repeated": ("locate", {"samples": [
         {"label": "p", "gamma": 1.5},
         {"label": "p", "coords": [1.0], "gamma": 1.5}]},
@@ -320,7 +348,8 @@ def test_schema_keys_and_defaults_are_the_runtime_ones(tmp_path, capsys):
         args.config = _write(tmp_path, "empty.json", {})
         implicit = cli._load_config(args, command)
         assert spelled == implicit
-        assert set(printed) | {"_pt", "_out", "_base_dir"} == set(implicit)
+        assert set(printed) | {"_pt", "_out", "_base_dir", "_override"} \
+            == set(implicit)
         if "grid" in printed:
             assert implicit["grid"] == corrector.GridSpec()
             assert printed["grid"] == implicit["grid"].to_json_dict()
@@ -353,8 +382,6 @@ _VALUES = {
     "H": st.floats(0.5, 6.0),
     "gamma": _GAMMA,
     "seed": st.integers(-5, 2 ** 64),
-    "rel_tol": st.one_of(st.none(), st.floats(0.0, 1.0)),
-    "override_dimension_gate": st.booleans(),
     # --out always wins, so no generated path is ever written to
     "out": st.sampled_from(["o", "sub/o"]),
     "frame": st.sampled_from(["random", "zero"]),
@@ -380,11 +407,12 @@ _VALUES = {
 
 @st.composite
 def _configs(draw):
-    """A command and a config of its keys.  At most one value, at the top,
-    in the grid or in a sample, is junk or an unknown key, so most
-    configs reach the computation.  The corrector's grid is always
-    given: the default one is 400^2.  So is the frame: the zero one ends
-    most runs early."""
+    """A command, a config of its keys and its flags (with or without
+    --override-dimension-gate).  At most one value, at the top, in the
+    grid or in a sample, is junk or an unknown key, so most configs
+    reach the computation.  The corrector's grid is always given: the
+    default one is 400^2.  So is the frame: the zero one ends most runs
+    early."""
     command, required = draw(st.sampled_from([
         ("verify-hyperbolic", []), ("corrector", ["grid", "frame"]),
         ("locate", ["frame", "samples"])]))
@@ -401,7 +429,8 @@ def _configs(draw):
     elif where in config and type(config[where][0]) is dict:
         config[where][0][draw(st.sampled_from(
             ["label", "coords", "gamma", "H", "x"]))] = junk
-    return command, config
+    return command, config, draw(st.sampled_from(
+        [(), ("--override-dimension-gate",)]))
 
 
 def _scaled_frame(n, seed, factor):
@@ -438,20 +467,20 @@ def _non_finite(path):
 
 
 @given(_configs())
-@example(_REJECTED["grid-rs3"][:2])
-@example(_REJECTED["grid-weights"][:2])
+@example((*_REJECTED["grid-rs3"][:2], ()))
+@example((*_REJECTED["grid-weights"][:2], ()))
 @example(("locate", {"frame": "random", "samples": [
-    {"label": "p0", "coords": [0.0], "gamma": 1e250}]}))
-@example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}))
+    {"label": "p0", "coords": [0.0], "gamma": 1e250}]}, ()))
+@example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}, ()))
 @example(("locate", {"frame_file": "huge.json",
-                     "samples": [{"label": "p0", "coords": [0.0]}]}))
+                     "samples": [{"label": "p0", "coords": [0.0]}]}, ()))
 @example(("locate", {"frame_file": "tiny.json",
-                     "samples": [{"label": "p0", "coords": [0.0]}]}))
+                     "samples": [{"label": "p0", "coords": [0.0]}]}, ()))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_any_config_exits_with_a_contract_code(case):
     """Whatever the config holds, main returns 0, 1 or 2 and raises none,
     and no report file it writes holds a NaN or an infinity."""
-    command, config = case
+    command, config, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _FILES.items():
             (Path(tmp) / name).write_text(text)
@@ -461,7 +490,7 @@ def test_any_config_exits_with_a_contract_code(case):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--config", str(path),
-                             "--out", str(out)])
+                             "--out", str(out), *flags])
         written = sorted(out.glob("*.json")) + sorted(out.glob("*.csv"))
         assert [p.name for p in written if _non_finite(p)] == []
     assert code in (0, 1, 2)

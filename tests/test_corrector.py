@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -799,6 +800,47 @@ def test_corrector_diagnostics_pass(sol8):
     residual = checks["fourth-order residual / forcing (normal-block)"]
     assert residual.bound == 1e-2
     assert 1e-5 < residual.value < residual.bound
+
+
+@pytest.fixture(scope="module")
+def sol100(pt8, frame8):
+    return corrector.solve_corrector(frame8, pt8,
+                                     corrector.GridSpec(nr=100, nxn=100))
+
+
+def _raised_envelope(sol, mode):
+    """psi times 1 + rho / r_max: the far field lifted against the near."""
+    gg = sol.grid
+    rho = np.sqrt(np.add.outer(gg["r"] ** 2, (gg["xn"] + sol.pt.D) ** 2))
+    return mode.psi * (1.0 + rho / sol.gs.r_max)
+
+
+_RESIDUAL = "fourth-order residual / forcing (normal-block)"
+# a psi wrong in one named way -> (the row it fails, that row's value
+# and its bound) on the random frame of seed 11 at n = 8, 100^2
+_WRONG_PSI = {
+    "scaled by 1.01": (lambda sol, m: 1.01 * m.psi, _RESIDUAL, 1.04e-2, 1e-2),
+    "solved at degree 4": (
+        lambda sol, m: corrector.solve_mode(sol.pt, 4, m.e, sol.gs)[0],
+        _RESIDUAL, 0.487, 1e-2),
+    "negated": (lambda sol, m: -m.psi, "quadratic form nonnegative", -0.512,
+                1e-6),
+    "far field raised": (_raised_envelope, "decay envelope (1+|x|)^{4-n}",
+                         1.18, 1.05),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_PSI))
+def test_a_wrong_psi_fails_the_row_that_checks_it(sol100, wrong):
+    mutate, name, value, bound = _WRONG_PSI[wrong]
+    assert corrector.corrector_diagnostics(sol100).passed
+    sol = corrector.CorrectorSolution(pt=sol100.pt, gs=sol100.gs, modes=[
+        dataclasses.replace(m, psi=mutate(sol100, m)) for m in sol100.modes])
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol).checks}[
+        name]
+    assert not row.passed
+    assert row.bound == bound
+    assert row.value == pytest.approx(value, rel=1e-2)
 
 
 def test_forcing_pairing_matches_diagnostics(sol8):

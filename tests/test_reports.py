@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 _REPORTS = Path(__file__).resolve().parents[1] / "bench" / "reports.py"
@@ -39,3 +40,28 @@ def test_every_kind_of_difference_is_listed_once(tmp_path):
     assert reports.differing_files(after, before) == \
         reports.differing_files(before, after)
 
+
+
+def test_a_json_file_names_each_key_path_that_moved(tmp_path):
+    before = {"parameters": {"n": 8, "rel_tol": None},
+              "identities": [{"value": 1.0}, {"value": 2.0}],
+              "count": 2, "all_passed": True}
+    after = {"parameters": {"n": 8},
+             "identities": [{"value": 1.0}, {"value": 2.5}, {"value": 3}],
+             "count": 2.0, "all_passed": True, "extra": [1]}
+    moved = ["count", "extra", "identities.1.value", "identities.2",
+             "parameters.rel_tol"]
+    assert reports.differing_keys(before, after) == moved
+    assert reports.differing_keys(after, before) == moved
+    assert reports.differing_keys(before, before) == []
+    assert reports.differing_keys([1], {"0": 1}) == ["(the whole document)"]
+
+    rel = "verify/out/verify_report.json"
+    a = _tree(tmp_path / "a", {rel: json.dumps(before).encode(),
+                               "only.json": b"{}", "p.npy": b"\x00"})
+    b = _tree(tmp_path / "b", {rel: json.dumps(after).encode(),
+                               "p.npy": b"\x01"})
+    assert reports.differing_file_keys(a, b, rel) == moved
+    # a file on one side, or one that is no JSON, names no key path
+    assert reports.differing_file_keys(a, b, "only.json") == []
+    assert reports.differing_file_keys(a, b, "p.npy") == []
