@@ -10,7 +10,9 @@ directory of its own: ``verify-integrals``, ``verify-bubble`` and
 ``verify-hyperbolic`` at their defaults, ``verify-integrals`` and
 ``verify-bubble`` again at n = 12 (K = -132, H = 2), at H = 1.5 and at
 H = 1e8, ``corrector`` on ``{"frame": "random", "seed": 11}`` at the
-default 400^2 grid, the README constants ``locate``, and a
+default 400^2 grid and again at a given 200^2 grid (the grid of
+``bench/domain.py``'s corrector cells), the README constants ``locate``,
+and a
 non-constants ``locate`` over nine samples with a per-sample H and
 gamma.  Every file a command writes is
 compared between the sides, and so is a ``console.txt`` holding its
@@ -53,6 +55,8 @@ RUNS = [("verify-integrals", "verify-integrals", None),
           for label, point in VERIFY_POINTS
           for command in ("verify-integrals", "verify-bubble")),
         ("corrector", "corrector", CORRECTOR),
+        ("corrector-200", "corrector", {**CORRECTOR,
+                                        "grid": {"nr": 200, "nxn": 200}}),
         ("locate-constants", "locate", README_LOCATE),
         ("locate-nonconstants", "locate", NONCONSTANT_LOCATE)]
 

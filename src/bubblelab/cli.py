@@ -34,7 +34,7 @@ from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
-from .model import (MAX_DIMENSION, MAX_GAMMA, MAX_GRID_CELLS, MAX_GRID_SCALE,
+from .model import (MAX_DIMENSION, MAX_GAMMA, MAX_GRID_CELLS,
                     OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
                     CurvatureFrame, GridSpec, HessianData, ProblemPoint,
                     validate_frame, validate_hessians, validate_point,
@@ -62,8 +62,6 @@ _KEYS = {
     "gamma": ("number", 1.0, "perturbation weight gamma(p), 0 < gamma "
               f"<= {MAX_GAMMA:g}"),
     "seed": ("count", 1871, "seed of every random draw"),
-    "out": ("string", None, "output directory, relative to the config "
-            "file (the --out flag takes precedence)"),
     "frame": (("zero", "random"), "zero",
               "curvature frame, unless frame_file is given "
               "(not the non-constants case)"),
@@ -74,11 +72,8 @@ _KEYS = {
         "nr": ("integer", GridSpec.nr, "radial cells, >= 16"),
         "nxn": ("integer", GridSpec.nxn, "normal cells, >= 16; "
                 f"nr * nxn <= {MAX_GRID_CELLS}"),
-        "r_max": ("number", GridSpec.r_max, "truncation radius, > 1"),
-        "stretch": ("number", GridSpec.stretch,
-                    f"algebraic grid stretch, > 0; r_max^{MAX_DIMENSION} "
-                    f"(1 + stretch)^3 <= {MAX_GRID_SCALE:g}"),
-    }, {}, "modal solver grid of corrector"),
+    }, {}, "modal solver grid of corrector, on [0, r_max]^2 with "
+       f"r_max = {GridSpec.r_max:g} and stretch {GridSpec.stretch:g}"),
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
     "samples": ("array", None, "list of {label, coords, gamma} (constants) "
@@ -92,7 +87,7 @@ _KEYS = {
 # the keys a locate case never reads; they must keep their defaults
 _CASE_FOREIGN = {"constants": ("hessH", "hessK"),
                  "non-constants": ("frame", "frame_file")}
-_POINT_KEYS = ("n", "K", "H", "gamma", "seed", "out")
+_POINT_KEYS = ("n", "K", "H", "gamma", "seed")
 _ACCEPTS = {
     "verify-integrals": _POINT_KEYS,
     "verify-bubble": _POINT_KEYS,
@@ -234,7 +229,7 @@ def _load_config(args, command):
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _walk({k: _KEYS[k] for k in _ACCEPTS[command]}, raw, "config")
     if command == "locate":
@@ -253,11 +248,7 @@ def _load_config(args, command):
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    out = args.out or cfg["out"]
-    if out is None:
-        out = "out"
-    elif args.out is None and args.config is not None:
-        out = os.path.join(base_dir, out)
+    out = args.out or "out"
     try:
         os.makedirs(out, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -558,8 +549,8 @@ def _build_frame(cfg):
         try:
             with open(full) as fh:
                 frame = CurvatureFrame.from_json_dict(json.load(fh))
-        except (OSError, DomainError, KeyError, TypeError,
-                ValueError) as exc:
+        except (OSError, DomainError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
             raise ConfigError(f"invalid frame file {full}: {exc}") from exc
         if frame.n != n:
             raise ConfigError(f"frame file {full} has n = {frame.n}, "

@@ -380,7 +380,6 @@ def _smallest_singular(op):
 # 1.8e-9 .. 8e-11 on 32^2 .. 400^2 windows.  1e-12 splits the two by
 # about two orders on each side.
 _SIGMA_RAISE = 1e-12
-_SIGMA_NOTE = 1e-8
 
 
 def _conditioning_check(system, base_norm, kernel):
@@ -412,9 +411,8 @@ def _conditioning_check(system, base_norm, kernel):
     shaped like the kernel, with a small correction cancelling the
     operator's truncation response, passes through the bordered matrix
     almost unnoticed.  That direction sits well above the raise gate
-    and is recorded (below ``_SIGMA_NOTE * base_norm``) rather than
-    raised; the solve's actual accuracy is certified by residual_norm,
-    not by sigma_min.
+    and is not raised; the solve's actual accuracy is certified by
+    residual_norm, not by sigma_min.
     """
     sigma, vec, steps, residual = _smallest_singular(system)
     threshold = _SIGMA_RAISE * base_norm
@@ -432,15 +430,6 @@ def _conditioning_check(system, base_norm, kernel):
         raise SingularSystem(
             f"{where}: smallest direction is not kernel-aligned "
             f"(overlap {overlap:.2e})")
-    if sigma < _SIGMA_NOTE * base_norm:
-        out["near_singular"] = {
-            "sigma": float(sigma),
-            "kernel_overlap": overlap,
-            "note": ("kernel-shaped Euclidean near-null direction of the "
-                     "bordered system (stretched-grid metric distortion, "
-                     "not kernel leakage)" if overlap >= 0.5 else
-                     "near-singular direction without kernel attribution"),
-        }
     return out
 
 

@@ -214,11 +214,12 @@ def test_locate_refuses_the_gate_override(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize("key,value", [("rel_tol", 1e-3),
-                                       ("override_dimension_gate", True)])
+                                       ("override_dimension_gate", True),
+                                       ("out", "o")])
 def test_no_config_key_loosens_a_check_or_respells_a_flag(tmp_path, capsys,
                                                           key, value):
-    # rel_tol raised every verify bound, and override_dimension_gate
-    # spelled the flag a second way; every command refuses both
+    # rel_tol raised every verify bound, and override_dimension_gate and
+    # out spelled a flag a second way; every command refuses all three
     cfg = _write(tmp_path, "c.json", {key: value})
     for command in cli._ACCEPTS:
         assert _run(command, "--schema") == 0
@@ -234,6 +235,8 @@ _SAMPLE = {"label": "p", "coords": [0.0]}
 # a config of None names a missing file, a string is written verbatim
 _REJECTED = {
     "not-json": ("verify-bubble", "not json", None, "valid JSON"),
+    # nested deeper than the decoder recurses
+    "deep-json": ("verify-hyperbolic", "[" * 100_000, None, "valid JSON"),
     "missing": ("verify-bubble", None, None, "not found"),
     "unknown-key": ("verify-bubble", {"bogus_key": 1}, None, "bogus_key"),
     "D<=1": ("verify-bubble", {"H": 0.2}, None, "D"),
@@ -242,7 +245,6 @@ _REJECTED = {
     "K-kind": ("verify-hyperbolic", {"K": "abc"}, None, "K"),
     "K>0": ("verify-hyperbolic", {"K": 56.0}, None, "K < 0"),
     "gamma-kind": ("verify-hyperbolic", {"gamma": "x"}, None, "gamma"),
-    "out-kind": ("verify-hyperbolic", {"out": 5}, None, "out"),
     "seed<0": ("verify-hyperbolic", {"seed": -1}, None, "seed"),
     "n=13": ("verify-bubble", {"n": 13}, None, "dimension gate"),
     "n=400": ("verify-integrals", {"n": 400}, None, "dimension gate"),
@@ -255,18 +257,16 @@ _REJECTED = {
     "grid-1e9": ("corrector", {"grid": {"nr": 1e9}}, None, "grid.nr"),
     "grid-cap": ("corrector", {"grid": {"nr": 1000000, "nxn": 1000000}},
                  None, "nr * nxn"),
-    # grids whose powers overflowed: rs^3 in residual_norm, and the area
-    # weights r^{n-2} rs ts in grid_geometry
-    "grid-rs3": ("corrector", {"frame": "random", "grid": {
-        "nr": 16, "nxn": 16, "r_max": 1e6, "stretch": 1e100}},
-        None, "(1 + stretch)^3"),
-    "grid-weights": ("corrector", {"n": 12, "K": -132.0, "frame": "random",
-                                   "grid": {"nr": 16, "nxn": 16,
-                                            "r_max": 1e30}},
-                     None, "(1 + stretch)^3"),
+    # the truncation radius and the stretch are the solver's constants
+    "grid-r_max": ("corrector", {"grid": {"r_max": 80.0}}, None,
+                   "unknown grid keys: r_max"),
+    "grid-stretch": ("corrector", {"grid": {"stretch": 8.0}}, None,
+                     "unknown grid keys: stretch"),
     "frame-kind": ("corrector", {"frame": "flat"}, None, "frame"),
     "frame-file-json": ("corrector", {"frame_file": "frame.json"},
                         "{not json", "invalid frame file"),
+    "frame-file-deep": ("corrector", {"frame_file": "frame.json"},
+                        "[" * 100_000, "invalid frame file"),
     "frame-file-n": ("corrector", {"frame_file": "frame.json"},
                      json.dumps(geom.random_frame(
                          9, np.random.default_rng(1)).to_json_dict()),
@@ -352,7 +352,8 @@ def test_schema_keys_and_defaults_are_the_runtime_ones(tmp_path, capsys):
             == set(implicit)
         if "grid" in printed:
             assert implicit["grid"] == corrector.GridSpec()
-            assert printed["grid"] == implicit["grid"].to_json_dict()
+            echo = implicit["grid"].to_json_dict()
+            assert printed["grid"] == {k: echo[k] for k in ("nr", "nxn")}
 
 
 # Values of every JSON kind, including the ones no key accepts.  Junk
@@ -382,20 +383,11 @@ _VALUES = {
     "H": st.floats(0.5, 6.0),
     "gamma": _GAMMA,
     "seed": st.integers(-5, 2 ** 64),
-    # --out always wins, so no generated path is ever written to
-    "out": st.sampled_from(["o", "sub/o"]),
     "frame": st.sampled_from(["random", "zero"]),
     "frame_file": st.sampled_from(
         ["frame.json", "frame9.json", "broken.json", "missing.json",
          "huge.json", "tiny.json"]),
-    # every decade of r_max and stretch up to and past the bound
-    # r_max^12 (1 + stretch)^3 <= 1e150
-    "grid": st.fixed_dictionaries(
-        {"nr": _SIDE, "nxn": _SIDE},
-        optional={"r_max": st.floats(0.0, 13.0).map(lambda e: 10.0 ** e),
-                  "stretch": st.one_of(
-                      st.just(0.0),
-                      st.floats(-3.0, 51.0).map(lambda e: 10.0 ** e))}),
+    "grid": st.fixed_dictionaries({"nr": _SIDE, "nxn": _SIDE}),
     "case": st.sampled_from(["constants", "non-constants"]),
     # repeated labels are refused at parse; the table above covers that
     "samples": st.lists(_SAMPLE_ENTRY, min_size=1, max_size=3,
@@ -424,8 +416,7 @@ def _configs(draw):
     if where == "top":
         config[draw(st.sampled_from(keys + ["bogus"]))] = junk
     elif where in config and type(config[where]) is dict:
-        config[where][draw(st.sampled_from(
-            ["nr", "nxn", "r_max", "stretch", "nrr"]))] = junk
+        config[where][draw(st.sampled_from(["nr", "nxn", "nrr"]))] = junk
     elif where in config and type(config[where][0]) is dict:
         config[where][0][draw(st.sampled_from(
             ["label", "coords", "gamma", "H", "x"]))] = junk
@@ -467,8 +458,6 @@ def _non_finite(path):
 
 
 @given(_configs())
-@example((*_REJECTED["grid-rs3"][:2], ()))
-@example((*_REJECTED["grid-weights"][:2], ()))
 @example(("locate", {"frame": "random", "samples": [
     {"label": "p0", "coords": [0.0], "gamma": 1e250}]}, ()))
 @example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}, ()))
@@ -759,10 +748,14 @@ def test_extreme_depths_pass(tmp_path, command, config):
                 str(tmp_path / "out")) == 0
 
 
-def test_out_dir_from_config_is_relative_to_config(tmp_path):
-    cfg = _write(tmp_path, "c.json", {"out": "nested/results"})
+def test_out_dir_is_the_flag_alone(tmp_path, monkeypatch):
+    # without --out the reports go to ./out, wherever the config lies
+    (tmp_path / "conf").mkdir()
+    cfg = _write(tmp_path / "conf", "c.json", {})
+    monkeypatch.chdir(tmp_path)
     assert _run("verify-hyperbolic", "--config", cfg) == 0
-    assert (tmp_path / "nested" / "results" / "verify_report.json").exists()
+    assert (tmp_path / "out" / "verify_report.json").exists()
+    assert not (tmp_path / "conf" / "out").exists()
 
 
 def _nodes_evaluated(command, out, monkeypatch):
