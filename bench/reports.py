@@ -8,13 +8,14 @@ Usage, from the root of a checkout:
 Each side runs the same CLI commands, one at a time, each in a fresh
 directory of its own: ``verify-integrals``, ``verify-bubble`` and
 ``verify-hyperbolic`` at their defaults, ``verify-integrals`` and
-``verify-bubble`` again at n = 12 (K = -132, H = 2), at H = 1.5 and at
-H = 1e8, ``corrector`` on ``{"frame": "random", "seed": 11}`` at the
-default 400^2 grid and again at a given 200^2 grid (the grid of
-``bench/domain.py``'s corrector cells), the README constants ``locate``,
-and a
-non-constants ``locate`` over nine samples with a per-sample H and
-gamma.  Every file a command writes is
+``verify-bubble`` again at n = 12 (K = -132, H = 2), at H = 1.5, at
+H = 1e8 and at H = 1.000001 (where verify-bubble exits 1 with a failing
+row and its detail), ``corrector`` on ``{"frame": "random", "seed":
+11}`` at the default 400^2 grid and again at a given 200^2 grid (the
+grid of ``bench/domain.py``'s corrector cells), ``corrector`` at its
+defaults (the zero frame, whose every diagnostics row is vacuous), the
+README constants ``locate``, and a non-constants ``locate`` over nine
+samples with a per-sample H and gamma.  Every file a command writes is
 compared between the sides, and so is a ``console.txt`` holding its
 exit code and standard output (standard error is left out: Python's
 warnings name source paths, which differ between checkouts).  The
@@ -46,7 +47,8 @@ NONCONSTANT_LOCATE = {
 # the points beside the default at which both verify commands run
 VERIFY_POINTS = [("n12", {"n": 12, "K": -132.0, "H": 2.0}),
                  ("H1.5", {"H": 1.5}),
-                 ("H1e8", {"H": 1e8})]
+                 ("H1e8", {"H": 1e8}),
+                 ("H1.000001", {"H": 1.000001})]
 # (run name, subcommand, config or None for the defaults)
 RUNS = [("verify-integrals", "verify-integrals", None),
         ("verify-bubble", "verify-bubble", None),
@@ -57,6 +59,7 @@ RUNS = [("verify-integrals", "verify-integrals", None),
         ("corrector", "corrector", CORRECTOR),
         ("corrector-200", "corrector", {**CORRECTOR,
                                         "grid": {"nr": 200, "nxn": 200}}),
+        ("corrector-zero", "corrector", None),
         ("locate-constants", "locate", README_LOCATE),
         ("locate-nonconstants", "locate", NONCONSTANT_LOCATE)]
 

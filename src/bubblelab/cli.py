@@ -35,7 +35,7 @@ from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
 from .errors import (BubbleLabError, ConfigError, DomainError,
                      HypothesisFailure, NonConvergence, SingularSystem)
 from .model import (MAX_DIMENSION, MAX_GAMMA, MAX_GRID_CELLS,
-                    OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION,
+                    OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION, Check,
                     CurvatureFrame, GridSpec, HessianData, ProblemPoint,
                     validate_frame, validate_hessians, validate_point,
                     write_json)
@@ -207,10 +207,10 @@ def _schema(command):
 def _point(n, K, H, gamma, where="", override=False):
     """A ProblemPoint that passes validate_point, or one ConfigError line."""
     pt = ProblemPoint(n=n, K=K, H=H, gamma=gamma)
-    rep = validate_point(pt, override_dimension_gate=override)
-    if not rep.passed:
-        raise ConfigError(where + "; ".join(c.detail
-                                            for c in rep.failures()))
+    rows = validate_point(pt, override_dimension_gate=override)
+    bad = [c.detail for c in rows if not c.passed]
+    if bad:
+        raise ConfigError(where + "; ".join(bad))
     return pt
 
 
@@ -248,7 +248,7 @@ def _load_config(args, command):
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    out = args.out or "out"
+    out = args.out
     try:
         os.makedirs(out, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -272,20 +272,6 @@ def _parameters(cfg, with_grid=False):
     return doc
 
 
-def _row(name, value, bound, detail="", passed=None):
-    value = float(value)
-    bound = float(bound)
-    if passed is None:
-        passed = value <= bound
-    return {"name": name, "passed": bool(passed), "value": value,
-            "bound": bound, "detail": detail}
-
-
-def _report_rows(report):
-    return [_row(c.name, c.value, c.bound, detail=c.detail, passed=c.passed)
-            for c in report.checks]
-
-
 def _print_rows(rows):
     """One console line per row.
 
@@ -294,19 +280,18 @@ def _print_rows(rows):
     [vacuous] instead of [pass].
     """
     for r in rows:
-        vacuous = r["detail"].startswith("vacuous:")
-        tag = "FAIL" if not r["passed"] else "vacuous" if vacuous else "pass"
-        line = (f"[{tag}] {r['name']}: "
-                f"{r['value']:.3e} (bound {r['bound']:.3e})")
-        if tag != "pass" and r["detail"]:
-            line += f": {r['detail']}"
+        vacuous = r.detail.startswith("vacuous:")
+        tag = "FAIL" if not r.passed else "vacuous" if vacuous else "pass"
+        line = f"[{tag}] {r.name}: {r.value:.3e} (bound {r.bound:.3e})"
+        if tag != "pass" and r.detail:
+            line += f": {r.detail}"
         print(line)
 
 
 def _write_report(cfg, command, rows, extra=None):
     doc = {"command": command, "parameters": _parameters(cfg),
            "identities": rows, "count": len(rows),
-           "all_passed": all(r["passed"] for r in rows)}
+           "all_passed": all(r.passed for r in rows)}
     if extra:
         doc.update(extra)
     path = os.path.join(cfg["_out"], "verify_report.json")
@@ -374,14 +359,14 @@ def cmd_verify_integrals(cfg):
             lambda t, _m=m, _a=a: t ** _a * (1.0 + t * t) ** (-_m),
             rel_tol=_QUAD_TOL)
         worst = max(worst, abs(closed - direct) / abs(direct))
-    rows.append(_row(f"beta moments against quadrature ({len(pairs)} pairs)",
-                     worst, 1e-10))
+    rows.append(Check(f"beta moments against quadrature ({len(pairs)} pairs)",
+                      worst, 1e-10))
 
     for k in range(8, 13):
         lhs = quad.I(k, k)
         rhs = (k - 3.0) / (k + 1.0) * quad.I(k, k + 2)
-        rows.append(_row(f"beta-moment ratio identity n={k}",
-                         abs(lhs - rhs) / lhs, 1e-10))
+        rows.append(Check(f"beta-moment ratio identity n={k}",
+                          abs(lhs - rhs) / lhs, 1e-10))
 
     # the three tails of each integration-by-parts identity, by closed
     # form and by quadrature; the identity rows then read the closed form
@@ -395,15 +380,15 @@ def cmd_verify_integrals(cfg):
                 lambda t, _p=p, _m=m, _d=dd: (t - _d) ** _p
                 * (t * t - 1.0) ** (-_m), a=dd, rel_tol=_QUAD_TOL, scale=dd)
             worst = max(worst, abs(closed - direct) / abs(direct))
-    rows.append(_row(f"tail moments against quadrature ({3 * len(ibp)} "
-                     "triples)", worst, 1e-10))
+    rows.append(Check(f"tail moments against quadrature ({3 * len(ibp)} "
+                      "triples)", worst, 1e-10))
 
     for k, dd in ibp:
         lhs = quad.phi_power(4, 0.5 * (k - 1.0), dd)
         rhs = 3.0 / (k - 3.0) * quad.phi_power(2, 0.5 * (k - 3.0), dd) \
             - dd * quad.phi_power(3, 0.5 * (k - 1.0), dd)
-        rows.append(_row(f"tail-moment integration by parts n={k} D={dd}",
-                         abs(lhs - rhs) / abs(lhs), 1e-8))
+        rows.append(Check(f"tail-moment integration by parts n={k} D={dd}",
+                          abs(lhs - rhs) / abs(lhs), 1e-8))
 
     # the oracle integrates the triples in units of D, as one family
     triples = _separable_triples(n)
@@ -412,21 +397,21 @@ def cmd_verify_integrals(cfg):
     for (a, b, m), brute in zip(triples, brutes):
         closed = pt.moments.halfspace_moment(a, b, m)
         brute = pt.D ** (n + a + b - 2.0 * m) * brute
-        rows.append(_row(f"separable half-space moment (a={a}, b={b}, m={m})",
-                         abs(closed - brute) / abs(closed), 1e-8))
+        rows.append(Check(f"separable half-space moment (a={a}, b={b}, m={m})",
+                          abs(closed - brute) / abs(closed), 1e-8))
 
     if n >= 7:
         s1 = reduced.compute_S(pt)
         s2 = reduced.compute_S_alt(pt)
-        rows.append(_row("sign quantity: two expressions agree",
-                         abs(s1 - s2) / abs(s1), 1e-8))
-        rows.append(_row("sign quantity positive", s1, 0.0,
-                         detail="value must exceed the bound",
-                         passed=s1 > 0.0))
+        rows.append(Check("sign quantity: two expressions agree",
+                          abs(s1 - s2) / abs(s1), 1e-8))
+        rows.append(Check("sign quantity positive", s1, 0.0,
+                          detail="value must exceed the bound",
+                          passed=s1 > 0.0))
         scale = 0.5 * reduced._amplitude_sq(pt) \
             * pt.moments.halfspace_moment(2, 0, n - 2)
-        rows.append(_row("vanishing second bracket of the depth-4 term",
-                         abs(reduced.compute_I2(pt)) / scale, 1e-8))
+        rows.append(Check("vanishing second bracket of the depth-4 term",
+                          abs(reduced.compute_I2(pt)) / scale, 1e-8))
     return _write_report(cfg, "verify-integrals", rows)
 
 
@@ -441,20 +426,20 @@ def cmd_verify_bubble(cfg):
     pts[:, -1] = np.abs(pts[:, -1])
     pts[::2, -1] = 0.0          # half the sample probes the boundary trace
     ri, rb = residual_model(b, pts)
-    rows.append(_row("model problem interior residual (100 points)",
-                     np.max(ri), 1e-8))
-    rows.append(_row("model problem boundary residual (50 points)",
-                     np.max(rb), 1e-8))
+    rows.append(Check("model problem interior residual (100 points)",
+                      np.max(ri), 1e-8))
+    rows.append(Check("model problem boundary residual (50 points)",
+                      np.max(rb), 1e-8))
 
     worst = max(np.max(np.concatenate(residual_linearized(b, i, pts)))
                 for i in range(1, n + 1))
-    rows.append(_row(f"linearized problem residuals ({n} kernel fields "
-                     "x 100 points)", worst, 1e-8))
+    rows.append(Check(f"linearized problem residuals ({n} kernel fields "
+                      "x 100 points)", worst, 1e-8))
 
     closed = bubble_energy(pt)
     direct = bubble_energy_quadrature(pt)
-    rows.append(_row("bubble energy: closed form vs quadrature",
-                     abs(closed - direct) / abs(closed), 1e-6))
+    rows.append(Check("bubble energy: closed form vs quadrature",
+                      abs(closed - direct) / abs(closed), 1e-6))
 
     ds = np.linspace(1.2, 4.0, 12)
     es = [bubble_energy(ProblemPoint(
@@ -462,30 +447,29 @@ def cmd_verify_bubble(cfg):
               H=float(d) * math.sqrt(abs(pt.K) / (n * (n - 1.0)))))
           for d in ds]
     slope = max(e2 - e1 for e1, e2 in zip(es, es[1:]))
-    rows.append(_row("bubble energy decreasing in D", slope, 0.0,
-                     detail="max forward difference, must be negative",
-                     passed=slope < 0.0))
+    rows.append(Check("bubble energy decreasing in D", slope, 0.0,
+                      detail="max forward difference, must be negative",
+                      passed=slope < 0.0))
 
     pt4 = ProblemPoint(n=n, K=4.0 * pt.K, H=2.0 * pt.H)
     ratio = bubble_energy(pt4) / closed
     expected = 4.0 ** (-0.5 * (n - 2.0))
-    rows.append(_row("bubble energy |K|-scaling at fixed D",
-                     abs(ratio - expected) / expected, 1e-10))
+    rows.append(Check("bubble energy |K|-scaling at fixed D",
+                      abs(ratio - expected) / expected, 1e-10))
 
     frame = geom.random_frame(n, rng)
-    suite = geom.cancellation_suite(frame, pt)
-    rows.extend(_report_rows(suite))
+    rows.extend(geom.cancellation_suite(frame, pt))
 
     ep_norm = geom.forcing_norm(frame, b)
     worst = 0.0
     for s in range(1, n + 1):
         val, scale = geom.integral_Ep_jacobi(frame, b, s, ep_norm=ep_norm)
         worst = max(worst, abs(val) / scale)
-    rows.append(_row(f"forcing orthogonal to the kernel ({n} fields)",
-                     worst, 1e-8))
-    rows.append(_row("separable pairings: moments vs double-exponential "
-                     "quadrature (5 radial records)",
-                     geom.route_gap(frame, b), 1e-8))
+    rows.append(Check(f"forcing orthogonal to the kernel ({n} fields)",
+                      worst, 1e-8))
+    rows.append(Check("separable pairings: moments vs double-exponential "
+                      "quadrature (5 radial records)",
+                      geom.route_gap(frame, b), 1e-8))
     return _write_report(cfg, "verify-bubble", rows)
 
 
@@ -495,35 +479,35 @@ def cmd_verify_hyperbolic(cfg):
     rows = []
 
     hp = hyperbolic.hyperbolic_picture(pt.D)
-    rows.append(_row("ball radius inverts to mu1 = D",
-                     abs(hp.mu1 - pt.D) / pt.D, 1e-14))
-    rows.append(_row("eigenvalue product mu0 mu1 = 1",
-                     abs(hp.mu0 * hp.mu1 - 1.0), 1e-14))
+    rows.append(Check("ball radius inverts to mu1 = D",
+                      abs(hp.mu1 - pt.D) / pt.D, 1e-14))
+    rows.append(Check("eigenvalue product mu0 mu1 = 1",
+                      abs(hp.mu0 * hp.mu1 - 1.0), 1e-14))
     hp2 = hyperbolic.hyperbolic_picture(2.0)
-    rows.append(_row("ball radius closed form at D=2",
-                     abs(hp2.R - (2.0 - math.sqrt(3.0))), 1e-14))
+    rows.append(Check("ball radius closed form at D=2",
+                      abs(hp2.R - (2.0 - math.sqrt(3.0))), 1e-14))
     worst = max(abs((1.0 + (h := hyperbolic.hyperbolic_picture(d)).R ** 2)
                     / (2.0 * h.R) - d) / d
                 for d in (1.5, 2.0, 3.0, 10.0))
-    rows.append(_row("radius round trip D in {1.5, 2, 3, 10}", worst, 1e-14))
+    rows.append(Check("radius round trip D in {1.5, 2, 3, 10}", worst, 1e-14))
     hp_lim = hyperbolic.hyperbolic_picture(1.0 + 1e-6)
-    rows.append(_row("approach to the unit ball as D -> 1+",
-                     1.0 - hp_lim.R, 2e-3,
-                     detail="R = 1 - sqrt(2e-6) + O(e-6) at D = 1 + 1e-6"))
+    rows.append(Check("approach to the unit ball as D -> 1+",
+                      1.0 - hp_lim.R, 2e-3,
+                      detail="R = 1 - sqrt(2e-6) + O(e-6) at D = 1 + 1e-6"))
 
-    vrep, annihilating = hyperbolic.steklov_variants(hp, n, seed=cfg["seed"])
-    rows.append(_row("an annihilating operator variant exists",
-                     float(len(annihilating)), 0.0,
-                     detail=", ".join(f"{op} + {lab}"
-                                      for op, lab in annihilating),
-                     passed=len(annihilating) > 0))
-    measured = {c.name: c for c in vrep.checks}
+    vrows, annihilating = hyperbolic.steklov_variants(hp, n, seed=cfg["seed"])
+    rows.append(Check("an annihilating operator variant exists",
+                      float(len(annihilating)), 0.0,
+                      detail=", ".join(f"{op} + {lab}"
+                                       for op, lab in annihilating),
+                      passed=len(annihilating) > 0))
+    measured = {c.name: c for c in vrows}
     for op, lab in annihilating:
         c = measured[f"{op} operator + {lab}"]
-        rows.append(_row(f"steklov residual: {op} operator + {lab}",
-                         c.value, c.bound, detail=c.detail))
+        rows.append(Check(f"steklov residual: {op} operator + {lab}",
+                          c.value, c.bound, detail=c.detail))
     variants = [{"combination": c.name, "residual": c.value,
-                 "detail": c.detail} for c in vrep.checks]
+                 "detail": c.detail} for c in vrows]
     return _write_report(cfg, "verify-hyperbolic", rows,
                          extra={"variants": variants,
                                 "annihilating": [list(p)
@@ -559,7 +543,7 @@ def _build_frame(cfg):
         frame = geom.random_frame(n, np.random.default_rng(cfg["seed"]))
     else:
         frame = CurvatureFrame.zero(n)
-    bad = [c.name for c in validate_frame(frame).failures()]
+    bad = [c.name for c in validate_frame(frame) if not c.passed]
     if bad:
         raise ConfigError(f"curvature frame fails validation: "
                           f"{', '.join(bad)}")
@@ -584,19 +568,18 @@ def cmd_corrector(cfg):
                                                              with_grid=True)}
     try:
         sol = corrector.solve_corrector(frame, pt, gs)
-        rep = corrector.corrector_diagnostics(sol)
+        rows = corrector.corrector_diagnostics(sol)
     except (SingularSystem, NonConvergence) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         write_json(path, doc)
         print(f"corrector solve failed: {doc['error']}", file=sys.stderr)
         return EXIT_NUMERIC
     sol.save(out)
-    rows = _report_rows(rep)
     doc["checks"] = rows
     doc["diagnostics"] = {k: v for k, v in sol.diagnostics.items()
                           if isinstance(v, (int, float, bool, str))}
     doc["modes"] = [{"degree": m.degree, "label": m.label} for m in sol.modes]
-    doc["all_passed"] = all(r["passed"] for r in rows)
+    doc["all_passed"] = all(r.passed for r in rows)
     write_json(path, doc)
     _print_rows(rows)
     print(f"{len(sol.modes)} modes -> {out}")
@@ -670,8 +653,8 @@ def cmd_locate(cfg):
         hess = HessianData(
             hessH=_parse_hessian(cfg["hessH"], n - 1, "hessH"),
             hessK=_parse_hessian(cfg["hessK"], n, "hessK"))
-        bad = [c.name for c in validate_hessians(
-            hess, require_definite=False).failures()]
+        bad = [c.name for c in validate_hessians(hess, require_definite=False)
+               if not c.passed]
         if bad:
             raise ConfigError(f"curvature Hessians fail validation: "
                               f"{', '.join(bad)}")
@@ -718,7 +701,7 @@ def main(argv=None):
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", metavar="PATH",
                        help="flat JSON config (paths resolve relative to it)")
-        p.add_argument("--out", metavar="DIR",
+        p.add_argument("--out", metavar="DIR", default="out",
                        help="output directory (default: 'out')")
         p.add_argument("--override-dimension-gate", action="store_true",
                        help="allow 5 <= n < 8 for exploration (not locate)")

@@ -56,8 +56,7 @@ from .errors import DomainError, NonConvergence, SingularSystem
 from .geom import ForcingMode, decompose_forcing
 # GridSpec and MAX_GRID_CELLS live in model, so that the CLI reads the
 # grid defaults without importing this module; both stay names here
-from .model import (MAX_GRID_CELLS, Check, GridSpec, ValidationReport,
-                    write_json)
+from .model import MAX_GRID_CELLS, Check, GridSpec, write_json
 
 __all__ = [
     "ForcingMode",
@@ -718,11 +717,12 @@ def _pairing(G, W, xs, ys):
 def corrector_diagnostics(sol):
     """Orthogonality, decay, identity, residual and positivity checks.
 
-    Returns a ValidationReport whose check values are scaled defects;
-    the raw numbers land in sol.diagnostics.  The quadratic form and the
-    fourth-order residual read the right-hand side each mode solved: its
-    forcing on the equation rows, less the solvability multiplier times
-    j_n for degree 0, and zero on the boundary rows.
+    Returns a list of Check rows (name, value, bound, detail, passed)
+    whose values are scaled defects; the raw numbers land in
+    sol.diagnostics.  The quadratic form and the fourth-order residual
+    read the right-hand side each mode solved: its forcing on the
+    equation rows, less the solvability multiplier times j_n for
+    degree 0, and zero on the boundary rows.
     """
     pt = sol.pt
     n = pt.n
@@ -763,8 +763,7 @@ def corrector_diagnostics(sol):
         diag[f"orthogonality_j{i}"] = total
         worst = max(worst, defect)
     jn = ji     # the loop ends on j_n, the degree-0 border
-    checks.append(Check("kernel orthogonality", worst <= 1e-10, worst, 1e-10,
-                        detail=no_mode))
+    checks.append(Check("kernel orthogonality", worst, 1e-10, detail=no_mode))
 
     # (ii) decay envelope and fitted exponent
     if sol.modes:
@@ -793,16 +792,16 @@ def corrector_diagnostics(sol):
             slope = 0.0
         diag["decay_exponent"] = slope
         diag["decay_window"] = list(window)
-        checks.append(Check("decay envelope (1+|x|)^{4-n}", bound_ok,
+        checks.append(Check("decay envelope (1+|x|)^{4-n}",
                             cout / cfit if cfit > 0 else 0.0, 1.05,
                             detail=f"fitted exponent {slope:.3f} on window "
                                    f"{window} (informational; the bound "
                                    f"check is the invariant)" if fitted
-                            else "window holds no node"))
+                            else "window holds no node", passed=bound_ok))
     else:
         diag["decay_exponent"] = 0.0
-        checks.append(Check("decay envelope (1+|x|)^{4-n}", True, 0.0,
-                            1.05, detail=no_mode))
+        checks.append(Check("decay envelope (1+|x|)^{4-n}", 0.0, 1.05,
+                            detail=no_mode))
 
     # (iii) interior mass balances boundary mass
     uq = b.U_rx(r[:, None], xn[None, :]) ** (crit_interior(n) - 1.0)
@@ -824,8 +823,8 @@ def corrector_diagnostics(sol):
     defect3 = abs(lhs - rhs) / denom if averaged and denom > 0.0 else 0.0
     diag["identity_lhs"] = lhs
     diag["identity_rhs"] = rhs
-    checks.append(Check("interior/boundary mass identity", defect3 <= 1e-3,
-                        defect3, 1e-3, detail="" if averaged else
+    checks.append(Check("interior/boundary mass identity", defect3, 1e-3,
+                        detail="" if averaged else
                         "vacuous: no mode has an angular average"))
 
     # (iv) quadratic form = forcing pairing, and its sign.  A psi equals
@@ -850,13 +849,12 @@ def corrector_diagnostics(sol):
     # psi on the Dirichlet rows is LU roundoff, so the boundary rows'
     # share is measured against the same floor as the pairing itself
     vacuous = abs(rim) <= 1e-12 * scale4
-    checks.append(Check("pairing vs discrete quadratic form", agree <= 1e-3,
-                        agree, 1e-3, detail="vacuous: the forcing vanishes "
-                        "on the boundary rows" if vacuous else ""))
-    positive = qform >= -1e-6 * scale4
-    checks.append(Check("quadratic form nonnegative", positive,
-                        qform / scale4, 1e-6,
-                        detail=no_mode or f"int E_p V_p = {pairing:.6e}"))
+    checks.append(Check("pairing vs discrete quadratic form", agree, 1e-3,
+                        detail="vacuous: the forcing vanishes on the "
+                        "boundary rows" if vacuous else ""))
+    checks.append(Check("quadratic form nonnegative", qform / scale4, 1e-6,
+                        detail=no_mode or f"int E_p V_p = {pairing:.6e}",
+                        passed=qform >= -1e-6 * scale4))
 
     # (v) the independent route: fourth-order stencils on each solved
     # equation, away from the second-order scheme's truncation error
@@ -867,7 +865,7 @@ def corrector_diagnostics(sol):
             else (0.0 if res == 0.0 else math.inf)
         cap = 2e-2 if mode.degree == 0 else 1e-2
         checks.append(Check(f"fourth-order residual / forcing ({mode.label})",
-                            ratio <= cap, ratio, cap))
+                            ratio, cap))
 
     sol.diagnostics.update(diag)
-    return ValidationReport(checks=checks)
+    return checks

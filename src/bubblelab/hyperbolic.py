@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Check, ValidationReport
+from .model import Check
 
 __all__ = ["HyperbolicPicture", "hyperbolic_picture", "steklov_residual",
            "steklov_variants"]
@@ -142,7 +142,9 @@ STEKLOV_TOL = 1e-10
 def steklov_variants(hp, n, seed=0):
     """Measure every operator/eigenfunction combination; report, don't guess.
 
-    Returns (report, annihilating) where annihilating lists the
+    Returns (rows, annihilating): ``rows`` is a list of Check rows, one
+    per combination, whose value is the larger residual and which passes
+    when the combination annihilates, and ``annihilating`` lists the
     (operator, candidate) pairs whose interior and boundary residuals
     both stay below STEKLOV_TOL at 25 random points of the ball.
     """
@@ -168,9 +170,7 @@ def steklov_variants(hp, n, seed=0):
             if ok:
                 annihilating.append((operator, label))
             rows.append(Check(
-                name=f"{operator} operator + {label}",
-                passed=True,    # measurement rows; classification below
-                value=max(worst_i, worst_b), bound=STEKLOV_TOL,
-                detail=f"interior {worst_i:.3e}, boundary {worst_b:.3e}, "
-                       f"annihilates: {ok}"))
-    return ValidationReport(checks=rows), annihilating
+                f"{operator} operator + {label}", max(worst_i, worst_b),
+                STEKLOV_TOL, detail=f"interior {worst_i:.3e}, boundary "
+                f"{worst_b:.3e}, annihilates: {ok}", passed=ok))
+    return rows, annihilating

@@ -5,8 +5,9 @@ data (dimension, prescribed curvatures, perturbation weight) collected
 in :class:`ProblemPoint`, plus curvature tensors at the point in the
 gauge where the boundary Ricci tensor and the normal-normal Ricci entry
 vanish (:class:`CurvatureFrame`).  Validation never raises: every
-operation returns a report listing each invariant with its measured
-violation, so the CLI can show all failures at once.  The corrector's
+operation returns a list of :class:`Check` rows (name, value, bound,
+detail, passed), one per invariant with its measured violation, so the
+CLI can show all failures at once.  The corrector's
 grid, :class:`GridSpec`, is a domain type too: the CLI reads its
 defaults and checks its bounds without importing the sparse solver.
 Every report JSON file goes through :func:`write_json`, so all of them
@@ -236,29 +237,36 @@ class CurvatureFrame:
 
 @dataclass(frozen=True)
 class Check:
+    """One report row: a measured value against its bound.
+
+    ``passed`` defaults to ``value <= bound``, so a NaN value fails; a
+    row with another verdict passes it.  The fields are stored as the
+    report writes them: ``value`` and ``bound`` as float, ``passed`` as
+    bool.
+    """
+
     name: str
-    passed: bool
     value: float
     bound: float
     detail: str = ""
+    passed: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "passed", bool(
+            self.value <= self.bound if self.passed is None else self.passed))
 
 
-@dataclass
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
+def _json_default(obj):
+    return vars(obj) if isinstance(obj, Check) else float(obj)
 
 
 def write_json(path, doc):
-    """A report document as every command writes it: indented, keys sorted."""
+    """A report document as every command writes it: indented, keys
+    sorted, a Check as its five fields."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -295,10 +303,8 @@ def validate_point(pt, override_dimension_gate=False):
         (f"gamma <= {MAX_GAMMA:g}", not pt.gamma > MAX_GAMMA, pt.gamma,
          MAX_GAMMA, f"need gamma <= {MAX_GAMMA:g}, got gamma = {pt.gamma:.6g}"),
     ]
-    checks = [Check(name=name, passed=bool(ok), value=float(value),
-                    bound=float(bound), detail="" if ok else detail)
-              for name, ok, value, bound, detail in rows]
-    return ValidationReport(checks=checks)
+    return [Check(name, value, bound, "" if ok else detail, passed=ok)
+            for name, ok, value, bound, detail in rows]
 
 
 def validate_frame(fr):
@@ -319,22 +325,17 @@ def validate_frame(fr):
 
     bianchi = R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2)
     ricci = np.einsum("ikil->kl", R)
-    checks = [
-        Check("antisymmetry first pair", mx(R + R.transpose(1, 0, 2, 3)) <= bound,
-              mx(R + R.transpose(1, 0, 2, 3)), bound),
-        Check("antisymmetry second pair", mx(R + R.transpose(0, 1, 3, 2)) <= bound,
-              mx(R + R.transpose(0, 1, 3, 2)), bound),
-        Check("pair symmetry", mx(R - R.transpose(2, 3, 0, 1)) <= bound,
-              mx(R - R.transpose(2, 3, 0, 1)), bound),
-        Check("first Bianchi identity", mx(bianchi) <= bound, mx(bianchi), bound),
-        Check("boundary Ricci vanishes", mx(ricci) <= bound, mx(ricci), bound),
-        Check("normal block symmetric", mx(Q - Q.T) <= bound, mx(Q - Q.T), bound),
-        Check("normal block trace vanishes", abs(float(np.trace(Q))) <= bound,
-              abs(float(np.trace(Q))), bound),
-        Check(f"entries at most {MAX_FRAME_ENTRY:g} in size",
-              scale <= MAX_FRAME_ENTRY, scale, MAX_FRAME_ENTRY),
+    return [
+        Check("antisymmetry first pair", mx(R + R.transpose(1, 0, 2, 3)), bound),
+        Check("antisymmetry second pair", mx(R + R.transpose(0, 1, 3, 2)), bound),
+        Check("pair symmetry", mx(R - R.transpose(2, 3, 0, 1)), bound),
+        Check("first Bianchi identity", mx(bianchi), bound),
+        Check("boundary Ricci vanishes", mx(ricci), bound),
+        Check("normal block symmetric", mx(Q - Q.T), bound),
+        Check("normal block trace vanishes", abs(float(np.trace(Q))), bound),
+        Check(f"entries at most {MAX_FRAME_ENTRY:g} in size", scale,
+              MAX_FRAME_ENTRY),
     ]
-    return ValidationReport(checks=checks)
 
 
 def validate_hessians(hd, require_definite=True):
@@ -344,8 +345,9 @@ def validate_hessians(hd, require_definite=True):
     for name, arr in (("hessH", hd.hessH), ("hessK", hd.hessK)):
         bound = 1e-10 * max(1.0, float(np.max(np.abs(arr))))
         viol = float(np.max(np.abs(arr - arr.T)))
-        checks.append(Check(f"{name} symmetric", viol <= bound, viol, bound))
+        checks.append(Check(f"{name} symmetric", viol, bound))
         if require_definite:
             lam = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
-            checks.append(Check(f"{name} positive definite", lam > 0.0, lam, 0.0))
-    return ValidationReport(checks=checks)
+            checks.append(Check(f"{name} positive definite", lam, 0.0,
+                                passed=lam > 0.0))
+    return checks

@@ -387,7 +387,7 @@ def optimize_nonconstant(samples):
 
     rows, winner, all_d = _locate(samples, coeff_b, lambda s, a: a, 2)
     s, row = winner
-    bad = validate_hessians(s.hess).failures()
+    bad = [c for c in validate_hessians(s.hess) if not c.passed]
     if bad:
         raise HypothesisFailure(
             f"curvature Hessians at the selected point {s.label!r} fail: "

@@ -758,6 +758,15 @@ def test_out_dir_is_the_flag_alone(tmp_path, monkeypatch):
     assert not (tmp_path / "conf" / "out").exists()
 
 
+def test_an_empty_out_is_refused_not_defaulted(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run("verify-hyperbolic", "--out", "") == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot create output directory ")
+    assert os.listdir(tmp_path) == []
+
+
 def _nodes_evaluated(command, out, monkeypatch):
     """The nodes a run's quadratures evaluate their integrands at, counted
     at the integrands and per family member."""

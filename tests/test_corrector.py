@@ -687,8 +687,7 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
         pt8, sol_three_modes):
     # oracle: the form paired from A psi, with A rebuilt by _assemble
     sol = sol_three_modes
-    rep = corrector.corrector_diagnostics(sol)
-    checks = {c.name: c for c in rep.checks}
+    checks = {c.name: c for c in corrector.corrector_diagnostics(sol)}
     G, W = sol.angular_gram(), sol.grid["W"]
     psis = [m.psi for m in sol.modes]
     ops = []
@@ -719,8 +718,8 @@ def test_kernel_orthogonality_row_is_each_j_on_its_own_grid(pt8,
     # though no two shared a radial record; the row must match it bit
     # for bit
     sol = sol_three_modes
-    rep = corrector.corrector_diagnostics(sol)
-    row = {c.name: c for c in rep.checks}["kernel orthogonality"]
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[
+        "kernel orthogonality"]
     b = Bubble(pt8)
     nodes, wq = geom.sphere_rule(7)
     gg, W = sol.grid, sol.grid["W"]
@@ -746,8 +745,8 @@ def test_mass_identity_is_vacuous_for_a_deep_degree2_frame():
     frame = geom.random_frame(8, np.random.default_rng(1871))
     sol = corrector.solve_corrector(frame, pt,
                                     corrector.GridSpec(nr=100, nxn=100))
-    rep = corrector.corrector_diagnostics(sol)
-    row = {c.name: c for c in rep.checks}["interior/boundary mass identity"]
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[
+        "interior/boundary mass identity"]
     assert row.passed
     assert row.value == 0.0
     assert row.detail == "vacuous: no mode has an angular average"
@@ -776,9 +775,9 @@ def test_solve_corrector_zero_frame(pt8):
 
 
 def test_corrector_diagnostics_pass(sol8):
-    rep = corrector.corrector_diagnostics(sol8)
-    assert rep.passed, [(c.name, c.value) for c in rep.failures()]
-    checks = {c.name: c for c in rep.checks}
+    rows = corrector.corrector_diagnostics(sol8)
+    assert all(c.passed for c in rows), [(c.name, c.value) for c in rows]
+    checks = {c.name: c for c in rows}
     assert "kernel orthogonality" in checks
     assert "quadratic form nonnegative" in checks
     assert sol8.diagnostics["decay_exponent"] < -3.0
@@ -826,11 +825,10 @@ _WRONG_PSI = {
 @pytest.mark.parametrize("wrong", sorted(_WRONG_PSI))
 def test_a_wrong_psi_fails_the_row_that_checks_it(sol100, wrong):
     mutate, name, value, bound = _WRONG_PSI[wrong]
-    assert corrector.corrector_diagnostics(sol100).passed
+    assert all(c.passed for c in corrector.corrector_diagnostics(sol100))
     sol = corrector.CorrectorSolution(pt=sol100.pt, gs=sol100.gs, modes=[
         dataclasses.replace(m, psi=mutate(sol100, m)) for m in sol100.modes])
-    row = {c.name: c for c in corrector.corrector_diagnostics(sol).checks}[
-        name]
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[name]
     assert not row.passed
     assert row.bound == bound
     assert row.value == pytest.approx(value, rel=1e-2)

@@ -63,7 +63,7 @@ def test_weyl_norm_refuses_what_validate_frame_refuses(frame8):
     # a tr Q residue of 1e-9 lies above the frame tolerance 1e-10
     q = frame8.normal_block + 1e-9 / 7 * np.eye(7)
     bad = CurvatureFrame(riem_boundary=frame8.riem_boundary, normal_block=q)
-    assert [c.name for c in validate_frame(bad).failures()] == [
+    assert [c.name for c in validate_frame(bad) if not c.passed] == [
         "normal block trace vanishes"]
     with pytest.raises(InvalidFrame, match="normal block trace vanishes"):
         geom.weyl_norm(bad)
@@ -143,9 +143,34 @@ def test_forcing_orthogonal_to_kernel(pt8, frame8):
 def test_cancellation_suite(pt8, pt10):
     for pt in (pt8, pt10, ProblemPoint(n=12, K=-132.0, H=2.0)):
         fr = geom.random_frame(pt.n, np.random.default_rng(7))
-        rep = geom.cancellation_suite(fr, pt)
-        assert rep.passed, [(c.name, c.value) for c in rep.failures()]
-        assert len(rep.checks) == 4
+        rows = geom.cancellation_suite(fr, pt)
+        assert all(c.passed for c in rows), [(c.name, c.value) for c in rows]
+        assert len(rows) == 4
+
+
+def test_cancellation_suite_reads_a_zero_scale_as_vacuous(pt8):
+    # a Weyl-free frame leaves (4) nothing to measure, the zero frame
+    # leaves (1) nothing either; (2) and (3) read the moments alone
+    zero_r = {"quartic curvature term vanishes":
+              "vacuous: the boundary tensor is zero"}
+    weyl_free = CurvatureFrame(riem_boundary=np.zeros((7, 7, 7, 7)),
+                               normal_block=np.diag([1.0, -1.0] + [0.0] * 5))
+    cases = [(weyl_free, zero_r),
+             (CurvatureFrame.zero(8),
+              {"delta^2 term vanishes": "vacuous: the frame is zero",
+               **zero_r})]
+    reference = geom.cancellation_suite(
+        geom.random_frame(8, np.random.default_rng(7)), pt8)
+    for frame, vacuous in cases:
+        assert all(c.passed for c in validate_frame(frame))
+        rows = geom.cancellation_suite(frame, pt8)
+        assert [c.name for c in rows] == [c.name for c in reference]
+        assert all(c.passed for c in rows), [(c.name, c.value) for c in rows]
+        assert rows[1:3] == reference[1:3]
+        for c in rows:
+            if c.name in vacuous:
+                assert (c.value, c.detail) == (0.0, vacuous[c.name])
+            assert c.bound == geom.CANCELLATION_TOL
 
 
 def test_radial_kernel_element_alt_form(pt8, rng):

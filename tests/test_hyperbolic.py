@@ -32,9 +32,12 @@ def test_hyperbolic_picture_closed_forms():
 
 def test_steklov_annihilating_variants():
     hp = hyperbolic.hyperbolic_picture(2.0)
-    report, annihilating = hyperbolic.steklov_variants(hp, 8, seed=3)
-    assert len(report.checks) == 6
+    rows, annihilating = hyperbolic.steklov_variants(hp, 8, seed=3)
+    assert len(rows) == 6
     got = set(annihilating)
+    # each row carries its own annihilation verdict
+    assert {tuple(c.name.split(" operator + ")) for c in rows
+            if c.passed} == got
     # the standard Poincare operator kills the ground mode and the plain
     # first mode; the flat-drift variant kills neither
     assert ("standard", "phi0") in got

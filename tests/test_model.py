@@ -1,11 +1,25 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from bubblelab import geom, quad
 from bubblelab.errors import DomainError
-from bubblelab.model import (CurvatureFrame, HessianData, ProblemPoint,
-                             validate_frame, validate_hessians,
-                             validate_point)
+from bubblelab.model import (Check, CurvatureFrame, HessianData,
+                             ProblemPoint, validate_frame, validate_hessians,
+                             validate_point, write_json)
+
+
+def test_a_check_is_written_as_its_five_json_fields(tmp_path):
+    path = tmp_path / "row.json"
+    write_json(path, Check("r", np.float64(0.5), 1, passed=np.bool_(True)))
+    doc = json.loads(path.read_text())
+    assert doc == {"name": "r", "value": 0.5, "bound": 1.0, "detail": "",
+                   "passed": True}
+    assert [type(doc[k]) for k in ("value", "bound", "passed")] == \
+        [float, float, bool]
+    assert Check("r", math.nan, 1.0).passed is False
 
 
 def test_scaling_quantity_round_numbers(pt8, pt10):
@@ -38,44 +52,45 @@ def test_point_owns_its_moments(monkeypatch):
 
     monkeypatch.setattr(quad, "MomentTable", refuse)
     flat = ProblemPoint(n=8, K=-56.0, H=0.5)     # D = 0.5: no bubble
-    rep = validate_point(flat)
-    assert [c.name for c in rep.failures()] == ["D > 1"]
+    rows = validate_point(flat)
+    assert [c.name for c in rows if not c.passed] == ["D > 1"]
     assert "moments" not in vars(flat)
 
 
 def test_dimension_gate():
     low = ProblemPoint(n=6, K=-30.0, H=1.2)   # D = 1.2: only the gate fails
-    rep = validate_point(low)
-    assert not rep.passed
-    assert any("dimension gate" in c.detail for c in rep.failures())
+    rows = validate_point(low)
+    assert not all(c.passed for c in rows)
+    assert any("dimension gate" in c.detail for c in rows if not c.passed)
 
-    rep = validate_point(low, override_dimension_gate=True)
-    assert rep.passed
+    rows = validate_point(low, override_dimension_gate=True)
+    assert all(c.passed for c in rows)
 
-    rep = validate_point(ProblemPoint(n=4, K=-12.0, H=1.5),
-                         override_dimension_gate=True)
-    assert not rep.passed
+    rows = validate_point(ProblemPoint(n=4, K=-12.0, H=1.5),
+                          override_dimension_gate=True)
+    assert not all(c.passed for c in rows)
 
 
 def test_validate_point_flags_bad_geometry():
-    rep = validate_point(ProblemPoint(n=8, K=-56.0, H=0.1))
-    assert [c.name for c in rep.failures()] == ["D > 1"]
-    rep = validate_point(ProblemPoint(n=8, K=3.0, H=2.0))
-    assert any(c.name == "K < 0" for c in rep.failures())
-    rep = validate_point(ProblemPoint(n=8, K=-56.0, H=2.0, gamma=-1.0))
-    assert any(c.name == "gamma > 0" for c in rep.failures())
+    rows = validate_point(ProblemPoint(n=8, K=-56.0, H=0.1))
+    assert [c.name for c in rows if not c.passed] == ["D > 1"]
+    rows = validate_point(ProblemPoint(n=8, K=3.0, H=2.0))
+    assert any(c.name == "K < 0" for c in rows if not c.passed)
+    rows = validate_point(ProblemPoint(n=8, K=-56.0, H=2.0, gamma=-1.0))
+    assert any(c.name == "gamma > 0" for c in rows if not c.passed)
 
 
 def test_zero_frame():
     fr = CurvatureFrame.zero(8)
     assert fr.n == 8 and fr.m == 7
     assert fr.nnins_sq == 0.0
-    assert validate_frame(fr).passed
+    assert all(c.passed for c in validate_frame(fr))
 
 
 def test_random_frame_validates(frame8):
-    rep = validate_frame(frame8)
-    assert rep.passed, [c.name for c in rep.failures()]
+    rows = validate_frame(frame8)
+    assert all(c.passed for c in rows), [c.name for c in rows
+                                         if not c.passed]
     assert frame8.nnins_sq > 0.0
 
 
@@ -84,14 +99,13 @@ def test_validate_frame_catches_tampering(frame8):
     riem[0, 1, 2, 3] += 0.1       # breaks pair symmetry and Bianchi
     bad = CurvatureFrame(riem_boundary=riem,
                          normal_block=frame8.normal_block)
-    rep = validate_frame(bad)
-    assert not rep.passed
+    assert not all(c.passed for c in validate_frame(bad))
 
     q = frame8.normal_block.copy()
     q[0, 0] += 1.0                # trace no longer vanishes
     bad = CurvatureFrame(riem_boundary=frame8.riem_boundary, normal_block=q)
     assert any(c.name == "normal block trace vanishes"
-               for c in validate_frame(bad).failures())
+               for c in validate_frame(bad) if not c.passed)
 
 
 def test_frame_json_round_trip(frame8):
@@ -114,16 +128,17 @@ def test_frame_shape_validation():
 def test_hessian_data():
     hd = HessianData(hessH=np.eye(7), hessK=np.eye(8))
     assert hd.n == 8
-    assert validate_hessians(hd).passed
+    assert all(c.passed for c in validate_hessians(hd))
     with pytest.raises(DomainError):
         HessianData(hessH=np.eye(7), hessK=np.eye(7))
 
 
 def test_hessian_definiteness_check():
     hd = HessianData(hessH=-np.eye(7), hessK=np.eye(8))
-    rep = validate_hessians(hd, require_definite=True)
-    assert any(c.name == "hessH positive definite" for c in rep.failures())
-    assert validate_hessians(hd, require_definite=False).passed
+    rows = validate_hessians(hd, require_definite=True)
+    assert any(c.name == "hessH positive definite"
+               for c in rows if not c.passed)
+    assert all(c.passed for c in validate_hessians(hd, require_definite=False))
 
 
 def test_frames_are_frozen(frame8):
