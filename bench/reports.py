@@ -7,14 +7,14 @@ Usage, from the root of a checkout:
 ``--before`` and ``--after`` are two checkouts (each with its own src/).
 Each side runs the same CLI commands, one at a time, each in a fresh
 directory of its own: ``verify-integrals``, ``verify-bubble`` and
-``verify-hyperbolic`` at their defaults, ``verify-integrals`` and
-``verify-bubble`` again at n = 12 (K = -132, H = 2), at H = 1.5, at
-H = 1e8 and at H = 1.000001 (where verify-bubble exits 1 with a failing
-row and its detail), ``corrector`` on ``{"frame": "random", "seed":
-11}`` at the default 400^2 grid and again at a given 200^2 grid (the
-grid of ``bench/domain.py``'s corrector cells), ``corrector`` at its
-defaults (the zero frame, whose every diagnostics row is vacuous), the
-README constants ``locate``, and a non-constants ``locate`` over nine
+``verify-hyperbolic`` at their defaults, all three again at n = 12
+(K = -132, H = 2), at H = 1.5, at H = 1e8 and at H = 1.000001 (where
+verify-bubble exits 1 with a failing row and its detail),
+``corrector`` on ``{"frame": "random", "seed": 11}`` at the default
+400^2 grid and again at a given 200^2 grid (the grid of
+``bench/domain.py``'s corrector cells), ``corrector`` at its defaults
+(the zero frame, whose every diagnostics row is vacuous), the README
+constants ``locate``, and a non-constants ``locate`` over nine
 samples with a per-sample H and gamma.  Every file a command writes is
 compared between the sides, and so is a ``console.txt`` holding its
 exit code and standard output (standard error is left out: Python's
@@ -44,7 +44,7 @@ NONCONSTANT_LOCATE = {
                  "H": 2.0 + 0.05 * (0.25 * i - 1.0) ** 2,
                  "gamma": 1.0 + 0.125 * i}
                 for i in range(9)]}
-# the points beside the default at which both verify commands run
+# the points beside the default at which every verify command runs
 VERIFY_POINTS = [("n12", {"n": 12, "K": -132.0, "H": 2.0}),
                  ("H1.5", {"H": 1.5}),
                  ("H1e8", {"H": 1e8}),
@@ -55,7 +55,8 @@ RUNS = [("verify-integrals", "verify-integrals", None),
         ("verify-hyperbolic", "verify-hyperbolic", None),
         *((f"{command}-{label}", command, point)
           for label, point in VERIFY_POINTS
-          for command in ("verify-integrals", "verify-bubble")),
+          for command in ("verify-integrals", "verify-bubble",
+                          "verify-hyperbolic")),
         ("corrector", "corrector", CORRECTOR),
         ("corrector-200", "corrector", {**CORRECTOR,
                                         "grid": {"nr": 200, "nxn": 200}}),

@@ -169,25 +169,36 @@ def _schema_doc(table, keys):
     return doc
 
 
-_VERIFY_OUTPUTS = {"verify_report.json":
-                   "command, parameters, identities[{name, passed, "
-                   "value, bound, detail}], count, all_passed"}
+_IDENTITIES = ("command, parameters, identities[{name, passed, value, "
+               "bound, detail}], count, all_passed")
 _OUTPUTS = {
-    "verify-integrals": _VERIFY_OUTPUTS,
-    "verify-bubble": _VERIFY_OUTPUTS,
-    "verify-hyperbolic": _VERIFY_OUTPUTS,
+    "verify-integrals": {"verify_report.json": _IDENTITIES},
+    "verify-bubble": {"verify_report.json": _IDENTITIES},
+    "verify-hyperbolic": {
+        "verify_report.json": _IDENTITIES + ", variants[{combination, "
+                              "residual, detail}]: every operator and "
+                              "eigenfunction pair, annihilating or not"},
     "corrector": {
         "corrector.json": "problem, grid, modes[{degree, label, weight, "
-                          "e_npy, psi_npy, info}]",
+                          "e_npy, psi_npy, info{deflated, multiplier, and "
+                          "for degree 0 sigma_min, sigma_threshold, "
+                          "base_norm, kernel_overlap, gate_steps, "
+                          "gate_eigen_residual}}]",
         "mode<k>_<label>_e.npy / _psi.npy":
             "(nr+1) x (nxn+1) float64 arrays, rows = radial index, "
             "read with np.load(path)",
-        "diagnostics.json": "command, parameters, checks[...], diagnostics, "
-                            "all_passed",
+        "diagnostics.json": "command, parameters, and either checks[{name, "
+                            "passed, value, bound, detail}], diagnostics"
+                            "{corrector_norm, orthogonality_j<i>, "
+                            "decay_envelope_inner?, decay_envelope_outer?, "
+                            "decay_exponent, identity_lhs, identity_rhs, "
+                            "forcing_pairing, quadratic_form}, all_passed, "
+                            "or error when the solve raises",
     },
     "locate": {
         "blowup.json": "p_star, coords, d_star, rate, case_tag, "
-                       "coefficients{E, A, B, S?}, gamma, J_values, "
+                       "coefficients{E, A, B, S?}, gamma, J_values{G and "
+                       "A_gamma_d, B_d4 (constants) or A_d, B_d2}, "
                        "hypothesis_flags, depth_convention, and in the "
                        "constants case pairing{levels, values, agreement, "
                        "bound}: the forcing pairing behind B at the two "
@@ -495,23 +506,19 @@ def cmd_verify_hyperbolic(cfg):
                       1.0 - hp_lim.R, 2e-3,
                       detail="R = 1 - sqrt(2e-6) + O(e-6) at D = 1 + 1e-6"))
 
-    vrows, annihilating = hyperbolic.steklov_variants(hp, n, seed=cfg["seed"])
+    variants = hyperbolic.steklov_variants(hp, n, seed=cfg["seed"])
+    annihilating = [key for key, c in variants.items() if c.passed]
     rows.append(Check("an annihilating operator variant exists",
                       float(len(annihilating)), 0.0,
                       detail=", ".join(f"{op} + {lab}"
                                        for op, lab in annihilating),
                       passed=len(annihilating) > 0))
-    measured = {c.name: c for c in vrows}
-    for op, lab in annihilating:
-        c = measured[f"{op} operator + {lab}"]
-        rows.append(Check(f"steklov residual: {op} operator + {lab}",
-                          c.value, c.bound, detail=c.detail))
-    variants = [{"combination": c.name, "residual": c.value,
-                 "detail": c.detail} for c in vrows]
-    return _write_report(cfg, "verify-hyperbolic", rows,
-                         extra={"variants": variants,
-                                "annihilating": [list(p)
-                                                 for p in annihilating]})
+    rows.extend(Check(f"steklov residual: {c.name}", c.value, c.bound,
+                      detail=c.detail)
+                for c in variants.values() if c.passed)
+    return _write_report(cfg, "verify-hyperbolic", rows, extra={"variants": [
+        {"combination": c.name, "residual": c.value, "detail": c.detail}
+        for c in variants.values()]})
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +575,7 @@ def cmd_corrector(cfg):
                                                              with_grid=True)}
     try:
         sol = corrector.solve_corrector(frame, pt, gs)
-        rows = corrector.corrector_diagnostics(sol)
+        rows, diagnostics = corrector.corrector_diagnostics(sol)
     except (SingularSystem, NonConvergence) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         write_json(path, doc)
@@ -576,9 +583,7 @@ def cmd_corrector(cfg):
         return EXIT_NUMERIC
     sol.save(out)
     doc["checks"] = rows
-    doc["diagnostics"] = {k: v for k, v in sol.diagnostics.items()
-                          if isinstance(v, (int, float, bool, str))}
-    doc["modes"] = [{"degree": m.degree, "label": m.label} for m in sol.modes]
+    doc["diagnostics"] = diagnostics
     doc["all_passed"] = all(r.passed for r in rows)
     write_json(path, doc)
     _print_rows(rows)

@@ -488,7 +488,7 @@ def solve_mode(pt, degree, forcing, gs):
     except RuntimeError as exc:   # pragma: no cover - depends on SuperLU
         raise NonConvergence(f"sparse solve failed: {exc}") from exc
 
-    info = {"degree": degree, "deflated": degree == 0, "multiplier": 0.0}
+    info = {"deflated": degree == 0, "multiplier": 0.0}
     if degree > 0:
         sol = lu.solve(rhs)
         solved = rhs
@@ -622,12 +622,12 @@ class SolvedMode:
 
 @dataclass
 class CorrectorSolution:
-    """Angular modes of the corrector on a common grid."""
+    """Angular modes of the corrector on a common grid, as solved;
+    `corrector_diagnostics` measures them and stores nothing here."""
 
     pt: object
     gs: GridSpec
     modes: list
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._gg = grid_geometry(self.gs, self.pt.n)
@@ -666,7 +666,6 @@ class CorrectorSolution:
             "problem": self.pt.to_json_dict(),
             "grid": self.gs.to_json_dict(),
             "modes": [],
-            "diagnostics": self.diagnostics,
         }
         for k, mode in enumerate(self.modes):
             stem = f"mode{k}_{mode.label}"
@@ -677,8 +676,7 @@ class CorrectorSolution:
             header["modes"].append({
                 "degree": mode.degree, "label": mode.label, "weight": weight,
                 "e_npy": f"{stem}_e.npy", "psi_npy": f"{stem}_psi.npy",
-                "info": {k2: v for k2, v in mode.info.items()
-                         if isinstance(v, (int, float, bool, str))},
+                "info": mode.info,
             })
         write_json(out / "corrector.json", header)
         return out / "corrector.json"
@@ -717,9 +715,10 @@ def _pairing(G, W, xs, ys):
 def corrector_diagnostics(sol):
     """Orthogonality, decay, identity, residual and positivity checks.
 
-    Returns a list of Check rows (name, value, bound, detail, passed)
-    whose values are scaled defects; the raw numbers land in
-    sol.diagnostics.  The quadratic form and the fourth-order residual
+    Returns (checks, diagnostics): a list of Check rows (name, value,
+    bound, detail, passed) whose values are scaled defects, and a dict
+    of the raw numbers behind them, each a float; ``sol`` is left as it
+    is.  The quadratic form and the fourth-order residual
     read the right-hand side each mode solved: its forcing on the
     equation rows, less the solvability multiplier times j_n for
     degree 0, and zero on the boundary rows.
@@ -791,7 +790,6 @@ def corrector_diagnostics(sol):
         else:
             slope = 0.0
         diag["decay_exponent"] = slope
-        diag["decay_window"] = list(window)
         checks.append(Check("decay envelope (1+|x|)^{4-n}",
                             cout / cfit if cfit > 0 else 0.0, 1.05,
                             detail=f"fitted exponent {slope:.3f} on window "
@@ -867,5 +865,4 @@ def corrector_diagnostics(sol):
         checks.append(Check(f"fourth-order residual / forcing ({mode.label})",
                             ratio, cap))
 
-    sol.diagnostics.update(diag)
-    return checks
+    return checks, diag

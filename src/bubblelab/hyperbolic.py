@@ -142,11 +142,11 @@ STEKLOV_TOL = 1e-10
 def steklov_variants(hp, n, seed=0):
     """Measure every operator/eigenfunction combination; report, don't guess.
 
-    Returns (rows, annihilating): ``rows`` is a list of Check rows, one
-    per combination, whose value is the larger residual and which passes
-    when the combination annihilates, and ``annihilating`` lists the
-    (operator, candidate) pairs whose interior and boundary residuals
-    both stay below STEKLOV_TOL at 25 random points of the ball.
+    Returns a dict of Check rows keyed by (operator, candidate), one per
+    combination in measuring order, whose value is the larger residual
+    and which passes when the combination annihilates: its interior and
+    boundary residuals both stay below STEKLOV_TOL at 25 random points
+    of the ball.
     """
     rng = np.random.default_rng(seed)
 
@@ -158,8 +158,7 @@ def steklov_variants(hp, n, seed=0):
     candidates = [("phi0", 0, "plain"),
                   ("phi1-radial", (1, 1), "radial"),
                   ("phi1-plain", (1, 1), "plain")]
-    rows = []
-    annihilating = []
+    rows = {}
     for operator in ("flat-drift", "standard"):
         for label, which, form in candidates:
             ri, rb = steklov_residual(hp, which, pts, operator=operator,
@@ -167,10 +166,8 @@ def steklov_variants(hp, n, seed=0):
             worst_i = float(np.max(np.abs(ri)))
             worst_b = float(np.max(np.abs(rb)))
             ok = worst_i <= STEKLOV_TOL and worst_b <= STEKLOV_TOL
-            if ok:
-                annihilating.append((operator, label))
-            rows.append(Check(
+            rows[operator, label] = Check(
                 f"{operator} operator + {label}", max(worst_i, worst_b),
                 STEKLOV_TOL, detail=f"interior {worst_i:.3e}, boundary "
-                f"{worst_b:.3e}, annihilates: {ok}", passed=ok))
-    return rows, annihilating
+                f"{worst_b:.3e}, annihilates: {ok}", passed=ok)
+    return rows

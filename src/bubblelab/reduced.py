@@ -174,8 +174,7 @@ class ReducedCoefficients:
                 raise HypothesisFailure(f"S must be positive, got {self.S}")
 
     def to_json_dict(self):
-        doc = {"E": self.E, "A": self.A, "B": self.B,
-               "case_tag": self.case_tag}
+        doc = {"E": self.E, "A": self.A, "B": self.B}
         if self.S is not None:
             doc["S"] = self.S
         return doc
@@ -363,8 +362,7 @@ def optimize_constants(samples):
     coeffs = ReducedCoefficients(E=row["E"], A=row["A"], B=row["B"],
                                  case_tag="constants", S=compute_S(s.pt))
     flags = {"B_positive": True, "D_above_one_along_sample": all_d}
-    j_values = {"E": row["E"],
-                "A_gamma_d": f * row["d0"],
+    j_values = {"A_gamma_d": f * row["d0"],
                 "B_d4": row["B"] * row["d0"] ** 4,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),
@@ -396,8 +394,7 @@ def optimize_nonconstant(samples):
                                  case_tag="non-constants")
     flags = {"B_positive": True, "hessians_positive_definite": True,
              "D_above_one_along_sample": all_d}
-    j_values = {"E": row["E"],
-                "A_d": row["A"] * row["d0"],
+    j_values = {"A_d": row["A"] * row["d0"],
                 "B_d2": row["B"] * row["d0"] ** 2,
                 "G": row["G"]}
     return BlowupReport(p_star=s.label, coords=tuple(s.coords),

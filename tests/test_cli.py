@@ -497,8 +497,13 @@ def test_verify_hyperbolic_emits_variant_table(tmp_path):
     assert _run("verify-hyperbolic", "--out", str(tmp_path)) == 0
     doc = json.loads((tmp_path / "verify_report.json").read_text())
     assert len(doc["variants"]) == 6
-    assert sorted(doc["annihilating"]) == [["standard", "phi0"],
-                                           ["standard", "phi1-plain"]]
+    assert sorted(v["combination"] for v in doc["variants"]
+                  if v["detail"].endswith("annihilates: True")) == [
+        "standard operator + phi0", "standard operator + phi1-plain"]
+    assert [r["name"] for r in doc["identities"]
+            if r["name"].startswith("steklov residual: ")] == [
+        "steklov residual: standard operator + phi0",
+        "steklov residual: standard operator + phi1-plain"]
 
 
 def test_corrector_zero_frame(tmp_path, capsys):
@@ -507,8 +512,8 @@ def test_corrector_zero_frame(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("corrector", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads((out / "diagnostics.json").read_text())
-    assert doc["all_passed"] and doc["modes"] == []
-    assert (out / "corrector.json").exists()
+    assert doc["all_passed"]
+    assert json.loads((out / "corrector.json").read_text())["modes"] == []
     # with no mode every row holds by structure, and says so
     lines = capsys.readouterr().out.splitlines()
     no_mode = ("kernel orthogonality", "decay envelope (1+|x|)^{4-n}",
@@ -617,8 +622,75 @@ def test_corrector_projects_a_frame_file_onto_the_gauge(tmp_path):
                  {"frame_file": "frame.json", "grid": {"nr": 100, "nxn": 100}})
     out = tmp_path / "out"
     assert _run("corrector", "--config", cfg, "--out", str(out)) == 0
-    diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["modes"] == [{"degree": 2, "label": "normal-block"}]
+    header = json.loads((out / "corrector.json").read_text())
+    assert [(m["degree"], m["label"]) for m in header["modes"]] == [
+        (2, "normal-block")]
+
+
+_VERIFY_KEYS = {"command", "parameters", "identities", "count", "all_passed"}
+_CORRECTOR_KEYS = {
+    "corrector.json": {"problem", "grid", "modes"},
+    "diagnostics.json": {"command", "parameters", "checks", "diagnostics",
+                         "all_passed"}}
+_BLOWUP_KEYS = {"p_star", "coords", "d_star", "rate", "case_tag",
+                "coefficients", "gamma", "J_values", "hypothesis_flags",
+                "depth_convention"}
+# nine non-constants samples along a line; t4 has the largest E
+_LINE_SAMPLES = [{"label": f"t{i}", "coords": [0.25 * i],
+                  "H": 2.0 + 0.05 * (0.25 * i - 1.0) ** 2} for i in range(9)]
+# run -> (command, config or None, {JSON file: its top-level keys})
+_REPORT_KEYS = {
+    "verify-integrals": ("verify-integrals", None,
+                         {"verify_report.json": _VERIFY_KEYS}),
+    "verify-bubble": ("verify-bubble", None,
+                      {"verify_report.json": _VERIFY_KEYS}),
+    "verify-hyperbolic": ("verify-hyperbolic", None,
+                          {"verify_report.json": _VERIFY_KEYS | {"variants"}}),
+    "corrector": ("corrector", {"frame": "random", "seed": 11,
+                                "grid": {"nr": 32, "nxn": 32}},
+                  _CORRECTOR_KEYS),
+    "corrector-zero": ("corrector", None, _CORRECTOR_KEYS),
+    "locate-constants": ("locate", _README_LOCATE,
+                         {"blowup.json": _BLOWUP_KEYS | {"pairing"}}),
+    "locate-nonconstants": ("locate", {"case": "non-constants",
+                                       "samples": _LINE_SAMPLES},
+                            {"blowup.json": _BLOWUP_KEYS}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_REPORT_KEYS))
+def test_each_report_writes_exactly_the_keys_it_names(tmp_path, run):
+    # no report holds a second, unnamed copy of a value another key holds
+    command, config, files = _REPORT_KEYS[run]
+    args = [command, "--out", str(tmp_path / "out")]
+    if config is not None:
+        args += ["--config", _write(tmp_path, "c.json", config)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _run(*args) == 0
+    docs = {name: json.loads((tmp_path / "out" / name).read_text())
+            for name in sorted(p.name for p in (tmp_path / "out").glob(
+                "*.json"))}
+    assert {name: set(doc) for name, doc in docs.items()} == files
+    if command == "corrector":
+        modes = docs["corrector.json"]["modes"]
+        assert len(modes) == (1 if config else 0)
+        for mode in modes:
+            assert set(mode) == {"degree", "label", "weight", "e_npy",
+                                 "psi_npy", "info"}
+            assert set(mode["info"]) == {"deflated", "multiplier"}
+        assert {k for k in docs["diagnostics.json"]["diagnostics"]
+                if not k.startswith("orthogonality_j")} == {
+            "corrector_norm", "decay_exponent", "identity_lhs",
+            "identity_rhs", "forcing_pairing", "quadratic_form"} | (
+            {"decay_envelope_inner", "decay_envelope_outer"} if modes
+            else set())
+    if command == "locate":
+        doc = docs["blowup.json"]
+        constants = doc["case_tag"] == "constants"
+        assert set(doc["coefficients"]) == {"E", "A", "B"} | (
+            {"S"} if constants else set())
+        assert set(doc["J_values"]) == ({"A_gamma_d", "B_d4", "G"}
+                                        if constants else {"A_d", "B_d2", "G"})
 
 
 def _locate_b(tmp_path, name, frame_doc):
@@ -672,12 +744,9 @@ def test_locate_constants(tmp_path):
 
 
 def test_locate_nonconstant(tmp_path):
-    samples = [{"label": f"t{i}", "coords": [0.25 * i],
-                "H": 2.0 + 0.05 * (0.25 * i - 1.0) ** 2}
-               for i in range(9)]
     cfg = _write(tmp_path, "c.json", {
         "case": "non-constants", "hessH": "identity", "hessK": "identity",
-        "samples": samples})
+        "samples": _LINE_SAMPLES})
     out = tmp_path / "out"
     assert _run("locate", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads((out / "blowup.json").read_text())

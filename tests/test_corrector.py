@@ -687,7 +687,8 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
         pt8, sol_three_modes):
     # oracle: the form paired from A psi, with A rebuilt by _assemble
     sol = sol_three_modes
-    checks = {c.name: c for c in corrector.corrector_diagnostics(sol)}
+    rows, diag = corrector.corrector_diagnostics(sol)
+    checks = {c.name: c for c in rows}
     G, W = sol.angular_gram(), sol.grid["W"]
     psis = [m.psi for m in sol.modes]
     ops = []
@@ -698,8 +699,7 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
     qform = corrector._pairing(G, W, ops, psis)
     pairing = sol.forcing_pairing()
     agree = abs(pairing - qform) / max(abs(pairing), abs(qform))
-    assert sol.diagnostics["quadratic_form"] == pytest.approx(qform,
-                                                              rel=1e-12)
+    assert diag["quadratic_form"] == pytest.approx(qform, rel=1e-12)
     row = checks["pairing vs discrete quadratic form"]
     assert row.value == pytest.approx(agree, rel=1e-12)
     assert row.detail == ""     # this forcing has a share on the boundary rows
@@ -718,12 +718,12 @@ def test_kernel_orthogonality_row_is_each_j_on_its_own_grid(pt8,
     # though no two shared a radial record; the row must match it bit
     # for bit
     sol = sol_three_modes
-    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[
-        "kernel orthogonality"]
+    rows, diag = corrector.corrector_diagnostics(sol)
+    row = {c.name: c for c in rows}["kernel orthogonality"]
     b = Bubble(pt8)
     nodes, wq = geom.sphere_rule(7)
     gg, W = sol.grid, sol.grid["W"]
-    vnorm = sol.diagnostics["corrector_norm"]
+    vnorm = diag["corrector_norm"]
     worst = 0.0
     for i in range(1, 9):
         (term,) = geom.jacobi_terms(b, i)
@@ -732,10 +732,36 @@ def test_kernel_orthogonality_row_is_each_j_on_its_own_grid(pt8,
                                                  gg["xn"][None, :])
         total = sum((float(wq @ (m.angular(nodes) * ang))
                      * float(np.sum(W * m.psi * ji)) for m in sol.modes), 0.0)
-        assert sol.diagnostics[f"orthogonality_j{i}"] == total
+        assert diag[f"orthogonality_j{i}"] == total
         worst = max(worst, abs(total) / (vnorm * math.sqrt(
             float(wq @ (ang * ang)) * float(np.sum(W * ji * ji)))))
     assert row.value == worst
+
+
+def test_diagnostics_measure_the_solution_and_store_nothing(
+        sol_three_modes):
+    sol = sol_three_modes
+    before = dict(vars(sol))
+    modes = [(m.e.copy(), m.psi.copy(), dict(m.info)) for m in sol.modes]
+    first = corrector.corrector_diagnostics(sol)
+    assert corrector.corrector_diagnostics(sol) == first
+    assert vars(sol).keys() == before.keys()
+    assert all(vars(sol)[k] is v for k, v in before.items())
+    for m, (e, psi, info) in zip(sol.modes, modes):
+        assert np.array_equal(m.e, e) and np.array_equal(m.psi, psi)
+        assert m.info == info
+
+
+def test_solve_mode_info_holds_scalars_only(sol_three_modes):
+    # corrector.json writes each info dict as it is
+    infos = {m.degree: m.info for m in sol_three_modes.modes}
+    assert set(infos[2]) == {"deflated", "multiplier"}
+    assert set(infos[0]) == {"deflated", "multiplier", "sigma_min",
+                             "sigma_threshold", "base_norm", "kernel_overlap",
+                             "gate_steps", "gate_eigen_residual"}
+    for degree in (0, 2):
+        assert {k: type(v) for k, v in infos[degree].items()
+                if type(v) not in (int, float, bool)} == {}
 
 
 def test_mass_identity_is_vacuous_for_a_deep_degree2_frame():
@@ -745,7 +771,7 @@ def test_mass_identity_is_vacuous_for_a_deep_degree2_frame():
     frame = geom.random_frame(8, np.random.default_rng(1871))
     sol = corrector.solve_corrector(frame, pt,
                                     corrector.GridSpec(nr=100, nxn=100))
-    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol)[0]}[
         "interior/boundary mass identity"]
     assert row.passed
     assert row.value == 0.0
@@ -775,12 +801,12 @@ def test_solve_corrector_zero_frame(pt8):
 
 
 def test_corrector_diagnostics_pass(sol8):
-    rows = corrector.corrector_diagnostics(sol8)
+    rows, diag = corrector.corrector_diagnostics(sol8)
     assert all(c.passed for c in rows), [(c.name, c.value) for c in rows]
     checks = {c.name: c for c in rows}
     assert "kernel orthogonality" in checks
     assert "quadratic form nonnegative" in checks
-    assert sol8.diagnostics["decay_exponent"] < -3.0
+    assert diag["decay_exponent"] < -3.0
     # an in-gauge frame has one degree-2 mode: no angular average, and a
     # forcing that vanishes wherever psi does not on the boundary rows
     assert [m.label for m in sol8.modes] == ["normal-block"]
@@ -825,33 +851,34 @@ _WRONG_PSI = {
 @pytest.mark.parametrize("wrong", sorted(_WRONG_PSI))
 def test_a_wrong_psi_fails_the_row_that_checks_it(sol100, wrong):
     mutate, name, value, bound = _WRONG_PSI[wrong]
-    assert all(c.passed for c in corrector.corrector_diagnostics(sol100))
+    assert all(c.passed for c in corrector.corrector_diagnostics(sol100)[0])
     sol = corrector.CorrectorSolution(pt=sol100.pt, gs=sol100.gs, modes=[
         dataclasses.replace(m, psi=mutate(sol100, m)) for m in sol100.modes])
-    row = {c.name: c for c in corrector.corrector_diagnostics(sol)}[name]
+    row = {c.name: c for c in corrector.corrector_diagnostics(sol)[0]}[name]
     assert not row.passed
     assert row.bound == bound
     assert row.value == pytest.approx(value, rel=1e-2)
 
 
 def test_forcing_pairing_matches_diagnostics(sol8):
-    corrector.corrector_diagnostics(sol8)
+    _, diag = corrector.corrector_diagnostics(sol8)
     direct = sol8.forcing_pairing()
-    assert direct == pytest.approx(sol8.diagnostics["forcing_pairing"],
-                                   rel=1e-12)
+    assert direct == pytest.approx(diag["forcing_pairing"], rel=1e-12)
     assert direct == pytest.approx(0.33190, rel=2e-3)  # grid-converged value
 
 
 def test_solution_save_load_round_trip(tmp_path, sol8):
-    corrector.corrector_diagnostics(sol8)
     sol8.save(tmp_path)
     with open(tmp_path / "corrector.json") as fh:
         header = json.load(fh)
+    # the header holds what the solve made, and no measurement of it
+    assert set(header) == {"problem", "grid", "modes"}
     assert header["problem"] == sol8.pt.to_json_dict()
     assert header["grid"] == sol8.gs.to_json_dict()
     assert len(header["modes"]) == len(sol8.modes)
     for md, mode in zip(header["modes"], sol8.modes):
         assert md["degree"] == mode.degree and md["label"] == mode.label
+        assert md["info"] == mode.info
         for key, arr in (("psi_npy", mode.psi), ("e_npy", mode.e)):
             back = np.load(tmp_path / md[key])
             assert back.dtype == np.float64

@@ -32,12 +32,12 @@ def test_hyperbolic_picture_closed_forms():
 
 def test_steklov_annihilating_variants():
     hp = hyperbolic.hyperbolic_picture(2.0)
-    rows, annihilating = hyperbolic.steklov_variants(hp, 8, seed=3)
+    rows = hyperbolic.steklov_variants(hp, 8, seed=3)
     assert len(rows) == 6
-    got = set(annihilating)
-    # each row carries its own annihilation verdict
-    assert {tuple(c.name.split(" operator + ")) for c in rows
-            if c.passed} == got
+    # each row is keyed by its pair and carries its own verdict
+    assert all(c.name == f"{op} operator + {lab}"
+               for (op, lab), c in rows.items())
+    got = {key for key, c in rows.items() if c.passed}
     # the standard Poincare operator kills the ground mode and the plain
     # first mode; the flat-drift variant kills neither
     assert ("standard", "phi0") in got
@@ -62,9 +62,9 @@ def test_steklov_annihilating_variants_near_the_unit_ball(n):
     # formed by subtraction carried ~1e-11 relative rounding into a
     # residual of 1e-7, against the bound 1e-10
     hp = hyperbolic.hyperbolic_picture(1.0 + 1e-9)
-    _, annihilating = hyperbolic.steklov_variants(hp, n)
+    rows = hyperbolic.steklov_variants(hp, n)
     assert {("standard", "phi0"), ("standard", "phi1-plain")} \
-        <= set(annihilating)
+        <= {key for key, c in rows.items() if c.passed}
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -306,7 +306,7 @@ def test_blowup_report_save(tmp_path):
     doc = json.loads((tmp_path / "blowup.json").read_text())
     assert doc["p_star"] == "t4"
     assert doc["rate"] == 1.0
-    assert set(doc["J_values"]) == {"E", "A_d", "B_d2", "G"}
+    assert set(doc["J_values"]) == {"A_d", "B_d2", "G"}
     lines = (tmp_path / "samples.csv").read_text().splitlines()
     assert lines[0] == "sample,E,A,B,d0,G"
     assert len(lines) == 10
