@@ -22,6 +22,7 @@ prints that table for a subcommand, with its output formats, and exits.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -45,6 +46,10 @@ EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 
 _QUAD_TOL = 1e-12
+
+# numpy's wheels bundle their OpenBLAS here, with a thread setter
+_NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                           "numpy.libs")
 
 # The one config schema: key -> (kind, default, doc).  It drives the
 # defaults, the kind checks and --schema.  Point bounds live in
@@ -674,6 +679,33 @@ def cmd_locate(cfg):
     return EXIT_OK
 
 
+def _pin_blas(libs=_NUMPY_LIBS):
+    """Pin the BLAS bundled with numpy to one thread; True if it was.
+
+    LAPACK's blocked LU rounds differently at one and two threads, so
+    without the pin `locate`'s dense solves, and so its report bytes,
+    would follow OMP_NUM_THREADS / OPENBLAS_NUM_THREADS.  One thread also
+    keeps `spectral`'s two concurrent levels from oversubscribing the
+    cores.  A numpy without the bundled OpenBLAS (MKL, Accelerate, a
+    system BLAS) is left as it is.
+    """
+    try:
+        names = sorted(f for f in os.listdir(libs)
+                       if f.startswith("libscipy_openblas64_"))
+    except OSError:
+        return False
+    for name in names:
+        try:
+            setter = ctypes.CDLL(os.path.join(libs, name)) \
+                .scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return True
+    return False
+
+
 _DISPATCH = {
     "verify-integrals": cmd_verify_integrals,
     "verify-bubble": cmd_verify_bubble,
@@ -713,6 +745,7 @@ def main(argv=None):
         p.add_argument("--schema", action="store_true",
                        help="print config/output schema and exit")
     args = parser.parse_args(argv)
+    _pin_blas()
     if args.schema:
         print(json.dumps(_schema(args.command), indent=2, sort_keys=True))
         return EXIT_OK

@@ -40,8 +40,13 @@ The edges:
     rho = 0        Dirichlet
     theta = pi/2   Dirichlet (psi ~ r^d on the axis, d >= 1)
 
-where psi = 0 the nodes carry no unknown, and each row of the dense
-system is divided by its largest entry.  The
+where psi = 0 the nodes carry no unknown, and each row of the system
+is divided by its largest entry.  Two sets of unknowns need no dense
+solve: the rho = inf line, whose rows couple only that line, is solved
+first as an ODE in theta, and each line's theta = 0 unknown is
+substituted from its Robin row.  That leaves (N-1)^2 unknowns for one
+dense `np.linalg.solve`, while the row scales, ||A|| and the backward
+error still measure the full system of N^2 nodes.  The
 pairing is a Clenshaw-Curtis sum in s and t of e_a psi_b r^{n-2} rho
 rho_s theta_t, written as f_a phi_b h(s) cos^{n-2}(theta) pi/4 with
 f = rho^2 e / g and h = g^2 rho^{n-3} rho_s =
@@ -52,14 +57,18 @@ The route shares only problem data with the grid: the mode records of
 `geom.decompose_forcing`, whose radial monomials `geom.radial_profile`
 evaluates, their angular Gram matrix from `geom.sphere_pairings`, and
 the bubble's `w_rx` and `U_rx`.  It solves at the two resolutions
-of LEVELS, each level one dense `np.linalg.solve` per mode, and
-reports the finer one.  NonConvergence is raised when a solve's
-normwise backward error exceeds 1e-12 (the grid's bound) or when the
-two levels' pairings differ by more than AGREEMENT_MAX relative.
+of LEVELS, the coarse level on a worker thread beside the fine one
+(LAPACK releases the GIL, and each level's arithmetic is that of a
+serial run), and reports the finer one.  NonConvergence is raised when
+a solve's normwise backward error exceeds 1e-12 (the grid's bound) or
+when the two levels' pairings differ by more than AGREEMENT_MAX
+relative; an error of the coarse level is raised before one of the
+fine level, as in a serial run.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +79,9 @@ from .errors import DomainError, NonConvergence
 
 __all__ = ["LEVELS", "AGREEMENT_MAX", "PairingSolution", "solve_pairing"]
 
-# Chebyshev degrees of the two solves, the finer one reported: N^2 = 576
-# and 1,024 unknowns, 0.013 s and 0.05 s on one core
+# Chebyshev degrees of the two solves, the finer one reported: 576 and
+# 1,024 nodes, of which (N-1)^2 = 529 and 961 unknowns reach the dense
+# solve; about 8 ms and 30 ms per mode on one core, run side by side
 LEVELS = (24, 32)
 # bound on the relative gap between the two levels' forcing pairings.
 # Over n = 8..12 and 79 depths D from 1.1 to 1000 the gap is at most
@@ -132,15 +142,33 @@ def _far_field(mode, n, L, theta):
     return total
 
 
-def _level(b, mode, N):
-    """(f, phi, backward error) of one mode at Chebyshev degree N.
+@dataclass(frozen=True)
+class _Operator:
+    """The factors of one mode's collocation system; see `_operator`."""
+
+    S: np.ndarray               # (M, M) radial operator, -c_n times
+    T: np.ndarray               # (M, M) angular operator, -c_n times
+    pot: np.ndarray             # (M, M) potential at the nodes
+    robin_row: np.ndarray       # (M,) d/dtheta at theta = 0
+    robin: np.ndarray           # (M,) Robin coefficient per s node
+    f: np.ndarray               # (M, M) scaled forcing
+
+
+def _operator(b, mode, N):
+    """The full collocation system of one mode at Chebyshev degree N.
 
     psi vanishes at rho = 0 (s = -1) and on the axis theta = pi/2
     (t = 1), so those nodes carry no unknown: their columns would
-    multiply zero, and they go with their rows.  f and phi are (N, N)
-    arrays over the other nodes, s from 1 (rho = inf) down and t down
-    to -1 (theta = 0): the scaled forcing rho^2 e / g and the scaled
-    solution psi / g.
+    multiply zero, and they go with their rows.  The other M^2 nodes,
+    M = N, index s from 1 (rho = inf) down and t down to -1
+    (theta = 0).  Row (i, j) with j < M - 1 reads
+
+        S[i] . phi[:, j] + T[j] . phi[i, :] + pot[i, j] phi[i, j] = f[i, j]
+
+    and the Robin row (i, M - 1) reads robin_row . phi[i, :]
+    + robin[i] phi[i, -1] = 0, with S and T the radial and angular
+    operators times -c_n, f the scaled forcing rho^2 e / g and phi the
+    scaled solution psi / g.
     """
     n = b.n
     L = b.pt.D
@@ -168,11 +196,6 @@ def _level(b, mode, N):
     angular = dthth - ((n - 2.0) * tan)[:, None] * dth \
         - np.diag(lam * (1.0 + tan * tan))
     cn = c_n(n)
-    # A4[i, j, k, l]: the row of node (s_i, t_j), the column of (s_k, t_l)
-    A4 = np.zeros((M, M, M, M))
-    i = np.arange(M)
-    A4[:, i, :, i] = -cn * radial
-    A4[i, :, i, :] -= cn * angular
 
     # node values at finite rho; the potential and the Robin
     # coefficient vanish at rho = inf
@@ -181,43 +204,102 @@ def _level(b, mode, N):
     pot = np.zeros((M, M))
     pot[fin] = (rho[fin, None] ** 2) * cn * n * (n + 2.0) \
         * b.w_rx(R, X) ** (-2.0)
-    A4[i[:, None], i, i[:, None], i] += pot
     g_fin = (2.0 * (1.0 + s[fin] * s[fin]) / (1.0 - s[fin]) ** 2) ** kk
     f = np.empty((M, M))
     e = geom.radial_profile(mode.radial, b)(R, X)
     f[fin] = rho[fin, None] ** 2 * e / g_fin[:, None]
     f[0] = _far_field(mode, n, L, theta)
-    rhs = f.copy()
-
-    # theta = 0 (the last t node): the Robin row
     robin = np.zeros(M)
     robin[fin] = rho[fin] * 0.5 * n * b.pt.H \
         * b.U_rx(rho[fin], 0.0) ** (2.0 / (n - 2.0))
-    A4[:, -1] = 0.0
-    A4[i, -1, i, :] = dth[-1]
-    A4[i, -1, i, -1] += robin
+    return _Operator(S=-cn * radial, T=-cn * angular, pot=pot,
+                     robin_row=dth[-1], robin=robin, f=f)
+
+
+def _rows(op):
+    """(scale, norm) of the full system: each row's largest absolute
+    entry, an (M, M) array over the rows' nodes, and the max-norm ||A||
+    of the rows divided by it.  Read off the factors: row (i, j < M-1)
+    holds S[i] off its diagonal, T[j] off its diagonal and
+    S[i, i] + T[j, j] + pot[i, j] on it; Robin row (i, M-1) holds
+    robin_row and robin_row[-1] + robin[i]."""
+    S, T = op.S, op.T
+    diag = np.abs(np.diag(S)[:, None] + np.diag(T)[None, :] + op.pot)
+    diag[:, -1] = np.abs(op.robin_row[-1] + op.robin)
+    off_s = np.abs(S)
+    np.fill_diagonal(off_s, 0.0)
+    off_t = np.abs(T)
+    off_t[-1] = np.abs(op.robin_row)
+    np.fill_diagonal(off_t, 0.0)
+    big = np.maximum(off_s.max(axis=1)[:, None], off_t.max(axis=1)[None, :])
+    total = off_s.sum(axis=1)[:, None] + off_t.sum(axis=1)[None, :]
+    big[:, -1] = off_t[-1].max()       # a Robin row has no radial part
+    total[:, -1] = off_t[-1].sum()
+    scale = np.maximum(big, diag)
+    return scale, float(np.max((total + diag) / scale))
+
+
+def _apply(op, phi):
+    """The full system's left-hand side at phi, over all M^2 rows."""
+    out = op.S @ phi + phi @ op.T.T + op.pot * phi
+    out[:, -1] = phi @ op.robin_row + op.robin * phi[:, -1]
+    return out
+
+
+def _level(b, mode, N):
+    """(f, phi, backward error) of one mode at Chebyshev degree N.
+
+    f and phi are the (M, M) node arrays of `_operator`.  Two sets of
+    unknowns are eliminated before the dense solve.  At rho = inf
+    (i = 0) E vanishes, so that line's rows couple only the line: an
+    M x M ODE in theta, solved first and moved to the right-hand side.
+    Each line's Robin row couples only its own line, so its theta = 0
+    unknown phi[i, -1] = w[i] . phi[i, :-1] is substituted into it.  The
+    rest is one dense solve of (M-1)^2 unknowns.  The rows are divided
+    by the full system's row scales, and the backward error measures
+    the full system at the assembled phi.
+    """
+    op = _operator(b, mode, N)
+    scale, norm = _rows(op)
+    S, T = op.S, op.T
+    M = N
+    m = M - 1
+    rhs = op.f.copy()
     rhs[:, -1] = 0.0
 
-    A = A4.reshape(M * M, M * M)
-    rhs = rhs.ravel()
-    absolute = np.abs(A)
-    scale = absolute.max(axis=1)
-    # ||A|| of the equilibrated matrix, in the max norm
-    norm = float(np.max(absolute.sum(axis=1) / scale))
-    A /= scale[:, None]
-    rhs /= scale
-    phi = np.linalg.solve(A, rhs)
+    line = T + np.diag(S[0, 0] + op.pot[0])
+    line[-1] = op.robin_row
+    line[-1, -1] += op.robin[0]
+    phi = np.empty((M, M))
+    phi[0] = np.linalg.solve(line / scale[0, :, None], rhs[0] / scale[0])
+
+    # phi[i, -1] = w[i - 1] . phi[i, :-1] on each finite-rho line
+    w = -op.robin_row[:-1] / (op.robin_row[-1] + op.robin[1:, None])
+    # A4[i, j, k, l]: the row of node (s_i, t_j), the column of (s_k, t_l)
+    A4 = np.zeros((m, m, m, m))
+    k = np.arange(m)
+    A4[:, k, :, k] = S[1:, 1:]
+    A4[k, :, k, :] += T[:-1, :-1] + T[:-1, -1, None] * w[:, None, :]
+    A4[k[:, None], k, k[:, None], k] += op.pot[1:, :-1]
+    sc = scale[1:, :-1]
+    red = (rhs[1:, :-1] - S[1:, 0, None] * phi[0, None, :-1]) / sc
+    A = A4.reshape(m * m, m * m)
+    A /= sc.reshape(-1, 1)
+    phi[1:, :-1] = np.linalg.solve(A, red.ravel()).reshape(m, m)
+    phi[1:, -1] = np.sum(w * phi[1:, :-1], axis=1)
     if not np.all(np.isfinite(phi)):
         raise NonConvergence(f"spectral solve at N = {N} returned non-finite "
                              "values")
-    # ||rhs - A phi|| / (||A|| ||phi|| + ||rhs||) in the max norm
-    denom = norm * np.max(np.abs(phi)) + np.max(np.abs(rhs))
-    berr = float(np.max(np.abs(rhs - A @ phi)) / denom) if denom > 0 else 0.0
+    # ||rhs - A phi|| / (||A|| ||phi|| + ||rhs||) in the max norm, of the
+    # full system divided by its row scales
+    resid = (rhs - _apply(op, phi)) / scale
+    denom = norm * np.max(np.abs(phi)) + np.max(np.abs(rhs / scale))
+    berr = float(np.max(np.abs(resid)) / denom) if denom > 0 else 0.0
     if not berr <= BACKWARD_ERROR_MAX:
         raise NonConvergence(
             f"mode {mode.label!r}: spectral solve at N = {N} has backward "
             f"error {berr:.3e} above {BACKWARD_ERROR_MAX:g}")
-    return f, phi.reshape(M, M), berr
+    return op.f, phi, berr
 
 
 def _weights(n, L, N):
@@ -230,6 +312,40 @@ def _weights(n, L, N):
     theta = 0.25 * np.pi * (1.0 + x)
     return np.outer(w * h, w * np.cos(theta) ** (n - 2.0)
                     * 0.25 * np.pi)[:-1, 1:]
+
+
+def _radial_pairings(b, modes, N):
+    """(c, largest backward error) of the modes at Chebyshev degree N:
+    c[a, b] pairs mode a's forcing with mode b's solution."""
+    solved = [_level(b, mode, N) for mode in modes]
+    wts = _weights(b.n, b.pt.D, N)
+    c = np.array([[float(np.sum(wts * fa * pb)) for _, pb, _ in solved]
+                  for fa, _, _ in solved]).reshape(len(modes), len(modes))
+    return c, max((berr for _, _, berr in solved), default=0.0)
+
+
+def _beside(fn, *args):
+    """Start fn(*args) on a worker thread; return a join that waits for
+    it and returns fn's value or raises its exception.  numpy's LAPACK
+    releases the GIL, so the worker's dense solves run beside the
+    caller's, each with the arithmetic of a serial run."""
+    out = {}
+
+    def work():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:    # re-raised by join
+            out["error"] = exc
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+
+    def join():
+        worker.join()
+        if "error" in out:
+            raise out["error"]
+        return out["value"]
+    return join
 
 
 @dataclass(frozen=True)
@@ -289,18 +405,15 @@ def solve_pairing(frame, pt):
                 f"degree-{mode.degree} mode {mode.label!r}: the whole-domain "
                 "route solves degrees >= 1 only (no bordered kernel solve)")
     gram = geom.sphere_pairings(modes, modes, n - 1)
-    radial = []
-    berrs = []
-    for N in LEVELS:
-        solved = [_level(b, mode, N) for mode in modes]
-        berrs += [berr for _, _, berr in solved]
-        wts = _weights(n, pt.D, N)
-        radial.append(np.array([[float(np.sum(wts * fa * pb))
-                                 for _, pb, _ in solved]
-                                for fa, _, _ in solved])
-                      .reshape(len(modes), len(modes)))
-    sol = PairingSolution(pt=pt, modes=modes, gram=gram, radial=tuple(radial),
-                          backward_error=max(berrs, default=0.0))
+    coarse = _beside(_radial_pairings, b, modes, LEVELS[0])
+    try:
+        fine = _radial_pairings(b, modes, LEVELS[1])
+    except BaseException:
+        coarse()        # a coarse-level error comes first, as in series
+        raise
+    radial, berrs = zip(coarse(), fine)
+    sol = PairingSolution(pt=pt, modes=modes, gram=gram, radial=radial,
+                          backward_error=max(berrs))
     agreement = sol.agreement()
     if not agreement <= AGREEMENT_MAX:
         raise NonConvergence(

@@ -1,3 +1,4 @@
+import _ctypes
 import argparse
 import contextlib
 import io
@@ -547,27 +548,54 @@ def test_corrector_random_frame_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_corrector_reports_do_not_follow_the_blas_thread_count(tmp_path):
-    # a second BLAS/OpenMP thread must not move a report byte (locate's
-    # dense spectral solve does follow the thread count; corrector not)
-    cfg = _write(tmp_path, "c.json",
-                 {"frame": "random", "grid": {"nr": 48, "nxn": 48}})
+def _reports_by_thread_count(tmp_path, command, cfg):
+    """{threads: {file name: bytes}} of one command run in a fresh
+    interpreter at 1 and 2 BLAS/OpenMP threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     reports = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "bubblelab.cli", "corrector",
+        subprocess.run([sys.executable, "-m", "bubblelab.cli", command,
                         "--config", cfg, "--out", str(out)],
                        capture_output=True, check=True,
                        env=dict(os.environ, PYTHONPATH=path,
                                 OMP_NUM_THREADS=threads,
                                 OPENBLAS_NUM_THREADS=threads))
         reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return reports
+
+
+def test_corrector_reports_do_not_follow_the_blas_thread_count(tmp_path):
+    # a second BLAS/OpenMP thread must not move a report byte
+    cfg = _write(tmp_path, "c.json",
+                 {"frame": "random", "grid": {"nr": 48, "nxn": 48}})
+    reports = _reports_by_thread_count(tmp_path, "corrector", cfg)
     assert sorted(reports["1"]) == [
         "corrector.json", "diagnostics.json",
         "mode0_normal-block_e.npy", "mode0_normal-block_psi.npy"]
     assert reports["1"] == reports["2"]
+
+
+def test_locate_reports_do_not_follow_the_blas_thread_count(tmp_path):
+    # the spectral route's dense LU would round differently at two
+    # threads; the CLI pins numpy's BLAS to one
+    cfg = _write(tmp_path, "c.json", _README_LOCATE)
+    reports = _reports_by_thread_count(tmp_path, "locate", cfg)
+    assert sorted(reports["1"]) == ["blowup.json", "samples.csv"]
+    assert reports["1"] == reports["2"]
+
+
+def test_blas_pin_leaves_a_numpy_without_bundled_openblas_alone(tmp_path):
+    assert cli._pin_blas(str(tmp_path / "absent")) is False
+    assert cli._pin_blas(str(tmp_path)) is False
+    # a file of that name which is no library
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert cli._pin_blas(str(tmp_path)) is False
+    # a library of that name without the setter
+    (tmp_path / "libscipy_openblas64_-1.so").symlink_to(
+        _ctypes.__file__)
+    assert cli._pin_blas(str(tmp_path)) is False
 
 
 def test_corrector_prints_vacuous_rows_as_vacuous(tmp_path, capsys):

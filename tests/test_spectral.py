@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from bubblelab import corrector, geom, reduced, spectral
+from bubblelab import cli, corrector, geom, reduced, spectral
+from bubblelab.bubble import Bubble
 from bubblelab.errors import DomainError, NonConvergence
 from bubblelab.model import CurvatureFrame, ProblemPoint
 
@@ -65,7 +68,6 @@ def test_zero_frame_pairs_to_zero(tmp_path, capsys):
     sol = spectral.solve_pairing(CurvatureFrame.zero(8), _point(8, 2.0))
     assert sol.modes == [] and sol.forcing_pairing() == 0.0
     assert sol.agreement() == 0.0
-    from bubblelab import cli
     cfg = tmp_path / "c.json"
     cfg.write_text('{"frame": "zero", "samples": [{"label": "p0"}]}')
     assert cli.main(["locate", "--config", str(cfg), "--out",
@@ -148,3 +150,106 @@ class _Zero:
 
     def forcing_pairing(self):
         return 0.0
+
+
+def _dense(op):
+    """The full system of N^2 nodes as one dense matrix, assembled entry
+    by entry from the factors of `spectral._operator`: (A, rhs)."""
+    M = len(op.robin)
+    # A4[i, j, k, l]: the row of node (s_i, t_j), the column of (s_k, t_l)
+    A4 = np.zeros((M, M, M, M))
+    i = np.arange(M)
+    A4[:, i, :, i] = op.S
+    A4[i, :, i, :] += op.T
+    A4[i[:, None], i, i[:, None], i] += op.pot
+    # theta = 0 (the last t node): the Robin row
+    A4[:, -1] = 0.0
+    A4[i, -1, i, :] = op.robin_row
+    A4[i, -1, i, -1] += op.robin
+    rhs = op.f.copy()
+    rhs[:, -1] = 0.0
+    return A4.reshape(M * M, M * M), rhs.ravel()
+
+
+@pytest.mark.parametrize("N", spectral.LEVELS)
+@pytest.mark.parametrize("D", [1.1, 2.0, 100.0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_eliminated_solve_matches_the_full_dense_system(n, D, N):
+    pt = _point(n, D)
+    b = Bubble(pt)
+    (mode,) = geom.decompose_forcing(
+        geom.random_frame(n, np.random.default_rng(11)), b)
+    op = spectral._operator(b, mode, N)
+    A, rhs = _dense(op)
+    absolute = np.abs(A)
+    scale = absolute.max(axis=1)
+    norm = np.max(absolute.sum(axis=1) / scale)
+    kron_scale, kron_norm = spectral._rows(op)
+    assert np.allclose(kron_scale.ravel(), scale, rtol=1e-14, atol=0.0)
+    assert kron_norm == pytest.approx(norm, rel=1e-14)
+
+    f, phi, berr = spectral._level(b, mode, N)
+    assert np.array_equal(f, op.f)
+    reference = np.linalg.solve(A / scale[:, None], rhs / scale)
+    assert np.max(np.abs(phi.ravel() - reference)) \
+        <= 1e-12 * np.max(np.abs(phi))
+    # the backward error of the full system, read densely
+    resid = (rhs - A @ phi.ravel()) / scale
+    dense_berr = np.max(np.abs(resid)) \
+        / (norm * np.max(np.abs(phi)) + np.max(np.abs(rhs / scale)))
+    assert dense_berr <= spectral.BACKWARD_ERROR_MAX
+    assert berr <= spectral.BACKWARD_ERROR_MAX
+
+
+def _inline(fn, *args):
+    """`spectral._beside` without the worker: fn runs at once."""
+    value = fn(*args)
+    return lambda: value
+
+
+def test_the_coarse_level_beside_the_fine_one_moves_no_bit(monkeypatch):
+    frame, beside = _solve(8, 2.0)
+    monkeypatch.setattr(spectral, "_beside", _inline)
+    serial = spectral.solve_pairing(frame, beside.pt)
+    assert len(serial.radial) == len(beside.radial) == 2
+    for a, b in zip(serial.radial, beside.radial):
+        assert a.tobytes() == b.tobytes()
+    assert serial.backward_error == beside.backward_error
+
+
+@pytest.mark.parametrize("fine_fails", [False, True])
+def test_a_coarse_level_error_comes_first(monkeypatch, tmp_path, capsys,
+                                          fine_fails):
+    level = spectral._level
+
+    def failing(b, mode, N):
+        if N == spectral.LEVELS[0]:
+            time.sleep(0.05)        # the fine level ends first
+            raise NonConvergence("coarse level failed")
+        if fine_fails:
+            raise NonConvergence("fine level failed")
+        return level(b, mode, N)
+
+    monkeypatch.setattr(spectral, "_level", failing)
+    with pytest.raises(NonConvergence, match="^coarse level failed$"):
+        _solve(8, 2.0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"frame": "random", "seed": 11, "samples": '
+                   '[{"label": "p0"}]}')
+    assert cli.main(["locate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "NonConvergence: coarse level failed\n"
+
+
+def test_a_fine_level_error_alone_reaches_the_caller(monkeypatch):
+    level = spectral._level
+
+    def failing(b, mode, N):
+        if N == spectral.LEVELS[1]:
+            raise NonConvergence("fine level failed")
+        return level(b, mode, N)
+
+    monkeypatch.setattr(spectral, "_level", failing)
+    with pytest.raises(NonConvergence, match="^fine level failed$"):
+        _solve(8, 2.0)
