@@ -5,9 +5,10 @@ solvability argument: the Cayley-transformed problem lives on a ball
 of radius R = D - sqrt(D^2 - 1) with Steklov eigenvalues
 mu_0 = 2R/(1+R^2) and mu_1 = (1+R^2)/(2R) = D.  Two candidate forms of
 the hyperbolic operator and of the first eigenfunctions circulate;
-`steklov_variants` measures all of them and reports which combination
-actually annihilates, instead of guessing.  Points have shape (..., n)
-and every result holds one value per point.
+`steklov_variants` measures all of them, and `verify-hyperbolic` checks
+the two pairs the construction uses: the standard operator with phi0
+and with the plain phi1.  Points have shape (..., n) and every result
+holds one value per point.
 """
 from __future__ import annotations
 
@@ -143,10 +144,10 @@ def steklov_variants(hp, n, seed=0):
     """Measure every operator/eigenfunction combination; report, don't guess.
 
     Returns a dict of Check rows keyed by (operator, candidate), one per
-    combination in measuring order, whose value is the larger residual
-    and which passes when the combination annihilates: its interior and
-    boundary residuals both stay below STEKLOV_TOL at 25 random points
-    of the ball.
+    combination in measuring order.  A row's value is the larger of the
+    interior and boundary residuals at 25 random points of the ball, NaN
+    if either is, and the row passes when that is at most STEKLOV_TOL:
+    where the combination annihilates.
     """
     rng = np.random.default_rng(seed)
 
@@ -165,9 +166,8 @@ def steklov_variants(hp, n, seed=0):
                                       form=form)
             worst_i = float(np.max(np.abs(ri)))
             worst_b = float(np.max(np.abs(rb)))
-            ok = worst_i <= STEKLOV_TOL and worst_b <= STEKLOV_TOL
+            worst = float(np.max([worst_i, worst_b]))
             rows[operator, label] = Check(
-                f"{operator} operator + {label}", max(worst_i, worst_b),
-                STEKLOV_TOL, detail=f"interior {worst_i:.3e}, boundary "
-                f"{worst_b:.3e}, annihilates: {ok}", passed=ok)
+                f"{operator} operator + {label}", worst, STEKLOV_TOL,
+                detail=f"interior {worst_i:.3e}, boundary {worst_b:.3e}")
     return rows

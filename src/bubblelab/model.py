@@ -5,9 +5,9 @@ data (dimension, prescribed curvatures, perturbation weight) collected
 in :class:`ProblemPoint`, plus curvature tensors at the point in the
 gauge where the boundary Ricci tensor and the normal-normal Ricci entry
 vanish (:class:`CurvatureFrame`).  Validation never raises: every
-operation returns a list of :class:`Check` rows (name, value, bound,
-detail, passed), one per invariant with its measured violation, so the
-CLI can show all failures at once.  The corrector's
+operation returns a list of :class:`Check` rows (name, value, op,
+bound, detail, passed), one per invariant with its measured value, so
+the CLI can show all failures at once.  The corrector's
 grid, :class:`GridSpec`, is a domain type too: the CLI reads its
 defaults and checks its bounds without importing the sparse solver.
 Every report JSON file goes through :func:`write_json`, so all of them
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -235,27 +236,33 @@ class CurvatureFrame:
 # validation reports
 
 
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+        ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class Check:
-    """One report row: a measured value against its bound.
+    """One report row: a measured value, its comparison ``op`` ("<=", the
+    default, "<", ">=" or ">") and its bound.
 
-    ``passed`` defaults to ``value <= bound``, so a NaN value fails; a
-    row with another verdict passes it.  The fields are stored as the
-    report writes them: ``value`` and ``bound`` as float, ``passed`` as
-    bool.
+    The row passes when ``value op bound`` holds, so a NaN value fails
+    every op; ``passed=False`` fails a row whose value could not be
+    measured.  The fields are stored as the report writes them: ``value``
+    and ``bound`` as float, ``passed`` as bool.
     """
 
     name: str
     value: float
     bound: float
     detail: str = ""
-    passed: bool | None = None
+    op: str = "<="
+    passed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "bound", float(self.bound))
         object.__setattr__(self, "passed", bool(
-            self.value <= self.bound if self.passed is None else self.passed))
+            self.passed and _OPS[self.op](self.value, self.bound)))
 
 
 def _json_default(obj):
@@ -264,7 +271,7 @@ def _json_default(obj):
 
 def write_json(path, doc):
     """A report document as every command writes it: indented, keys
-    sorted, a Check as its five fields."""
+    sorted, a Check as its six fields."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
@@ -273,7 +280,7 @@ def write_json(path, doc):
 def validate_point(pt, override_dimension_gate=False):
     """Check every ProblemPoint invariant; all failures become report rows.
 
-    This is the one dimension gate.  Each failing row says why in its
+    This is the one dimension gate.  Each row says what it needs in its
     detail.
     """
     floor = OVERRIDE_MIN_DIMENSION if override_dimension_gate else SUPPORTED_MIN_DIMENSION
@@ -285,26 +292,29 @@ def validate_point(pt, override_dimension_gate=False):
     except DomainError:
         D = math.nan
     scale = MAX_CURVATURE_SCALE
-    rows = [
-        ("n >= 8" if not override_dimension_gate else "n >= 5 (gate overridden)",
-         pt.n >= floor, pt.n, floor,
-         f"dimension gate: need n >= {floor}, got n={pt.n}{hint}"),
-        (f"n <= {MAX_DIMENSION}", pt.n <= MAX_DIMENSION, pt.n, MAX_DIMENSION,
-         f"dimension gate: need n <= {MAX_DIMENSION}, got n={pt.n}"),
-        ("K < 0", pt.K < 0.0, pt.K, 0.0, f"need K < 0, got K = {pt.K:.6g}"),
-        (f"{1.0 / scale:g} <= |K| <= {scale:g}", 1.0 / scale <= abs(pt.K) <= scale,
-         abs(pt.K), scale, f"need {1.0 / scale:g} <= |K| <= {scale:g}, got K = {pt.K:.6g}"),
-        ("D > 1", D > 1.0, D, 1.0,
-         f"no bubble family at this point: D = {D:.6g}, need D > 1"),
-        (f"D <= {MAX_SCALING_QUANTITY:g}", not D > MAX_SCALING_QUANTITY, D,
-         MAX_SCALING_QUANTITY, f"need D <= {MAX_SCALING_QUANTITY:g}, got D = {D:.6g}"),
-        ("gamma > 0", pt.gamma > 0.0, pt.gamma, 0.0,
-         f"need gamma > 0, got gamma = {pt.gamma:.6g}"),
-        (f"gamma <= {MAX_GAMMA:g}", not pt.gamma > MAX_GAMMA, pt.gamma,
-         MAX_GAMMA, f"need gamma <= {MAX_GAMMA:g}, got gamma = {pt.gamma:.6g}"),
+    need_k = f"need {1.0 / scale:g} <= |K| <= {scale:g}, got K = {pt.K:.6g}"
+    return [
+        Check("n >= 8" if not override_dimension_gate
+              else "n >= 5 (gate overridden)", pt.n, floor,
+              f"dimension gate: need n >= {floor}, got n={pt.n}{hint}", ">="),
+        Check(f"n <= {MAX_DIMENSION}", pt.n, MAX_DIMENSION,
+              f"dimension gate: need n <= {MAX_DIMENSION}, got n={pt.n}"),
+        Check("K < 0", pt.K, 0.0, f"need K < 0, got K = {pt.K:.6g}", "<"),
+        Check(f"|K| >= {1.0 / scale:g}", abs(pt.K), 1.0 / scale, need_k,
+              ">="),
+        Check(f"|K| <= {scale:g}", abs(pt.K), scale, need_k),
+        Check("D > 1", D, 1.0,
+              f"no bubble family at this point: D = {D:.6g}, need D > 1",
+              ">"),
+        # at K = 0, D is undefined, and the "D > 1" row already says so
+        Check(f"D <= {MAX_SCALING_QUANTITY:g}", D, MAX_SCALING_QUANTITY,
+              "" if math.isnan(D) else
+              f"need D <= {MAX_SCALING_QUANTITY:g}, got D = {D:.6g}"),
+        Check("gamma > 0", pt.gamma, 0.0,
+              f"need gamma > 0, got gamma = {pt.gamma:.6g}", ">"),
+        Check(f"gamma <= {MAX_GAMMA:g}", pt.gamma, MAX_GAMMA,
+              f"need gamma <= {MAX_GAMMA:g}, got gamma = {pt.gamma:.6g}"),
     ]
-    return [Check(name, value, bound, "" if ok else detail, passed=ok)
-            for name, ok, value, bound, detail in rows]
 
 
 def validate_frame(fr):
@@ -349,5 +359,5 @@ def validate_hessians(hd, require_definite=True):
         if require_definite:
             lam = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
             checks.append(Check(f"{name} positive definite", lam, 0.0,
-                                passed=lam > 0.0))
+                                op=">"))
     return checks

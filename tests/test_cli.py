@@ -142,7 +142,8 @@ def test_verify_integrals_default(tmp_path, capsys):
     assert doc["all_passed"] and doc["count"] >= 12
     assert doc["parameters"]["n"] == 8
     for row in doc["identities"]:
-        assert set(row) == {"name", "passed", "value", "bound", "detail"}
+        assert set(row) == {"name", "value", "op", "bound", "passed",
+                            "detail"}
 
 
 def test_dimension_gate_refuses_low_n(tmp_path, capsys):
@@ -150,6 +151,17 @@ def test_dimension_gate_refuses_low_n(tmp_path, capsys):
     assert _run("verify-integrals", "--config", cfg,
                 "--out", str(tmp_path)) == 2
     assert "dimension gate" in capsys.readouterr().err
+
+
+def test_zero_curvature_names_each_failed_hypothesis_once(tmp_path, capsys):
+    # D is undefined at K = 0: the D > 1 row says so, and the D <= 1e+12
+    # row, which fails too, adds no second clause
+    cfg = _write(tmp_path, "c.json", {"K": 0.0})
+    assert _run("verify-integrals", "--config", cfg,
+                "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "config error: need K < 0, got K = 0; need 1e-30 <= |K| <= 1e+30, "
+        "got K = 0; no bubble family at this point: D = nan, need D > 1\n")
 
 
 def test_dimension_gate_override(tmp_path):
@@ -507,6 +519,29 @@ def test_verify_hyperbolic_emits_variant_table(tmp_path):
         "steklov residual: standard operator + phi1-plain"]
 
 
+def test_verify_hyperbolic_writes_the_same_rows_at_every_point(tmp_path):
+    # the domain table's 36 points: n in {8, 10, 12} times 12 values of D
+    # from 1 + 1e-9 to 1e12, with K = -n(n-1) and so H = D
+    names = set()
+    for n in (8, 10, 12):
+        for D in (1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0,
+                  100.0, 1e4, 1e8, 1e12):
+            cfg = _write(tmp_path, "c.json",
+                         {"n": n, "K": -float(n * (n - 1)), "H": D})
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert _run("verify-hyperbolic", "--config", cfg,
+                            "--out", str(tmp_path / "out")) == 0
+            doc = json.loads((tmp_path / "out" / "verify_report.json")
+                             .read_text())
+            names.add(tuple(r["name"] for r in doc["identities"]))
+    assert names == {(
+        "ball radius inverts to mu1 = D (this D and 1.5, 2, 3, 10)",
+        "eigenvalue product mu0 mu1 = 1", "ball radius closed form at D=2",
+        "approach to the unit ball as D -> 1+",
+        "steklov residual: standard operator + phi0",
+        "steklov residual: standard operator + phi1-plain")}
+
+
 def test_corrector_zero_frame(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"frame": "zero", "grid": {"nr": 32, "nxn": 32}})
@@ -525,9 +560,10 @@ def test_corrector_zero_frame(tmp_path, capsys):
         assert line.endswith(": vacuous: no forcing mode"), line
     assert not [line for line in lines if line.startswith("[pass] ")]
     rows = {r["name"]: r for r in doc["checks"]}
-    assert [(rows[name]["passed"], rows[name]["value"], rows[name]["bound"])
-            for name in no_mode] == [
-        (True, 0.0, 1e-10), (True, 0.0, 1.05), (True, 0.0, 1e-6)]
+    assert [(rows[name]["passed"], rows[name]["value"], rows[name]["op"],
+             rows[name]["bound"]) for name in no_mode] == [
+        (True, 0.0, "<=", 1e-10), (True, 0.0, "<=", 1.05),
+        (True, 0.0, ">=", -1e-6)]
 
 
 def test_corrector_random_frame_deterministic(tmp_path):

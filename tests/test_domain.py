@@ -12,15 +12,19 @@ WARNING = ("/src/bubblelab/quad.py:412: RuntimeWarning: brute_halfspace: "
 
 
 def test_a_failing_row_comes_before_the_error_stream():
-    stdout = ("[pass] ball radius inverts to mu1 = D: 0.000e+00\n"
-              "[FAIL] an annihilating operator variant exists: 0.000e+00\n"
+    stdout = ("[pass] eigenvalue product mu0 mu1 = 1: 0.000e+00 <= "
+              "1.000e-14\n"
+              "[FAIL] steklov residual: standard operator + phi0: "
+              "8.275e-06 <= 1.000e-10: interior 8.275e-06, boundary "
+              "1.776e-15\n"
               "[FAIL] a later row\n"
               "FAILURES — 6 identities -> out/verify_report.json\n")
     got = domain.cell("verify-hyperbolic", 8, 1.0 + 1e-9, 1, stdout, WARNING)
     assert got == {"command": "verify-hyperbolic", "n": 8, "D": 1.0 + 1e-9,
                    "exit": 1, "traceback": False,
-                   "first": "[FAIL] an annihilating operator variant exists: "
-                            "0.000e+00"}
+                   "first": "[FAIL] steklov residual: standard operator + "
+                            "phi0: 8.275e-06 <= 1.000e-10: interior "
+                            "8.275e-06, boundary 1.776e-15"}
 
 
 def test_an_error_exit_takes_the_last_line_of_the_error_stream():
@@ -36,7 +40,8 @@ def test_an_error_exit_takes_the_last_line_of_the_error_stream():
 
 def test_a_passing_run_has_no_first_line_even_with_warnings():
     got = domain.cell("verify-bubble", 8, 2.0, 0,
-                      "[pass] row: 1e-16 (bound 1e-6)\nall passed\n", WARNING)
+                      "[pass] row: 1.000e-16 <= 1.000e-06\nall passed\n",
+                      WARNING)
     assert got["exit"] == 0 and got["first"] is None
 
 
@@ -54,18 +59,23 @@ def test_every_cell_runs_at_K_minus_n_n_minus_1_so_that_D_is_H():
                                                       "H": 2.0}
 
 
+_STEKLOV = ("[FAIL] steklov residual: standard operator + phi0: 1.200e-07 <= "
+            "1.000e-10")
+_DECAY = "[FAIL] decay envelope (1+|x|)^{{4-n}}: {:.3e} <= 1.050e+00"
+
+
 def _doc(*cells):
     return {"cells": [{"command": c, "n": n, "D": d, "exit": e, "first": f,
                        "traceback": False} for c, n, d, e, f in cells]}
 
 
 def test_changes_pairs_cells_on_command_n_and_D():
-    before = _doc(("verify-hyperbolic", 8, 1.000000001, 1, "[FAIL] steklov"),
-                  ("corrector", 8, 3.0, 1, "[FAIL] decay 1.069"),
+    before = _doc(("verify-hyperbolic", 8, 1.000000001, 1, _STEKLOV),
+                  ("corrector", 8, 3.0, 1, _DECAY.format(1.069)),
                   ("verify-bubble", 8, 2.0, 0, None),
                   ("locate", 8, 2.0, 0, None))
     after = _doc(("verify-bubble", 8, 2.0, 0, None),
-                 ("corrector", 8, 3.0, 1, "[FAIL] decay 1.070"),
+                 ("corrector", 8, 3.0, 1, _DECAY.format(1.070)),
                  ("verify-hyperbolic", 8, 1.000000001, 0, None),
                  ("locate", 8, 100.0, 0, None))
     got = domain.changes(before, after)
@@ -77,4 +87,5 @@ def test_changes_pairs_cells_on_command_n_and_D():
     assert domain.broken(before["cells"][2],
                          {**before["cells"][2], "exit": 2})
     assert domain.describe(None) == "absent"
-    assert domain.describe(before["cells"][1]) == "exit 1: [FAIL] decay 1.069"
+    assert domain.describe(before["cells"][1]) == \
+        "exit 1: [FAIL] decay envelope (1+|x|)^{4-n}: 1.069e+00 <= 1.050e+00"

@@ -45,6 +45,23 @@ def test_steklov_annihilating_variants():
     assert not any(op == "flat-drift" for op, _ in got)
 
 
+def test_a_nan_boundary_residual_fails_its_row(monkeypatch):
+    real = hyperbolic.steklov_residual
+
+    def nan_on_the_sphere(*args, **kwargs):
+        interior, boundary = real(*args, **kwargs)
+        boundary = boundary.copy()
+        boundary[3] = math.nan
+        return interior, boundary
+
+    monkeypatch.setattr(hyperbolic, "steklov_residual", nan_on_the_sphere)
+    hp = hyperbolic.hyperbolic_picture(2.0)
+    row = hyperbolic.steklov_variants(hp, 8, seed=3)["standard", "phi0"]
+    # the row reads NaN when either of its two residuals does
+    assert math.isnan(row.value) and not row.passed
+    assert row.detail.endswith("boundary nan")
+
+
 @pytest.mark.parametrize("D", [1.0 + 1e-9, 1.0 + 1e-6, 2.0, 1e8])
 def test_gap_is_one_minus_R_squared_to_rounding(D):
     with localcontext() as ctx:

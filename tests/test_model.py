@@ -11,15 +11,26 @@ from bubblelab.model import (Check, CurvatureFrame, HessianData,
                              validate_point, write_json)
 
 
-def test_a_check_is_written_as_its_five_json_fields(tmp_path):
+def test_a_check_is_written_as_its_six_json_fields(tmp_path):
     path = tmp_path / "row.json"
-    write_json(path, Check("r", np.float64(0.5), 1, passed=np.bool_(True)))
+    write_json(path, Check("r", np.float64(0.5), 1))
     doc = json.loads(path.read_text())
-    assert doc == {"name": "r", "value": 0.5, "bound": 1.0, "detail": "",
-                   "passed": True}
+    assert doc == {"name": "r", "value": 0.5, "op": "<=", "bound": 1.0,
+                   "detail": "", "passed": True}
     assert [type(doc[k]) for k in ("value", "bound", "passed")] == \
         [float, float, bool]
-    assert Check("r", math.nan, 1.0).passed is False
+
+
+@pytest.mark.parametrize("op,holds,fails", [
+    ("<=", (1.0, 1.0), (1.5, 1.0)), ("<", (0.5, 1.0), (1.0, 1.0)),
+    (">=", (1.0, 1.0), (0.5, 1.0)), (">", (1.5, 1.0), (1.0, 1.0))])
+def test_a_row_passes_when_its_value_op_bound_holds(op, holds, fails):
+    assert Check("r", *holds, op=op).passed is True
+    assert Check("r", *fails, op=op).passed is False
+    # NaN compares false under every op, so it fails every row
+    assert Check("r", math.nan, 1.0, op=op).passed is False
+    # a row whose value could not be measured fails whatever it reads
+    assert Check("r", *holds, op=op, passed=False).passed is False
 
 
 def test_scaling_quantity_round_numbers(pt8, pt10):

@@ -171,6 +171,34 @@ def _dense(op):
     return A4.reshape(M * M, M * M), rhs.ravel()
 
 
+def _dense_rows(A, op):
+    """The row scales and ||A|| of the dense ``A``, asserted equal to
+    those `spectral._rows` reads off ``op``'s factors."""
+    absolute = np.abs(A)
+    scale = absolute.max(axis=1)
+    norm = np.max(absolute.sum(axis=1) / scale)
+    kron_scale, kron_norm = spectral._rows(op)
+    assert np.allclose(kron_scale.ravel(), scale, rtol=1e-14, atol=0.0)
+    assert kron_norm == pytest.approx(norm, rel=1e-14)
+    return scale, norm
+
+
+def test_row_norm_attained_on_a_robin_row():
+    # diagonal S and T leave the interior rows one entry each, so the
+    # largest row ratio of ||A|| sits on a Robin row
+    M = 6
+    rng = np.random.default_rng(5)
+    op = spectral._Operator(
+        S=np.diag(rng.uniform(1.0, 2.0, M)),
+        T=np.diag(rng.uniform(1.0, 2.0, M)),
+        pot=rng.uniform(0.0, 1.0, (M, M)), robin_row=np.ones(M),
+        robin=rng.uniform(-1.0, 1.0, M), f=np.zeros((M, M)))
+    A, _ = _dense(op)
+    scale, _ = _dense_rows(A, op)
+    ratios = (np.abs(A).sum(axis=1) / scale).reshape(M, M)
+    assert np.argmax(ratios) % M == M - 1
+
+
 @pytest.mark.parametrize("N", spectral.LEVELS)
 @pytest.mark.parametrize("D", [1.1, 2.0, 100.0])
 @pytest.mark.parametrize("n", [8, 12])
@@ -181,12 +209,7 @@ def test_eliminated_solve_matches_the_full_dense_system(n, D, N):
         geom.random_frame(n, np.random.default_rng(11)), b)
     op = spectral._operator(b, mode, N)
     A, rhs = _dense(op)
-    absolute = np.abs(A)
-    scale = absolute.max(axis=1)
-    norm = np.max(absolute.sum(axis=1) / scale)
-    kron_scale, kron_norm = spectral._rows(op)
-    assert np.allclose(kron_scale.ravel(), scale, rtol=1e-14, atol=0.0)
-    assert kron_norm == pytest.approx(norm, rel=1e-14)
+    scale, norm = _dense_rows(A, op)
 
     f, phi, berr = spectral._level(b, mode, N)
     assert np.array_equal(f, op.f)
