@@ -15,7 +15,7 @@ verify-bubble exits 1 with a failing row and its detail),
 ``bench/domain.py``'s corrector cells), ``corrector`` at its defaults
 (the zero frame, whose every diagnostics row is vacuous), the README
 constants ``locate``, and a non-constants ``locate`` over nine
-samples with a per-sample H and gamma.  Every file a command writes is
+samples with a per-sample H (that case reads no gamma).  Every file a command writes is
 compared between the sides, and so is a ``console.txt`` holding its
 exit code and standard output (standard error is left out: Python's
 warnings name source paths, which differ between checkouts).  The
@@ -41,8 +41,7 @@ from pairs import CORRECTOR, README_LOCATE, THREAD_ENV  # noqa: E402
 NONCONSTANT_LOCATE = {
     "case": "non-constants", "hessH": "identity", "hessK": "identity",
     "samples": [{"label": f"t{i}", "coords": [0.25 * i],
-                 "H": 2.0 + 0.05 * (0.25 * i - 1.0) ** 2,
-                 "gamma": 1.0 + 0.125 * i}
+                 "H": 2.0 + 0.05 * (0.25 * i - 1.0) ** 2}
                 for i in range(9)]}
 # the points beside the default at which every verify command runs
 VERIFY_POINTS = [("n12", {"n": 12, "K": -132.0, "H": 2.0}),

@@ -23,6 +23,7 @@ prints that table for a subcommand, with its output formats, and exits.
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from . import geom, hyperbolic, quad, reduced
 from .bubble import (Bubble, bubble_energy, bubble_energy_quadrature,
                      residual_linearized, residual_model)
 from .errors import (BubbleLabError, ConfigError, DomainError,
-                     HypothesisFailure, NonConvergence, SingularSystem)
+                     HypothesisFailure)
 from .model import (MAX_DIMENSION, MAX_GAMMA, MAX_GRID_CELLS,
                     OVERRIDE_MIN_DIMENSION, SUPPORTED_MIN_DIMENSION, Check,
                     CurvatureFrame, GridSpec, HessianData, ProblemPoint,
@@ -64,15 +65,13 @@ _KEYS = {
     "K": ("number", -56.0, "prescribed scalar curvature, < 0"),
     "H": ("number", 2.0, "prescribed boundary mean curvature; "
           "D = sqrt(n(n-1)) H / sqrt(|K|) must exceed 1"),
-    "gamma": ("number", 1.0, "perturbation weight gamma(p), 0 < gamma "
-              f"<= {MAX_GAMMA:g}"),
     "seed": ("count", 1871, "seed of every random draw"),
-    "frame": (("zero", "random"), "zero",
-              "curvature frame, unless frame_file is given "
+    "gamma": ("number", 1.0, "perturbation weight gamma(p) of the "
+              f"constants case, 0 < gamma <= {MAX_GAMMA:g}; the default of "
+              "a sample's gamma"),
+    "frame": ("string", "zero", "curvature frame: 'zero', 'random', or the "
+              "path of a curvature-frame JSON, relative to the config file "
               "(not the non-constants case)"),
-    "frame_file": ("string", None, "path to a curvature-frame JSON, "
-                   "relative to the config file (not the non-constants "
-                   "case)"),
     "grid": ({
         "nr": ("integer", GridSpec.nr, "radial cells, >= 16"),
         "nxn": ("integer", GridSpec.nxn, "normal cells, >= 16; "
@@ -82,8 +81,8 @@ _KEYS = {
     "case": (("constants", "non-constants"), "constants", "reduced-energy "
              "regime"),
     "samples": ("array", None, "list of {label, coords, gamma} (constants) "
-                "or {label, coords, H[, gamma]} (non-constants); a label "
-                "is a string or an integer"),
+                "or {label, coords, H} (non-constants); a label is a "
+                "string or an integer"),
     "hessH": ("matrix", "identity", "(n-1)x(n-1) Hessian of H "
               "(non-constants case)"),
     "hessK": ("matrix", "identity", "n x n Hessian of K "
@@ -91,15 +90,16 @@ _KEYS = {
 }
 # the keys a locate case never reads; they must keep their defaults
 _CASE_FOREIGN = {"constants": ("hessH", "hessK"),
-                 "non-constants": ("frame", "frame_file")}
-_POINT_KEYS = ("n", "K", "H", "gamma", "seed")
+                 "non-constants": ("gamma", "frame")}
+# gamma is read only by the constants depth law E + A gamma d - B d^4
+_POINT_KEYS = ("n", "K", "H", "seed")
 _ACCEPTS = {
     "verify-integrals": _POINT_KEYS,
     "verify-bubble": _POINT_KEYS,
     "verify-hyperbolic": _POINT_KEYS,
-    "corrector": _POINT_KEYS + ("frame", "frame_file", "grid"),
-    "locate": _POINT_KEYS + ("frame", "frame_file", "case", "samples",
-                             "hessH", "hessK"),
+    "corrector": _POINT_KEYS + ("frame", "grid"),
+    "locate": _POINT_KEYS + ("gamma", "frame", "case", "samples", "hessH",
+                             "hessK"),
 }
 
 
@@ -198,7 +198,8 @@ _OUTPUTS = {
                             "decay_envelope_inner?, decay_envelope_outer?, "
                             "decay_exponent, identity_lhs, identity_rhs, "
                             "forcing_pairing, quadratic_form}, all_passed, "
-                            "or error when the solve raises",
+                            "or error when the solve or its diagnostics "
+                            "raise",
     },
     "locate": {
         "blowup.json": "p_star, coords, d_star, rate, case_tag, "
@@ -220,9 +221,8 @@ def _schema(command):
             "outputs": _OUTPUTS[command]}
 
 
-def _point(n, K, H, gamma, where="", override=False):
-    """A ProblemPoint that passes validate_point, or one ConfigError line."""
-    pt = ProblemPoint(n=n, K=K, H=H, gamma=gamma)
+def _valid(pt, where="", override=False):
+    """``pt`` if it passes validate_point, else one ConfigError line."""
     rows = validate_point(pt, override_dimension_gate=override)
     bad = [c.detail for c in rows if not c.passed]
     if bad:
@@ -256,8 +256,9 @@ def _load_config(args, command):
             raise ConfigError(f"case {cfg['case']!r} does not read "
                               f"{', '.join(given)}")
     cfg["_override"] = args.override_dimension_gate
-    cfg["_pt"] = _point(cfg["n"], cfg["K"], cfg["H"], cfg["gamma"],
-                        override=cfg["_override"])
+    # a command that reads no gamma keeps the point's default
+    point = {k: cfg[k] for k in ("n", "K", "H", "gamma") if k in cfg}
+    cfg["_pt"] = _valid(ProblemPoint(**point), override=cfg["_override"])
     if "grid" in cfg:
         try:
             cfg["grid"] = GridSpec(**cfg["grid"])
@@ -425,7 +426,7 @@ def cmd_verify_integrals(cfg):
         scale = 0.5 * reduced._amplitude_sq(pt) \
             * pt.moments.halfspace_moment(2, 0, n - 2)
         rows.append(Check("vanishing second bracket of the depth-4 term",
-                          abs(reduced.compute_I2(pt)) / scale, 1e-8))
+                          abs(reduced.compute_I2(pt) / scale), 1e-8))
     return _write_report(cfg, "verify-integrals", rows)
 
 
@@ -523,14 +524,20 @@ def cmd_verify_hyperbolic(cfg):
 def _build_frame(cfg):
     """The config's curvature frame, checked against the gauge and n.
 
-    A valid frame file is projected onto the gauge (R to its Weyl part,
-    Q to its trace-free part): validate_frame admits residues far above
-    the cutoff below which decompose_forcing drops a degree-0 mode.
+    ``frame`` is "zero", "random" (drawn from ``seed``) or the path of a
+    frame file.  A valid frame file is projected onto the gauge (R to its
+    Weyl part, Q to its trace-free part): validate_frame admits residues
+    far above the cutoff below which decompose_forcing drops a degree-0
+    mode.
     """
     n = cfg["_pt"].n
-    path = cfg["frame_file"]
-    if path is not None:
-        full = os.path.join(cfg["_base_dir"], path)
+    name = cfg["frame"]
+    if name == "zero":
+        frame = CurvatureFrame.zero(n)
+    elif name == "random":
+        frame = geom.random_frame(n, np.random.default_rng(cfg["seed"]))
+    else:
+        full = os.path.join(cfg["_base_dir"], name)
         if not os.path.exists(full):
             raise ConfigError(f"frame file not found: {full}")
         try:
@@ -542,15 +549,11 @@ def _build_frame(cfg):
         if frame.n != n:
             raise ConfigError(f"frame file {full} has n = {frame.n}, "
                               f"the config has n = {n}")
-    elif cfg["frame"] == "random":
-        frame = geom.random_frame(n, np.random.default_rng(cfg["seed"]))
-    else:
-        frame = CurvatureFrame.zero(n)
     bad = [c.name for c in validate_frame(frame) if not c.passed]
     if bad:
         raise ConfigError(f"curvature frame fails validation: "
                           f"{', '.join(bad)}")
-    if path is not None:
+    if name not in ("zero", "random"):
         m = frame.m
         Q = frame.normal_block
         frame = CurvatureFrame(
@@ -572,7 +575,7 @@ def cmd_corrector(cfg):
     try:
         sol = corrector.solve_corrector(frame, pt, gs)
         rows, diagnostics = corrector.corrector_diagnostics(sol)
-    except (SingularSystem, NonConvergence) as exc:
+    except BubbleLabError as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         write_json(path, doc)
         print(f"corrector solve failed: {doc['error']}", file=sys.stderr)
@@ -588,7 +591,12 @@ def cmd_corrector(cfg):
 
 
 def _parse_samples(cfg, need_h):
-    """(label, coords, ProblemPoint) per sample; each point is validated."""
+    """(label, coords, ProblemPoint) per sample; each point is validated.
+
+    A sample sets the one value of the point its case reads per sample:
+    gamma in the constants case (default: the config's), H in the
+    non-constants case (required).
+    """
     pt = cfg["_pt"]
     if not cfg["samples"]:
         raise ConfigError("locate needs a non-empty 'samples' list")
@@ -605,22 +613,17 @@ def _parse_samples(cfg, need_h):
         if label in labels:
             raise ConfigError(f"{where}the label repeats an earlier sample's")
         labels.add(label)
-        unknown = sorted(set(entry) - {"label", "coords", "gamma", "H"})
+        key, default = ("H", None) if need_h else ("gamma", pt.gamma)
+        unknown = sorted(set(entry) - {"label", "coords", key})
         if unknown:
             raise ConfigError(f"{where}unknown keys: {', '.join(unknown)}")
         coords = entry.get("coords", [i])
         if type(coords) is not list or not all(map(_is_number, coords)):
             raise ConfigError(f"{where}coords must be an array of finite "
                               f"numbers, got {coords!r}")
-        gamma = _checked("number", f"{where}gamma",
-                         entry.get("gamma", pt.gamma))
-        if need_h != ("H" in entry):
-            raise ConfigError(f"{where}a sample gives H exactly in the "
-                              "non-constants case")
-        h_val = _checked("number", f"{where}H", entry["H"]) if need_h \
-            else pt.H
+        value = _checked("number", f"{where}{key}", entry.get(key, default))
         out.append((label, tuple(map(float, coords)),
-                    _point(pt.n, pt.K, h_val, gamma, where)))
+                    _valid(dataclasses.replace(pt, **{key: value}), where)))
     return out
 
 

@@ -243,6 +243,27 @@ def test_no_config_key_loosens_a_check_or_respells_a_flag(tmp_path, capsys,
             f"config error: unknown config keys: {key}\n"
 
 
+# the settings each command reads, and so accepts: gamma enters only the
+# constants depth law, and frame alone names the frame
+_READS = {
+    "verify-integrals": {"n", "K", "H", "seed"},
+    "verify-bubble": {"n", "K", "H", "seed"},
+    "verify-hyperbolic": {"n", "K", "H", "seed"},
+    "corrector": {"n", "K", "H", "seed", "frame", "grid"},
+    "locate": {"n", "K", "H", "seed", "gamma", "frame", "case", "samples",
+               "hessH", "hessK"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_schema_lists_exactly_the_keys_a_command_reads(capsys, command):
+    assert _run(command, "--schema") == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert set(config) == _READS[command]
+    if "grid" in config:
+        assert set(config["grid"]) == {"nr", "nxn"}
+
+
 _SAMPLE = {"label": "p", "coords": [0.0]}
 # id -> (command, config, frame.json text, text the one stderr line holds);
 # a config of None names a missing file, a string is written verbatim
@@ -257,7 +278,7 @@ _REJECTED = {
     "H-inf": ("verify-hyperbolic", {"H": float("inf")}, None, "H"),
     "K-kind": ("verify-hyperbolic", {"K": "abc"}, None, "K"),
     "K>0": ("verify-hyperbolic", {"K": 56.0}, None, "K < 0"),
-    "gamma-kind": ("verify-hyperbolic", {"gamma": "x"}, None, "gamma"),
+    "gamma-kind": ("locate", {"gamma": "x"}, None, "gamma"),
     "seed<0": ("verify-hyperbolic", {"seed": -1}, None, "seed"),
     "n=13": ("verify-bubble", {"n": 13}, None, "dimension gate"),
     "n=400": ("verify-integrals", {"n": 400}, None, "dimension gate"),
@@ -276,11 +297,24 @@ _REJECTED = {
     "grid-stretch": ("corrector", {"grid": {"stretch": 8.0}}, None,
                      "unknown grid keys: stretch"),
     "frame-kind": ("corrector", {"frame": "flat"}, None, "frame"),
-    "frame-file-json": ("corrector", {"frame_file": "frame.json"},
+    "frame-file-json": ("corrector", {"frame": "frame.json"},
                         "{not json", "invalid frame file"),
-    "frame-file-deep": ("corrector", {"frame_file": "frame.json"},
+    "frame-file-deep": ("corrector", {"frame": "frame.json"},
                         "[" * 100_000, "invalid frame file"),
-    "frame-file-n": ("corrector", {"frame_file": "frame.json"},
+    "frame-file-missing": ("corrector", {"frame": "frame.json"}, None,
+                           "frame file not found"),
+    # frame names every frame; a second key no longer overrides it
+    "frame-file-key": ("corrector", {"frame": "random",
+                                     "frame_file": "frame.json"},
+                       json.dumps(geom.random_frame(
+                           8, np.random.default_rng(1)).to_json_dict()),
+                       "unknown config keys: frame_file"),
+    # gamma enters the constants depth law alone
+    **{f"gamma-in-{command}": (command, {"gamma": 1.0}, None,
+                               "unknown config keys: gamma")
+       for command in ("verify-integrals", "verify-bubble",
+                       "verify-hyperbolic", "corrector")},
+    "frame-file-n": ("corrector", {"frame": "frame.json"},
                      json.dumps(geom.random_frame(
                          9, np.random.default_rng(1)).to_json_dict()),
                      "n = 9"),
@@ -308,9 +342,23 @@ _REJECTED = {
                               "samples": [dict(_SAMPLE, H=2.0)]},
                    None, "hessH"),
     "frame-in-non-constants": ("locate", {
-        "case": "non-constants", "frame_file": "nope.json",
+        "case": "non-constants", "frame": "nope.json",
         "samples": [{"label": "a", "H": 2.0}]},
-        None, "does not read frame_file"),
+        None, "does not read frame"),
+    "gamma-in-non-constants": ("locate", {
+        "case": "non-constants", "gamma": 2.0,
+        "samples": [{"label": "a", "H": 2.0}]},
+        None, "case 'non-constants' does not read gamma"),
+    "sample-gamma-in-non-constants": ("locate", {
+        "case": "non-constants",
+        "samples": [{"label": "a", "H": 2.0, "gamma": 1.0}]},
+        None, "sample 'a': unknown keys: gamma"),
+    "sample-H-in-constants": ("locate", {
+        "samples": [{"label": "a", "H": 2.0}]},
+        None, "sample 'a': unknown keys: H"),
+    "sample-H-missing": ("locate", {
+        "case": "non-constants", "samples": [{"label": "a"}]},
+        None, "sample 'a': H must be a finite number"),
     "hessH-in-constants": ("locate", {
         "case": "constants", "hessH": [[1]],
         "samples": [{"label": "a"}]}, None, "does not read hessH"),
@@ -396,10 +444,9 @@ _VALUES = {
     "H": st.floats(0.5, 6.0),
     "gamma": _GAMMA,
     "seed": st.integers(-5, 2 ** 64),
-    "frame": st.sampled_from(["random", "zero"]),
-    "frame_file": st.sampled_from(
-        ["frame.json", "frame9.json", "broken.json", "missing.json",
-         "huge.json", "tiny.json"]),
+    "frame": st.sampled_from(
+        ["random", "zero", "frame.json", "frame9.json", "broken.json",
+         "missing.json", "huge.json", "tiny.json"]),
     "grid": st.fixed_dictionaries({"nr": _SIDE, "nxn": _SIDE}),
     "case": st.sampled_from(["constants", "non-constants"]),
     # repeated labels are refused at parse; the table above covers that
@@ -473,10 +520,10 @@ def _non_finite(path):
 @given(_configs())
 @example(("locate", {"frame": "random", "samples": [
     {"label": "p0", "coords": [0.0], "gamma": 1e250}]}, ()))
-@example(("corrector", {"grid": _GRID16, "frame_file": "huge.json"}, ()))
-@example(("locate", {"frame_file": "huge.json",
+@example(("corrector", {"grid": _GRID16, "frame": "huge.json"}, ()))
+@example(("locate", {"frame": "huge.json",
                      "samples": [{"label": "p0", "coords": [0.0]}]}, ()))
-@example(("locate", {"frame_file": "tiny.json",
+@example(("locate", {"frame": "tiny.json",
                      "samples": [{"label": "p0", "coords": [0.0]}]}, ()))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_any_config_exits_with_a_contract_code(case):
@@ -566,6 +613,23 @@ def test_corrector_zero_frame(tmp_path, capsys):
         (True, 0.0, ">=", -1e-6)]
 
 
+def test_corrector_writes_its_error_report_on_any_numeric_failure(tmp_path,
+                                                                  capsys):
+    # at D = 1e4 the forcing's angular split misses its bound with a
+    # DecompositionError: the report says so, as for a failed solve
+    cfg = _write(tmp_path, "c.json", {"frame": "random", "H": 1e4,
+                                      "grid": {"nr": 32, "nxn": 32}})
+    out = tmp_path / "out"
+    assert _run("corrector", "--config", cfg, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrector solve failed: DecompositionError: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
+    doc = json.loads((out / "diagnostics.json").read_text())
+    assert set(doc) == {"command", "parameters", "error"}
+    assert doc["error"] == err.strip()[len("corrector solve failed: "):]
+
+
 def test_corrector_random_frame_deterministic(tmp_path):
     cfg = _write(tmp_path, "c.json",
                  {"frame": "random", "seed": 11,
@@ -642,14 +706,21 @@ def test_corrector_prints_vacuous_rows_as_vacuous(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     vacuous = [line for line in lines if line.startswith("[vacuous] ")]
     assert [line.split(":")[0] for line in vacuous] == [
+        "[vacuous] kernel orthogonality",
         "[vacuous] interior/boundary mass identity",
         "[vacuous] pairing vs discrete quadratic form"]
-    assert vacuous[0].endswith(": vacuous: no mode has an angular average")
-    assert vacuous[1].endswith(
+    # the normal-block mode's degree-2 angular factor pairs to roundoff
+    # with every kernel factor; the row keeps its measured value
+    assert vacuous[0].endswith(
+        ": vacuous: no mode shares an angular factor with the kernel")
+    assert vacuous[1].endswith(": vacuous: no mode has an angular average")
+    assert vacuous[2].endswith(
         ": vacuous: the forcing vanishes on the boundary rows")
     # the rows still count as passed in the report
     doc = json.loads((out / "diagnostics.json").read_text())
     rows = {r["name"]: r for r in doc["checks"]}
+    assert rows["kernel orthogonality"]["passed"]
+    assert 0.0 < rows["kernel orthogonality"]["value"] < 1e-15
     assert rows["interior/boundary mass identity"]["passed"]
     assert rows["pairing vs discrete quadratic form"]["passed"]
 
@@ -659,7 +730,7 @@ def test_corrector_frame_file(tmp_path):
     fpath = tmp_path / "frame.json"
     fpath.write_text(json.dumps(frame.to_json_dict()))
     cfg = _write(tmp_path, "c.json",
-                 {"frame_file": "frame.json", "grid": {"nr": 64, "nxn": 64}})
+                 {"frame": "frame.json", "grid": {"nr": 64, "nxn": 64}})
     assert _run("corrector", "--config", cfg, "--out",
                 str(tmp_path / "out")) == 0
 
@@ -670,7 +741,7 @@ def test_corrector_rejects_invalid_frame_file(tmp_path, capsys):
     doc["normal_block"][0][0] += 1.0        # trace condition now fails
     fpath = tmp_path / "frame.json"
     fpath.write_text(json.dumps(doc))
-    cfg = _write(tmp_path, "c.json", {"frame_file": "frame.json"})
+    cfg = _write(tmp_path, "c.json", {"frame": "frame.json"})
     assert _run("corrector", "--config", cfg, "--out",
                 str(tmp_path / "out")) == 2
     assert "fails validation" in capsys.readouterr().err
@@ -683,7 +754,7 @@ def test_corrector_projects_a_frame_file_onto_the_gauge(tmp_path):
     doc["normal_block"][0][0] += 5e-11
     (tmp_path / "frame.json").write_text(json.dumps(doc))
     cfg = _write(tmp_path, "c.json",
-                 {"frame_file": "frame.json", "grid": {"nr": 100, "nxn": 100}})
+                 {"frame": "frame.json", "grid": {"nr": 100, "nxn": 100}})
     out = tmp_path / "out"
     assert _run("corrector", "--config", cfg, "--out", str(out)) == 0
     header = json.loads((out / "corrector.json").read_text())
@@ -761,7 +832,7 @@ def _locate_b(tmp_path, name, frame_doc):
     """B of a one-sample constants run on the frame file ``frame_doc``."""
     (tmp_path / f"{name}_frame.json").write_text(json.dumps(frame_doc))
     cfg = _write(tmp_path, f"{name}.json", {
-        "case": "constants", "frame_file": f"{name}_frame.json",
+        "case": "constants", "frame": f"{name}_frame.json",
         "samples": [{"label": "p0", "coords": [0.0], "gamma": 1.0}]})
     out = tmp_path / name
     assert _run("locate", "--config", cfg, "--out", str(out)) == 0

@@ -712,6 +712,21 @@ def test_quadratic_form_of_three_modes_matches_the_assembled_operator(
     assert all("projection_coefficient" not in m.info for m in sol.modes)
 
 
+def test_mass_identity_of_three_modes_converges_at_second_order(pt8):
+    # with the forcing's share ((n-2)/4) int U (e - mu j_n), Green's
+    # identity closes as the grid refines: 0.0879 at 100^2 and 0.0216 at
+    # 200^2 (4.07x).  Without that share the row stays near 0.75
+    frame = _off_gauge_frame(8, np.random.default_rng(5))
+    rows = {}
+    for cells in (100, 200):
+        sol = corrector.solve_corrector(frame, pt8, corrector.GridSpec(
+            nr=cells, nxn=cells))
+        rows[cells] = {c.name: c for c in corrector.corrector_diagnostics(
+            sol)[0]}["interior/boundary mass identity"]
+        assert rows[cells].detail == ""
+    assert rows[100].value >= 3.5 * rows[200].value > 0.0
+
+
 def test_kernel_orthogonality_row_is_each_j_on_its_own_grid(pt8,
                                                             sol_three_modes):
     # reference: each j_i's profile evaluated on the grid by itself, as

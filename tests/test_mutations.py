@@ -43,6 +43,14 @@ def _scale(owner, name, factor):
                     lambda real: lambda *args: real(*args) * factor)
 
 
+def _both(*patches):
+    """A patch: each of ``patches`` in turn."""
+    def patch(mp, sol):
+        for each in patches:
+            each(mp, sol)
+    return patch
+
+
 def _scale_each(owner, name, factor):
     """A patch: every member of owner.name's list result times ``factor``."""
     return _replace(owner, name, lambda real: lambda *args, **kwargs: [
@@ -184,6 +192,13 @@ MUTATIONS = {
     "c_n of the depth-4 bracket x (1 + 1e-7)": (
         "verify-integrals", None, _scale(reduced, "c_n", 1.0 + 1e-7),
         {"vanishing second bracket of the depth-4 term": 1e-7}),
+    # a negative scale must not turn the bracket's defect negative
+    "amplitude negated, c_n of the depth-4 bracket x (1 + 1e-7)": (
+        "verify-integrals", None,
+        _both(_scale(reduced, "_amplitude_sq", -1.0),
+              _scale(reduced, "c_n", 1.0 + 1e-7)),
+        {"sign quantity positive": -0.483,
+         "vanishing second bracket of the depth-4 term": 1e-7}),
     # verify-bubble
     "Laplacian of U x (1 + 1e-7)": (
         "verify-bubble", None,
@@ -268,7 +283,7 @@ MUTATIONS = {
     "angular weight + 1e-6 I": (
         "corrector", _CORRECTOR, _modes(lambda sol, m: dataclasses.replace(
             m, weight=m.weight + 1e-6 * np.eye(len(m.weight)))),
-        {"kernel orthogonality": 2.17e-6, _MASS: 0.744}),
+        {"kernel orthogonality": 2.17e-6, _MASS: 0.915}),
     "forcing on the x_n = 0 row": (
         "corrector", _CORRECTOR, _modes(_forced_rim),
         {"pairing vs discrete quadratic form": 0.0193}),
